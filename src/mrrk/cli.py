@@ -15,7 +15,8 @@ Three subcommands write CSV/JSON artifacts into an output directory:
 Options may come from flags or from a JSON config file (``--config``);
 flags override file values.  All numeric CSV fields use 17 significant
 digits so values round-trip exactly.  The ``MRRK_MAX_WORKERS``
-environment variable caps the stability scan's worker threads.
+environment variable is validated (a positive integer) but has no effect:
+the stability scan runs serially.
 
 Exit codes: 0 success, 2 usage error, 3 integration failure, 4 numeric
 error.
@@ -29,7 +30,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,8 +37,7 @@ from . import bench
 from .adapt import IntegrationFailure, SolverConfig, integrate
 from .interp import DENSE, HERMITE, LINEAR
 from .odecore import NumericalBlowup, OdeProblem
-from .stability import (model_2dof, model_4dof, propagator_error,
-                        scan_records, table_entry)
+from .stability import model_2dof, model_4dof, propagator_error, scan_cell
 from .tableaux import get_method, method_names
 
 EXIT_OK = 0
@@ -158,7 +157,12 @@ def make_problem(name: str, overrides: dict,
     raise UsageError(f"unknown problem {name!r}")
 
 
-def _worker_count() -> int:
+def _check_workers_env():
+    """Validate MRRK_MAX_WORKERS, which is kept but has no effect.
+
+    The stability scan is serial: its work is many small numpy calls that
+    hold the interpreter lock, and a thread pool made it slower.
+    """
     raw = os.environ.get(WORKERS_ENV)
     if raw:
         try:
@@ -168,8 +172,6 @@ def _worker_count() -> int:
                 f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
         if n < 1:
             raise UsageError(f"{WORKERS_ENV} must be positive")
-        return n
-    return os.cpu_count() or 1
 
 
 def _csv_floats(text: str) -> list[float]:
@@ -259,8 +261,11 @@ def _write_activity(path, records):
 def cmd_solve(args) -> int:
     if args.problem is None:
         raise UsageError("--problem is required (flag or config file)")
-    problem = make_problem(args.problem, _parse_overrides(args.param),
-                           seed=args.seed)
+    try:
+        problem = make_problem(args.problem, _parse_overrides(args.param),
+                               seed=args.seed)
+    except ValueError as exc:     # e.g. OdeProblem rejects the span
+        raise UsageError(str(exc)) from exc
     cfg = _solver_config(args)
     grid = _output_grid(problem, args.output_dt)
     cfg = dataclasses.replace(cfg, t_eval=grid)
@@ -322,31 +327,23 @@ def cmd_stability(args) -> int:
         raise UsageError(f"unknown interpolator {args.interp!r}")
     kind = _INTERPS[args.interp]
     method = get_method(args.method)
-    C_grid = np.arange(1.0, np.floor(args.c_max) + 1.0)
     try:
         models = [_make_model(args, k) for k in kappas]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _check_workers_env()
 
-    def cell(ik_m):
-        ik, M = ik_m
-        model = models[ik]
-        rows = scan_records(model, method, kind, [M], C_grid)
-        entry = table_entry(model, method, kind, M, C_max=args.c_max)
-        return ik, M, rows, entry
-
-    cells = [(ik, M) for ik in range(len(kappas)) for M in Ms]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        results = list(pool.map(cell, cells))
+    all_rows = []
+    table = {}
+    for ik, model in enumerate(models):
+        for M in Ms:
+            rows, table[(ik, M)] = scan_cell(model, method, kind, M,
+                                             C_max=args.c_max)
+            all_rows.extend(rows)
 
     os.makedirs(args.outdir, exist_ok=True)
     scan_header = ["model", "method", "interp", "gamma1", "omega1",
                    "alpha", "beta", "kappa", "M", "C", "rho", "stable"]
-    all_rows = []
-    table = {}
-    for ik, M, rows, entry in results:
-        all_rows.extend(rows)
-        table[(ik, M)] = entry
     _write_csv(os.path.join(args.outdir, "scan.csv"), scan_header,
                ([r[c] for c in scan_header] for r in all_rows))
     _write_csv(os.path.join(args.outdir, "table.csv"),

@@ -9,6 +9,7 @@ stages for dense output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -56,9 +57,16 @@ class OdeProblem:
     name: str = "custom"
 
     def __post_init__(self):
+        t0, t1 = self.t_span
+        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+            raise ValueError(
+                f"t_span must be finite with t_span[0] < t_span[1], "
+                f"got {self.t_span}")
         y0 = np.asarray(self.y0, dtype=float)
         if y0.shape != (self.N,):
             raise ValueError(f"y0 must have shape ({self.N},)")
+        if not np.isfinite(y0).all():
+            raise ValueError("y0 must be finite")
         object.__setattr__(self, "y0", y0)
         if self.rhs_restricted is None:
             def _restricted(y, t, indices, out, _rhs=self.rhs, _n=self.N):

@@ -15,6 +15,7 @@ two fast variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -29,8 +30,9 @@ class PartitionedLinearModel:
     """Linear model y' = Ly with the last ``d`` components labelled fast.
 
     ``Lam`` is the largest eigenvalue modulus of L and converts between the
-    step size h_s and the normalized step C = h_s * Lam.  ``label`` and
-    ``params`` carry presentation metadata for scan output.
+    step size h_s and the normalized step C = h_s * Lam; it is computed on
+    first use and kept, so L must not be modified after construction.
+    ``label`` and ``params`` carry presentation metadata for scan output.
     """
 
     L: np.ndarray
@@ -70,22 +72,21 @@ class PartitionedLinearModel:
     def L_ff(self) -> np.ndarray:
         return self.L[self.n_slow:, self.n_slow:]
 
-    @property
+    @cached_property
     def Lam(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.L))))
 
 
 @dataclass(frozen=True)
 class MultirateAmplification:
-    """One multi-rate step on y' = Ly as a matrix, with its ingredients.
+    """One multi-rate step on y' = Ly as a matrix, with its parameters.
 
-    ``R_mr`` maps u_n to u_{n+1}.  ``C_ff`` is the fast-block single-rate
-    matrix at the sub-step size h_f = h_s / M; the bottom rows of R_mr are
-    C_ff^M on the fast block plus the accumulated slow-coupling term.
+    ``R_mr`` maps u_n to u_{n+1}.  Its fast rows are C_ff^M on the fast
+    block plus the accumulated slow-coupling term, where C_ff is the
+    fast-block single-rate matrix at the sub-step size h_f = h_s / M.
     """
 
     R_mr: np.ndarray
-    C_ff: np.ndarray
     h_s: float
     M: int
     method: str
@@ -159,9 +160,7 @@ def multirate_R(model: PartitionedLinearModel, h_s: float, M: int,
     h = np.array([float(h_s)])
     R = _linops.multirate_matrix(
         model.L[None], model.d, h, M, method, interp.kind)[0]
-    C_ff = _linops.rk_matrix(
-        model.L_ff[None], h / M, method)[0]
-    return MultirateAmplification(R_mr=R, C_ff=C_ff, h_s=float(h_s), M=M,
+    return MultirateAmplification(R_mr=R, h_s=float(h_s), M=M,
                                   method=method.name, interp=interp.kind)
 
 
@@ -178,8 +177,13 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
               C_grid: np.ndarray) -> np.ndarray:
     """Spectral radius of the multi-rate step at each normalized step C.
 
-    The whole grid is pushed through the matrix assembly as one batch, so
-    scans over many C values cost a handful of vectorized linear solves.
+    The whole grid is pushed through `_linops.multirate_matrix` as one
+    batch.  That kernel also stacks the M fast sub-steps, so the number
+    of array operations per call does not depend on the grid length and
+    grows with M only as log2(M): the fast stage factor is inverted once,
+    the slow coupling L_fs Q(tau) comes from one contraction over every
+    stage time, and the sub-steps are chained by powers of the fast
+    single-rate matrix, built by repeated doubling.
     """
     C_grid = np.asarray(C_grid, dtype=float)
     h = C_grid / model.Lam
@@ -213,6 +217,10 @@ def max_stable_C(model: PartitionedLinearModel, method: ButcherTableau,
     return float(C_grid[np.max(np.nonzero(stable)[0])])
 
 
+def _integer_grid(C_max: float) -> np.ndarray:
+    return np.arange(1.0, np.floor(C_max) + 1.0)
+
+
 def stability_boundary(model: PartitionedLinearModel, method: ButcherTableau,
                        interp: InterpolatorKind, M: int,
                        C_max: float = 100.0, rho_tol: float = 1e-8,
@@ -223,8 +231,15 @@ def stability_boundary(model: PartitionedLinearModel, method: ButcherTableau,
     bracket by multisection down to ``refine_tol``.  Returns None when no
     integer grid point up to C_max is unstable.
     """
-    C_grid = np.arange(1.0, np.floor(C_max) + 1.0)
+    C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
+    return _refine_boundary(model, method, interp, M, C_grid, rho,
+                            rho_tol, refine_tol)
+
+
+def _refine_boundary(model, method, interp, M, C_grid, rho, rho_tol,
+                     refine_tol):
+    """`stability_boundary` from its integer-grid scan ``rho``."""
     unstable = np.nonzero(rho > 1.0 + rho_tol)[0]
     if len(unstable) == 0:
         return None
@@ -259,12 +274,32 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
     """
     boundary = stability_boundary(model, method, interp, M,
                                   C_max=C_max, rho_tol=rho_tol)
+    return _entry_from_boundary(boundary, C_max)
+
+
+def _entry_from_boundary(boundary: float | None, C_max: float):
     if boundary is None:
         return f">= {C_max:g}"
     snapped = round(boundary)
     if abs(boundary - snapped) < 1e-6:
         boundary = snapped
     return int(np.ceil(boundary))
+
+
+def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
+              interp: InterpolatorKind, M: int, C_max: float = 100.0,
+              rho_tol: float = 1e-8):
+    """`scan_records` rows and the `table_entry` of one M, from one scan.
+
+    Both read the spectral radii on the integer grid 1..floor(C_max), so
+    that grid is scanned once; only the boundary refinement adds probes.
+    """
+    C_grid = _integer_grid(C_max)
+    rho = rho_curve(model, method, interp, M, C_grid)
+    rows = _records(model, method, interp, M, C_grid, rho, rho_tol)
+    boundary = _refine_boundary(model, method, interp, M, C_grid, rho,
+                                rho_tol, 1e-6)
+    return rows, _entry_from_boundary(boundary, C_max)
 
 
 def matrix_exponential(L: np.ndarray, t: float) -> np.ndarray:
@@ -311,6 +346,15 @@ def scan_records(model: PartitionedLinearModel, method: ButcherTableau,
     if C_grid is None:
         C_grid = np.arange(1.0, 101.0)
     C_grid = np.asarray(C_grid, dtype=float)
+    rows = []
+    for M in M_values:
+        rho = rho_curve(model, method, interp, int(M), C_grid)
+        rows += _records(model, method, interp, M, C_grid, rho, rho_tol)
+    return rows
+
+
+def _records(model, method, interp, M, C_grid, rho, rho_tol):
+    """`scan_records` rows of one M from its scan ``rho`` over C_grid."""
     p = model.params
     base = {
         "model": model.label,
@@ -322,10 +366,6 @@ def scan_records(model: PartitionedLinearModel, method: ButcherTableau,
         "beta": p.get("beta", ""),
         "kappa": p.get("kappa", ""),
     }
-    rows = []
-    for M in M_values:
-        rho = rho_curve(model, method, interp, int(M), C_grid)
-        for C, r in zip(C_grid, rho):
-            rows.append(dict(base, M=int(M), C=float(C), rho=float(r),
-                             stable=bool(r <= 1.0 + rho_tol)))
-    return rows
+    return [dict(base, M=int(M), C=float(C), rho=float(r),
+                 stable=bool(r <= 1.0 + rho_tol))
+            for C, r in zip(C_grid, rho)]

@@ -90,6 +90,9 @@ def test_solve_usage_errors(tmp_path):
                  "--columns", "7", "--outdir", str(tmp_path)]) == 2
     assert main(["solve", "--problem", "constant",
                  "--output-dt", "-1", "--outdir", str(tmp_path)]) == 2
+    for span in ("[1,0]", "[1,1]"):                         # bad t_span
+        assert main(["solve", "--problem", "constant", "--param",
+                     f"t_span={span}", "--outdir", str(tmp_path)]) == 2
 
 
 def test_solve_integration_failure_artifacts(tmp_path):

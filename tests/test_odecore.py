@@ -19,6 +19,21 @@ def test_problem_shape_validation():
                    y0=np.zeros(2), dependency=lambda i: (i,))
 
 
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (1.0, 0.0), (0.0, np.inf),
+                                    (np.nan, 1.0)])
+def test_problem_rejects_empty_reversed_or_nonfinite_span(t_span):
+    with pytest.raises(ValueError, match="t_span"):
+        OdeProblem(N=1, rhs=lambda y, t, out: None, t_span=t_span,
+                   y0=np.zeros(1), dependency=lambda i: (i,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_nonfinite_y0(bad):
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        OdeProblem(N=2, rhs=lambda y, t, out: None, t_span=(0, 1),
+                   y0=np.array([0.0, bad]), dependency=lambda i: (i,))
+
+
 def test_default_restricted_rhs_matches_full():
     L = np.array([[-1.0, 0.5], [0.0, -2.0]])
     prob = make_linear_problem(L)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mrrk.stability import (matrix_exponential, max_stable_C, model_2dof,
-                            model_4dof, multirate_R, propagator_error,
-                            rho_curve, scan_records, single_rate_R,
+from mrrk.stability import (PartitionedLinearModel, matrix_exponential,
+                            max_stable_C, model_2dof, model_4dof,
+                            multirate_R, propagator_error, rho_curve,
+                            scan_cell, scan_records, single_rate_R,
                             spectral_radius, stability_boundary, table_entry)
 from mrrk.interp import InterpolatorKind
 from mrrk.tableaux import get_method
@@ -186,3 +187,45 @@ def test_scan_records_schema():
                 "stable"):
         assert key in r
     assert r["method"] == "erk4" and r["interp"] == "hermite"
+
+
+@pytest.mark.parametrize("M", [32, 128])
+@pytest.mark.parametrize("case", ["esdirk4-dense-4dof", "erk4-hermite-2dof"])
+def test_rho_curve_matches_brute_force_at_table_scale(case, M):
+    """The stacked-sub-step kernel against the per-C columnwise oracle on
+    a batch of 14 step sizes, at the largest M of the published tables."""
+    if case == "esdirk4-dense-4dof":
+        model = model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=10.0,
+                           beta_ratio=1.0, kappa=0.1)
+        m, kind = get_method("esdirk4"), "dense"
+    else:
+        model = model_2dof(alpha=10.0, kappa=0.9e-2)
+        m, kind = get_method("erk4"), "hermite"
+    Cs = np.linspace(0.5, 100.0, 14)       # both stable and unstable C
+    rhos = rho_curve(model, m, InterpolatorKind(kind), M, Cs)
+    assert rhos.min() < 1.0 < rhos.max()
+    for C, r in zip(Cs, rhos):
+        R_ref = _oracles.brute_force_multirate_R(
+            model.L, model.d, C / model.Lam, M, m, kind)
+        assert r == pytest.approx(spectral_radius(R_ref), rel=1e-9)
+
+
+def test_multirate_R_singular_fast_stage_factor_names_stage():
+    """esdirk4 has a_kk = 1/4 from stage 2 on; with h_s = 1 and M = 2 the
+    fast factor 1 - (1/2)(1/4) L_ff vanishes exactly for L_ff = 8, while
+    the full-step factor I - (1/4) L stays regular."""
+    m = get_method("esdirk4")
+    assert m.A[1, 1] == 0.25
+    model = PartitionedLinearModel(np.diag([-1.0, 8.0]), d=1)
+    with pytest.raises(np.linalg.LinAlgError, match="fast stage factor at stage 2"):
+        multirate_R(model, 1.0, 2, m, IK_D)
+
+
+def test_scan_cell_matches_scan_records_and_table_entry():
+    model = model_2dof(alpha=10.0, kappa=0.9e-2)
+    m = get_method("erk4")
+    rows, entry = scan_cell(model, m, IK_H, 4, C_max=30.0)
+    assert rows == scan_records(model, m, IK_H, [4], np.arange(1.0, 31.0))
+    assert entry == table_entry(model, m, IK_H, 4, C_max=30.0)
+    _, stable_entry = scan_cell(model, m, IK_H, 4, C_max=5.0)
+    assert stable_entry == ">= 5"
