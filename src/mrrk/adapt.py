@@ -1,22 +1,23 @@
-"""Adaptive single-rate driver and the self-adjusting multi-rate controller.
+"""The self-adjusting multi-rate controller and its one adaptive driver.
 
-The multi-rate controller takes a tentative global step with an embedded
-error estimate, ranks the per-component error quotients, and either
-rejects the step, accepts it outright, or keeps the slow components and
-re-integrates only the fast ones on the same interval with adaptive
-sub-steps, reading interpolated slow values from the global step.
+The controller takes a tentative global step with an error estimate,
+ranks the per-component error quotients, and either rejects the step,
+accepts it outright, or keeps the slow components and re-integrates only
+the fast ones on the same interval with adaptive sub-steps, reading
+interpolated slow values from the global step.  Single-rate integration
+is the same controller with a fast cap of 0: every tentative step is
+accepted whole or rejected.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import odecore
-from .interp import DENSE, HERMITE, InterpolatorKind
+from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
 from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
 from .odecore import (NumericalBlowup, OdeProblem, StepSafety, WorkCounters,
                       error_quotients, new_step_size, rk_step)
@@ -24,9 +25,12 @@ from .tableaux import ButcherTableau
 
 
 class IntegrationFailure(Exception):
-    """The step size fell below the configured minimum.
+    """The run cannot continue.
 
-    Carries the time, state, and statistics at the point of failure.
+    Raised when the step size falls below ``h_min`` (after an error
+    rejection, a convergence failure or a failed fast phase) or when the
+    step budget ``max_steps`` is exhausted.  Carries the time, state, and
+    statistics (``wall_time`` included) at the point of failure.
     """
 
     def __init__(self, message, t=None, y=None, stats=None):
@@ -53,7 +57,6 @@ class SolverConfig:
     interp: Optional[InterpolatorKind] = None
     jacobian_strategy: str = "JacB"
     newton_max_iters: int = 20
-    stage_guess: str = "explicit-part"
     t_eval: Optional[np.ndarray] = None
     max_steps: int = 10_000_000
 
@@ -66,9 +69,6 @@ class SolverConfig:
             raise ValueError("beta must be positive")
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
-        if self.stage_guess not in ("explicit-part", "extrapolate"):
-            raise ValueError(
-                "stage_guess must be 'explicit-part' or 'extrapolate'")
 
     @property
     def safety(self) -> StepSafety:
@@ -87,10 +87,6 @@ class Partition:
 
     fast: np.ndarray
     slow: np.ndarray
-
-    @property
-    def d_n(self) -> int:
-        return len(self.fast)
 
 
 @dataclass
@@ -142,25 +138,30 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     candidate count at m with m/N <= phi < (m+1)/N, and returns
     (decision, partition, eta_s, eta_f) where decision is one of
     "accept", "reject", "go_multirate".  eta_s is the largest quotient
-    outside the top-m, eta_f the largest inside.  The fast set contains
-    the top-m candidates that actually violate beta.
+    outside the top-m, eta_f the largest inside (0 when m = 0, so the step
+    is accepted or rejected whole).  The fast set contains the top-m
+    candidates that actually violate beta.
     """
     eta = np.asarray(eta, dtype=float)
     if not np.all(np.isfinite(eta)):
         raise ValueError("error quotients must be finite")
     N = len(eta)
-    order = np.argsort(-eta, kind="stable")
     m = int(np.floor(phi * N))
+    if m == 0:
+        eta_s = float(np.max(eta))
+        return ("reject" if eta_s > beta else "accept",
+                Partition(fast=np.array([], dtype=int), slow=np.arange(N)),
+                eta_s, 0.0)
+    order = np.argsort(-eta, kind="stable")
     top = order[:m]
     rest = order[m:]
     eta_s = float(np.max(eta[rest]))
-    eta_f = float(np.max(eta[top])) if m > 0 else 0.0
+    eta_f = float(np.max(eta[top]))
+    fast = np.array([], dtype=int)
     if eta_s > beta:
         decision = "reject"
-        fast = np.array([], dtype=int)
     elif eta_f <= beta:
         decision = "accept"
-        fast = np.array([], dtype=int)
     else:
         decision = "go_multirate"
         fast = np.sort(top[eta[top] > beta])
@@ -168,136 +169,59 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     return decision, Partition(fast=fast, slow=slow), eta_s, eta_f
 
 
-class _GuessExtrapolator:
-    """Implicit-stage initial guesses by extrapolating the previous step.
-
-    Evaluates the previous accepted step's continuous output beyond its
-    own interval; this is the one place extrapolation is intentional, so
-    it bypasses the public dense_eval domain check.  Extrapolation is a
-    good guess on smooth trajectories but degrades Newton robustness on
-    switching fronts, so it is opt-in via SolverConfig.stage_guess.
-    """
-
-    def __init__(self):
-        self.stages = None
-
-    def update(self, stages):
-        self.stages = stages
-
-    def __call__(self, k, t_stage):
-        st = self.stages
-        if st is None or st.dense is None or st.h <= 0:
-            return None
-        tau = (t_stage - st.t_n) / st.h
-        W = st.dense.weights(np.array([tau]))
-        return st.u_n + st.h * (W @ st.K)[0]
-
-
-class _NoGuess:
-    """Default guess source: fall back to the accumulated explicit part."""
-
-    def update(self, stages):
-        pass
-
-    def __call__(self, k, t_stage):
-        return None
-
-
-def _make_guesser(cfg: SolverConfig):
-    if cfg.stage_guess == "extrapolate":
-        return _GuessExtrapolator()
-    return _NoGuess()
-
-
-def _attempt_global_step(problem, u_n, t_n, h, method, cfg, cache, guesser):
-    """One tentative step with an error estimate.
+def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
+    """One tentative step with its per-component error quotients.
 
     Methods with an embedded pair use it directly.  Methods without one
     (the classical explicit method) estimate the error by step doubling:
     the step is repeated as two half steps and the difference between the
     one-step and two-step results serves as the error, with the two-step
-    result carried forward.  Returns
-    (u_next, eta, stages, f_next, work); ``stages`` always spans the full
-    interval [t_n, t_n + h] for interpolation.
+    result carried forward.  Returns (u_next, eta, stages, work);
+    ``stages`` always spans the full interval [t_n, t_n + h] for
+    interpolation.
     """
-    nc = cfg.newton_config()
-    if method.b_hat is not None:
-        u_next, u_hat, stages, work = rk_step(
-            problem, u_n, t_n, h, method, newton=nc, cache=cache,
-            stage_guess=guesser)
-        eta = error_quotients(u_next, u_hat, cfg.rtol, cfg.atol)
-        return u_next, eta, stages, None, work
-    # Step doubling.
-    u_full, _, stages, work = rk_step(problem, u_n, t_n, h, method)
-    u_half, _, _, w2 = rk_step(problem, u_n, t_n, 0.5 * h, method)
-    work += w2
-    u_next, _, _, w3 = rk_step(problem, u_half, t_n + 0.5 * h, 0.5 * h,
-                               method)
-    work += w3
-    eta = error_quotients(u_next, u_full, cfg.rtol, cfg.atol)
-    return u_next, eta, stages, None, work
+    nc = None if cache is None else cache.config
+    u_next, u_hat, stages, work = rk_step(problem, u_n, t_n, h, method,
+                                          newton=nc, cache=cache)
+    if u_hat is None:
+        u_half, _, _, w2 = rk_step(problem, u_n, t_n, 0.5 * h, method,
+                                   newton=nc, cache=cache)
+        u_two, _, _, w3 = rk_step(problem, u_half, t_n + 0.5 * h, 0.5 * h,
+                                  method, newton=nc, cache=cache)
+        work += w2
+        work += w3
+        u_hat, u_next = u_next, u_two
+    eta = error_quotients(u_next, u_hat, cfg.rtol, cfg.atol)
+    return u_next, eta, stages, work
 
 
 def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, stages,
                       work):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
-    Returns a function cols -> (tau -> values at cols).  Methods with
-    continuous output use it; others fall back to cubic Hermite in the
-    endpoint states and derivatives (one fresh RHS call for the right
-    endpoint, counted in ``work``).
+    Returns a function cols -> (tau -> values at cols), built by
+    `interp.slow_interpolant`.  Methods with continuous output use it;
+    others fall back to cubic Hermite.  The linear and Hermite kinds
+    evaluate the endpoint derivatives (one fresh RHS call for the right
+    endpoint, one for the left unless the first stage holds it), counted
+    in ``work``.
     """
     kind = cfg.interp
-    if kind is None:
+    if kind is None or (kind.kind == "dense" and method.dense is None):
         kind = DENSE if method.dense is not None else HERMITE
-    if kind.kind == "dense" and method.dense is None:
-        kind = HERMITE
-    if kind.kind == "dense":
-        K = stages.K
-        W_cache = {}
-
-        def make(cols):
-            Kc = K[:, cols]
-            u0 = u_n[cols]
-
-            def interp(tau):
-                w = W_cache.get(tau)
-                if w is None:
-                    w = stages.dense.weights(np.array([tau]))[0]
-                    W_cache[tau] = w
-                return u0 + h * (w @ Kc)
-            return interp
-        return make
-
-    f_n = stages.K[0] if method.explicit_first_stage else None
-    if f_n is None:
-        f_n = np.empty_like(u_n)
-        problem.rhs(u_n, t_n, f_n)
+    f_n = f_next = None
+    if kind.kind != "dense":
+        if method.explicit_first_stage:
+            f_n = stages.K[0]
+        else:
+            f_n = np.empty_like(u_n)
+            problem.rhs(u_n, t_n, f_n)
+            work.rhs_calls += 1
+        f_next = np.empty_like(u_n)
+        problem.rhs(u_next, t_n + h, f_next)
         work.rhs_calls += 1
-    f_next = np.empty_like(u_n)
-    problem.rhs(u_next, t_n + h, f_next)
-    work.rhs_calls += 1
-
-    if kind.kind == "linear":
-        def make(cols):
-            a, bb = u_n[cols], u_next[cols]
-
-            def interp(tau):
-                return (1.0 - tau) * a + tau * bb
-            return interp
-        return make
-
-    def make(cols):
-        a, bb = u_n[cols], u_next[cols]
-        fa, fb = f_n[cols], f_next[cols]
-
-        def interp(tau):
-            return ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2 * a
-                    + (3.0 - 2.0 * tau) * tau**2 * bb
-                    + h * tau * (1.0 - tau) ** 2 * fa
-                    + h * (tau - 1.0) * tau**2 * fb)
-        return interp
-    return make
+    return slow_interpolant(kind, u_n, u_next, h, f_n, f_next, stages.K,
+                            method.dense)
 
 
 def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
@@ -420,82 +344,6 @@ def _initial_step(problem, cfg, method, stats):
     return min(100.0 * h0, h1, span)
 
 
-def integrate_single_rate(problem: OdeProblem, method: ButcherTableau,
-                          config: SolverConfig) -> IntegrationResult:
-    """Adaptive single-rate integration over the problem's time span."""
-    cfg = config if config.mode == "single" else replace(config,
-                                                         mode="single")
-    t0, T = problem.t_span
-    t, u = t0, problem.y0.copy()
-    stats = StepStats()
-    h = _initial_step(problem, cfg, method, stats)
-    activity = []
-    ts, ys = [t], [u.copy()]
-    sampler = None
-    if cfg.t_eval is not None:
-        sampler = _OutputSampler(cfg.t_eval, problem.N, t0, u)
-    cache = None
-    nc = cfg.newton_config()
-    if not method.is_explicit:
-        cache = JacobianCache(problem, nc)
-    guesser = _make_guesser(cfg)
-    start = time.perf_counter()
-    all_idx = np.arange(problem.N)
-    while t < T - 1e-14 * max(1.0, abs(T)):
-        if stats.accepted_global >= cfg.max_steps:
-            raise IntegrationFailure("step budget exhausted", t, u, stats)
-        h = min(h, T - t)
-        if cache is not None:
-            j0 = cache.evals
-            cache.begin_global_step(u, t)
-            stats.global_jacobians += cache.evals - j0
-        try:
-            u_next, eta, stages, _, work = _attempt_global_step(
-                problem, u, t, h, method, cfg, cache, guesser)
-        except (ConvergenceFailure, NumericalBlowup):
-            stats.rejected_global_convergence += 1
-            h *= 0.5
-            if h < cfg.h_min:
-                stats.wall_time = time.perf_counter() - start
-                raise IntegrationFailure(
-                    "step size below h_min after convergence failures",
-                    t, u, stats)
-            continue
-        stats.global_rhs_calls += work.rhs_calls
-        stats.global_jacobians += work.jacobian_evals
-        eta_max = float(np.max(eta))
-        if eta_max <= cfg.beta:
-            stats.accepted_global += 1
-            activity.append(ActivityRecord(
-                step_index=stats.accepted_global, t_start=t, t_end=t + h,
-                kind="global", active_indices=all_idx))
-            if sampler is not None:
-                w4 = WorkCounters()
-                make = _make_interpolant(problem, method, cfg, u, u_next,
-                                         t, h, stages, w4)
-                stats.global_rhs_calls += w4.rhs_calls
-                sampler.commit_step(t, h, make(all_idx))
-            guesser.update(stages)
-            t, u = t + h, u_next
-            ts.append(t)
-            ys.append(u.copy())
-            h = new_step_size(h, eta_max, method.q, cfg.safety)
-        else:
-            stats.rejected_global_error += 1
-            h = new_step_size(h, eta_max, method.q, cfg.safety)
-            if h < cfg.h_min:
-                stats.wall_time = time.perf_counter() - start
-                raise IntegrationFailure("step size below h_min", t, u,
-                                         stats)
-    stats.wall_time = time.perf_counter() - start
-    t_out = y_out = None
-    if sampler is not None:
-        t_out, y_out = sampler.finish(u)
-    return IntegrationResult(t=np.array(ts), y=np.array(ys), stats=stats,
-                             activity=activity, t_out=t_out, y_out=y_out,
-                             method=method.name, mode="single")
-
-
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
@@ -513,16 +361,12 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     """
     fast = partition.fast
     sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
-    nc = config.newton_config()
     cache = None
     if not method.is_explicit:
-        cache = JacobianCache(sub, nc)
+        cache = JacobianCache(sub, config.newton_config())
     t_end = t_n + h_n
     t, yf = t_n, u_n[fast].copy()
-    h_f = h_n * min(config.alpha_max,
-                    max(config.alpha_min,
-                        config.alpha * eta_f ** (-1.0 / (method.q + 1))
-                        if eta_f > 0 else config.alpha_max))
+    h_f = new_step_size(h_n, eta_f, method.q, config.safety)
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         h_f = min(h_f, t_end - t)
         if cache is not None:
@@ -530,17 +374,8 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
             cache.begin_global_step(yf, t)
             stats.local_jacobians += cache.evals - j0
         try:
-            y_next, y_hat, sub_stages, work = rk_step(sub, yf, t, h_f,
-                                                      method, newton=nc,
-                                                      cache=cache)
-            if y_hat is None:
-                # Step doubling for methods without an embedded pair.
-                y_half, _, _, w2 = rk_step(sub, yf, t, 0.5 * h_f, method)
-                y2, _, _, w3 = rk_step(sub, y_half, t + 0.5 * h_f,
-                                       0.5 * h_f, method)
-                work += w2
-                work += w3
-                y_hat, y_next = y_next, y2
+            y_next, eta, sub_stages, work = _attempt_step(
+                sub, yf, t, h_f, method, config, cache)
         except (ConvergenceFailure, NumericalBlowup):
             stats.rejected_fast_convergence += 1
             h_f *= 0.5
@@ -550,8 +385,7 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
             continue
         stats.local_rhs_calls += work.rhs_calls
         stats.local_jacobians += work.jacobian_evals
-        eta_hat = float(np.max(error_quotients(y_next, y_hat, config.rtol,
-                                               config.atol)))
+        eta_hat = float(np.max(eta))
         if eta_hat <= config.beta:
             stats.accepted_fast += 1
             activity.append(ActivityRecord(
@@ -577,10 +411,16 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     return u_next
 
 
-def integrate_multirate(problem: OdeProblem, method: ButcherTableau,
-                        config: SolverConfig) -> IntegrationResult:
-    """Self-adjusting multi-rate integration over the problem's span."""
-    cfg = config if config.mode == "multi" else replace(config, mode="multi")
+def integrate(problem: OdeProblem, method: ButcherTableau,
+              config: SolverConfig) -> IntegrationResult:
+    """Adaptive integration over the problem's time span.
+
+    ``config.mode == "multi"`` lets up to floor(phi * N) components be
+    re-integrated with fast sub-steps; ``"single"`` runs the same loop
+    with a fast cap of 0.
+    """
+    cfg = config
+    phi = cfg.phi if cfg.mode == "multi" else 0.0
     t0, T = problem.t_span
     t, u = t0, problem.y0.copy()
     stats = StepStats()
@@ -591,46 +431,44 @@ def integrate_multirate(problem: OdeProblem, method: ButcherTableau,
     if cfg.t_eval is not None:
         sampler = _OutputSampler(cfg.t_eval, problem.N, t0, u)
     cache = None
-    nc = cfg.newton_config()
     if not method.is_explicit:
-        cache = JacobianCache(problem, nc)
-    guesser = _make_guesser(cfg)
+        cache = JacobianCache(problem, cfg.newton_config())
     start = time.perf_counter()
+
+    def failure(message):
+        stats.wall_time = time.perf_counter() - start
+        return IntegrationFailure(message, t, u, stats)
+
     all_idx = np.arange(problem.N)
     while t < T - 1e-14 * max(1.0, abs(T)):
         if stats.accepted_global >= cfg.max_steps:
-            raise IntegrationFailure("step budget exhausted", t, u, stats)
+            raise failure("step budget exhausted")
         h = min(h, T - t)
         if cache is not None:
             j0 = cache.evals
             cache.begin_global_step(u, t)
             stats.global_jacobians += cache.evals - j0
         try:
-            u_tent, eta, stages, _, work = _attempt_global_step(
-                problem, u, t, h, method, cfg, cache, guesser)
+            u_tent, eta, stages, work = _attempt_step(
+                problem, u, t, h, method, cfg, cache)
         except (ConvergenceFailure, NumericalBlowup):
             stats.rejected_global_convergence += 1
             h *= 0.5
             if h < cfg.h_min:
-                stats.wall_time = time.perf_counter() - start
-                raise IntegrationFailure(
-                    "step size below h_min after convergence failures",
-                    t, u, stats)
+                raise failure(
+                    "step size below h_min after convergence failures")
             continue
         stats.global_rhs_calls += work.rhs_calls
         stats.global_jacobians += work.jacobian_evals
-        decision, part, eta_s, eta_f = select_partition(eta, cfg.phi,
-                                                        cfg.beta)
+        decision, part, eta_s, eta_f = select_partition(eta, phi, cfg.beta)
         if decision == "reject":
             stats.rejected_global_error += 1
             h = new_step_size(h, eta_s, method.q, cfg.safety)
             if h < cfg.h_min:
-                stats.wall_time = time.perf_counter() - start
-                raise IntegrationFailure("step size below h_min", t, u,
-                                         stats)
+                raise failure("step size below h_min")
             continue
         make_interp = None
-        if decision == "go_multirate" or cfg.t_eval is not None:
+        if decision == "go_multirate" or sampler is not None:
             w4 = WorkCounters()
             make_interp = _make_interpolant(problem, method, cfg, u,
                                             u_tent, t, h, stages, w4)
@@ -652,10 +490,8 @@ def integrate_multirate(problem: OdeProblem, method: ButcherTableau,
                 stats.rejected_global_convergence += 1
                 h *= 0.5
                 if h < cfg.h_min:
-                    stats.wall_time = time.perf_counter() - start
-                    raise IntegrationFailure(
-                        "step size below h_min after fast-phase failure",
-                        t, u, stats)
+                    raise failure(
+                        "step size below h_min after fast-phase failure")
                 continue
         stats.accepted_global += 1
         activity.append(ActivityRecord(
@@ -663,7 +499,6 @@ def integrate_multirate(problem: OdeProblem, method: ButcherTableau,
             kind="global", active_indices=all_idx))
         if sampler is not None:
             sampler.commit_step(t, h, make_interp(all_idx), step_records)
-        guesser.update(stages)
         t, u = t + h, u_next
         ts.append(t)
         ys.append(u.copy())
@@ -674,12 +509,4 @@ def integrate_multirate(problem: OdeProblem, method: ButcherTableau,
         t_out, y_out = sampler.finish(u)
     return IntegrationResult(t=np.array(ts), y=np.array(ys), stats=stats,
                              activity=activity, t_out=t_out, y_out=y_out,
-                             method=method.name, mode="multi")
-
-
-def integrate(problem: OdeProblem, method: ButcherTableau,
-              config: SolverConfig) -> IntegrationResult:
-    """Dispatch on config.mode."""
-    if config.mode == "multi":
-        return integrate_multirate(problem, method, config)
-    return integrate_single_rate(problem, method, config)
+                             method=method.name, mode=cfg.mode)

@@ -193,7 +193,7 @@ def _csv_ints(text: str) -> list[int]:
 # solve
 
 
-def _solver_config(args, mode_default="single") -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     kind = None
     if args.interp is not None:
         if args.interp not in _INTERPS:
@@ -204,10 +204,10 @@ def _solver_config(args, mode_default="single") -> SolverConfig:
             rtol=args.rtol, atol=args.atol, alpha=args.safety,
             alpha_min=args.safety_min, alpha_max=args.safety_max,
             beta=args.beta, phi=args.phi, h0=args.h0, h_min=args.h_min,
-            mode=args.mode or mode_default, interp=kind,
+            mode=args.mode, interp=kind,
             jacobian_strategy=args.jacobian_strategy,
             newton_max_iters=args.newton_max_iters,
-            stage_guess=args.stage_guess, max_steps=args.max_steps)
+            max_steps=args.max_steps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -408,8 +408,6 @@ def _add_solver_flags(p):
     p.add_argument("--jacobian-strategy", choices=("JacA", "JacB"),
                    default="JacB")
     p.add_argument("--newton-max-iters", type=int, default=20)
-    p.add_argument("--stage-guess", choices=("explicit-part", "extrapolate"),
-                   default="explicit-part")
     p.add_argument("--max-steps", type=int, default=10_000_000)
 
 

@@ -52,6 +52,52 @@ def _check_tau(tau):
     return tau
 
 
+def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
+                     f_next=None, K=None, dense=None):
+    """Data-form interpolant of one step [t_n, t_n + h] as a builder.
+
+    Returns make(cols) -> (tau -> values at t_n + tau*h restricted to
+    cols); tau is not checked.  ``linear`` reads the endpoint states,
+    ``hermite`` also the endpoint derivatives ``f_n``/``f_next``, and
+    ``dense`` the stage derivatives ``K`` with the method's
+    continuous-output coefficients ``dense``, computing the weight vector
+    of each tau once for every column set.
+    """
+    if kind.kind == "dense":
+        W_cache = {}
+
+        def make(cols):
+            Kc = K[:, cols]
+            u0 = u_n[cols]
+
+            def interp(tau):
+                w = W_cache.get(tau)
+                if w is None:
+                    w = dense.weights(np.array([tau]))[0]
+                    W_cache[tau] = w
+                return u0 + h * (w @ Kc)
+            return interp
+    elif kind.kind == "linear":
+        def make(cols):
+            a, bb = u_n[cols], u_next[cols]
+
+            def interp(tau):
+                return (1.0 - tau) * a + tau * bb
+            return interp
+    else:
+        def make(cols):
+            a, bb = u_n[cols], u_next[cols]
+            fa, fb = f_n[cols], f_next[cols]
+
+            def interp(tau):
+                return ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2 * a
+                        + (3.0 - 2.0 * tau) * tau**2 * bb
+                        + h * tau * (1.0 - tau) ** 2 * fa
+                        + h * (tau - 1.0) * tau**2 * fb)
+            return interp
+    return make
+
+
 def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
                  stages=None, h: float | None = None, tau=0.0):
     """Interpolated state at t_n + tau*h from one step's data.
@@ -62,28 +108,24 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
     row per tau value.
     """
     tau = _check_tau(tau)
-    u_n = np.asarray(u_n, dtype=float)
-    u_next = np.asarray(u_next, dtype=float)
-    if kind.kind == "linear":
-        t = tau[..., None] if tau.ndim else tau
-        return (1.0 - t) * u_n + t * u_next
+    K = dense = None
     if kind.kind == "hermite":
-        if f_n is None or f_next is None:
+        if f_n is None or f_next is None or h is None:
             raise ValueError("hermite interpolation requires endpoint "
-                             "derivatives f_n and f_next")
-        if h is None:
-            raise ValueError("hermite interpolation requires the step size")
+                             "derivatives f_n, f_next and the step size")
         f_n = np.asarray(f_n, dtype=float)
         f_next = np.asarray(f_next, dtype=float)
-        t = tau[..., None] if tau.ndim else tau
-        return ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * u_n
-                + (3.0 - 2.0 * t) * t**2 * u_next
-                + h * t * (1.0 - t) ** 2 * f_n
-                + h * (t - 1.0) * t**2 * f_next)
-    # dense
-    if stages is None:
-        raise ValueError("dense interpolation requires the retained stages")
-    return stages.dense_eval(tau)
+    elif kind.kind == "dense":
+        if stages is None or stages.dense is None:
+            raise ValueError("dense interpolation requires retained stages "
+                             "and continuous-output coefficients")
+        u_n, h, K, dense = stages.u_n, stages.h, stages.K, stages.dense
+    interp = slow_interpolant(kind, np.asarray(u_n, dtype=float),
+                              np.asarray(u_next, dtype=float), h, f_n,
+                              f_next, K, dense)(slice(None))
+    if tau.ndim == 0:
+        return interp(float(tau))
+    return np.array([interp(x) for x in tau.tolist()])
 
 
 def interp_operator(kind: InterpolatorKind, L: np.ndarray, h: float,

@@ -69,9 +69,25 @@ class NewtonConfig:
         if self.strategy not in ("JacA", "JacB"):
             raise ValueError("strategy must be 'JacA' or 'JacB'")
 
-    @classmethod
-    def from_step_tolerances(cls, rtol, atol, **kw) -> "NewtonConfig":
-        return cls(rel_tol=0.01 * rtol, abs_tol=0.01 * atol, **kw)
+
+def _coloring(dependency, n: int):
+    """Column groups with no common row, and the rows reading each column."""
+    rows_of_col: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in dependency(i):
+            rows_of_col[j].append(i)
+    groups: list[list[int]] = []
+    taken: list[set[int]] = []
+    for j, rows_j in enumerate(rows_of_col):
+        for g, rows in enumerate(taken):
+            if not rows.intersection(rows_j):
+                rows.update(rows_j)
+                groups[g].append(j)
+                break
+        else:
+            groups.append([j])
+            taken.append(set(rows_j))
+    return [np.array(g) for g in groups], rows_of_col
 
 
 def structural_coloring(dependency, n: int) -> list[np.ndarray]:
@@ -81,37 +97,21 @@ def structural_coloring(dependency, n: int) -> list[np.ndarray]:
     columns in one group can be perturbed together in a single RHS call
     when forming a finite-difference Jacobian.
     """
-    rows_of_col: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in dependency(i):
-            rows_of_col[j].append(i)
-    color_of = np.full(n, -1)
-    groups: list[list[int]] = []
-    taken: list[set[int]] = []
-    for j in range(n):
-        for g, rows in enumerate(taken):
-            if not rows.intersection(rows_of_col[j]):
-                color_of[j] = g
-                rows.update(rows_of_col[j])
-                groups[g].append(j)
-                break
-        else:
-            color_of[j] = len(groups)
-            groups.append([j])
-            taken.append(set(rows_of_col[j]))
-    return [np.array(g) for g in groups]
+    return _coloring(dependency, n)[0]
 
 
-def fd_jacobian(problem, y: np.ndarray, t: float,
-                groups: list[np.ndarray] | None = None):
+def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
     """Finite-difference Jacobian compressed by structural coloring.
 
-    Returns a CSR matrix when the problem declares sparse structure (more
-    than one color group and N above the dense limit), else a dense array.
+    ``coloring`` is the (groups, rows reading each column) pair of the
+    problem's structure, built here when None.  Returns a CSR matrix when
+    the problem declares sparse structure (more than one color group and
+    N above the dense limit), else a dense array.
     """
     n = problem.N
-    if groups is None:
-        groups = structural_coloring(problem.dependency, n)
+    if coloring is None:
+        coloring = _coloring(problem.dependency, n)
+    groups, rows_of_col = coloring
     f0 = np.empty(n)
     problem.rhs(y, t, f0)
     sparse = n > DENSE_FACTOR_LIMIT
@@ -123,39 +123,23 @@ def fd_jacobian(problem, y: np.ndarray, t: float,
         yp[cols] += dy
         problem.rhs(yp, t, f1)
         for j, d in zip(cols, dy):
-            for i in _rows_reading(problem, j, n):
+            for i in rows_of_col[j]:
                 J[i, j] = (f1[i] - f0[i]) / d
     return J.tocsr() if sparse else J
-
-
-def _rows_reading(problem, j: int, n: int):
-    # Rows whose RHS structurally reads column j.
-    rows = getattr(problem, "_rows_of_col", None)
-    if rows is None:
-        rows = [[] for _ in range(n)]
-        for i in range(n):
-            for c in problem.dependency(i):
-                rows[c].append(i)
-        try:
-            object.__setattr__(problem, "_rows_of_col", rows)
-        except AttributeError:
-            problem._rows_of_col = rows
-    return rows[j]
 
 
 @dataclass
 class JacobianCache:
     """Jacobian plus factorization of I - h a_ii J, with reuse policy.
 
-    ``scope`` is None for the full system or the sorted fast index array
-    for a restricted solve.  ``evals`` counts Jacobian evaluations and
-    ``fd_rhs_calls`` the RHS calls spent on finite differences, so the
-    driver can attribute work correctly.
+    ``evals`` counts Jacobian evaluations and ``fd_rhs_calls`` the RHS
+    calls spent on finite differences, so the driver can attribute work
+    correctly.  Without an analytic Jacobian the column coloring and the
+    rows each column reaches are built on the first refresh and kept.
     """
 
     problem: object
     config: NewtonConfig
-    scope: np.ndarray | None = None
     J: object = None
     age: int = 0
     evals: int = 0
@@ -163,6 +147,7 @@ class JacobianCache:
     _fac: object = None
     _fac_key: float | None = None
     _groups: list = field(default_factory=list, repr=False)
+    _rows_of_col: list = field(default_factory=list, repr=False)
 
     def begin_global_step(self, y: np.ndarray, t: float):
         """Apply the strategy's step-start policy."""
@@ -179,8 +164,9 @@ class JacobianCache:
             self.J = p.jacobian(y, t)
         else:
             if not self._groups:
-                self._groups = structural_coloring(p.dependency, p.N)
-            self.J = fd_jacobian(p, y, t, self._groups)
+                self._groups, self._rows_of_col = _coloring(p.dependency,
+                                                            p.N)
+            self.J = fd_jacobian(p, y, t, (self._groups, self._rows_of_col))
             self.fd_rhs_calls += 1 + len(self._groups)
         self.evals += 1
         self.age = 0

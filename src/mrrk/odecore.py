@@ -10,18 +10,19 @@ stages for dense output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import newton as newton_mod
+from .interp import DENSE, interp_value
 from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
 from .tableaux import ButcherTableau, DenseOutputCoeffs
 
 __all__ = [
     "OdeProblem", "StageSet", "WorkCounters", "NumericalBlowup",
-    "rk_step", "dense_eval", "error_quotients", "new_step_size",
+    "rk_step", "error_quotients", "new_step_size",
     "StepSafety", "ConvergenceFailure",
 ]
 
@@ -92,9 +93,13 @@ class StageSet:
     dense: Optional[DenseOutputCoeffs] = None
 
     def dense_eval(self, tau):
-        if self.dense is None:
-            raise ValueError("method has no dense-output coefficients")
-        return dense_eval(self, self.dense, tau)
+        """Continuous output u_n + h sum_i b*_i(tau) K^(i), tau in [0, 1].
+
+        Extrapolation (tau outside the step) is forbidden; the multi-rate
+        controller only ever needs values inside the completed global
+        step.  A 1-D tau yields one row per tau value.
+        """
+        return interp_value(DENSE, self.u_n, None, stages=self, tau=tau)
 
 
 @dataclass
@@ -127,14 +132,12 @@ class StepSafety:
 
 def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             method: ButcherTableau, newton: NewtonConfig | None = None,
-            cache: JacobianCache | None = None,
-            stage_guess: Callable | None = None):
+            cache: JacobianCache | None = None):
     """One step of the method from (t_n, u_n) with step size h.
 
     Returns (u_next, u_hat, stages, work); u_hat is None when the method
-    has no embedded pair.  ``stage_guess(k, t_stage)`` may supply initial
-    guesses for implicit stages (e.g. dense extrapolation from the
-    previous step); the default guess is the accumulated explicit part.
+    has no embedded pair.  Each implicit stage's Newton iteration starts
+    from the accumulated explicit part.
 
     Raises ConvergenceFailure when an implicit stage does not converge and
     NumericalBlowup when the state leaves the finite range; in both cases
@@ -167,15 +170,9 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             problem.rhs(U[k], t_k, K[k])
             work.rhs_calls += 1
         else:
-            guess = None
-            if stage_guess is not None:
-                guess = stage_guess(k, t_k)
-            if guess is None:
-                guess = base
             jac0, fd0 = cache.evals, cache.fd_rhs_calls
             Uk, calls, _ = newton_mod.solve_stage(
-                problem, t_k, h, A[k, k], base, np.asarray(guess, float),
-                cache, newton)
+                problem, t_k, h, A[k, k], base, base, cache, newton)
             U[k] = Uk
             work.rhs_calls += calls + (cache.fd_rhs_calls - fd0)
             work.jacobian_evals += cache.evals - jac0
@@ -194,20 +191,6 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     stages = StageSet(u_n=u_n.copy(), U=U, K=K, h=h, t_n=t_n,
                       dense=method.dense)
     return u_next, u_hat, stages, work
-
-
-def dense_eval(stages: StageSet, coeffs: DenseOutputCoeffs, tau):
-    """Continuous output u_n + h sum_i b*_i(tau) K^(i), tau in [0, 1].
-
-    Extrapolation (tau outside the step) is forbidden; the multi-rate
-    controller only ever needs values inside the completed global step.
-    """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau_arr < 0.0) or np.any(tau_arr > 1.0):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    W = coeffs.weights(tau_arr)                 # (T, s)
-    out = stages.u_n + stages.h * (W @ stages.K)
-    return out[0] if np.isscalar(tau) or np.ndim(tau) == 0 else out
 
 
 def error_quotients(u: np.ndarray, u_hat: np.ndarray, rtol: float,

@@ -57,14 +57,6 @@ class PartitionedLinearModel:
         return self.N - self.d
 
     @property
-    def L_ss(self) -> np.ndarray:
-        return self.L[:self.n_slow, :self.n_slow]
-
-    @property
-    def L_sf(self) -> np.ndarray:
-        return self.L[:self.n_slow, self.n_slow:]
-
-    @property
     def L_fs(self) -> np.ndarray:
         return self.L[self.n_slow:, :self.n_slow]
 

@@ -102,10 +102,6 @@ class ButcherTableau:
     def explicit_first_stage(self) -> bool:
         return self.kind in ("explicit", "esdirk")
 
-    def diag(self, i: int) -> float:
-        """a_ii for stage i, honoring the explicit-first-stage convention."""
-        return float(self.A[i, i])
-
 
 class MethodNotFound(KeyError):
     pass

@@ -368,7 +368,7 @@ def test_criterion_9_controller_invariants(monkeypatch):
             prob = _random_trace_problem(rng)
             cfg = SolverConfig(rtol=1e-5, atol=1e-6, mode="multi",
                                phi=float(rng.uniform(0.2, 0.6)))
-            res = adapt.integrate_multirate(prob, get_method("erk4"), cfg)
+            res = adapt.integrate(prob, get_method("erk4"), cfg)
             glob = {r.step_index: r for r in res.activity
                     if r.kind == "global"}
             by_step = {}

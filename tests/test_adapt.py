@@ -1,11 +1,14 @@
+import pathlib
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import mrrk.adapt as adapt
+from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
-                        integrate_multirate, integrate_single_rate,
                         select_partition)
 from mrrk.odecore import OdeProblem
 from mrrk.tableaux import get_method
@@ -31,8 +34,6 @@ def test_solver_config_validation():
         SolverConfig(beta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mode="dual")
-    with pytest.raises(ValueError):
-        SolverConfig(stage_guess="zero")
 
 
 def test_newton_config_derived_from_step_tolerances():
@@ -134,7 +135,7 @@ def test_single_rate_accuracy_scalar_decay(name):
     prob = make_linear_problem(np.array([[-1.0]]), y0=np.array([1.0]),
                                t_span=(0.0, 3.0))
     cfg = SolverConfig(rtol=1e-7, atol=1e-9)
-    res = integrate_single_rate(prob, get_method(name), cfg)
+    res = integrate(prob, get_method(name), cfg)
     assert res.t[-1] == pytest.approx(3.0, abs=1e-12)
     assert res.y[-1][0] == pytest.approx(np.exp(-3.0), abs=1e-5)
     assert res.stats.accepted_global == len(res.t) - 1
@@ -146,7 +147,7 @@ def test_single_rate_accuracy_scalar_decay(name):
 def test_single_rate_h0_override_and_step_growth():
     prob = make_linear_problem(np.array([[-0.1]]), t_span=(0.0, 1.0))
     cfg = SolverConfig(rtol=1e-3, atol=1e-3, h0=5.0)
-    res = integrate_single_rate(prob, get_method("erk4"), cfg)
+    res = integrate(prob, get_method("erk4"), cfg)
     # The first step is clipped to the span and accepted in one go.
     assert res.stats.accepted_global == 1
 
@@ -157,7 +158,7 @@ def test_t_eval_sampler_constant_problem():
                       dependency=lambda i: (i,))
     grid = np.linspace(0.0, 10.0, 33)
     cfg = SolverConfig(rtol=1e-6, atol=1e-6, t_eval=grid)
-    res = integrate_single_rate(prob, get_method("erk4"), cfg)
+    res = integrate(prob, get_method("erk4"), cfg)
     np.testing.assert_array_equal(res.t_out, grid)
     np.testing.assert_allclose(res.y_out, np.tile([3.0, -1.0], (33, 1)),
                                atol=1e-14)
@@ -168,14 +169,14 @@ def test_t_eval_sampler_matches_solution():
                                t_span=(0.0, 4.0))
     grid = np.linspace(0.0, 4.0, 81)
     cfg = SolverConfig(rtol=1e-8, atol=1e-10, t_eval=grid)
-    res = integrate_single_rate(prob, get_method("esdirk4"), cfg)
+    res = integrate(prob, get_method("esdirk4"), cfg)
     np.testing.assert_allclose(res.y_out[:, 0], np.exp(-grid), atol=1e-6)
 
 
 def test_multirate_engages_and_is_accurate():
     prob, L = stiff_pair_problem()
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
-    res = integrate_multirate(prob, get_method("esdirk3"), cfg)
+    res = integrate(prob, get_method("esdirk3"), cfg)
     assert res.stats.accepted_fast > 0
     exact = scipy.linalg.expm(2.0 * L) @ prob.y0
     np.testing.assert_allclose(res.y[-1], exact, atol=1e-4)
@@ -198,7 +199,7 @@ def test_multirate_slow_components_bitwise(monkeypatch):
 
     monkeypatch.setattr(adapt, "multirate_step", spy)
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
-    integrate_multirate(prob, get_method("esdirk3"), cfg)
+    integrate(prob, get_method("esdirk3"), cfg)
     assert seen
     for u_tent, part, u_next in seen:
         assert np.array_equal(u_next[part.slow], u_tent[part.slow])
@@ -208,7 +209,7 @@ def test_multirate_slow_components_bitwise(monkeypatch):
 def test_multirate_activity_tiling_and_counters():
     prob, _ = stiff_pair_problem()
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
-    res = integrate_multirate(prob, get_method("esdirk3"), cfg)
+    res = integrate(prob, get_method("esdirk3"), cfg)
     glob = {r.step_index: r for r in res.activity if r.kind == "global"}
     fast = [r for r in res.activity if r.kind == "fast"]
     assert len(glob) == res.stats.accepted_global
@@ -231,7 +232,7 @@ def test_multirate_t_eval_overlays_fast_components():
     grid = np.linspace(0.0, 2.0, 101)
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5,
                        t_eval=grid)
-    res = integrate_multirate(prob, get_method("esdirk3"), cfg)
+    res = integrate(prob, get_method("esdirk3"), cfg)
     exact = np.array([scipy.linalg.expm(t * L) @ prob.y0 for t in grid])
     np.testing.assert_allclose(res.y_out, exact, atol=2e-3)
 
@@ -240,9 +241,9 @@ def test_multirate_matches_single_rate_on_easy_problem():
     prob = make_linear_problem(np.array([[-1.0, 0.2], [0.1, -0.5]]),
                                t_span=(0.0, 2.0))
     m = get_method("esdirk4")
-    r1 = integrate_single_rate(prob, m, SolverConfig(rtol=1e-8, atol=1e-8))
-    r2 = integrate_multirate(prob, m, SolverConfig(rtol=1e-8, atol=1e-8,
-                                                   mode="multi"))
+    r1 = integrate(prob, m, SolverConfig(rtol=1e-8, atol=1e-8))
+    r2 = integrate(prob, m, SolverConfig(rtol=1e-8, atol=1e-8,
+                                         mode="multi"))
     np.testing.assert_allclose(r1.y[-1], r2.y[-1], atol=1e-6)
     # Nothing here is stiff enough to trigger a fast phase.
     assert r2.stats.accepted_fast == 0
@@ -255,7 +256,7 @@ def test_integration_failure_carries_state():
                       dependency=lambda i: (0,))
     cfg = SolverConfig(rtol=1e-6, atol=1e-6, h0=0.1, h_min=1e-6)
     with pytest.raises(IntegrationFailure) as exc:
-        integrate_single_rate(prob, get_method("erk4"), cfg)
+        integrate(prob, get_method("erk4"), cfg)
     err = exc.value
     assert err.t == pytest.approx(0.0)
     assert err.stats.rejected_global_convergence > 0
@@ -266,7 +267,67 @@ def test_step_budget_exhaustion():
     prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 100.0))
     cfg = SolverConfig(rtol=1e-10, atol=1e-12, max_steps=5)
     with pytest.raises(IntegrationFailure, match="budget"):
-        integrate_single_rate(prob, get_method("erk4"), cfg)
+        integrate(prob, get_method("erk4"), cfg)
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+@pytest.mark.parametrize("cause,cfg", [
+    ("budget", SolverConfig(rtol=1e-10, atol=1e-12, max_steps=5)),
+    # The first attempt is rejected and its successor 0.5 is below h_min.
+    ("h_min", SolverConfig(rtol=1e-10, atol=1e-12, h0=1.0, h_min=0.6)),
+], ids=["budget", "h_min"])
+def test_integration_failures_carry_wall_time(mode, cause, cfg):
+    prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 100.0))
+    with pytest.raises(IntegrationFailure, match=cause) as exc:
+        integrate(prob, get_method("erk4"), replace(cfg, mode=mode))
+    assert exc.value.stats.wall_time > 0.0
+
+
+@pytest.mark.parametrize("name", ["esdirk3", "esdirk4", "erk4"])
+@pytest.mark.parametrize("with_grid", [False, True], ids=["plain", "t_eval"])
+def test_single_rate_is_multirate_with_fast_cap_zero(name, with_grid):
+    """phi * N < 1 leaves no fast slot: MR must reproduce SR bitwise."""
+    prob = bench.make_burgers(bench.BurgersParams(N=60, t_span=(0.0, 2.0)))
+    grid = np.linspace(0.0, 2.0, 41) if with_grid else None
+    cfg = SolverConfig(rtol=1e-4, atol=1e-4, phi=0.01, t_eval=grid)
+    sr = integrate(prob, get_method(name), cfg)
+    mr = integrate(prob, get_method(name), replace(cfg, mode="multi"))
+    assert (sr.mode, mr.mode) == ("single", "multi")
+    np.testing.assert_array_equal(sr.t, mr.t)
+    np.testing.assert_array_equal(sr.y, mr.y)
+    if with_grid:
+        np.testing.assert_array_equal(sr.y_out, mr.y_out)
+    else:
+        assert sr.y_out is None and mr.y_out is None
+    s1, s2 = asdict(sr.stats), asdict(mr.stats)
+    s1.pop("wall_time")
+    s2.pop("wall_time")
+    assert s1 == s2
+    assert len(sr.activity) == len(mr.activity)
+    for a, b in zip(sr.activity, mr.activity):
+        assert ((a.step_index, a.t_start, a.t_end, a.kind)
+                == (b.step_index, b.t_start, b.t_end, b.kind))
+        np.testing.assert_array_equal(a.active_indices, b.active_indices)
+    if name != "erk4":
+        assert sr.stats.rejected_global_error > 0
+
+
+def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
+    """The benchmark's outside-in tracer still sees every adapt layer."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[1]))
+    from perfbench import tracing
+    prob, _ = stiff_pair_problem()
+    cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5,
+                       t_eval=np.linspace(0.0, 2.0, 21))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        integrate(prob, get_method("esdirk3"), cfg)
+    calls = {name: v[0] for name, v in tracer.layer_totals().items()}
+    for name in ("adapt.select_partition", "adapt.multirate_step",
+                 "odecore.rk_step.fast", "odecore.rk_step.global",
+                 "interp.slow_value", "adapt._OutputSampler.commit_step"):
+        assert calls[name] > 0, name
 
 
 def test_integrate_dispatches_on_mode():

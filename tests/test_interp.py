@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrrk.adapt import SolverConfig, _make_interpolant
 from mrrk.interp import DENSE, HERMITE, LINEAR, InterpolatorKind, interp_operator, interp_value
-from mrrk.odecore import OdeProblem, rk_step
+from mrrk.odecore import OdeProblem, WorkCounters, rk_step
 from mrrk.tableaux import get_method
 
 from _oracles import interp_Q, random_stable_matrix, single_rate_R
@@ -100,7 +101,10 @@ def test_operator_endpoint_identities(name):
        name=st.sampled_from(["erk4-owren", "esdirk3", "esdirk4"]))
 def test_duality_data_vs_operator(seed, tau, name):
     """On y' = Ly the data form applied to a real step equals the operator
-    form applied to u_n, for every kind, to round-off."""
+    form applied to u_n, for every kind, to round-off.  The controller's
+    column-restricted slow interpolant is the data form: bitwise for the
+    linear and hermite kinds, and for dense up to the summation order of
+    w @ K, which the column layout may change."""
     rng = np.random.default_rng(seed)
     L = random_stable_matrix(rng, 3)
     h = rng.uniform(0.05, 0.4)
@@ -113,12 +117,20 @@ def test_duality_data_vs_operator(seed, tau, name):
                                                     abs_tol=1e-14)
     u1, _, stages, _ = rk_step(prob, u0, 0.0, h, m, newton=newton)
     f0, f1 = L @ u0, L @ u1
+    cols = np.array([0, 2])
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(stages=stages))):
         v = interp_value(kind, u0, u1, tau=tau, **kw)
         Q = interp_operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
+        make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
+                                 0.0, h, stages, WorkCounters())
+        if kind is DENSE:
+            np.testing.assert_allclose(make(cols)(tau), v[cols],
+                                       rtol=0, atol=1e-14)
+        else:
+            np.testing.assert_array_equal(make(cols)(tau), v[cols])
 
 
 def test_array_tau_rows():

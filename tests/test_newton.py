@@ -22,9 +22,6 @@ def test_newton_config_validation():
         NewtonConfig(max_iters=0)
     with pytest.raises(ValueError):
         NewtonConfig(strategy="JacC")
-    cfg = NewtonConfig.from_step_tolerances(1e-5, 1e-3)
-    assert cfg.rel_tol == pytest.approx(1e-7)
-    assert cfg.abs_tol == pytest.approx(1e-5)
 
 
 def test_structural_coloring_tridiagonal():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrrk.newton import ConvergenceFailure, NewtonConfig
-from mrrk.odecore import (NumericalBlowup, OdeProblem, StepSafety, dense_eval,
+from mrrk.odecore import (NumericalBlowup, OdeProblem, StepSafety,
                           error_quotients, new_step_size, rk_step)
 from mrrk.tableaux import get_method
 
@@ -109,15 +109,15 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     prob = make_linear_problem(L)
     u0 = np.array([1.0, -0.5])
     u1, _, stages, _ = rk_step(prob, u0, 0.0, 0.2, m, newton=tight_newton)
-    np.testing.assert_allclose(dense_eval(stages, m.dense, 0.0), u0,
+    np.testing.assert_allclose(stages.dense_eval(0.0), u0,
                                atol=1e-14)
-    np.testing.assert_allclose(dense_eval(stages, m.dense, 1.0), u1,
+    np.testing.assert_allclose(stages.dense_eval(1.0), u1,
                                atol=1e-12)
     with pytest.raises(ValueError):
-        dense_eval(stages, m.dense, 1.01)
+        stages.dense_eval(1.01)
     with pytest.raises(ValueError):
-        dense_eval(stages, m.dense, -0.01)
-    out = dense_eval(stages, m.dense, np.array([0.25, 0.75]))
+        stages.dense_eval(-0.01)
+    out = stages.dense_eval(np.array([0.25, 0.75]))
     assert out.shape == (2, 2)
 
 
