@@ -3,16 +3,17 @@
 The controller takes a tentative global step with an error estimate,
 ranks the per-component error quotients, and either rejects the step,
 accepts it outright, or keeps the slow components and re-integrates only
-the fast ones on the same interval with adaptive sub-steps, reading
-interpolated slow values from the global step.  Single-rate integration
-is the same controller with a fast cap of 0: every tentative step is
-accepted whole or rejected.
+the fast ones on the same interval, reading interpolated slow values from
+the global step.  Single-rate integration is the same controller with a
+fast cap of 0: every tentative step is accepted whole or rejected.  The
+fast re-integration is itself a single-rate `integrate` run on the fast
+sub-problem, so there is one adaptive loop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -83,10 +84,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Partition:
-    """Fast/slow split of the state indices for one global step."""
+    """Fast/slow split of the N state indices for one global step."""
 
     fast: np.ndarray
-    slow: np.ndarray
+    N: int
+
+    @property
+    def slow(self) -> np.ndarray:
+        """The indices outside ``fast``, built only when read."""
+        return np.setdiff1d(np.arange(self.N), self.fast, assume_unique=True)
 
 
 @dataclass
@@ -150,8 +156,7 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     if m == 0:
         eta_s = float(np.max(eta))
         return ("reject" if eta_s > beta else "accept",
-                Partition(fast=np.array([], dtype=int), slow=np.arange(N)),
-                eta_s, 0.0)
+                Partition(fast=np.array([], dtype=int), N=N), eta_s, 0.0)
     order = np.argsort(-eta, kind="stable")
     top = order[:m]
     rest = order[m:]
@@ -165,8 +170,7 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     else:
         decision = "go_multirate"
         fast = np.sort(top[eta[top] > beta])
-    slow = np.setdiff1d(np.arange(N), fast, assume_unique=True)
-    return decision, Partition(fast=fast, slow=slow), eta_s, eta_f
+    return decision, Partition(fast=fast, N=N), eta_s, eta_f
 
 
 def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
@@ -201,16 +205,16 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, stages,
 
     Returns a function cols -> (tau -> values at cols), built by
     `interp.slow_interpolant`.  Methods with continuous output use it;
-    others fall back to cubic Hermite.  The linear and Hermite kinds
-    evaluate the endpoint derivatives (one fresh RHS call for the right
-    endpoint, one for the left unless the first stage holds it), counted
-    in ``work``.
+    others fall back to cubic Hermite.  Only the Hermite kind evaluates
+    the endpoint derivatives (one fresh RHS call for the right endpoint,
+    one for the left unless the first stage holds it), counted in
+    ``work``.
     """
     kind = cfg.interp
     if kind is None or (kind.kind == "dense" and method.dense is None):
         kind = DENSE if method.dense is not None else HERMITE
     f_n = f_next = None
-    if kind.kind != "dense":
+    if kind.kind == "hermite":
         if method.explicit_first_stage:
             f_n = stages.K[0]
         else:
@@ -272,11 +276,10 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
 class _OutputSampler:
     """Incremental dense-output evaluation on a fixed time grid.
 
-    Each accepted global step is committed once with its interpolant and
-    the fast sub-step interpolants gathered during that step, so nothing
-    step-local has to be retained for the rest of the run.  Grid points
-    in (t0, t0 + h] take the global interpolant; fast components are then
-    overwritten from the covering fast sub-step interpolant.
+    Each accepted global step is committed once with its interpolant, so
+    nothing step-local has to be retained for the rest of the run.  Grid
+    points in (t0, t0 + h] take the global interpolant; after a fast
+    phase, the fast columns of those rows take the fast sub-run's samples.
     """
 
     def __init__(self, t_eval, n_state, t0, y0):
@@ -288,19 +291,19 @@ class _OutputSampler:
         self.y[:i0] = y0
         self.filled = i0
 
-    def commit_step(self, t0, h, interp, fast_subrecords=()):
+    def window(self, t0, h):
+        """Grid rows [lo, hi) that the step [t0, t0 + h] fills."""
         lo = int(np.searchsorted(self.t_eval, t0, side="right"))
         hi = int(np.searchsorted(self.t_eval, t0 + h, side="right"))
-        lo = min(lo, self.filled)   # close round-off gaps at boundaries
+        return min(lo, self.filled), hi   # close round-off gaps
+
+    def commit_step(self, t0, h, interp, fast=None, y_fast=None):
+        lo, hi = self.window(t0, h)
         for i in range(lo, hi):
             tau = min(max((self.t_eval[i] - t0) / h, 0.0), 1.0)
             self.y[i] = interp(tau)
-        for ft0, fh, finterp, fidx in fast_subrecords:
-            flo = int(np.searchsorted(self.t_eval, ft0, side="right"))
-            fhi = int(np.searchsorted(self.t_eval, ft0 + fh, side="right"))
-            for i in range(max(flo, lo), min(fhi, hi)):
-                ftau = min(max((self.t_eval[i] - ft0) / fh, 0.0), 1.0)
-                self.y[i, fidx] = finterp(ftau)
+        if fast is not None:
+            self.y[lo:hi, fast] = y_fast
         self.filled = max(self.filled, hi)
 
     def finish(self, y_final):
@@ -349,66 +352,55 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    h_n: float, u_tentative: np.ndarray,
                    partition: Partition, eta_f: float, make_interp,
                    stats: StepStats, activity: list, step_index: int,
-                   fast_records: list | None = None):
+                   sampler: _OutputSampler | None = None):
     """Re-integrate the fast components of one accepted global interval.
 
     The slow components of the returned state are taken bitwise from the
-    tentative global step.  Fast components are advanced with adaptive
-    sub-steps on [t_n, t_n + h_n]; their error measure is the maximum
-    quotient over the fast set only.  Returns the combined state, or
-    raises ConvergenceFailure when the sub-integration cannot proceed
-    (the caller then rejects the global step).
+    tentative global step.  The fast components are advanced by a
+    single-rate `integrate` run on the fast sub-problem over
+    [t_n, t_n + h_n], starting from the step size the controller derives
+    from eta_f; its error measure is the maximum quotient over the fast
+    set only, and it inherits ``max_steps``, so one fast phase takes at
+    most that many sub-steps.  The sub-run's global counters are added to
+    the fast counters of ``stats`` and its steps to ``activity`` as
+    ``"fast"`` records of global step ``step_index``.  With a ``sampler``
+    the sub-run samples the grid rows of this step and the step is
+    committed to it.  Returns the combined state, or raises
+    ConvergenceFailure when the sub-run fails (the caller then rejects
+    the global step); counters of the failed sub-run are kept, its
+    activity is not.
     """
     fast = partition.fast
     sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
-    cache = None
-    if not method.is_explicit:
-        cache = JacobianCache(sub, config.newton_config())
-    t_end = t_n + h_n
-    t, yf = t_n, u_n[fast].copy()
-    h_f = new_step_size(h_n, eta_f, method.q, config.safety)
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        h_f = min(h_f, t_end - t)
-        if cache is not None:
-            j0 = cache.evals
-            cache.begin_global_step(yf, t)
-            stats.local_jacobians += cache.evals - j0
-        try:
-            y_next, eta, sub_stages, work = _attempt_step(
-                sub, yf, t, h_f, method, config, cache)
-        except (ConvergenceFailure, NumericalBlowup):
-            stats.rejected_fast_convergence += 1
-            h_f *= 0.5
-            if h_f < config.h_min:
-                raise ConvergenceFailure(
-                    "fast sub-step below h_min") from None
-            continue
-        stats.local_rhs_calls += work.rhs_calls
-        stats.local_jacobians += work.jacobian_evals
-        eta_hat = float(np.max(eta))
-        if eta_hat <= config.beta:
-            stats.accepted_fast += 1
-            activity.append(ActivityRecord(
-                step_index=step_index, t_start=t, t_end=t + h_f,
-                kind="fast", active_indices=fast))
-            if fast_records is not None:
-                w4 = WorkCounters()
-                sub_make = _make_interpolant(sub, method, config, yf,
-                                             y_next, t, h_f, sub_stages,
-                                             w4)
-                stats.local_rhs_calls += w4.rhs_calls
-                fast_records.append(
-                    (t, h_f, sub_make(np.arange(len(fast))), fast))
-            t, yf = t + h_f, y_next
-            h_f = new_step_size(h_f, eta_hat, method.q, config.safety)
-        else:
-            stats.rejected_fast_error += 1
-            h_f = new_step_size(h_f, eta_hat, method.q, config.safety)
-            if h_f < config.h_min:
-                raise ConvergenceFailure("fast sub-step below h_min")
+    t_eval = None
+    if sampler is not None:
+        t_eval = sampler.t_eval[slice(*sampler.window(t_n, h_n))]
+    sub_cfg = replace(config, mode="single", t_eval=t_eval,
+                      h0=new_step_size(h_n, eta_f, method.q, config.safety))
+    try:
+        res = integrate(sub, method, sub_cfg)
+    except IntegrationFailure as exc:
+        _add_fast_counters(stats, exc.stats)
+        raise ConvergenceFailure(f"fast phase: {exc}") from None
+    _add_fast_counters(stats, res.stats)
+    activity.extend(ActivityRecord(
+        step_index=step_index, t_start=r.t_start, t_end=r.t_end,
+        kind="fast", active_indices=fast) for r in res.activity)
+    if sampler is not None:
+        sampler.commit_step(t_n, h_n, make_interp(np.arange(problem.N)),
+                            fast, res.y_out)
     u_next = u_tentative.copy()
-    u_next[fast] = yf
+    u_next[fast] = res.y[-1]
     return u_next
+
+
+def _add_fast_counters(stats: StepStats, sub: StepStats):
+    """Count a fast sub-run's global work as fast work of ``stats``."""
+    stats.accepted_fast += sub.accepted_global
+    stats.rejected_fast_error += sub.rejected_global_error
+    stats.rejected_fast_convergence += sub.rejected_global_convergence
+    stats.local_rhs_calls += sub.global_rhs_calls
+    stats.local_jacobians += sub.global_jacobians
 
 
 def integrate(problem: OdeProblem, method: ButcherTableau,
@@ -473,20 +465,17 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             make_interp = _make_interpolant(problem, method, cfg, u,
                                             u_tent, t, h, stages, w4)
             stats.global_rhs_calls += w4.rhs_calls
-        step_records = [] if sampler is not None else None
         if decision == "accept":
             u_next = u_tent
+            if sampler is not None:
+                sampler.commit_step(t, h, make_interp(all_idx))
         else:
-            step_index = stats.accepted_global + 1
-            n_act = len(activity)
             try:
                 u_next = multirate_step(
                     problem, method, cfg, u, t, h, u_tent, part, eta_f,
-                    make_interp, stats, activity, step_index,
-                    fast_records=step_records)
+                    make_interp, stats, activity, stats.accepted_global + 1,
+                    sampler)
             except ConvergenceFailure:
-                # Roll back the partial fast phase of the rejected step.
-                del activity[n_act:]
                 stats.rejected_global_convergence += 1
                 h *= 0.5
                 if h < cfg.h_min:
@@ -497,8 +486,6 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         activity.append(ActivityRecord(
             step_index=stats.accepted_global, t_start=t, t_end=t + h,
             kind="global", active_indices=all_idx))
-        if sampler is not None:
-            sampler.commit_step(t, h, make_interp(all_idx), step_records)
         t, u = t + h, u_next
         ts.append(t)
         ys.append(u.copy())

@@ -213,47 +213,6 @@ def _integer_grid(C_max: float) -> np.ndarray:
     return np.arange(1.0, np.floor(C_max) + 1.0)
 
 
-def stability_boundary(model: PartitionedLinearModel, method: ButcherTableau,
-                       interp: InterpolatorKind, M: int,
-                       C_max: float = 100.0, rho_tol: float = 1e-8,
-                       refine_tol: float = 1e-6) -> float | None:
-    """First C at which the multi-rate step loses stability.
-
-    Scans integer C values up to C_max, then refines the first unstable
-    bracket by multisection down to ``refine_tol``.  Returns None when no
-    integer grid point up to C_max is unstable.
-    """
-    C_grid = _integer_grid(C_max)
-    rho = rho_curve(model, method, interp, M, C_grid)
-    return _refine_boundary(model, method, interp, M, C_grid, rho,
-                            rho_tol, refine_tol)
-
-
-def _refine_boundary(model, method, interp, M, C_grid, rho, rho_tol,
-                     refine_tol):
-    """`stability_boundary` from its integer-grid scan ``rho``."""
-    unstable = np.nonzero(rho > 1.0 + rho_tol)[0]
-    if len(unstable) == 0:
-        return None
-    i = unstable[0]
-    lo = C_grid[i] - 1.0 if i > 0 else 0.0
-    hi = C_grid[i]
-    # Multisection: 14 interior probes per round shrink the bracket 15x,
-    # so five rounds reach 1e-6 resolution on a unit-wide bracket.
-    while hi - lo > refine_tol:
-        probes = np.linspace(lo, hi, 16)[1:-1]
-        r = rho_curve(model, method, interp, M, probes)
-        bad = np.nonzero(r > 1.0 + rho_tol)[0]
-        if len(bad) == 0:
-            lo = probes[-1]
-        else:
-            j = bad[0]
-            hi = probes[j]
-            if j > 0:
-                lo = probes[j - 1]
-    return 0.5 * (lo + hi)
-
-
 def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
                 interp: InterpolatorKind, M: int, C_max: float = 100.0,
                 rho_tol: float = 1e-8):
@@ -264,18 +223,24 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
     kept as that integer).  Returns the sentinel ">= {C_max}" when the
     scheme stays stable on the whole integer grid.
     """
-    boundary = stability_boundary(model, method, interp, M,
-                                  C_max=C_max, rho_tol=rho_tol)
-    return _entry_from_boundary(boundary, C_max)
+    C_grid = _integer_grid(C_max)
+    rho = rho_curve(model, method, interp, M, C_grid)
+    return _entry(model, method, interp, M, C_grid, rho, rho_tol, C_max)
 
 
-def _entry_from_boundary(boundary: float | None, C_max: float):
-    if boundary is None:
+def _entry(model, method, interp, M, C_grid, rho, rho_tol, C_max):
+    """`table_entry` from its integer-grid scan ``rho``.
+
+    The first boundary lies in (C_i - 1, C_i] for the first unstable
+    integer C_i.  Its ceiling is C_i unless it sits within 1e-6 above
+    C_i - 1, which one probe at C_i - 1 + 1e-6 decides.
+    """
+    unstable = np.nonzero(rho > 1.0 + rho_tol)[0]
+    if len(unstable) == 0:
         return f">= {C_max:g}"
-    snapped = round(boundary)
-    if abs(boundary - snapped) < 1e-6:
-        boundary = snapped
-    return int(np.ceil(boundary))
+    C_i = int(C_grid[unstable[0]])
+    probe = rho_curve(model, method, interp, M, np.array([C_i - 1 + 1e-6]))
+    return C_i - 1 if probe[0] > 1.0 + rho_tol else C_i
 
 
 def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
@@ -284,14 +249,13 @@ def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
     """`scan_records` rows and the `table_entry` of one M, from one scan.
 
     Both read the spectral radii on the integer grid 1..floor(C_max), so
-    that grid is scanned once; only the boundary refinement adds probes.
+    that grid is scanned once; only the boundary probe adds a C value.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
     rows = _records(model, method, interp, M, C_grid, rho, rho_tol)
-    boundary = _refine_boundary(model, method, interp, M, C_grid, rho,
-                                rho_tol, 1e-6)
-    return rows, _entry_from_boundary(boundary, C_max)
+    return rows, _entry(model, method, interp, M, C_grid, rho, rho_tol,
+                        C_max)
 
 
 def matrix_exponential(L: np.ndarray, t: float) -> np.ndarray:

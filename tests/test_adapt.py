@@ -10,7 +10,8 @@ import mrrk.adapt as adapt
 from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
-from mrrk.odecore import OdeProblem
+from mrrk.interp import LINEAR
+from mrrk.odecore import OdeProblem, new_step_size
 from mrrk.tableaux import get_method
 
 from conftest import make_linear_problem
@@ -206,6 +207,66 @@ def test_multirate_slow_components_bitwise(monkeypatch):
         assert not np.array_equal(u_next[part.fast], u_tent[part.fast])
 
 
+@pytest.mark.parametrize("name", ["esdirk3", "erk4"])
+def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
+        monkeypatch, name):
+    """multirate_step = integrate(fast sub-problem, mode="single", h0)."""
+    prob, _ = stiff_pair_problem()
+    orig = adapt.multirate_step
+    checked = []
+
+    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, partition,
+            eta_f, make_interp, stats, activity, step_index, *args, **kw):
+        before, n_act = asdict(stats), len(activity)
+        out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
+                   partition, eta_f, make_interp, stats, activity,
+                   step_index, *args, **kw)
+        sub = adapt._fast_subproblem(problem, partition.fast, u_n, t_n, h_n,
+                                     make_interp)
+        h0 = new_step_size(h_n, eta_f, method.q, config.safety)
+        ref = integrate(sub, method, replace(config, mode="single", h0=h0))
+        np.testing.assert_array_equal(out[partition.fast], ref.y[-1])
+        after = asdict(stats)
+        delta = {k: after[k] - before[k] for k in before if k != "wall_time"}
+        assert delta == dict(
+            accepted_global=0, rejected_global_error=0,
+            rejected_global_convergence=0, global_rhs_calls=0,
+            global_jacobians=0,
+            accepted_fast=ref.stats.accepted_global,
+            rejected_fast_error=ref.stats.rejected_global_error,
+            rejected_fast_convergence=ref.stats.rejected_global_convergence,
+            local_rhs_calls=ref.stats.global_rhs_calls,
+            local_jacobians=ref.stats.global_jacobians)
+        recs = activity[n_act:]
+        assert [(r.step_index, r.t_start, r.t_end, r.kind) for r in recs] == [
+            (step_index, r.t_start, r.t_end, "fast") for r in ref.activity]
+        assert all(r.active_indices is partition.fast for r in recs)
+        checked.append(step_index)
+        return out
+
+    monkeypatch.setattr(adapt, "multirate_step", spy)
+    cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
+    res = integrate(prob, get_method(name), cfg)
+    assert checked and res.stats.accepted_fast > 0
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_linear_output_costs_no_rhs_calls(mode):
+    """Linear interpolation reads no derivatives, so a grid is free."""
+    prob, _ = stiff_pair_problem()
+    cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode=mode, phi=0.5,
+                       interp=LINEAR)
+    plain = integrate(prob, get_method("erk4"), cfg)
+    gridded = integrate(prob, get_method("erk4"),
+                        replace(cfg, t_eval=np.linspace(0.0, 2.0, 41)))
+    np.testing.assert_array_equal(plain.y, gridded.y)
+    s1, s2 = asdict(plain.stats), asdict(gridded.stats)
+    s1.pop("wall_time")
+    s2.pop("wall_time")
+    assert s1 == s2
+    assert gridded.stats.global_rhs_calls > 0
+
+
 def test_multirate_activity_tiling_and_counters():
     prob, _ = stiff_pair_problem()
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
@@ -352,8 +413,10 @@ def test_output_sampler_unit():
 def test_output_sampler_fast_overlay_unit():
     s = adapt._OutputSampler(np.array([0.25, 0.75]), 2, 0.0,
                              np.zeros(2))
-    fast = (0.5, 0.5, lambda tau: np.array([42.0]), np.array([1]))
-    s.commit_step(0.0, 1.0, lambda tau: np.array([tau, tau]), [fast])
+    assert s.window(0.0, 1.0) == (0, 2)
+    # The fast sub-run's samples on the step's rows fill column 1.
+    s.commit_step(0.0, 1.0, lambda tau: np.array([tau, tau]), np.array([1]),
+                  np.array([[0.25], [42.0]]))
     _, y = s.finish(np.zeros(2))
     np.testing.assert_allclose(y[0], [0.25, 0.25])
     np.testing.assert_allclose(y[1], [0.75, 42.0])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mrrk import stability
 from mrrk.stability import (PartitionedLinearModel, matrix_exponential,
                             max_stable_C, model_2dof, model_4dof,
                             multirate_R, propagator_error, rho_curve,
                             scan_cell, scan_records, single_rate_R,
-                            spectral_radius, stability_boundary, table_entry)
+                            spectral_radius, table_entry)
 from mrrk.interp import InterpolatorKind
 from mrrk.tableaux import get_method
 
@@ -124,17 +125,24 @@ def test_table_entry_known_cells():
     assert table_entry(m4, es4, IK_D, 4) == 4
 
 
-def test_boundary_refinement_consistent_with_entry():
+@pytest.mark.parametrize("slope,entry", [(1 / 3, 3), (1 / 2.5, 3),
+                                         (0.0, ">= 100")])
+def test_table_entry_rounding_from_one_scan(monkeypatch, slope, entry):
+    """rho = slope * C: a boundary on an integer is kept, others round up."""
+    monkeypatch.setattr(stability, "rho_curve",
+                        lambda model, method, interp, M, C: slope * C)
+    model = model_2dof(alpha=10.0, kappa=0.9e-2)
+    assert table_entry(model, get_method("erk4"), IK_H, 4) == entry
+
+
+def test_table_entry_is_first_unstable_boundary():
     m = get_method("erk4")
     model = model_2dof(alpha=10.0, kappa=0.9e-2)
-    C_star = stability_boundary(model, m, IK_H, 4)
-    assert C_star is not None
     entry = table_entry(model, m, IK_H, 4)
-    assert entry == int(np.ceil(C_star - 1e-6))
-    # Just inside the boundary the scheme is stable, just outside not.
-    lo = rho_curve(model, m, IK_H, 4, np.array([C_star - 1e-3]))[0]
-    hi = rho_curve(model, m, IK_H, 4, np.array([C_star + 1e-3]))[0]
-    assert lo <= 1 + 1e-6 < hi
+    assert isinstance(entry, int) and entry > 1
+    rho = rho_curve(model, m, IK_H, 4, np.arange(1.0, entry + 1.0))
+    assert np.all(rho[:-1] <= 1 + 1e-8)
+    assert rho[-1] > 1 + 1e-8
 
 
 def test_max_stable_C_grid_semantics():
