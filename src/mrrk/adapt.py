@@ -149,7 +149,7 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     candidates that actually violate beta.
     """
     eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise ValueError("error quotients must be finite")
     N = len(eta)
     m = int(np.floor(phi * N))

@@ -14,6 +14,22 @@ import scipy.sparse as sp
 
 from .odecore import OdeProblem
 
+
+def _neighbour_pairs(idx: np.ndarray, offset: int):
+    """Positions (r, q) in ``idx`` with idx[q] == idx[r] + offset.
+
+    Looks every idx[r] + offset up in the sorted indices at once, so a
+    restricted Jacobian can place its off-diagonal entries without a
+    Python loop over the rows.
+    """
+    order = np.argsort(idx, kind="stable")
+    ordered = idx[order]
+    want = idx + offset
+    at = np.minimum(np.searchsorted(ordered, want), len(idx) - 1)
+    r = np.flatnonzero(ordered[at] == want)
+    return r, order[at[r]]
+
+
 # ---------------------------------------------------------------------------
 # Inverter chain
 
@@ -120,20 +136,18 @@ def make_inverter_chain(
         return sp.diags([diag, sub], [0, -1], format="csr")
 
     def jacobian_restricted(y, t, indices):
-        idx = np.asarray(indices)
+        idx = np.asarray(indices, dtype=int)
         k = len(idx)
         J = np.zeros((k, k))
-        pos = {int(j): r for r, j in enumerate(idx)}
-        u = inverter_input(p, t)
-        for r, j in enumerate(idx):
-            if j == 0:
-                _, gz = _dg(np.array([u]), y[:1])
-                J[r, r] = -1.0 - G * gz[0]
-            else:
-                gy, gz = _dg(y[j - 1:j], y[j:j + 1])
-                J[r, r] = -1.0 - G * gz[0]
-                if j - 1 in pos:
-                    J[r, pos[j - 1]] = -G * gy[0]
+        yprev = y[idx - 1]
+        yprev[idx == 0] = inverter_input(p, t)
+        gy, gz = _dg(yprev, y[idx])
+        diag = np.arange(k)
+        J[diag, diag] = -1.0 - G * gz
+        r, q = _neighbour_pairs(idx, -1)
+        # 0.0 - x, not -x: a zero coupling is +0.0, as in the full
+        # Jacobian, whose sparse form drops it.
+        J[r, q] = 0.0 - G * gy[r]
         return J
 
     def dependency(i):
@@ -207,18 +221,20 @@ def make_burgers(params: BurgersParams | None = None) -> OdeProblem:
         return sp.diags([lo, di, up], [-1, 0, 1], format="csr")
 
     def jacobian_restricted(y, t, indices):
-        idx = np.asarray(indices)
+        idx = np.asarray(indices, dtype=int)
         k = len(idx)
         J = np.zeros((k, k))
-        pos = {int(j): r for r, j in enumerate(idx)}
-        for r, j in enumerate(idx):
-            if j == 0 or j == N - 1:
-                continue
-            J[r, r] = -(y[j + 1] - y[j - 1]) * c1 - 2.0 * c2
-            if j - 1 in pos:
-                J[r, pos[j - 1]] = y[j] * c1 + c2
-            if j + 1 in pos:
-                J[r, pos[j + 1]] = -y[j] * c1 + c2
+        # Boundary rows are frozen and stay zero.
+        interior = (idx > 0) & (idx < N - 1)
+        r = np.flatnonzero(interior)
+        j = idx[r]
+        J[r, r] = -(y[j + 1] - y[j - 1]) * c1 - 2.0 * c2
+        r, q = _neighbour_pairs(idx, -1)
+        r, q = r[interior[r]], q[interior[r]]
+        J[r, q] = y[idx[r]] * c1 + c2
+        r, q = _neighbour_pairs(idx, 1)
+        r, q = r[interior[r]], q[interior[r]]
+        J[r, q] = -y[idx[r]] * c1 + c2
         return J
 
     def dependency(i):

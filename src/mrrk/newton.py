@@ -5,6 +5,21 @@ solved by modified Newton with the iteration matrix I - h a_ii J.  The
 Jacobian J lives in a cache whose lifecycle is controlled by one of two
 strategies: reuse with periodic and stall-triggered refreshes (JacA), or a
 fresh evaluation at the start of every global step (JacB).
+
+The iteration matrix is factored once per (J, h a_ii) and each Newton
+direction is then a single LAPACK back-substitution:
+
+- dense J with n <= DENSE_FACTOR_LIMIT: ``dgetrf`` once, ``dgetrs`` per
+  solve;
+- sparse J with kl + ku <= BANDED_LIMIT: ``dgbtrf`` once, ``dgbtrs`` per
+  solve; a tridiagonal J instead calls ``dgtsv`` on the stored band per
+  solve, as ``scipy.linalg.solve_banded`` does;
+- any other J: SuperLU (``splu``) once, its ``solve`` per solve.
+
+A non-finite iteration matrix or a zero pivot raises FactorizationError
+when it is factored (for ``dgtsv``, when it is solved); a non-finite
+solution raises it after every solve.  ``solve_stage`` turns it into a
+ConvergenceFailure.
 """
 
 from __future__ import annotations
@@ -13,26 +28,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 DENSE_FACTOR_LIMIT = 512
 BANDED_LIMIT = 4
 
 
-def _bandwidths(J) -> tuple[int, int]:
-    """Lower and upper bandwidth of a sparse matrix's nonzero pattern."""
-    coo = J.tocoo()
+def _bandwidths(coo) -> tuple[int, int]:
+    """Lower and upper bandwidth of a COO matrix's nonzero pattern."""
     if coo.nnz == 0:
         return 0, 0
     diff = coo.row - coo.col
     return int(max(diff.max(), 0)), int(max((-diff).max(), 0))
 
 
-def _banded_storage(A, kl: int, ku: int) -> np.ndarray:
-    """Pack a sparse matrix into LAPACK banded storage (kl + ku + 1, n)."""
-    coo = A.tocoo()
-    ab = np.zeros((kl + ku + 1, A.shape[0]))
+def _banded_storage(coo, kl: int, ku: int) -> np.ndarray:
+    """Pack a COO matrix into LAPACK banded storage (kl + ku + 1, n)."""
+    ab = np.zeros((kl + ku + 1, coo.shape[0]))
     ab[ku + coo.row - coo.col, coo.col] = coo.data
     return ab
 
@@ -43,6 +56,59 @@ class ConvergenceFailure(Exception):
 
 class FactorizationError(Exception):
     """Iteration matrix could not be factorized."""
+
+
+def _require_finite(A):
+    if not np.isfinite(A).all():
+        raise FactorizationError("non-finite iteration matrix")
+
+
+def _require_pivots(info: int, routine: str):
+    if info > 0:
+        raise FactorizationError(
+            f"singular iteration matrix (zero pivot {info} in {routine})")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to {routine}")
+
+
+def _dense_factor(A: np.ndarray):
+    """``dgetrf`` of A once; the solver is one ``dgetrs`` call."""
+    _require_finite(A)
+    lu, piv, info = lapack.dgetrf(A, overwrite_a=True)
+    _require_pivots(info, "dgetrf")
+    return "dense", lambda b: lapack.dgetrs(lu, piv, b)[0]
+
+
+def _banded_factor(Jb: np.ndarray, kl: int, ku: int, h_gamma: float):
+    """Factor I - h_gamma J from the band storage ``Jb`` of J.
+
+    ``0.0 - x`` rather than ``-x`` gives +0.0 where h_gamma J is zero, so
+    the band equals that of the sparse I - h_gamma J bit for bit.
+    """
+    ab = 0.0 - h_gamma * Jb
+    ab[ku] = 1.0 - h_gamma * Jb[ku]
+    _require_finite(ab)
+    if kl == ku == 1:
+        du, d, dl = ab[0, 1:], ab[1], ab[2, :-1]
+
+        def solve(b):
+            *_, x, info = lapack.dgtsv(dl, d, du, b)
+            _require_pivots(info, "dgtsv")
+            return x
+        return "banded", solve
+    lu = np.zeros((2 * kl + ku + 1, ab.shape[1]))
+    lu[kl:] = ab
+    lu, piv, info = lapack.dgbtrf(lu, kl, ku, overwrite_ab=True)
+    _require_pivots(info, "dgbtrf")
+    return "banded", lambda b: lapack.dgbtrs(lu, kl, ku, b, piv)[0]
+
+
+def _sparse_factor(A):
+    """SuperLU of a sparse A once; the solver is its ``solve``."""
+    try:
+        return "sparse", splu(A).solve
+    except (RuntimeError, ValueError) as exc:
+        raise FactorizationError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -136,6 +202,16 @@ class JacobianCache:
     calls spent on finite differences, so the driver can attribute work
     correctly.  Without an analytic Jacobian the column coloring and the
     rows each column reaches are built on the first refresh and kept.
+
+    ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver),
+    the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see the module
+    docstring for the LAPACK routines behind each).  It is keyed by
+    ``_fac_key = (J, h a_ii)`` on the J object itself, so a refresh or a
+    direct assignment to ``J`` forces a new factorization while repeated
+    solves with one h a_ii reuse it.  ``_band = (J, kl, ku, Jb)`` keeps the
+    bandwidths and the band storage of a sparse J, taken from one
+    ``tocoo()`` per J, for every h a_ii that J is factored with.  Each
+    ``solve`` checks that its result is finite.
     """
 
     problem: object
@@ -144,8 +220,9 @@ class JacobianCache:
     age: int = 0
     evals: int = 0
     fd_rhs_calls: int = 0
-    _fac: object = None
-    _fac_key: float | None = None
+    _fac: tuple | None = None
+    _fac_key: tuple | None = None
+    _band: tuple | None = None
     _groups: list = field(default_factory=list, repr=False)
     _rows_of_col: list = field(default_factory=list, repr=False)
 
@@ -172,46 +249,40 @@ class JacobianCache:
         self.age = 0
         self._fac = None
         self._fac_key = None
+        self._band = None
 
     def _factor(self, h_gamma: float):
-        if self._fac is not None and self._fac_key == h_gamma:
-            return
         J = self.J
+        if (self._fac is not None and self._fac_key[0] is J
+                and self._fac_key[1] == h_gamma):
+            return
         n = J.shape[0]
-        try:
-            if sp.issparse(J):
-                A = (sp.identity(n, format="csc") - h_gamma * J.tocsc())
-                kl, ku = _bandwidths(J)
-                if kl + ku <= BANDED_LIMIT:
-                    self._fac = ("banded", (kl, ku, _banded_storage(A, kl, ku)))
-                else:
-                    self._fac = ("sparse", splu(A))
-            elif n > DENSE_FACTOR_LIMIT:
-                A = sp.identity(n, format="csc") - h_gamma * sp.csc_matrix(J)
-                self._fac = ("sparse", splu(A))
+        if sp.issparse(J):
+            if self._band is None or self._band[0] is not J:
+                coo = J.tocoo()
+                kl, ku = _bandwidths(coo)
+                Jb = (_banded_storage(coo, kl, ku)
+                      if kl + ku <= BANDED_LIMIT else None)
+                self._band = (J, kl, ku, Jb)
+            _, kl, ku, Jb = self._band
+            if Jb is not None:
+                self._fac = _banded_factor(Jb, kl, ku, h_gamma)
             else:
-                A = np.eye(n) - h_gamma * np.asarray(J)
-                self._fac = ("dense", lu_factor(A))
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            raise FactorizationError(str(exc)) from exc
-        self._fac_key = h_gamma
+                self._fac = _sparse_factor(
+                    sp.identity(n, format="csc") - h_gamma * J.tocsc())
+        elif n > DENSE_FACTOR_LIMIT:
+            self._fac = _sparse_factor(
+                sp.identity(n, format="csc") - h_gamma * sp.csc_matrix(J))
+        else:
+            self._fac = _dense_factor(np.eye(n) - h_gamma * np.asarray(J))
+        self._fac_key = (J, h_gamma)
 
     def solve(self, h_gamma: float, rhs: np.ndarray) -> np.ndarray:
         self._factor(h_gamma)
-        kind, fac = self._fac
-        if kind == "banded":
-            kl, ku, ab = fac
-            try:
-                return solve_banded((kl, ku), ab, rhs)
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise FactorizationError(str(exc)) from exc
-        if kind == "sparse":
-            x = fac.solve(rhs)
-        else:
-            x = lu_solve(fac, rhs)
-        # LU of a singular matrix only warns; catch it here so every
-        # backend raises the same error for an unusable factorization.
-        if not np.all(np.isfinite(x)):
+        x = self._fac[1](rhs)
+        # SuperLU of a singular matrix, or a non-finite right-hand side,
+        # shows only here; every backend raises the same error for it.
+        if not np.isfinite(x).all():
             raise FactorizationError("singular iteration matrix")
         return x
 
@@ -240,7 +311,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
 
     def residual(state, deriv):
         problem.rhs(state, t, deriv)
-        if not np.all(np.isfinite(deriv)):
+        if not np.isfinite(deriv).all():
             raise ConvergenceFailure("non-finite RHS during stage solve")
         return state - base - h_gamma * deriv
 
@@ -278,7 +349,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             # the iterate has left the basin; reject and shrink the step.
             raise ConvergenceFailure(
                 f"iteration matrix factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(dU)):
+        if not np.isfinite(dU).all():
             raise ConvergenceFailure("non-finite update during stage solve")
         # Backtracking line search on the residual 2-norm.  An undamped
         # accepted trial reuses its RHS evaluation for the next iteration,

@@ -180,10 +180,10 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             # Recover K from the stage relation; equal to f(U_k, t_k) up
             # to the Newton residual and free of an extra RHS call.
             K[k] = (U[k] - base) / (h * A[k, k])
-        if not np.all(np.isfinite(K[k])):
+        if not np.isfinite(K[k]).all():
             raise NumericalBlowup(f"non-finite derivative at stage {k + 1}")
     u_next = u_n + h * (b @ K)
-    if not np.all(np.isfinite(u_next)):
+    if not np.isfinite(u_next).all():
         raise NumericalBlowup("non-finite state after step")
     u_hat = None
     if method.b_hat is not None:

@@ -1,4 +1,13 @@
-import numpy as np
+import os
+
+# Tests run with one BLAS thread, set before numpy is first imported: the
+# thread count changes results (heating SR accepts one step more with the
+# default threads) and, on a loaded machine, run time by an order of
+# magnitude.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from mrrk.newton import NewtonConfig

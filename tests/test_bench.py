@@ -153,6 +153,34 @@ def test_burgers_restricted_and_jacobian():
     np.testing.assert_allclose(Jr, J[np.ix_(idx, idx)], atol=1e-12)
 
 
+@pytest.mark.parametrize("make, params", [
+    (make_inverter_chain, InverterChainParams(N=60)),
+    (make_burgers, BurgersParams(N=60)),
+])
+def test_restricted_jacobian_bitwise_equals_full_block(make, params):
+    """The vectorized restricted Jacobian is the full one's block, exactly."""
+    prob = make(params)
+    n = params.N
+    rng = np.random.default_rng(7)
+    sets = [np.array([0]), np.array([n - 1]), np.array([0, n - 1]),
+            np.arange(0, 6), np.arange(n - 5, n), np.arange(n),
+            np.concatenate([np.arange(0, 3), np.arange(20, 26),
+                            np.arange(n - 2, n)])]
+    for _ in range(30):
+        k = int(rng.integers(1, n + 1))
+        sets.append(np.sort(rng.choice(n, size=k, replace=False)))
+    # Inputs are not required to be sorted.
+    sets.append(rng.permutation(sets[-1]))
+    sets.append(rng.permutation(np.arange(10, 30)))
+    for idx in sets:
+        y = rng.uniform(0.0, 5.0, n)
+        t = float(rng.uniform(0.0, 25.0))
+        Jr = prob.jacobian_restricted(y, t, idx)
+        ref = prob.jacobian(y, t).toarray()[np.ix_(idx, idx)]
+        assert Jr.shape == ref.shape
+        assert Jr.tobytes() == ref.tobytes(), idx
+
+
 def test_burgers_rhs_against_stencil():
     p = BurgersParams(N=11, nu=0.1, L_dom=1.0)
     prob = make_burgers(p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve, solve_banded
 from hypothesis import given, settings, strategies as st
 
 from mrrk.newton import (ConvergenceFailure, FactorizationError,
@@ -151,6 +152,136 @@ def test_singular_banded_matrix_raises():
     cache.J = sp.csr_matrix(np.eye(n))
     with pytest.raises(FactorizationError):
         cache.solve(1.0, np.ones(n))
+
+
+def random_banded(rng, n, kl, ku):
+    """Sparse n x n matrix with every diagonal from -kl to ku nonzero."""
+    offsets = [k for k in range(-kl, ku + 1) if abs(k) < n]
+    diags = [rng.normal(size=n - abs(k)) for k in offsets]
+    return sp.diags(diags, offsets, format="csr")
+
+
+def scipy_banded_solve(J, kl, ku, hg, b):
+    """The former backend: sparse I - hg J, packed for ``solve_banded``."""
+    n = J.shape[0]
+    coo = (sp.identity(n, format="csc") - hg * J.tocsc()).tocoo()
+    ab = np.zeros((kl + ku + 1, n))
+    ab[ku + coo.row - coo.col, coo.col] = coo.data
+    return solve_banded((kl, ku), ab, b)
+
+
+@pytest.mark.parametrize("kl, ku", [(1, 0), (0, 1), (1, 1), (2, 2)])
+def test_banded_backend_bitwise_equals_solve_banded(kl, ku):
+    rng = np.random.default_rng(10 * kl + ku)
+    for _ in range(40):
+        n = int(rng.integers(kl + ku + 1, 60))
+        J = random_banded(rng, n, kl, ku)
+        hg = float(rng.uniform(0.05, 3.0))
+        cache = JacobianCache(None, NewtonConfig())
+        cache.J = J
+        for _ in range(3):
+            b = rng.normal(size=n)
+            x = cache.solve(hg, b)
+            assert cache._fac[0] == "banded" and x.shape == b.shape
+            assert x.tobytes() == scipy_banded_solve(J, kl, ku, hg,
+                                                     b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_dense_backend_bitwise_equals_lu_solve(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        J = rng.normal(size=(n, n))
+        hg = float(rng.uniform(0.05, 3.0))
+        cache = JacobianCache(None, NewtonConfig())
+        cache.J = J
+        fac = lu_factor(np.eye(n) - hg * J)
+        for _ in range(3):
+            b = rng.normal(size=n)
+            x = cache.solve(hg, b)
+            assert cache._fac[0] == "dense" and x.shape == b.shape
+            assert x.tobytes() == lu_solve(fac, b).tobytes()
+
+
+# I - 1.0 J is exactly singular for each J below: the zero matrix, a lower
+# bidiagonal matrix with a zero diagonal, and a tridiagonal one with two
+# equal rows.
+SINGULAR_AT_HG_1 = {
+    "dense": np.eye(4),
+    "banded": sp.csr_matrix(np.eye(4) - np.diag([0.5, 0.5, 0.5], -1)),
+    "tridiagonal": sp.csr_matrix(np.eye(4) - np.array(
+        [[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+         [0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SINGULAR_AT_HG_1))
+def test_singular_iteration_matrix_raises_on_every_path(path):
+    cache = JacobianCache(None, NewtonConfig())
+    cache.J = SINGULAR_AT_HG_1[path]
+    with pytest.raises(FactorizationError, match="singular"):
+        cache.solve(1.0, np.ones(4))
+
+
+@pytest.mark.parametrize("path", sorted(SINGULAR_AT_HG_1))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_iteration_matrix_raises_on_every_path(path, bad):
+    J = SINGULAR_AT_HG_1[path].copy()
+    J[1, 0] = bad
+    cache = JacobianCache(None, NewtonConfig())
+    cache.J = J
+    with pytest.raises(FactorizationError, match="non-finite"):
+        cache.solve(0.5, np.ones(4))
+
+
+def test_factorization_keyed_on_jacobian_object():
+    n = 8
+    prob, L = tridiag_problem(n)
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=n)
+    cache = JacobianCache(prob, NewtonConfig())
+    cache.refresh(np.ones(n), 0.0)
+    cache.solve(0.05, b)
+    fac = cache._fac
+    # The problem returns the same J object; refresh still refactors.
+    cache.refresh(np.ones(n), 0.0)
+    cache.solve(0.05, b)
+    assert cache._fac is not fac
+    fac = cache._fac
+    cache.J = 2.0 * L
+    x = cache.solve(0.05, b)
+    assert cache._fac is not fac
+    np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - 0.1 * L, b),
+                               rtol=1e-12)
+    # A sparse J's band storage is taken once and serves every h_gamma.
+    cache.J = sp.csr_matrix(L)
+    cache.solve(0.05, b)
+    band, fac = cache._band, cache._fac
+    cache.solve(0.07, b)
+    assert cache._band is band and cache._fac is not fac
+    cache.J = sp.csr_matrix(3.0 * L)
+    x = cache.solve(0.07, b)
+    assert cache._band is not band
+    np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - 0.21 * L, b),
+                               rtol=1e-12)
+
+
+def test_refresh_drops_band_of_jacobian_updated_in_place():
+    n = 8
+    _, L = tridiag_problem(n)
+    J = sp.csr_matrix(L)
+    prob = OdeProblem(N=n, rhs=lambda y, t, out: None, t_span=(0, 1),
+                      y0=np.zeros(n), dependency=lambda i: (i,),
+                      jacobian=lambda y, t: J)
+    cache = JacobianCache(prob, NewtonConfig())
+    cache.refresh(np.ones(n), 0.0)
+    b = np.ones(n)
+    cache.solve(0.1, b)
+    J.data *= 2.0
+    cache.refresh(np.ones(n), 0.0)
+    x = cache.solve(0.1, b)
+    np.testing.assert_allclose(x, np.linalg.solve(np.eye(n) - 0.2 * L, b),
+                               rtol=1e-12)
 
 
 def test_solve_stage_linear_exact():
