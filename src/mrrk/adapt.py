@@ -12,6 +12,7 @@ sub-problem, so there is one adaptive loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -20,7 +21,7 @@ import numpy as np
 
 from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
 from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
-from .odecore import (NumericalBlowup, OdeProblem, StepSafety, WorkCounters,
+from .odecore import (NumericalBlowup, OdeProblem, WorkCounters,
                       error_quotients, new_step_size, rk_step)
 from .tableaux import ButcherTableau
 
@@ -28,10 +29,10 @@ from .tableaux import ButcherTableau
 class IntegrationFailure(Exception):
     """The run cannot continue.
 
-    Raised when the step size falls below ``h_min`` (after an error
-    rejection, a convergence failure or a failed fast phase) or when the
-    step budget ``max_steps`` is exhausted.  Carries the time, state, and
-    statistics (``wall_time`` included) at the point of failure.
+    Raised when the step size falls below ``h_min`` or is NaN (after an
+    error rejection, a convergence failure or a failed fast phase) or when
+    the step budget ``max_steps`` is exhausted.  Carries the time, state,
+    and statistics (``wall_time`` included) at the point of failure.
     """
 
     def __init__(self, message, t=None, y=None, stats=None):
@@ -43,7 +44,11 @@ class IntegrationFailure(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and controller settings for one integration run."""
+    """Tolerances and controller settings for one integration run.
+
+    Tolerances, step bounds and controller settings are validated here,
+    so a bad value raises ValueError at construction, not inside the run.
+    """
 
     rtol: float = 1e-6
     atol: float = 1e-6
@@ -62,6 +67,17 @@ class SolverConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        if not (math.isfinite(self.rtol) and self.rtol >= 0):
+            raise ValueError("rtol must be finite and nonnegative")
+        if not (math.isfinite(self.atol) and self.atol > 0):
+            raise ValueError("atol must be finite and positive")
+        if self.h0 is not None and not (math.isfinite(self.h0)
+                                        and self.h0 > 0):
+            raise ValueError("h0 must be finite and positive")
+        if not (math.isfinite(self.h_min) and self.h_min >= 0):
+            raise ValueError("h_min must be finite and nonnegative")
+        if self.newton_max_iters < 1:
+            raise ValueError("newton_max_iters must be at least 1")
         if not 0 < self.alpha_min < 1 < self.alpha_max:
             raise ValueError("require 0 < alpha_min < 1 < alpha_max")
         if not 0 < self.phi < 1:
@@ -70,10 +86,6 @@ class SolverConfig:
             raise ValueError("beta must be positive")
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
-
-    @property
-    def safety(self) -> StepSafety:
-        return StepSafety(self.alpha, self.alpha_min, self.alpha_max)
 
     def newton_config(self) -> NewtonConfig:
         return NewtonConfig(max_iters=self.newton_max_iters,
@@ -376,7 +388,7 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     if sampler is not None:
         t_eval = sampler.t_eval[slice(*sampler.window(t_n, h_n))]
     sub_cfg = replace(config, mode="single", t_eval=t_eval,
-                      h0=new_step_size(h_n, eta_f, method.q, config.safety))
+                      h0=new_step_size(h_n, eta_f, method.q, config))
     try:
         res = integrate(sub, method, sub_cfg)
     except IntegrationFailure as exc:
@@ -446,7 +458,9 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         except (ConvergenceFailure, NumericalBlowup):
             stats.rejected_global_convergence += 1
             h *= 0.5
-            if h < cfg.h_min:
+            # "not >=" also ends the run on a NaN step size, which the
+            # initial-step heuristic returns for a non-finite RHS at t0.
+            if not h >= cfg.h_min:
                 raise failure(
                     "step size below h_min after convergence failures")
             continue
@@ -455,8 +469,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         decision, part, eta_s, eta_f = select_partition(eta, phi, cfg.beta)
         if decision == "reject":
             stats.rejected_global_error += 1
-            h = new_step_size(h, eta_s, method.q, cfg.safety)
-            if h < cfg.h_min:
+            h = new_step_size(h, eta_s, method.q, cfg)
+            if not h >= cfg.h_min:
                 raise failure("step size below h_min")
             continue
         make_interp = None
@@ -478,7 +492,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             except ConvergenceFailure:
                 stats.rejected_global_convergence += 1
                 h *= 0.5
-                if h < cfg.h_min:
+                if not h >= cfg.h_min:
                     raise failure(
                         "step size below h_min after fast-phase failure")
                 continue
@@ -489,7 +503,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         t, u = t + h, u_next
         ts.append(t)
         ys.append(u.copy())
-        h = new_step_size(h, eta_s, method.q, cfg.safety)
+        h = new_step_size(h, eta_s, method.q, cfg)
     stats.wall_time = time.perf_counter() - start
     t_out = y_out = None
     if sampler is not None:

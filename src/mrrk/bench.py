@@ -1,8 +1,11 @@
 """Benchmark problems: inverter chain, viscous Burgers, building heating.
 
-Each factory returns an `OdeProblem` with vectorized RHS, restricted RHS
-over an index subset, analytic Jacobians (sparse where the structure is
-banded), and per-component dependency sets.
+Each factory returns an `OdeProblem` with vectorized RHS, analytic
+Jacobians (sparse where the structure is banded), restricted Jacobians
+and per-component dependency sets.  The inverter chain and Burgers also
+evaluate the RHS over an index subset; heating uses `OdeProblem`'s
+full-RHS fallback, which is cheaper than classifying the index set on
+every call.
 """
 
 from __future__ import annotations
@@ -348,32 +351,6 @@ def make_heating(params: HeatingParams | None = None) -> OdeProblem:
         out[iT] = (Q_h - p.G_u * (T_u - T_e)) / C_u
         out[iE] = Q_s
 
-    def rhs_restricted(y, t, indices, out):
-        idx = np.asarray(indices)
-        T_s = y[0]
-        T_e = external_temperature(t)
-        need_qs = np.any(idx == 0) or np.any(idx == iE)
-        if need_qs:
-            Q_s = smooth_sat(p.K_ps * Q_max * (p.T_s0 - T_s), 0.0, Q_max)
-        if np.any(idx == 0):
-            out[0] = (Q_s - np.sum(y[iG] * (T_s - y[iT]))) / C_s
-        g = idx[(idx >= 1) & (idx <= N)]
-        if len(g):
-            j = g - 1
-            tm = np.mod(t, 86400.0)
-            s = (smooth_step(tm, t_up[j], p.step_width)
-                 - smooth_step(tm, t_down[j], p.step_width))
-            sp_j = p.T_l + (p.T_h - p.T_l) * s
-            u = smooth_sat(p.K_pu * (sp_j - y[N + 1 + j]), 0.0, 1.0)
-            out[g] = (u * p.G_hn - y[g]) / p.t_h
-        tt = idx[(idx >= N + 1) & (idx <= 2 * N)]
-        if len(tt):
-            j = tt - (N + 1)
-            Q_h = y[1 + j] * (T_s - y[tt])
-            out[tt] = (Q_h - p.G_u * (y[tt] - T_e)) / C_u[j]
-        if np.any(idx == iE):
-            out[iE] = Q_s
-
     def jacobian(y, t):
         T_s = y[0]
         G_h = y[iG]
@@ -412,8 +389,7 @@ def make_heating(params: HeatingParams | None = None) -> OdeProblem:
     y0[iG] = 0.0
     y0[iT] = 288.15
     y0[iE] = 0.0
-    return OdeProblem(N=n_state, rhs=rhs, rhs_restricted=rhs_restricted,
-                      jacobian=jacobian,
+    return OdeProblem(N=n_state, rhs=rhs, jacobian=jacobian,
                       jacobian_restricted=jacobian_restricted,
                       dependency=dependency, t_span=p.t_span, y0=y0,
                       name="heating")

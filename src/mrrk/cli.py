@@ -14,9 +14,7 @@ Three subcommands write CSV/JSON artifacts into an output directory:
 
 Options may come from flags or from a JSON config file (``--config``);
 flags override file values.  All numeric CSV fields use 17 significant
-digits so values round-trip exactly.  The ``MRRK_MAX_WORKERS``
-environment variable is validated (a positive integer) but has no effect:
-the stability scan runs serially.
+digits so values round-trip exactly.
 
 Exit codes: 0 success, 2 usage error, 3 integration failure, 4 numeric
 error.
@@ -44,8 +42,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTEGRATION = 3
 EXIT_NUMERIC = 4
-
-WORKERS_ENV = "MRRK_MAX_WORKERS"
 
 _INTERPS = {"linear": LINEAR, "hermite": HERMITE, "dense": DENSE}
 
@@ -157,23 +153,6 @@ def make_problem(name: str, overrides: dict,
     raise UsageError(f"unknown problem {name!r}")
 
 
-def _check_workers_env():
-    """Validate MRRK_MAX_WORKERS, which is kept but has no effect.
-
-    The stability scan is serial: its work is many small numpy calls that
-    hold the interpreter lock, and a thread pool made it slower.
-    """
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise UsageError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise UsageError(f"{WORKERS_ENV} must be positive")
-
-
 def _csv_floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -208,7 +187,7 @@ def _solver_config(args) -> SolverConfig:
             jacobian_strategy=args.jacobian_strategy,
             newton_max_iters=args.newton_max_iters,
             max_steps=args.max_steps)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -331,7 +310,6 @@ def cmd_stability(args) -> int:
         models = [_make_model(args, k) for k in kappas]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _check_workers_env()
 
     all_rows = []
     table = {}

@@ -3,8 +3,11 @@
 Each implicit stage is one nonlinear system U = base + h a_ii f(U, t),
 solved by modified Newton with the iteration matrix I - h a_ii J.  The
 Jacobian J lives in a cache whose lifecycle is controlled by one of two
-strategies: reuse with periodic and stall-triggered refreshes (JacA), or a
-fresh evaluation at the start of every global step (JacB).
+strategies: reuse with a refresh every ``JACA_REFRESH_PERIOD`` global
+steps (JacA), or a fresh evaluation at the start of every global step
+(JacB).  Either way a stage solve may also refresh J, up to
+``MAX_REFRESHES`` times, when its line search damps or its residual
+stalls.
 
 The iteration matrix is factored once per (J, h a_ii) and each Newton
 direction is then a single LAPACK back-substitution:
@@ -33,6 +36,12 @@ from scipy.sparse.linalg import splu
 
 DENSE_FACTOR_LIMIT = 512
 BANDED_LIMIT = 4
+# JacA re-evaluates J once it is this many global steps old.
+JACA_REFRESH_PERIOD = 10
+# Jacobian refreshes one stage solve may spend on stalls and damped steps.
+MAX_REFRESHES = 5
+# Smallest line-search damping factor tried before the search fails.
+LAM_MIN = 1e-4
 
 
 def _bandwidths(coo) -> tuple[int, int]:
@@ -125,9 +134,6 @@ class NewtonConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-8
     strategy: str = "JacB"
-    jacA_refresh_period: int = 10
-    max_refreshes: int = 5
-    lam_min: float = 1e-4
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -136,8 +142,14 @@ class NewtonConfig:
             raise ValueError("strategy must be 'JacA' or 'JacB'")
 
 
-def _coloring(dependency, n: int):
-    """Column groups with no common row, and the rows reading each column."""
+def structural_coloring(dependency, n: int):
+    """Group columns so no two columns in a group touch a common row.
+
+    ``dependency(i)`` lists the columns structurally read by row i.  All
+    columns in one group can be perturbed together in a single RHS call
+    when forming a finite-difference Jacobian.  Returns (groups, rows
+    reading each column).
+    """
     rows_of_col: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in dependency(i):
@@ -156,16 +168,6 @@ def _coloring(dependency, n: int):
     return [np.array(g) for g in groups], rows_of_col
 
 
-def structural_coloring(dependency, n: int) -> list[np.ndarray]:
-    """Group columns so no two columns in a group touch a common row.
-
-    ``dependency(i)`` lists the columns structurally read by row i.  All
-    columns in one group can be perturbed together in a single RHS call
-    when forming a finite-difference Jacobian.
-    """
-    return _coloring(dependency, n)[0]
-
-
 def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
     """Finite-difference Jacobian compressed by structural coloring.
 
@@ -176,7 +178,7 @@ def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
     """
     n = problem.N
     if coloring is None:
-        coloring = _coloring(problem.dependency, n)
+        coloring = structural_coloring(problem.dependency, n)
     groups, rows_of_col = coloring
     f0 = np.empty(n)
     problem.rhs(y, t, f0)
@@ -232,7 +234,7 @@ class JacobianCache:
             self.refresh(y, t)
         else:
             self.age += 1
-            if self.J is None or self.age >= self.config.jacA_refresh_period:
+            if self.J is None or self.age >= JACA_REFRESH_PERIOD:
                 self.refresh(y, t)
 
     def refresh(self, y: np.ndarray, t: float):
@@ -241,8 +243,8 @@ class JacobianCache:
             self.J = p.jacobian(y, t)
         else:
             if not self._groups:
-                self._groups, self._rows_of_col = _coloring(p.dependency,
-                                                            p.N)
+                self._groups, self._rows_of_col = structural_coloring(
+                    p.dependency, p.N)
             self.J = fd_jacobian(p, y, t, (self._groups, self._rows_of_col))
             self.fd_rhs_calls += 1 + len(self._groups)
         self.evals += 1
@@ -288,24 +290,24 @@ class JacobianCache:
 
 
 def solve_stage(problem, t: float, h: float, a_ii: float,
-                base: np.ndarray, guess: np.ndarray,
-                cache: JacobianCache, cfg: NewtonConfig):
+                base: np.ndarray, cache: JacobianCache, cfg: NewtonConfig):
     """Solve U = base + h a_ii f(U, t) by line-search modified Newton.
 
-    Returns (U, rhs_calls, refreshed).  Convergence is measured in the
-    weighted max norm |r_i| / (rel_tol |U_i| + abs_tol) <= 1.  Each Newton
-    direction comes from the cached (frozen) Jacobian; a backtracking line
-    search on the residual 2-norm keeps the iteration monotone.  The
+    Starts from ``base`` and returns (U, rhs_calls).  Convergence is
+    measured in the weighted max norm |r_i| / (rel_tol |U_i| + abs_tol)
+    <= 1.  Each Newton direction comes from the cached (frozen) Jacobian;
+    a backtracking line search on the residual 2-norm, down to a damping
+    factor of ``LAM_MIN``, keeps the iteration monotone.  The
     Jacobian is re-evaluated at the current iterate when the line search
     has to damp the step or when the weighted residual stalls (reduction
-    factor above 0.9 three times in a row), up to ``cfg.max_refreshes``
-    times per solve.  The iteration cap, an exhausted line search, or a
+    factor above 0.9 three times in a row), up to ``MAX_REFRESHES`` times
+    per solve.  The iteration cap, an exhausted line search, or a
     non-finite evaluation raise ConvergenceFailure.
     """
     if a_ii <= 0:
         raise ValueError("solve_stage requires an implicit stage (a_ii > 0)")
     h_gamma = h * a_ii
-    U = guess.copy()
+    U = base.copy()
     f = np.empty_like(U)
     ft = np.empty_like(U)
 
@@ -329,11 +331,11 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         if not np.isfinite(norm):
             raise ConvergenceFailure("non-finite residual during stage solve")
         if norm <= 1.0:
-            return U, rhs_calls, refreshes > 0
+            return U, rhs_calls
         if prev_norm is not None:
             stall_count = stall_count + 1 if norm > 0.9 * prev_norm else 0
             if stall_count >= 3:
-                if refreshes >= cfg.max_refreshes:
+                if refreshes >= MAX_REFRESHES:
                     raise ConvergenceFailure(
                         "stage iteration stalled with no refreshes left")
                 cache.refresh(U, t)
@@ -357,7 +359,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         n0 = float(np.linalg.norm(r))
         lam = 1.0
         accepted = False
-        while lam >= cfg.lam_min:
+        while lam >= LAM_MIN:
             Ut = U + lam * dU
             try:
                 rt = residual(Ut, ft)
@@ -371,7 +373,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                 break
             lam *= 0.5
         if not accepted:
-            if refreshes >= cfg.max_refreshes:
+            if refreshes >= MAX_REFRESHES:
                 raise ConvergenceFailure(
                     "line search failed with no refreshes left")
             cache.refresh(U, t)
@@ -380,7 +382,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             continue
         U, r = Ut, rt
         f, ft = ft, f
-        if lam < 1.0 and refreshes < cfg.max_refreshes:
+        if lam < 1.0 and refreshes < MAX_REFRESHES:
             # The frozen-Jacobian direction needed damping; re-linearize.
             cache.refresh(U, t)
             refreshes += 1

@@ -16,14 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import newton as newton_mod
-from .interp import DENSE, interp_value
 from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
 from .tableaux import ButcherTableau, DenseOutputCoeffs
 
 __all__ = [
     "OdeProblem", "StageSet", "WorkCounters", "NumericalBlowup",
-    "rk_step", "error_quotients", "new_step_size",
-    "StepSafety", "ConvergenceFailure",
+    "rk_step", "error_quotients", "new_step_size", "ConvergenceFailure",
 ]
 
 
@@ -82,7 +80,8 @@ class StageSet:
     """Stage data of one step: states U^(i), derivatives K^(i).
 
     ``dense`` holds the method's continuous-output coefficients when it
-    has them, enabling `dense_eval` directly from the stored stages.
+    has them, so `interp.interp_value` can evaluate the continuous output
+    directly from the stored stages.
     """
 
     u_n: np.ndarray
@@ -91,15 +90,6 @@ class StageSet:
     h: float
     t_n: float
     dense: Optional[DenseOutputCoeffs] = None
-
-    def dense_eval(self, tau):
-        """Continuous output u_n + h sum_i b*_i(tau) K^(i), tau in [0, 1].
-
-        Extrapolation (tau outside the step) is forbidden; the multi-rate
-        controller only ever needs values inside the completed global
-        step.  A 1-D tau yields one row per tau value.
-        """
-        return interp_value(DENSE, self.u_n, None, stages=self, tau=tau)
 
 
 @dataclass
@@ -115,19 +105,6 @@ class WorkCounters:
         self.jacobian_evals += other.jacobian_evals
         self.newton_iters += other.newton_iters
         return self
-
-
-@dataclass(frozen=True)
-class StepSafety:
-    """Safety factors of the step-size update rule."""
-
-    alpha: float = 0.9
-    alpha_min: float = 0.5
-    alpha_max: float = 1.2
-
-    def __post_init__(self):
-        if not 0 < self.alpha_min < 1 < self.alpha_max:
-            raise ValueError("require 0 < alpha_min < 1 < alpha_max")
 
 
 def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
@@ -171,8 +148,8 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             work.rhs_calls += 1
         else:
             jac0, fd0 = cache.evals, cache.fd_rhs_calls
-            Uk, calls, _ = newton_mod.solve_stage(
-                problem, t_k, h, A[k, k], base, base, cache, newton)
+            Uk, calls = newton_mod.solve_stage(
+                problem, t_k, h, A[k, k], base, cache, newton)
             U[k] = Uk
             work.rhs_calls += calls + (cache.fd_rhs_calls - fd0)
             work.jacobian_evals += cache.evals - jac0
@@ -202,18 +179,18 @@ def error_quotients(u: np.ndarray, u_hat: np.ndarray, rtol: float,
     return np.abs(u - np.asarray(u_hat, float)) / (rtol * np.abs(u) + atol)
 
 
-def new_step_size(h: float, eta: float, q: int,
-                  safety: StepSafety = StepSafety()) -> float:
+def new_step_size(h: float, eta: float, q: int, cfg) -> float:
     """Controller update h * clamp(alpha * eta^(-1/(q+1))).
 
-    eta = 0 (or negative round-off) takes the upper clamp alpha_max.
+    ``alpha``, ``alpha_min`` and ``alpha_max`` are read from ``cfg``, the
+    run's `adapt.SolverConfig`, which validates them.  eta = 0 (or
+    negative round-off) takes the upper clamp alpha_max.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     if eta <= 0.0:
-        factor = safety.alpha_max
+        factor = cfg.alpha_max
     else:
-        factor = min(safety.alpha_max,
-                     max(safety.alpha_min,
-                         safety.alpha * eta ** (-1.0 / (q + 1))))
+        factor = min(cfg.alpha_max,
+                     max(cfg.alpha_min, cfg.alpha * eta ** (-1.0 / (q + 1))))
     return h * factor

@@ -69,22 +69,6 @@ class PartitionedLinearModel:
         return float(np.max(np.abs(np.linalg.eigvals(self.L))))
 
 
-@dataclass(frozen=True)
-class MultirateAmplification:
-    """One multi-rate step on y' = Ly as a matrix, with its parameters.
-
-    ``R_mr`` maps u_n to u_{n+1}.  Its fast rows are C_ff^M on the fast
-    block plus the accumulated slow-coupling term, where C_ff is the
-    fast-block single-rate matrix at the sub-step size h_f = h_s / M.
-    """
-
-    R_mr: np.ndarray
-    h_s: float
-    M: int
-    method: str
-    interp: str
-
-
 def model_2dof(alpha: float, kappa: float) -> PartitionedLinearModel:
     """Two-variable model with one fast variable.
 
@@ -140,20 +124,20 @@ def single_rate_R(L: np.ndarray, h: float,
 
 def multirate_R(model: PartitionedLinearModel, h_s: float, M: int,
                 method: ButcherTableau,
-                interp: InterpolatorKind) -> MultirateAmplification:
-    """Amplification matrix of one multi-rate step on the model.
+                interp: InterpolatorKind) -> np.ndarray:
+    """Amplification matrix R_mr of one multi-rate step on the model.
 
-    The slow components take one step of size h_s; the fast components
-    take M equal sub-steps of size h_s / M with the slow values
-    interpolated by the selected scheme.
+    R_mr maps u_n to u_{n+1}.  The slow components take one step of size
+    h_s; the fast components take M equal sub-steps of size h_s / M with
+    the slow values interpolated by the selected scheme, so the fast rows
+    are C_ff^M on the fast block plus the accumulated slow-coupling term,
+    C_ff being the fast-block single-rate matrix at h_f = h_s / M.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
     h = np.array([float(h_s)])
-    R = _linops.multirate_matrix(
+    return _linops.multirate_matrix(
         model.L[None], model.d, h, M, method, interp.kind)[0]
-    return MultirateAmplification(R_mr=R, h_s=float(h_s), M=M,
-                                  method=method.name, interp=interp.kind)
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -182,31 +166,6 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
     Lb = np.broadcast_to(model.L, (len(C_grid),) + model.L.shape)
     R = _linops.multirate_matrix(Lb, model.d, h, M, method, interp.kind)
     return _linops.spectral_radii(R)
-
-
-def max_stable_C(model: PartitionedLinearModel, method: ButcherTableau,
-                 interp: InterpolatorKind, M: int,
-                 C_grid: np.ndarray | None = None,
-                 rho_tol: float = 1e-8):
-    """Largest grid C with rho(R_mr) <= 1 + rho_tol.
-
-    Returns the sentinel string ">= {Cmax}" when every grid point is
-    stable, and None when none is.  The stability region need not be an
-    interval; use `rho_curve` to inspect gaps.
-    """
-    if C_grid is None:
-        C_grid = np.arange(1.0, 101.0)
-    C_grid = np.asarray(C_grid, dtype=float)
-    if len(C_grid) == 0:
-        raise ValueError("C_grid must be nonempty")
-    rho = rho_curve(model, method, interp, M, C_grid)
-    stable = rho <= 1.0 + rho_tol
-    if np.all(stable):
-        cmax = C_grid[-1]
-        return f">= {cmax:g}"
-    if not np.any(stable):
-        return None
-    return float(C_grid[np.max(np.nonzero(stable)[0])])
 
 
 def _integer_grid(C_max: float) -> np.ndarray:
@@ -246,10 +205,13 @@ def _entry(model, method, interp, M, C_grid, rho, rho_tol, C_max):
 def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
               interp: InterpolatorKind, M: int, C_max: float = 100.0,
               rho_tol: float = 1e-8):
-    """`scan_records` rows and the `table_entry` of one M, from one scan.
+    """Scan rows and the `table_entry` of one M, from one scan.
 
-    Both read the spectral radii on the integer grid 1..floor(C_max), so
-    that grid is scanned once; only the boundary probe adds a C value.
+    The rows are {model, method, interp, params..., M, C, rho, stable},
+    one per C of the integer grid 1..floor(C_max); model parameters that
+    a model kind does not define are empty strings, so all rows share one
+    header.  Both read the spectral radii on that grid, so it is scanned
+    once; only the boundary probe adds a C value.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
@@ -285,32 +247,14 @@ def propagator_error(model: PartitionedLinearModel, method: ButcherTableau,
     if mode == "single":
         A = single_rate_R(model.L, h_s, method)
     else:
-        A = multirate_R(model, h_s, M, method, interp).R_mr
+        A = multirate_R(model, h_s, M, method, interp)
     exact = matrix_exponential(model.L, t_final)
     err = np.linalg.matrix_power(A, n) - exact
     return float(np.linalg.norm(err, 2) / np.linalg.norm(exact, 2))
 
 
-def scan_records(model: PartitionedLinearModel, method: ButcherTableau,
-                 interp: InterpolatorKind, M_values, C_grid=None,
-                 rho_tol: float = 1e-8):
-    """Rows {model, method, interp, params..., M, C, rho, stable} for CSV.
-
-    Model parameters that a model kind does not define are emitted as
-    empty strings so all rows share one header.
-    """
-    if C_grid is None:
-        C_grid = np.arange(1.0, 101.0)
-    C_grid = np.asarray(C_grid, dtype=float)
-    rows = []
-    for M in M_values:
-        rho = rho_curve(model, method, interp, int(M), C_grid)
-        rows += _records(model, method, interp, M, C_grid, rho, rho_tol)
-    return rows
-
-
 def _records(model, method, interp, M, C_grid, rho, rho_tol):
-    """`scan_records` rows of one M from its scan ``rho`` over C_grid."""
+    """`scan_cell` rows of one M from its scan ``rho`` over C_grid."""
     p = model.params
     base = {
         "model": model.label,

@@ -14,7 +14,6 @@ the long rational coefficients of the ESDIRK methods.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,6 @@ __all__ = [
     "get_method",
     "method_names",
     "validate_tableau",
-    "tableau_from_json",
 ]
 
 
@@ -90,13 +88,6 @@ class ButcherTableau:
     @property
     def is_explicit(self) -> bool:
         return self.kind == "explicit"
-
-    @property
-    def gamma(self) -> float:
-        """Diagonal stage coefficient (0.0 for explicit methods)."""
-        if self.kind == "explicit":
-            return 0.0
-        return float(self.A[self.s - 1, self.s - 1])
 
     @property
     def explicit_first_stage(self) -> bool:
@@ -398,39 +389,3 @@ def endpoint_consistent(tab: ButcherTableau, tol: float = 1e-12) -> bool:
         return False
     return bool(np.max(np.abs(tab.dense.endpoint_weights - tab.b)) <= tol)
 
-
-def tableau_from_json(doc: str | dict) -> ButcherTableau:
-    """Build a user tableau from a JSON document.
-
-    Expected keys: name, A (row-major), b, c, p, kind; optional b_hat,
-    p_hat, b_star (row-major s x p_star).
-    """
-    data = json.loads(doc) if isinstance(doc, str) else doc
-    A = np.asarray(data["A"], dtype=float)
-    b = np.asarray(data["b"], dtype=float)
-    c = np.asarray(data["c"], dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be a square matrix")
-    s = A.shape[0]
-    if b.shape != (s,) or c.shape != (s,):
-        raise ValueError(f"b and c must have length {s}")
-    b_hat = data.get("b_hat")
-    if b_hat is not None and len(b_hat) != s:
-        raise ValueError(f"b_hat must have length {s}")
-    dense = None
-    if data.get("b_star") is not None:
-        B = np.asarray(data["b_star"], dtype=float)
-        if B.ndim != 2 or B.shape[0] != s:
-            raise ValueError(f"b_star must have {s} rows")
-        dense = DenseOutputCoeffs(p_star=B.shape[1], B_star=B)
-    tab = ButcherTableau(
-        name=data["name"], A=A, b=b, c=c, p=int(data["p"]),
-        kind=data["kind"],
-        b_hat=None if b_hat is None else np.asarray(b_hat, dtype=float),
-        p_hat=None if data.get("p_hat") is None else int(data["p_hat"]),
-        dense=dense,
-    )
-    rep = validate_tableau(tab)
-    if not rep.ok:
-        raise ValueError(f"invalid tableau {tab.name!r}: {rep.failures}")
-    return tab

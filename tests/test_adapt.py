@@ -1,4 +1,5 @@
 import pathlib
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -35,6 +36,13 @@ def test_solver_config_validation():
         SolverConfig(beta=0.0)
     with pytest.raises(ValueError):
         SolverConfig(mode="dual")
+    for field, value in [("rtol", np.nan), ("rtol", -1.0), ("rtol", np.inf),
+                         ("atol", 0.0), ("atol", np.nan), ("atol", np.inf),
+                         ("h0", -1.0), ("h0", 0.0), ("h0", np.nan),
+                         ("h_min", -1.0), ("h_min", np.nan),
+                         ("newton_max_iters", 0)]:
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
 
 
 def test_newton_config_derived_from_step_tolerances():
@@ -223,7 +231,7 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
                    step_index, *args, **kw)
         sub = adapt._fast_subproblem(problem, partition.fast, u_n, t_n, h_n,
                                      make_interp)
-        h0 = new_step_size(h_n, eta_f, method.q, config.safety)
+        h0 = new_step_size(h_n, eta_f, method.q, config)
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
         np.testing.assert_array_equal(out[partition.fast], ref.y[-1])
         after = asdict(stats)
@@ -324,6 +332,24 @@ def test_integration_failure_carries_state():
     assert err.stats.accepted_global == 0
 
 
+@pytest.mark.parametrize("mode", ["single", "multi"])
+@pytest.mark.parametrize("name", ["erk4", "esdirk3"])
+def test_nonfinite_rhs_at_start_fails_fast(name, mode):
+    """A NaN RHS at (y0, t0) makes the initial step NaN; the h_min guards
+    must still end the run instead of halving a NaN step forever."""
+    def rhs(y, t, out):
+        out[:] = np.nan
+    prob = OdeProblem(N=2, rhs=rhs, t_span=(0.0, 1.0), y0=np.ones(2),
+                      dependency=lambda i: (0, 1))
+    cfg = SolverConfig(rtol=1e-6, atol=1e-6, mode=mode, phi=0.5)
+    start = time.perf_counter()
+    with pytest.raises(IntegrationFailure, match="h_min") as exc:
+        integrate(prob, get_method(name), cfg)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.stats.wall_time > 0.0
+    assert exc.value.stats.accepted_global == 0
+
+
 def test_step_budget_exhaustion():
     prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 100.0))
     cfg = SolverConfig(rtol=1e-10, atol=1e-12, max_steps=5)
@@ -389,6 +415,25 @@ def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
                  "odecore.rk_step.fast", "odecore.rk_step.global",
                  "interp.slow_value", "adapt._OutputSampler.commit_step"):
         assert calls[name] > 0, name
+    # The benchmark problems' own callables, wrapped by `wrap_problem`
+    # under the field names that `run.py --trace 1` reports.
+    for prob in (
+            bench.make_inverter_chain(
+                bench.InverterChainParams(N=20, t_span=(0.0, 6.5))),
+            bench.make_burgers(bench.BurgersParams(N=100,
+                                                   t_span=(0.0, 2.0))),
+            bench.make_heating(bench.HeatingParams(N=5,
+                                                   t_span=(0.0, 30000.0)))):
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            res = integrate(tracer.wrap_problem(prob), get_method("esdirk3"),
+                            SolverConfig(rtol=1e-6, atol=1e-6, mode="multi",
+                                         phi=0.2))
+        assert res.stats.accepted_fast > 0, prob.name
+        calls = {name: v[0] for name, v in tracer.layer_totals().items()}
+        for name in ("bench.rhs", "bench.rhs_restricted",
+                     "bench.jacobian_restricted"):
+            assert calls[name] > 0, (prob.name, name)
 
 
 def test_integrate_dispatches_on_mode():

@@ -131,8 +131,7 @@ def test_stability_scan_and_table(tmp_path):
     assert {r[11] for r in srows} <= {"True", "False"}
 
 
-def test_stability_sentinel_and_worker_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MRRK_MAX_WORKERS", "2")
+def test_stability_sentinel_and_worker_env(tmp_path):
     out = tmp_path / "stab4"
     rc = main(["stability", "--model", "4dof", "--method", "esdirk4",
                "--interp", "dense", "--alpha", "1", "--model-beta", "1",
@@ -143,15 +142,30 @@ def test_stability_sentinel_and_worker_env(tmp_path, monkeypatch):
     assert trows[0][1] == "4"
 
 
-def test_stability_usage_errors(tmp_path, monkeypatch):
+def test_stability_usage_errors(tmp_path):
     base = ["stability", "--model", "2dof", "--alpha", "10",
             "--outdir", str(tmp_path)]
     assert main(base + ["--kappa", "0.1", "--M", ""]) == 2
     assert main(base + ["--M", "2"]) == 2                  # no kappa
     assert main(base + ["--kappa", "0.1", "--M", "2.5"]) == 2
     assert main(base + ["--kappa", "abc", "--M", "2"]) == 2
-    monkeypatch.setenv("MRRK_MAX_WORKERS", "zero")
-    assert main(base + ["--kappa", "0.1", "--M", "2"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--newton-max-iters", "0"],
+    ["--h0", "-1"],
+    ["--rtol", "nan"],
+    ["--atol", "0"],
+    ["--rtol", "0", "--atol", "0"],
+    ["--rtol", "-1"],
+    ["--h-min", "-1"],
+], ids=lambda f: " ".join(f))
+def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
+    rc = main(["solve", "--problem", "constant", "--method", "erk4",
+               "--outdir", str(tmp_path)] + flags)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_accuracy_sweep(tmp_path):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import lu_factor, lu_solve, solve_banded
 from hypothesis import given, settings, strategies as st
 
+from mrrk import newton
 from mrrk.newton import (ConvergenceFailure, FactorizationError,
                          JacobianCache, NewtonConfig, fd_jacobian,
                          solve_stage, structural_coloring)
@@ -28,7 +29,7 @@ def test_newton_config_validation():
 def test_structural_coloring_tridiagonal():
     n = 20
     dep = lambda i: tuple(j for j in (i - 1, i, i + 1) if 0 <= j < n)
-    groups = structural_coloring(dep, n)
+    groups, _ = structural_coloring(dep, n)
     assert sorted(np.concatenate(groups).tolist()) == list(range(n))
     # Tridiagonal structure admits a 3-coloring.
     assert len(groups) <= 3
@@ -42,7 +43,7 @@ def test_structural_coloring_tridiagonal():
 
 def test_structural_coloring_dense_needs_n_colors():
     n = 5
-    groups = structural_coloring(lambda i: tuple(range(n)), n)
+    groups, _ = structural_coloring(lambda i: tuple(range(n)), n)
     assert len(groups) == n
 
 
@@ -120,15 +121,15 @@ def test_factorization_reused_for_same_h_gamma():
     assert cache._fac is not fac
 
 
-def test_strategy_step_start_policies():
+def test_strategy_step_start_policies(monkeypatch):
+    monkeypatch.setattr(newton, "JACA_REFRESH_PERIOD", 3)
     prob, _ = tridiag_problem(4)
     y = np.ones(4)
     jb = JacobianCache(prob, NewtonConfig(strategy="JacB"))
     for _ in range(4):
         jb.begin_global_step(y, 0.0)
     assert jb.evals == 4
-    ja = JacobianCache(prob, NewtonConfig(strategy="JacA",
-                                          jacA_refresh_period=3))
+    ja = JacobianCache(prob, NewtonConfig(strategy="JacA"))
     for _ in range(7):
         ja.begin_global_step(y, 0.0)
     # First call evaluates (empty cache), then every third step.
@@ -292,11 +293,10 @@ def test_solve_stage_linear_exact():
     cache.refresh(np.ones(6), 0.0)
     base = np.linspace(0.5, 1.5, 6)
     h, a_ii = 0.2, 0.3
-    U, rhs_calls, refreshed = solve_stage(prob, 0.0, h, a_ii, base,
-                                          base.copy(), cache, cfg)
+    U, rhs_calls = solve_stage(prob, 0.0, h, a_ii, base, cache, cfg)
     U_ref = np.linalg.solve(np.eye(6) - h * a_ii * L, base)
     np.testing.assert_allclose(U, U_ref, atol=1e-11)
-    assert not refreshed
+    assert cache.evals == 1                 # no refresh inside the solve
     assert rhs_calls <= 3
 
 
@@ -311,30 +311,30 @@ def test_solve_stage_nonlinear_scalar():
     cache.refresh(np.ones(1), 0.0)
     base = np.array([1.0])
     h, a_ii = 0.5, 0.25
-    U, _, _ = solve_stage(prob, 0.0, h, a_ii, base, base.copy(), cache, cfg)
+    U, _ = solve_stage(prob, 0.0, h, a_ii, base, cache, cfg)
     # Root of U = 1 - h a_ii U^3.
     assert U[0] + h * a_ii * U[0] ** 3 == pytest.approx(1.0, abs=1e-10)
 
 
-def test_solve_stage_iteration_cap():
+def test_solve_stage_iteration_cap(monkeypatch):
+    monkeypatch.setattr(newton, "MAX_REFRESHES", 0)
+
     def rhs(y, t, out):
         out[0] = 1e6 * np.cos(1e3 * y[0])
     prob = OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.zeros(1),
                       dependency=lambda i: (0,))
-    cfg = NewtonConfig(max_iters=3, rel_tol=1e-14, abs_tol=1e-14,
-                       max_refreshes=0)
+    cfg = NewtonConfig(max_iters=3, rel_tol=1e-14, abs_tol=1e-14)
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.zeros(1), 0.0)
     with pytest.raises(ConvergenceFailure):
-        solve_stage(prob, 0.0, 1.0, 0.5, np.zeros(1), np.zeros(1), cache,
-                    cfg)
+        solve_stage(prob, 0.0, 1.0, 0.5, np.zeros(1), cache, cfg)
 
 
 def test_solve_stage_rejects_explicit_stage():
     prob, _ = tridiag_problem(2)
     cfg = NewtonConfig()
     with pytest.raises(ValueError):
-        solve_stage(prob, 0.0, 0.1, 0.0, np.ones(2), np.ones(2),
+        solve_stage(prob, 0.0, 0.1, 0.0, np.ones(2),
                     JacobianCache(prob, cfg), cfg)
 
 
@@ -349,6 +349,6 @@ def test_solve_stage_linear_property(seed, hg):
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(4), 0.0)
     base = rng.normal(size=4)
-    U, _, _ = solve_stage(prob, 0.0, hg, 1.0, base, base.copy(), cache, cfg)
+    U, _ = solve_stage(prob, 0.0, hg, 1.0, base, cache, cfg)
     np.testing.assert_allclose(U, np.linalg.solve(np.eye(4) - hg * L, base),
                                atol=1e-10)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrrk.adapt import SolverConfig
+from mrrk.interp import DENSE, interp_value
 from mrrk.newton import ConvergenceFailure, NewtonConfig
-from mrrk.odecore import (NumericalBlowup, OdeProblem, StepSafety,
-                          error_quotients, new_step_size, rk_step)
+from mrrk.odecore import (NumericalBlowup, OdeProblem, error_quotients,
+                          new_step_size, rk_step)
 from mrrk.tableaux import get_method
 
 from _oracles import random_stable_matrix, single_rate_R, stage_ops
@@ -109,15 +111,18 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     prob = make_linear_problem(L)
     u0 = np.array([1.0, -0.5])
     u1, _, stages, _ = rk_step(prob, u0, 0.0, 0.2, m, newton=tight_newton)
-    np.testing.assert_allclose(stages.dense_eval(0.0), u0,
+
+    def dense_eval(tau):
+        return interp_value(DENSE, stages.u_n, None, stages=stages, tau=tau)
+    np.testing.assert_allclose(dense_eval(0.0), u0,
                                atol=1e-14)
-    np.testing.assert_allclose(stages.dense_eval(1.0), u1,
+    np.testing.assert_allclose(dense_eval(1.0), u1,
                                atol=1e-12)
     with pytest.raises(ValueError):
-        stages.dense_eval(1.01)
+        dense_eval(1.01)
     with pytest.raises(ValueError):
-        stages.dense_eval(-0.01)
-    out = stages.dense_eval(np.array([0.25, 0.75]))
+        dense_eval(-0.01)
+    out = dense_eval(np.array([0.25, 0.75]))
     assert out.shape == (2, 2)
 
 
@@ -126,7 +131,7 @@ def test_stageset_without_dense_raises():
     prob = make_linear_problem(-np.eye(2))
     _, _, stages, _ = rk_step(prob, np.ones(2), 0.0, 0.1, m)
     with pytest.raises(ValueError):
-        stages.dense_eval(0.5)
+        interp_value(DENSE, stages.u_n, None, stages=stages, tau=0.5)
 
 
 def test_error_quotients_formula():
@@ -143,7 +148,7 @@ def test_error_quotients_need_positive_tolerance():
 
 
 def test_new_step_size_clamps():
-    s = StepSafety()
+    s = SolverConfig()
     assert new_step_size(1.0, 0.0, 3, s) == pytest.approx(1.2)
     assert new_step_size(1.0, 1e12, 3, s) == pytest.approx(0.5)
     # Unclamped region: h * alpha * eta^(-1/(q+1)).
@@ -154,14 +159,14 @@ def test_new_step_size_clamps():
 
 def test_step_safety_validation():
     with pytest.raises(ValueError):
-        StepSafety(alpha_min=1.5)
+        SolverConfig(alpha_min=1.5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(eta=st.floats(0, 1e8), q=st.integers(1, 5),
        h=st.floats(1e-8, 1e3))
 def test_new_step_size_bounds_property(eta, q, h):
-    s = StepSafety()
+    s = SolverConfig()
     h_new = new_step_size(h, eta, q, s)
     assert s.alpha_min * h <= h_new <= s.alpha_max * h
 

@@ -4,10 +4,9 @@ import scipy.linalg
 
 from mrrk import stability
 from mrrk.stability import (PartitionedLinearModel, matrix_exponential,
-                            max_stable_C, model_2dof, model_4dof,
-                            multirate_R, propagator_error, rho_curve,
-                            scan_cell, scan_records, single_rate_R,
-                            spectral_radius, table_entry)
+                            model_2dof, model_4dof, multirate_R,
+                            propagator_error, rho_curve, scan_cell,
+                            single_rate_R, spectral_radius, table_entry)
 from mrrk.interp import InterpolatorKind
 from mrrk.tableaux import get_method
 
@@ -79,7 +78,7 @@ def test_multirate_R_matches_brute_force(name, kind, M):
     m = get_method(name)
     model = model_2dof(alpha=20.0, kappa=0.05)
     h_s = 1.7 / model.Lam
-    R = multirate_R(model, h_s, M, m, InterpolatorKind(kind)).R_mr
+    R = multirate_R(model, h_s, M, m, InterpolatorKind(kind))
     R_ref = _oracles.brute_force_multirate_R(model.L, model.d, h_s, M, m,
                                              kind)
     np.testing.assert_allclose(R, R_ref, atol=1e-11)
@@ -93,7 +92,7 @@ def test_multirate_M1_vs_single_rate():
     m = get_method("esdirk3")
     model = model_2dof(alpha=5.0, kappa=0.1)
     h = 0.5 / model.Lam
-    R_mr = multirate_R(model, h, 1, m, IK_D).R_mr
+    R_mr = multirate_R(model, h, 1, m, IK_D)
     R_sr = single_rate_R(model.L, h, m)
     np.testing.assert_allclose(R_mr[0], R_sr[0], atol=1e-13)
 
@@ -105,7 +104,7 @@ def test_rho_curve_batches_consistently():
     rhos = rho_curve(model, m, IK_H, 4, Cs)
     assert rhos.shape == (3,)
     for C, r in zip(Cs, rhos):
-        R = multirate_R(model, C / model.Lam, 4, m, IK_H).R_mr
+        R = multirate_R(model, C / model.Lam, 4, m, IK_H)
         assert r == pytest.approx(spectral_radius(R), abs=1e-12)
 
 
@@ -145,16 +144,6 @@ def test_table_entry_is_first_unstable_boundary():
     assert rho[-1] > 1 + 1e-8
 
 
-def test_max_stable_C_grid_semantics():
-    m = get_method("erk4")
-    model = model_2dof(alpha=10.0, kappa=0.9e-2)
-    grid = np.arange(1.0, 30.0 + 1e-9, 1.0)
-    C = max_stable_C(model, m, IK_H, 4, C_grid=grid)
-    rhos = rho_curve(model, m, IK_H, 4, grid)
-    stable = grid[rhos <= 1 + 1e-8]
-    assert C == pytest.approx(stable.max())
-
-
 def test_matrix_exponential_agrees_with_scipy():
     rng = np.random.default_rng(5)
     L = _oracles.random_stable_matrix(rng, 4)
@@ -188,7 +177,8 @@ def test_propagator_error_multirate_smaller_C_smaller_error():
 def test_scan_records_schema():
     model = model_2dof(alpha=10.0, kappa=0.9e-1)
     m = get_method("erk4")
-    recs = scan_records(model, m, IK_H, [2, 4], np.array([1.0, 2.0]))
+    recs = [r for M in (2, 4)
+            for r in scan_cell(model, m, IK_H, M, C_max=2.0)[0]]
     assert len(recs) == 4
     r = recs[0]
     for key in ("model", "method", "interp", "kappa", "M", "C", "rho",
@@ -233,7 +223,10 @@ def test_scan_cell_matches_scan_records_and_table_entry():
     model = model_2dof(alpha=10.0, kappa=0.9e-2)
     m = get_method("erk4")
     rows, entry = scan_cell(model, m, IK_H, 4, C_max=30.0)
-    assert rows == scan_records(model, m, IK_H, [4], np.arange(1.0, 31.0))
+    grid = np.arange(1.0, 31.0)
+    assert rows == stability._records(model, m, IK_H, 4, grid,
+                                      rho_curve(model, m, IK_H, 4, grid),
+                                      1e-8)
     assert entry == table_entry(model, m, IK_H, 4, C_max=30.0)
     _, stable_entry = scan_cell(model, m, IK_H, 4, C_max=5.0)
     assert stable_entry == ">= 5"

@@ -1,4 +1,3 @@
-import json
 from itertools import product
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from mrrk.tableaux import (ButcherTableau, DenseOutputCoeffs, MethodNotFound,
                            endpoint_consistent, get_method, method_names,
-                           tableau_from_json, validate_tableau)
+                           validate_tableau)
 
 ALL = ["erk4", "erk4-owren", "esdirk3", "esdirk4"]
 
@@ -80,9 +79,9 @@ def test_structural_properties():
         assert m.kind == "esdirk"
         assert m.explicit_first_stage and m.A[0, 0] == 0.0
         diag = np.diag(m.A)[1:]
-        assert np.allclose(diag, m.gamma)
-    assert abs(es3.gamma - 0.43586652150845899941601945) < 1e-16
-    assert es4.gamma == 0.25
+        assert np.allclose(diag, m.A[-1, -1])
+    assert abs(es3.A[-1, -1] - 0.43586652150845899941601945) < 1e-16
+    assert es4.A[-1, -1] == 0.25
     assert es3.q == 2 and es4.q == 3
 
 
@@ -118,33 +117,6 @@ def test_dense_output_interior_order_conditions(name):
     for k in (1, 2, 3):
         lhs = W @ m.c ** (k - 1)
         np.testing.assert_allclose(lhs, taus**k / k, atol=1e-12)
-
-
-def test_tableau_from_json_roundtrip():
-    m = get_method("esdirk3")
-    doc = {
-        "name": "custom-es3",
-        "A": m.A.tolist(),
-        "b": m.b.tolist(),
-        "c": m.c.tolist(),
-        "p": m.p,
-        "kind": m.kind,
-        "b_hat": m.b_hat.tolist(),
-        "p_hat": m.p_hat,
-        "b_star": m.dense.B_star.tolist(),
-    }
-    t = tableau_from_json(json.dumps(doc))
-    assert t.name == "custom-es3"
-    np.testing.assert_allclose(t.A, m.A)
-    np.testing.assert_allclose(t.b_hat, m.b_hat)
-    assert t.dense.p_star == m.dense.p_star
-    assert validate_tableau(t).ok
-
-
-def test_tableau_from_json_rejects_bad_shapes():
-    with pytest.raises((ValueError, KeyError)):
-        tableau_from_json({"name": "x", "A": [[0.0]], "b": [1.0, 0.0],
-                           "c": [0.0], "p": 1, "kind": "explicit"})
 
 
 def test_dense_weights_shape_contract():
