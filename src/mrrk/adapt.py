@@ -21,8 +21,8 @@ import numpy as np
 
 from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
 from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
-from .odecore import (NumericalBlowup, OdeProblem, WorkCounters,
-                      error_quotients, new_step_size, rk_step)
+from .odecore import (NumericalBlowup, OdeProblem, error_quotients,
+                      new_step_size, rk_step)
 from .tableaux import ButcherTableau
 
 
@@ -86,6 +86,8 @@ class SolverConfig:
             raise ValueError("beta must be positive")
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
+        if self.jacobian_strategy not in ("JacA", "JacB"):
+            raise ValueError("jacobian_strategy must be 'JacA' or 'JacB'")
 
     def newton_config(self) -> NewtonConfig:
         return NewtonConfig(max_iters=self.newton_max_iters,
@@ -109,7 +111,17 @@ class Partition:
 
 @dataclass
 class StepStats:
-    """Counters of a run, split into global and fast (local) work."""
+    """Counters of a run, split into global and fast (local) work.
+
+    Rejections are split by cause: the error test, or a failed stage
+    solve, non-finite state or failed fast phase (``convergence``).
+    ``global_rhs_calls`` counts every call of the problem's ``rhs`` in the
+    run, rejected attempts included: initial-step probes, explicit stages,
+    Newton residuals, finite-difference columns and Hermite endpoints.
+    ``global_jacobians`` counts the Jacobian evaluations of the run's own
+    cache, likewise.  ``local_*`` sum these two over the fast sub-runs,
+    failed ones included, whose RHS is the problem's ``rhs_restricted``.
+    """
 
     accepted_global: int = 0
     rejected_global_error: int = 0
@@ -192,35 +204,28 @@ def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
     (the classical explicit method) estimate the error by step doubling:
     the step is repeated as two half steps and the difference between the
     one-step and two-step results serves as the error, with the two-step
-    result carried forward.  Returns (u_next, eta, stages, work);
-    ``stages`` always spans the full interval [t_n, t_n + h] for
+    result carried forward.  Returns (u_next, eta, K); the stage
+    derivatives ``K`` always span the full interval [t_n, t_n + h] for
     interpolation.
     """
-    nc = None if cache is None else cache.config
-    u_next, u_hat, stages, work = rk_step(problem, u_n, t_n, h, method,
-                                          newton=nc, cache=cache)
+    u_next, u_hat, K = rk_step(problem, u_n, t_n, h, method, cache)
     if u_hat is None:
-        u_half, _, _, w2 = rk_step(problem, u_n, t_n, 0.5 * h, method,
-                                   newton=nc, cache=cache)
-        u_two, _, _, w3 = rk_step(problem, u_half, t_n + 0.5 * h, 0.5 * h,
-                                  method, newton=nc, cache=cache)
-        work += w2
-        work += w3
+        u_half, _, _ = rk_step(problem, u_n, t_n, 0.5 * h, method, cache)
+        u_two, _, _ = rk_step(problem, u_half, t_n + 0.5 * h, 0.5 * h,
+                              method, cache)
         u_hat, u_next = u_next, u_two
     eta = error_quotients(u_next, u_hat, cfg.rtol, cfg.atol)
-    return u_next, eta, stages, work
+    return u_next, eta, K
 
 
-def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, stages,
-                      work):
+def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
     Returns a function cols -> (tau -> values at cols), built by
     `interp.slow_interpolant`.  Methods with continuous output use it;
     others fall back to cubic Hermite.  Only the Hermite kind evaluates
     the endpoint derivatives (one fresh RHS call for the right endpoint,
-    one for the left unless the first stage holds it), counted in
-    ``work``.
+    one for the left unless the first stage holds it).
     """
     kind = cfg.interp
     if kind is None or (kind.kind == "dense" and method.dense is None):
@@ -228,15 +233,13 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, stages,
     f_n = f_next = None
     if kind.kind == "hermite":
         if method.explicit_first_stage:
-            f_n = stages.K[0]
+            f_n = K[0]
         else:
             f_n = np.empty_like(u_n)
             problem.rhs(u_n, t_n, f_n)
-            work.rhs_calls += 1
         f_next = np.empty_like(u_n)
         problem.rhs(u_next, t_n + h, f_next)
-        work.rhs_calls += 1
-    return slow_interpolant(kind, u_n, u_next, h, f_n, f_next, stages.K,
+    return slow_interpolant(kind, u_n, u_next, h, f_n, f_next, K,
                             method.dense)
 
 
@@ -325,13 +328,13 @@ class _OutputSampler:
         return self.t_eval, self.y
 
 
-def _initial_step(problem, cfg, method, stats):
+def _initial_step(problem, cfg, method):
     """Starting step size from the classical two-evaluation heuristic.
 
     A first guess h0 balances the weighted norms of the state and its
     derivative; an explicit Euler probe then estimates the derivative's
     rate of change, and the step is sized so the first error estimate
-    lands near 0.01.  Costs two RHS evaluations, counted in ``stats``.
+    lands near 0.01.  Costs two RHS evaluations.
     """
     if cfg.h0 is not None:
         return cfg.h0
@@ -342,7 +345,6 @@ def _initial_step(problem, cfg, method, stats):
     f0 = np.empty_like(y0)
     problem.rhs(y0, t0, f0)
     f1 = np.empty_like(y0)
-    stats.global_rhs_calls += 2
     d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
     if d0 < 1e-5 or d1 < 1e-5:
@@ -425,10 +427,16 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     """
     cfg = config
     phi = cfg.phi if cfg.mode == "multi" else 0.0
+    stats = StepStats()
+
+    def counted_rhs(y, t, out, rhs=problem.rhs):
+        stats.global_rhs_calls += 1
+        rhs(y, t, out)
+
+    problem = replace(problem, rhs=counted_rhs)
     t0, T = problem.t_span
     t, u = t0, problem.y0.copy()
-    stats = StepStats()
-    h = _initial_step(problem, cfg, method, stats)
+    h = _initial_step(problem, cfg, method)
     activity = []
     ts, ys = [t], [u.copy()]
     sampler = None
@@ -439,8 +447,13 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         cache = JacobianCache(problem, cfg.newton_config())
     start = time.perf_counter()
 
-    def failure(message):
+    def close_stats():
         stats.wall_time = time.perf_counter() - start
+        if cache is not None:
+            stats.global_jacobians = cache.evals
+
+    def failure(message):
+        close_stats()
         return IntegrationFailure(message, t, u, stats)
 
     all_idx = np.arange(problem.N)
@@ -449,11 +462,9 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             raise failure("step budget exhausted")
         h = min(h, T - t)
         if cache is not None:
-            j0 = cache.evals
             cache.begin_global_step(u, t)
-            stats.global_jacobians += cache.evals - j0
         try:
-            u_tent, eta, stages, work = _attempt_step(
+            u_tent, eta, K = _attempt_step(
                 problem, u, t, h, method, cfg, cache)
         except (ConvergenceFailure, NumericalBlowup):
             stats.rejected_global_convergence += 1
@@ -464,8 +475,6 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 raise failure(
                     "step size below h_min after convergence failures")
             continue
-        stats.global_rhs_calls += work.rhs_calls
-        stats.global_jacobians += work.jacobian_evals
         decision, part, eta_s, eta_f = select_partition(eta, phi, cfg.beta)
         if decision == "reject":
             stats.rejected_global_error += 1
@@ -475,10 +484,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             continue
         make_interp = None
         if decision == "go_multirate" or sampler is not None:
-            w4 = WorkCounters()
             make_interp = _make_interpolant(problem, method, cfg, u,
-                                            u_tent, t, h, stages, w4)
-            stats.global_rhs_calls += w4.rhs_calls
+                                            u_tent, t, h, K)
         if decision == "accept":
             u_next = u_tent
             if sampler is not None:
@@ -504,7 +511,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         ts.append(t)
         ys.append(u.copy())
         h = new_step_size(h, eta_s, method.q, cfg)
-    stats.wall_time = time.perf_counter() - start
+    close_stats()
     t_out = y_out = None
     if sampler is not None:
         t_out, y_out = sampler.finish(u)

@@ -29,14 +29,19 @@ import json
 import os
 import sys
 
-import numpy as np
+# One BLAS thread unless the caller sets one, before numpy sizes its pool:
+# the thread count changes results and, on a loaded machine, run time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import bench
 from .adapt import IntegrationFailure, SolverConfig, integrate
 from .interp import DENSE, HERMITE, LINEAR
 from .odecore import NumericalBlowup, OdeProblem
 from .stability import model_2dof, model_4dof, propagator_error, scan_cell
-from .tableaux import get_method, method_names
+from .tableaux import MethodNotFound, get_method, method_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,8 +138,7 @@ def _apply_params(cls, overrides: dict):
         raise UsageError(str(exc)) from exc
 
 
-def make_problem(name: str, overrides: dict,
-                 seed: int | None = None) -> OdeProblem:
+def make_problem(name: str, overrides: dict) -> OdeProblem:
     """Instantiate a registered problem with parameter overrides."""
     overrides = dict(overrides)
     if name == "constant":
@@ -146,8 +150,6 @@ def make_problem(name: str, overrides: dict,
         return bench.make_burgers(
             _apply_params(bench.BurgersParams, overrides))
     if name == "heating":
-        if seed is not None:
-            overrides.setdefault("rng_seed", int(seed))
         return bench.make_heating(
             _apply_params(bench.HeatingParams, overrides))
     raise UsageError(f"unknown problem {name!r}")
@@ -241,8 +243,7 @@ def cmd_solve(args) -> int:
     if args.problem is None:
         raise UsageError("--problem is required (flag or config file)")
     try:
-        problem = make_problem(args.problem, _parse_overrides(args.param),
-                               seed=args.seed)
+        problem = make_problem(args.problem, _parse_overrides(args.param))
     except ValueError as exc:     # e.g. OdeProblem rejects the span
         raise UsageError(str(exc)) from exc
     cfg = _solver_config(args)
@@ -414,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="solution.csv grid spacing (default span/1000)")
     ps.add_argument("--columns", default=None,
                     help="comma list of state indices for solution.csv")
-    ps.add_argument("--seed", type=int, default=None,
-                    help="seed for problems with randomized parameters")
     ps.add_argument("--outdir", default=".")
     ps.set_defaults(func=cmd_solve)
 
@@ -486,8 +485,9 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(parser, argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (UsageError, MethodNotFound) as exc:
+        # A config-file method bypasses argparse's choices check.
+        print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationFailure as exc:
         print(f"integration failed: {exc}", file=sys.stderr)

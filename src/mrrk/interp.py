@@ -2,7 +2,7 @@
 
 Two dual representations are provided.  The data form consumes the
 vectors produced by an actual step (endpoint states, endpoint derivatives,
-or retained stages) and is what the adaptive controller uses.  The
+or stage derivatives) and is what the adaptive controller uses.  The
 operator form produces the matrix Q(tau) acting on u_n for the linear
 problem y' = Ly, which is the building block of the multi-rate
 amplification matrix.  On linear problems the two forms agree to round-off
@@ -99,16 +99,16 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
 
 
 def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
-                 stages=None, h: float | None = None, tau=0.0):
+                 K=None, dense=None, h: float | None = None, tau=0.0):
     """Interpolated state at t_n + tau*h from one step's data.
 
-    ``stages`` is the StageSet of the step (required for ``dense``);
     ``f_n``/``f_next`` are the endpoint derivatives (required for
-    ``hermite``).  ``tau`` may be a scalar or an array; an array yields one
+    ``hermite``); ``K`` holds the step's stage derivatives and ``dense``
+    the method's continuous-output coefficients (both required for
+    ``dense``).  ``tau`` may be a scalar or an array; an array yields one
     row per tau value.
     """
     tau = _check_tau(tau)
-    K = dense = None
     if kind.kind == "hermite":
         if f_n is None or f_next is None or h is None:
             raise ValueError("hermite interpolation requires endpoint "
@@ -116,10 +116,10 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
         f_n = np.asarray(f_n, dtype=float)
         f_next = np.asarray(f_next, dtype=float)
     elif kind.kind == "dense":
-        if stages is None or stages.dense is None:
-            raise ValueError("dense interpolation requires retained stages "
-                             "and continuous-output coefficients")
-        u_n, h, K, dense = stages.u_n, stages.h, stages.K, stages.dense
+        if K is None or dense is None or h is None:
+            raise ValueError("dense interpolation requires the stage "
+                             "derivatives, continuous-output coefficients "
+                             "and the step size")
     interp = slow_interpolant(kind, np.asarray(u_n, dtype=float),
                               np.asarray(u_next, dtype=float), h, f_n,
                               f_next, K, dense)(slice(None))

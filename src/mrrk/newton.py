@@ -23,6 +23,9 @@ A non-finite iteration matrix or a zero pivot raises FactorizationError
 when it is factored (for ``dgtsv``, when it is solved); a non-finite
 solution raises it after every solve.  ``solve_stage`` turns it into a
 ConvergenceFailure.
+
+A `JacobianCache` carries the run's `NewtonConfig` and counts its own
+Jacobian evaluations; RHS calls are counted by the driver's problem.
 """
 
 from __future__ import annotations
@@ -200,10 +203,10 @@ def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
 class JacobianCache:
     """Jacobian plus factorization of I - h a_ii J, with reuse policy.
 
-    ``evals`` counts Jacobian evaluations and ``fd_rhs_calls`` the RHS
-    calls spent on finite differences, so the driver can attribute work
-    correctly.  Without an analytic Jacobian the column coloring and the
-    rows each column reaches are built on the first refresh and kept.
+    ``evals`` counts Jacobian evaluations, finite-difference ones included;
+    the driver reads it as its Jacobian counter when a run ends.  Without
+    an analytic Jacobian the column coloring and the rows each column
+    reaches are built on the first refresh and kept.
 
     ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver),
     the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see the module
@@ -221,7 +224,6 @@ class JacobianCache:
     J: object = None
     age: int = 0
     evals: int = 0
-    fd_rhs_calls: int = 0
     _fac: tuple | None = None
     _fac_key: tuple | None = None
     _band: tuple | None = None
@@ -246,7 +248,6 @@ class JacobianCache:
                 self._groups, self._rows_of_col = structural_coloring(
                     p.dependency, p.N)
             self.J = fd_jacobian(p, y, t, (self._groups, self._rows_of_col))
-            self.fd_rhs_calls += 1 + len(self._groups)
         self.evals += 1
         self.age = 0
         self._fac = None
@@ -290,22 +291,23 @@ class JacobianCache:
 
 
 def solve_stage(problem, t: float, h: float, a_ii: float,
-                base: np.ndarray, cache: JacobianCache, cfg: NewtonConfig):
+                base: np.ndarray, cache: JacobianCache):
     """Solve U = base + h a_ii f(U, t) by line-search modified Newton.
 
-    Starts from ``base`` and returns (U, rhs_calls).  Convergence is
-    measured in the weighted max norm |r_i| / (rel_tol |U_i| + abs_tol)
-    <= 1.  Each Newton direction comes from the cached (frozen) Jacobian;
-    a backtracking line search on the residual 2-norm, down to a damping
-    factor of ``LAM_MIN``, keeps the iteration monotone.  The
-    Jacobian is re-evaluated at the current iterate when the line search
-    has to damp the step or when the weighted residual stalls (reduction
-    factor above 0.9 three times in a row), up to ``MAX_REFRESHES`` times
-    per solve.  The iteration cap, an exhausted line search, or a
-    non-finite evaluation raise ConvergenceFailure.
+    Starts from ``base`` and returns U; the settings are ``cache.config``.
+    Convergence is measured in the weighted max norm |r_i| / (rel_tol |U_i|
+    + abs_tol) <= 1.  Each Newton direction comes from the cached (frozen)
+    Jacobian; a backtracking line search on the residual 2-norm, down to a
+    damping factor of ``LAM_MIN``, keeps the iteration monotone.  The
+    Jacobian is re-evaluated at the current iterate when the line search has
+    to damp the step or when the weighted residual stalls (reduction factor
+    above 0.9 three times in a row), up to ``MAX_REFRESHES`` times per
+    solve.  The iteration cap, an exhausted line search, or a non-finite
+    evaluation raise ConvergenceFailure.
     """
     if a_ii <= 0:
         raise ValueError("solve_stage requires an implicit stage (a_ii > 0)")
+    cfg = cache.config
     h_gamma = h * a_ii
     U = base.copy()
     f = np.empty_like(U)
@@ -322,7 +324,6 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                                          + cfg.abs_tol)))
 
     r = residual(U, f)
-    rhs_calls = 1
     refreshes = 0
     stall_count = 0
     prev_norm = None
@@ -331,7 +332,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         if not np.isfinite(norm):
             raise ConvergenceFailure("non-finite residual during stage solve")
         if norm <= 1.0:
-            return U, rhs_calls
+            return U
         if prev_norm is not None:
             stall_count = stall_count + 1 if norm > 0.9 * prev_norm else 0
             if stall_count >= 3:
@@ -364,10 +365,8 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             try:
                 rt = residual(Ut, ft)
             except ConvergenceFailure:
-                rhs_calls += 1
                 lam *= 0.5
                 continue
-            rhs_calls += 1
             if float(np.linalg.norm(rt)) < (1.0 - 1e-4 * lam) * n0:
                 accepted = True
                 break

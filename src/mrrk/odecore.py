@@ -3,8 +3,8 @@
 An `OdeProblem` bundles the RHS, optional restricted evaluation over an
 index subset, Jacobian access, and structural dependency information.
 `rk_step` runs one explicit or DIRK step and returns the new state, the
-embedded lower-order state (when the method has one), and the retained
-stages for dense output.
+embedded lower-order state (when the method has one), and the stage
+derivatives for dense output.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import newton as newton_mod
-from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
-from .tableaux import ButcherTableau, DenseOutputCoeffs
+from . import newton
+from .newton import ConvergenceFailure, JacobianCache
+from .tableaux import ButcherTableau
 
 __all__ = [
-    "OdeProblem", "StageSet", "WorkCounters", "NumericalBlowup",
-    "rk_step", "error_quotients", "new_step_size", "ConvergenceFailure",
+    "OdeProblem", "NumericalBlowup", "rk_step", "error_quotients",
+    "new_step_size", "ConvergenceFailure",
 ]
 
 
@@ -75,46 +75,15 @@ class OdeProblem:
             object.__setattr__(self, "rhs_restricted", _restricted)
 
 
-@dataclass
-class StageSet:
-    """Stage data of one step: states U^(i), derivatives K^(i).
-
-    ``dense`` holds the method's continuous-output coefficients when it
-    has them, so `interp.interp_value` can evaluate the continuous output
-    directly from the stored stages.
-    """
-
-    u_n: np.ndarray
-    U: np.ndarray
-    K: np.ndarray
-    h: float
-    t_n: float
-    dense: Optional[DenseOutputCoeffs] = None
-
-
-@dataclass
-class WorkCounters:
-    """Work performed by one or more steps."""
-
-    rhs_calls: int = 0
-    jacobian_evals: int = 0
-    newton_iters: int = 0
-
-    def __iadd__(self, other: "WorkCounters"):
-        self.rhs_calls += other.rhs_calls
-        self.jacobian_evals += other.jacobian_evals
-        self.newton_iters += other.newton_iters
-        return self
-
-
 def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
-            method: ButcherTableau, newton: NewtonConfig | None = None,
-            cache: JacobianCache | None = None):
+            method: ButcherTableau, cache: JacobianCache | None = None):
     """One step of the method from (t_n, u_n) with step size h.
 
-    Returns (u_next, u_hat, stages, work); u_hat is None when the method
-    has no embedded pair.  Each implicit stage's Newton iteration starts
-    from the accumulated explicit part.
+    Returns (u_next, u_hat, K): u_hat is None when the method has no
+    embedded pair, and K holds one stage derivative per row.  An implicit
+    method needs a ``cache``, whose ``config`` sets the Newton iteration
+    and whose J is evaluated first if it holds none; each stage's
+    iteration starts from the accumulated explicit part.
 
     Raises ConvergenceFailure when an implicit stage does not converge and
     NumericalBlowup when the state leaves the finite range; in both cases
@@ -123,19 +92,12 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     if h <= 0:
         raise ValueError("step size must be positive")
     A, b, c, s = method.A, method.b, method.c, method.s
-    n = problem.N
-    U = np.empty((s, n))
-    K = np.empty((s, n))
-    work = WorkCounters()
+    K = np.empty((s, problem.N))
     if not method.is_explicit:
-        if newton is None:
-            raise ValueError("implicit method requires a NewtonConfig")
         if cache is None:
-            cache = JacobianCache(problem, newton)
+            raise ValueError("implicit method requires a JacobianCache")
         if cache.J is None:
-            jac0 = cache.evals
             cache.refresh(u_n, t_n)
-            work.jacobian_evals += cache.evals - jac0
     for k in range(s):
         base = u_n.copy()
         for j in range(k):
@@ -143,20 +105,12 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
                 base += (h * A[k, j]) * K[j]
         t_k = t_n + c[k] * h
         if A[k, k] == 0.0:
-            U[k] = base
-            problem.rhs(U[k], t_k, K[k])
-            work.rhs_calls += 1
+            problem.rhs(base, t_k, K[k])
         else:
-            jac0, fd0 = cache.evals, cache.fd_rhs_calls
-            Uk, calls = newton_mod.solve_stage(
-                problem, t_k, h, A[k, k], base, cache, newton)
-            U[k] = Uk
-            work.rhs_calls += calls + (cache.fd_rhs_calls - fd0)
-            work.jacobian_evals += cache.evals - jac0
-            work.newton_iters += calls
+            U = newton.solve_stage(problem, t_k, h, A[k, k], base, cache)
             # Recover K from the stage relation; equal to f(U_k, t_k) up
             # to the Newton residual and free of an extra RHS call.
-            K[k] = (U[k] - base) / (h * A[k, k])
+            K[k] = (U - base) / (h * A[k, k])
         if not np.isfinite(K[k]).all():
             raise NumericalBlowup(f"non-finite derivative at stage {k + 1}")
     u_next = u_n + h * (b @ K)
@@ -165,9 +119,7 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     u_hat = None
     if method.b_hat is not None:
         u_hat = u_n + h * (method.b_hat @ K)
-    stages = StageSet(u_n=u_n.copy(), U=U, K=K, h=h, t_n=t_n,
-                      dense=method.dense)
-    return u_next, u_hat, stages, work
+    return u_next, u_hat, K
 
 
 def error_quotients(u: np.ndarray, u_hat: np.ndarray, rtol: float,

@@ -7,6 +7,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+from dataclasses import replace  # noqa: E402
+
 import numpy as np  # noqa: E402
 import pytest
 
@@ -29,6 +31,25 @@ def make_linear_problem(L, y0=None, t_span=(0.0, 1.0), name="linear"):
         jacobian=lambda y, t: L,
         name=name,
     )
+
+
+def counting_problem(problem):
+    """``problem`` with its RHS and Jacobian callables counting their calls.
+
+    Returns (problem, calls), ``calls`` mapping each of the four callable
+    fields to its call count; fields that are None stay None.
+    """
+    calls = dict.fromkeys(("rhs", "rhs_restricted", "jacobian",
+                           "jacobian_restricted"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+    return replace(problem, **{name: counting(name, getattr(problem, name))
+                               for name in calls
+                               if getattr(problem, name) is not None}), calls
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from mrrk.interp import LINEAR
 from mrrk.odecore import OdeProblem, new_step_size
 from mrrk.tableaux import get_method
 
-from conftest import make_linear_problem
+from conftest import counting_problem, make_linear_problem
 
 
 def stiff_pair_problem(t_span=(0.0, 2.0)):
@@ -40,7 +40,8 @@ def test_solver_config_validation():
                          ("atol", 0.0), ("atol", np.nan), ("atol", np.inf),
                          ("h0", -1.0), ("h0", 0.0), ("h0", np.nan),
                          ("h_min", -1.0), ("h_min", np.nan),
-                         ("newton_max_iters", 0)]:
+                         ("newton_max_iters", 0),
+                         ("jacobian_strategy", "JacC")]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
 
@@ -434,6 +435,33 @@ def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
         for name in ("bench.rhs", "bench.rhs_restricted",
                      "bench.jacobian_restricted"):
             assert calls[name] > 0, (prob.name, name)
+
+
+@pytest.mark.parametrize("mode,max_steps", [
+    ("single", None), ("single", 100), ("multi", None), ("multi", 130)])
+def test_work_counters_equal_problem_calls(mode, max_steps):
+    """The four work counters are the problem's own call counts, failed
+    attempts included, in results and in `IntegrationFailure` alike.
+
+    A 20-stage inverter chain over [0, 7.6] has global convergence
+    rejections in both modes and a fast one in MR; the step budgets stop
+    each run after its rejections."""
+    prob, calls = counting_problem(bench.make_inverter_chain(
+        bench.InverterChainParams(N=20, t_span=(0.0, 7.6))))
+    cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode=mode, phi=0.1)
+    if max_steps is None:
+        stats = integrate(prob, get_method("esdirk3"), cfg).stats
+    else:
+        with pytest.raises(IntegrationFailure, match="budget") as info:
+            integrate(prob, get_method("esdirk3"),
+                      replace(cfg, max_steps=max_steps))
+        stats = info.value.stats
+    assert stats.rejected_global_convergence > 0
+    assert (stats.rejected_fast_convergence > 0) == (mode == "multi")
+    assert (stats.global_rhs_calls, stats.global_jacobians,
+            stats.local_rhs_calls, stats.local_jacobians) == (
+        calls["rhs"], calls["jacobian"], calls["rhs_restricted"],
+        calls["jacobian_restricted"])
 
 
 def test_integrate_dispatches_on_mode():

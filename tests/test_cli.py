@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +161,9 @@ def test_stability_usage_errors(tmp_path):
     ["--rtol", "0", "--atol", "0"],
     ["--rtol", "-1"],
     ["--h-min", "-1"],
+    ["--safety-min", "1.5"],
+    ["--safety-max", "0.9"],
+    ["--safety-min", "0.8", "--safety-max", "0.95"],
 ], ids=lambda f: " ".join(f))
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
     rc = main(["solve", "--problem", "constant", "--method", "erk4",
@@ -166,6 +171,83 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_solve_controller_and_jacobian_flags(tmp_path):
+    """--safety, --safety-min, --safety-max and --jacobian-strategy reach
+    the run: each moves the counters the way its setting implies."""
+    base = ["solve", "--problem", "inverter", "--param", "N=20",
+            "--param", "t_span=[0.0, 6.5]", "--method", "esdirk3",
+            "--rtol", "1e-4", "--atol", "1e-4", "--output-dt", "0.5"]
+
+    def stats(*flags):
+        out = tmp_path / ("run" + "".join(flags))
+        assert main(base + list(flags) + ["--outdir", str(out)]) == 0
+        return json.loads((out / "stats.json").read_text())
+
+    ref = stats()
+    # A smaller safety factor or step growth cap takes more, smaller steps.
+    assert stats("--safety", "0.5")["accepted_global"] > ref["accepted_global"]
+    assert (stats("--safety-max", "1.05")["accepted_global"]
+            > ref["accepted_global"])
+    # A milder cut after a rejection is rejected again more often.
+    assert (stats("--safety-min", "0.9")["rejected_global_error"]
+            > ref["rejected_global_error"])
+    # JacA reuses J across global steps; JacB evaluates it at every one.
+    assert (stats("--jacobian-strategy", "JacA")["global_jacobians"]
+            < ref["global_jacobians"] / 2)
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "jacobian_strategy", "JacC"),
+    ("solve", "method", "nope"),
+    ("stability", "method", "nope"),
+    ("accuracy", "method", "nope"),
+])
+def test_config_file_values_outside_choices(tmp_path, capsys, command, key,
+                                            value):
+    """argparse checks ``choices`` only on the command line, so a config
+    file's value is checked by the solver settings or the method lookup."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    args = {"solve": ["--problem", "constant"],
+            "stability": ["--model", "2dof", "--alpha", "10", "--kappa",
+                          "0.1", "--M", "2"],
+            "accuracy": ["--C", "0.01"]}[command]
+    rc = main(["--config", str(path), command, *args,
+               "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert (key if key == "jacobian_strategy" else value) in err
+
+
+@pytest.mark.parametrize("env,expected", [
+    ({}, ["1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, ["2", "3"]),
+], ids=["default", "explicit"])
+def test_cli_pins_blas_threads_unless_set(env, expected):
+    """Importing the CLI sets one BLAS thread before numpy is first
+    imported; an explicit setting wins."""
+    probe = (
+        "import builtins, json, os, sys\n"
+        "seen = []\n"
+        "real = builtins.__import__\n"
+        "def spy(name, *a, **k):\n"
+        "    if name == 'numpy' and 'numpy' not in sys.modules:\n"
+        "        seen.append([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                     os.environ.get('OMP_NUM_THREADS')])\n"
+        "    return real(name, *a, **k)\n"
+        "builtins.__import__ = spy\n"
+        "import mrrk.cli\n"
+        "print(json.dumps(seen))\n")
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child_env.update(env)
+    child_env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [expected]
 
 
 def test_accuracy_sweep(tmp_path):

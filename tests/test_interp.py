@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mrrk.adapt import SolverConfig, _make_interpolant
 from mrrk.interp import DENSE, HERMITE, LINEAR, InterpolatorKind, interp_operator, interp_value
-from mrrk.odecore import OdeProblem, WorkCounters, rk_step
+from mrrk.newton import JacobianCache, NewtonConfig
+from mrrk.odecore import OdeProblem, rk_step
 from mrrk.tableaux import get_method
 
 from _oracles import interp_Q, random_stable_matrix, single_rate_R
@@ -111,21 +112,19 @@ def test_duality_data_vs_operator(seed, tau, name):
     u0 = rng.normal(size=3)
     m = get_method(name)
     prob = linear_problem(L)
-    from mrrk.newton import NewtonConfig
-    newton = None if m.is_explicit else NewtonConfig(max_iters=50,
-                                                    rel_tol=1e-14,
-                                                    abs_tol=1e-14)
-    u1, _, stages, _ = rk_step(prob, u0, 0.0, h, m, newton=newton)
+    cache = None if m.is_explicit else JacobianCache(
+        prob, NewtonConfig(max_iters=50, rel_tol=1e-14, abs_tol=1e-14))
+    u1, _, K = rk_step(prob, u0, 0.0, h, m, cache)
     f0, f1 = L @ u0, L @ u1
     cols = np.array([0, 2])
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
-                     (DENSE, dict(stages=stages))):
+                     (DENSE, dict(K=K, dense=m.dense, h=h))):
         v = interp_value(kind, u0, u1, tau=tau, **kw)
         Q = interp_operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
         make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
-                                 0.0, h, stages, WorkCounters())
+                                 0.0, h, K)
         if kind is DENSE:
             np.testing.assert_allclose(make(cols)(tau), v[cols],
                                        rtol=0, atol=1e-14)

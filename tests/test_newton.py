@@ -10,7 +10,7 @@ from mrrk.newton import (ConvergenceFailure, FactorizationError,
                          solve_stage, structural_coloring)
 from mrrk.odecore import OdeProblem
 
-from conftest import make_linear_problem
+from conftest import counting_problem, make_linear_problem
 
 
 def tridiag_problem(n, lo=0.3, mid=-2.0, hi=0.4):
@@ -293,11 +293,12 @@ def test_solve_stage_linear_exact():
     cache.refresh(np.ones(6), 0.0)
     base = np.linspace(0.5, 1.5, 6)
     h, a_ii = 0.2, 0.3
-    U, rhs_calls = solve_stage(prob, 0.0, h, a_ii, base, cache, cfg)
+    prob, calls = counting_problem(prob)
+    U = solve_stage(prob, 0.0, h, a_ii, base, cache)
     U_ref = np.linalg.solve(np.eye(6) - h * a_ii * L, base)
     np.testing.assert_allclose(U, U_ref, atol=1e-11)
     assert cache.evals == 1                 # no refresh inside the solve
-    assert rhs_calls <= 3
+    assert calls["rhs"] <= 3
 
 
 def test_solve_stage_nonlinear_scalar():
@@ -311,7 +312,7 @@ def test_solve_stage_nonlinear_scalar():
     cache.refresh(np.ones(1), 0.0)
     base = np.array([1.0])
     h, a_ii = 0.5, 0.25
-    U, _ = solve_stage(prob, 0.0, h, a_ii, base, cache, cfg)
+    U = solve_stage(prob, 0.0, h, a_ii, base, cache)
     # Root of U = 1 - h a_ii U^3.
     assert U[0] + h * a_ii * U[0] ** 3 == pytest.approx(1.0, abs=1e-10)
 
@@ -327,15 +328,14 @@ def test_solve_stage_iteration_cap(monkeypatch):
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.zeros(1), 0.0)
     with pytest.raises(ConvergenceFailure):
-        solve_stage(prob, 0.0, 1.0, 0.5, np.zeros(1), cache, cfg)
+        solve_stage(prob, 0.0, 1.0, 0.5, np.zeros(1), cache)
 
 
 def test_solve_stage_rejects_explicit_stage():
     prob, _ = tridiag_problem(2)
-    cfg = NewtonConfig()
     with pytest.raises(ValueError):
         solve_stage(prob, 0.0, 0.1, 0.0, np.ones(2),
-                    JacobianCache(prob, cfg), cfg)
+                    JacobianCache(prob, NewtonConfig()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -349,6 +349,6 @@ def test_solve_stage_linear_property(seed, hg):
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(4), 0.0)
     base = rng.normal(size=4)
-    U, _ = solve_stage(prob, 0.0, hg, 1.0, base, cache, cfg)
+    U = solve_stage(prob, 0.0, hg, 1.0, base, cache)
     np.testing.assert_allclose(U, np.linalg.solve(np.eye(4) - hg * L, base),
                                atol=1e-10)

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from mrrk.adapt import SolverConfig
 from mrrk.interp import DENSE, interp_value
-from mrrk.newton import ConvergenceFailure, NewtonConfig
+from mrrk.newton import ConvergenceFailure, JacobianCache, NewtonConfig
 from mrrk.odecore import (NumericalBlowup, OdeProblem, error_quotients,
                           new_step_size, rk_step)
 from mrrk.tableaux import get_method
 
 from _oracles import random_stable_matrix, single_rate_R, stage_ops
-from conftest import make_linear_problem
+from conftest import counting_problem, make_linear_problem
 
 ALL = ["erk4", "erk4-owren", "esdirk3", "esdirk4"]
 
@@ -56,10 +56,10 @@ def test_rk_step_linear_matches_operator(name, tight_newton):
         L = random_stable_matrix(rng, 4)
         u0 = rng.normal(size=4)
         h = rng.uniform(0.05, 0.5)
-        prob = make_linear_problem(L)
-        u1, u_hat, stages, work = rk_step(
+        prob, calls = counting_problem(make_linear_problem(L))
+        u1, u_hat, K = rk_step(
             prob, u0, 0.0, h, m,
-            newton=None if m.is_explicit else tight_newton)
+            None if m.is_explicit else JacobianCache(prob, tight_newton))
         np.testing.assert_allclose(u1, single_rate_R(L, h, m) @ u0,
                                    atol=1e-10)
         if m.b_hat is not None:
@@ -69,8 +69,8 @@ def test_rk_step_linear_matches_operator(name, tight_newton):
             np.testing.assert_allclose(u_hat, emb @ u0, atol=1e-10)
         else:
             assert u_hat is None
-        assert work.rhs_calls > 0
-        assert stages.K.shape == (m.s, 4)
+        assert calls["rhs"] > 0
+        assert K.shape == (m.s, 4)
 
 
 def test_rk_step_rejects_nonpositive_h():
@@ -102,7 +102,7 @@ def test_convergence_failure_surfaces(tight_newton):
     cfg = NewtonConfig(max_iters=5, rel_tol=1e-12, abs_tol=1e-12)
     with pytest.raises((ConvergenceFailure, NumericalBlowup)):
         rk_step(prob, np.zeros(1), 0.0, 10.0, get_method("esdirk4"),
-                newton=cfg)
+                JacobianCache(prob, cfg))
 
 
 def test_dense_eval_domain_and_endpoints(tight_newton):
@@ -110,10 +110,12 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     L = np.array([[-1.0, 0.3], [0.1, -0.5]])
     prob = make_linear_problem(L)
     u0 = np.array([1.0, -0.5])
-    u1, _, stages, _ = rk_step(prob, u0, 0.0, 0.2, m, newton=tight_newton)
+    u1, _, K = rk_step(prob, u0, 0.0, 0.2, m,
+                       JacobianCache(prob, tight_newton))
 
     def dense_eval(tau):
-        return interp_value(DENSE, stages.u_n, None, stages=stages, tau=tau)
+        return interp_value(DENSE, u0, None, K=K, dense=m.dense, h=0.2,
+                            tau=tau)
     np.testing.assert_allclose(dense_eval(0.0), u0,
                                atol=1e-14)
     np.testing.assert_allclose(dense_eval(1.0), u1,
@@ -129,9 +131,10 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
 def test_stageset_without_dense_raises():
     m = get_method("erk4")
     prob = make_linear_problem(-np.eye(2))
-    _, _, stages, _ = rk_step(prob, np.ones(2), 0.0, 0.1, m)
+    _, _, K = rk_step(prob, np.ones(2), 0.0, 0.1, m)
     with pytest.raises(ValueError):
-        interp_value(DENSE, stages.u_n, None, stages=stages, tau=0.5)
+        interp_value(DENSE, np.ones(2), None, K=K, dense=m.dense, h=0.1,
+                     tau=0.5)
 
 
 def test_error_quotients_formula():
@@ -181,8 +184,9 @@ def test_local_order_on_scalar_problem(name, expected_p, tight_newton):
     errs = []
     hs = [0.1, 0.05, 0.025]
     for h in hs:
-        u1, _, _, _ = rk_step(prob, u0, 0.0, h, m,
-                              newton=None if m.is_explicit else tight_newton)
+        u1, _, _ = rk_step(
+            prob, u0, 0.0, h, m,
+            None if m.is_explicit else JacobianCache(prob, tight_newton))
         errs.append(abs(u1[0] - np.exp(-h)))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope == pytest.approx(expected_p + 1, abs=0.35)
