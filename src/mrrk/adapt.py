@@ -76,18 +76,32 @@ class SolverConfig:
             raise ValueError("h0 must be finite and positive")
         if not (math.isfinite(self.h_min) and self.h_min >= 0):
             raise ValueError("h_min must be finite and nonnegative")
-        if self.newton_max_iters < 1:
-            raise ValueError("newton_max_iters must be at least 1")
+        if not (isinstance(self.newton_max_iters, (int, np.integer))
+                and self.newton_max_iters >= 1):
+            raise ValueError("newton_max_iters must be an integer >= 1")
+        if not isinstance(self.max_steps, (int, np.integer)):
+            raise ValueError("max_steps must be an integer")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
         if not 0 < self.alpha_min < 1 < self.alpha_max:
             raise ValueError("require 0 < alpha_min < 1 < alpha_max")
         if not 0 < self.phi < 1:
             raise ValueError("phi must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive")
         if self.mode not in ("single", "multi"):
             raise ValueError("mode must be 'single' or 'multi'")
         if self.jacobian_strategy not in ("JacA", "JacB"):
             raise ValueError("jacobian_strategy must be 'JacA' or 'JacB'")
+        if self.t_eval is not None:
+            t = np.asarray(self.t_eval, dtype=float)
+            # A non-decreasing grid holds no NaN and lies between its ends,
+            # so two finite ends make it finite.
+            if t.ndim != 1 or (t.size and not (
+                    math.isfinite(t[0]) and math.isfinite(t[-1])
+                    and (t[1:] >= t[:-1]).all())):
+                raise ValueError(
+                    "t_eval must be a finite, non-decreasing 1-D array")
 
     def newton_config(self) -> NewtonConfig:
         return NewtonConfig(max_iters=self.newton_max_iters,

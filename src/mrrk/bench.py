@@ -290,6 +290,10 @@ class HeatingParams:
     t_span: tuple = (0.0, 172800.0)
     step_width: float = 1.0          # seconds; set-point transition width
 
+    def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("need at least one unit")
+
     @property
     def Q_max(self) -> float:
         return 0.7 * self.N * self.G_hn * (self.T_s0 - self.T_h)

@@ -12,9 +12,14 @@ Three subcommands write CSV/JSON artifacts into an output directory:
 ``accuracy``   sweeps C for a fixed linear model and emits errors.csv
                comparing single-rate and multi-rate propagator errors.
 
-Options may come from flags or from a JSON config file (``--config``);
-flags override file values.  All numeric CSV fields use 17 significant
-digits so values round-trip exactly.
+Options may come from flags or from a JSON config file (``--config``).
+Each key of the file becomes a flag of the chosen subcommand, inserted
+before the command line's own flags: ``{"output_dt": 0.5}`` is
+``--output-dt=0.5`` (strings go in as they are, other values as JSON),
+``param`` may be one ``NAME=VALUE`` string or a list of them, and
+``null`` leaves an option at its default.  So file values are checked
+exactly as flags are, and a flag overrides the file.  All numeric CSV
+fields use 17 significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 2 usage error, 3 integration failure, 4 numeric
 error.
@@ -41,7 +46,7 @@ from .adapt import IntegrationFailure, SolverConfig, integrate
 from .interp import DENSE, HERMITE, LINEAR
 from .odecore import NumericalBlowup, OdeProblem
 from .stability import model_2dof, model_4dof, propagator_error, scan_cell
-from .tableaux import MethodNotFound, get_method, method_names
+from .tableaux import get_method, method_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,7 +57,14 @@ _INTERPS = {"linear": LINEAR, "hermite": HERMITE, "dense": DENSE}
 
 
 class UsageError(Exception):
-    """Invalid combination of options detected after parsing."""
+    """Invalid command line, config file or option combination."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, not SystemExit."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(x) -> str:
@@ -88,108 +100,99 @@ def _write_csv(path, header, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def _parse_value(text: str):
-    """Parse an override value: JSON literal, else plain string."""
+def _override(text: str) -> tuple[str, object]:
+    """Type of ``--param``: NAME=VALUE, the value a JSON literal or else a
+    plain string."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
     try:
-        return json.loads(text)
+        return name, json.loads(value)
     except json.JSONDecodeError:
-        return text
+        return name, value
 
 
-def _parse_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"override must be name=value, got {pair!r}")
-        key, _, val = pair.partition("=")
-        out[key] = _parse_value(val)
-    return out
+def _floats(text: str) -> list[float]:
+    """Type of a comma-list option: a nonempty list of numbers."""
+    try:
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        vals = []
+    if not vals:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}")
+    return vals
 
 
-def _make_constant(overrides: dict) -> OdeProblem:
-    """Stub problem y' = 0 for plumbing tests."""
-    n = int(overrides.pop("N", 4))
-    t_span = tuple(overrides.pop("t_span", (0.0, 1.0)))
-    if overrides:
-        raise UsageError(f"unknown constant-problem overrides: {overrides}")
+def _ints(text: str) -> list[int]:
+    """Type of a comma-list option: a nonempty list of integers."""
+    vals = _floats(text)
+    if not all(v.is_integer() for v in vals):
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}")
+    return [int(v) for v in vals]
 
+
+@dataclasses.dataclass(frozen=True)
+class ConstantParams:
+    """Stub problem y' = 0, y(t0) = (0, 1, ..., N-1), for plumbing tests."""
+
+    N: int = 4
+    t_span: tuple = (0.0, 1.0)
+
+
+def _make_constant(p: ConstantParams) -> OdeProblem:
     def rhs(y, t, out):
         out[:] = 0.0
 
-    return OdeProblem(N=n, rhs=rhs, t_span=t_span,
-                      y0=np.arange(n, dtype=float),
+    return OdeProblem(N=p.N, rhs=rhs, t_span=p.t_span,
+                      y0=np.arange(p.N, dtype=float),
                       dependency=lambda i: (), name="constant")
 
 
-def _apply_params(cls, overrides: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(overrides) - fields
-    if unknown:
-        raise UsageError(
-            f"unknown {cls.__name__} overrides: {sorted(unknown)}")
-    if "t_span" in overrides:
-        overrides["t_span"] = tuple(overrides["t_span"])
-    if "breakpoints" in overrides:
-        overrides["breakpoints"] = tuple(
-            tuple(bp) for bp in overrides["breakpoints"])
-    try:
-        return cls(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+# name -> (parameter dataclass, factory taking an instance of it)
+_PROBLEMS = {
+    "constant": (ConstantParams, _make_constant),
+    "inverter": (bench.InverterChainParams, bench.make_inverter_chain),
+    "burgers": (bench.BurgersParams, bench.make_burgers),
+    "heating": (bench.HeatingParams, bench.make_heating),
+}
 
 
 def make_problem(name: str, overrides: dict) -> OdeProblem:
     """Instantiate a registered problem with parameter overrides."""
+    cls, factory = _PROBLEMS[name]
+    unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise UsageError(
+            f"unknown {cls.__name__} overrides: {sorted(unknown)}")
     overrides = dict(overrides)
-    if name == "constant":
-        return _make_constant(overrides)
-    if name == "inverter":
-        return bench.make_inverter_chain(
-            _apply_params(bench.InverterChainParams, overrides))
-    if name == "burgers":
-        return bench.make_burgers(
-            _apply_params(bench.BurgersParams, overrides))
-    if name == "heating":
-        return bench.make_heating(
-            _apply_params(bench.HeatingParams, overrides))
-    raise UsageError(f"unknown problem {name!r}")
-
-
-def _csv_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}") from exc
-
-
-def _csv_ints(text: str) -> list[int]:
-    vals = _csv_floats(text)
-    out = [int(v) for v in vals]
-    if any(i != v for i, v in zip(out, vals)):
-        raise UsageError(f"expected integers, got {text!r}")
-    return out
+        if "t_span" in overrides:
+            overrides["t_span"] = tuple(overrides["t_span"])
+        if "breakpoints" in overrides:
+            overrides["breakpoints"] = tuple(
+                tuple(bp) for bp in overrides["breakpoints"])
+        return factory(cls(**overrides))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def _solver_config(args) -> SolverConfig:
-    kind = None
-    if args.interp is not None:
-        if args.interp not in _INTERPS:
-            raise UsageError(f"unknown interpolator {args.interp!r}")
-        kind = _INTERPS[args.interp]
+def _solver_config(args, t_eval: np.ndarray) -> SolverConfig:
     try:
         return SolverConfig(
             rtol=args.rtol, atol=args.atol, alpha=args.safety,
             alpha_min=args.safety_min, alpha_max=args.safety_max,
             beta=args.beta, phi=args.phi, h0=args.h0, h_min=args.h_min,
-            mode=args.mode, interp=kind,
+            mode=args.mode, interp=_INTERPS.get(args.interp),
             jacobian_strategy=args.jacobian_strategy,
-            newton_max_iters=args.newton_max_iters,
+            newton_max_iters=args.newton_max_iters, t_eval=t_eval,
             max_steps=args.max_steps)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -197,7 +200,7 @@ def _output_grid(problem: OdeProblem, dt: float | None) -> np.ndarray:
     t0, t1 = problem.t_span
     if dt is None:
         dt = (t1 - t0) / 1000.0
-    if dt <= 0:
+    if not dt > 0:
         raise UsageError("output grid spacing must be positive")
     n = int(np.floor((t1 - t0) / dt + 1e-9))
     grid = t0 + dt * np.arange(n + 1)
@@ -211,11 +214,10 @@ def _output_grid(problem: OdeProblem, dt: float | None) -> np.ndarray:
 def _select_columns(args, n_state: int) -> list[int]:
     if args.columns is None:
         return list(range(n_state))
-    cols = _csv_ints(args.columns)
-    for c in cols:
+    for c in args.columns:
         if not 0 <= c < n_state:
             raise UsageError(f"column {c} outside 0..{n_state - 1}")
-    return cols
+    return args.columns
 
 
 def _stats_dict(stats, failed=False, message=None) -> dict:
@@ -240,15 +242,8 @@ def _write_activity(path, records):
 
 
 def cmd_solve(args) -> int:
-    if args.problem is None:
-        raise UsageError("--problem is required (flag or config file)")
-    try:
-        problem = make_problem(args.problem, _parse_overrides(args.param))
-    except ValueError as exc:     # e.g. OdeProblem rejects the span
-        raise UsageError(str(exc)) from exc
-    cfg = _solver_config(args)
-    grid = _output_grid(problem, args.output_dt)
-    cfg = dataclasses.replace(cfg, t_eval=grid)
+    problem = make_problem(args.problem, dict(args.param or ()))
+    cfg = _solver_config(args, _output_grid(problem, args.output_dt))
     method = get_method(args.method)
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
@@ -286,36 +281,23 @@ def cmd_solve(args) -> int:
 def _make_model(args, kappa: float):
     if args.model == "2dof":
         return model_2dof(alpha=args.alpha, kappa=kappa)
-    if args.model == "4dof":
-        return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
-                          alpha_ratio=args.alpha, beta_ratio=args.model_beta,
-                          kappa=kappa)
-    raise UsageError(f"unknown model {args.model!r}")
+    return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
+                      alpha_ratio=args.alpha, beta_ratio=args.model_beta,
+                      kappa=kappa)
 
 
 def cmd_stability(args) -> int:
-    for name in ("model", "alpha", "kappa", "M"):
-        if getattr(args, name) is None:
-            raise UsageError(f"--{name} is required (flag or config file)")
-    kappas = _csv_floats(args.kappa)
-    Ms = _csv_ints(args.M)
-    if not Ms:
-        raise UsageError("M list must be nonempty")
-    if not kappas:
-        raise UsageError("kappa list must be nonempty")
-    if args.interp not in _INTERPS:
-        raise UsageError(f"unknown interpolator {args.interp!r}")
     kind = _INTERPS[args.interp]
     method = get_method(args.method)
     try:
-        models = [_make_model(args, k) for k in kappas]
+        models = [_make_model(args, k) for k in args.kappa]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     all_rows = []
     table = {}
     for ik, model in enumerate(models):
-        for M in Ms:
+        for M in args.M:
             rows, table[(ik, M)] = scan_cell(model, method, kind, M,
                                              C_max=args.c_max)
             all_rows.extend(rows)
@@ -326,9 +308,9 @@ def cmd_stability(args) -> int:
     _write_csv(os.path.join(args.outdir, "scan.csv"), scan_header,
                ([r[c] for c in scan_header] for r in all_rows))
     _write_csv(os.path.join(args.outdir, "table.csv"),
-               ["kappa"] + [f"M={M}" for M in Ms],
-               ([_fmt(kappas[ik])] + [table[(ik, M)] for M in Ms]
-                for ik in range(len(kappas))))
+               ["kappa"] + [f"M={M}" for M in args.M],
+               ([_fmt(kappa)] + [table[(ik, M)] for M in args.M]
+                for ik, kappa in enumerate(args.kappa)))
     print(f"wrote scan.csv, table.csv to {args.outdir}")
     return EXIT_OK
 
@@ -338,20 +320,13 @@ def cmd_stability(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    if args.C is None:
-        raise UsageError("--C is required (flag or config file)")
-    Cs = _csv_floats(args.C)
-    if not Cs:
-        raise UsageError("C list must be nonempty")
-    if args.interp not in _INTERPS:
-        raise UsageError(f"unknown interpolator {args.interp!r}")
     kind = _INTERPS[args.interp]
     method = get_method(args.method)
     model = model_4dof(omega1=args.omega1, gamma1=args.gamma1,
                        alpha_ratio=args.alpha, beta_ratio=args.model_beta,
                        kappa=args.kappa)
     rows = []
-    for C in Cs:
+    for C in args.C:
         h_s = C / model.Lam
         t_final = args.steps * h_s
         sr = propagator_error(model, method, kind, "single", args.M, C,
@@ -391,19 +366,19 @@ def _add_solver_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mrrk",
+    parser = _Parser(
+        prog="mrrk", allow_abbrev=False,
         description="Multi-rate Runge-Kutta toolkit: solve benchmark "
                     "problems, scan linear stability, sweep accuracy.")
     parser.add_argument("--config", default=None,
-                        help="JSON file with option defaults "
+                        help="JSON file of the subcommand's options "
                              "(flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="integrate a benchmark problem")
-    ps.add_argument("--problem", default=None,
-                    choices=("inverter", "burgers", "heating", "constant"))
-    ps.add_argument("--param", action="append", metavar="NAME=VALUE",
+    ps.add_argument("--problem", required=True, choices=list(_PROBLEMS))
+    ps.add_argument("--param", action="append", type=_override,
+                    metavar="NAME=VALUE",
                     help="problem parameter override (JSON value)")
     ps.add_argument("--method", default="esdirk3", choices=method_names())
     ps.add_argument("--mode", choices=("single", "multi"), default="single")
@@ -413,20 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(ps)
     ps.add_argument("--output-dt", type=float, default=None,
                     help="solution.csv grid spacing (default span/1000)")
-    ps.add_argument("--columns", default=None,
+    ps.add_argument("--columns", type=_ints, default=None,
                     help="comma list of state indices for solution.csv")
     ps.add_argument("--outdir", default=".")
     ps.set_defaults(func=cmd_solve)
 
     pt = sub.add_parser("stability", help="multi-rate stability scan")
-    pt.add_argument("--model", default=None, choices=("2dof", "4dof"))
+    pt.add_argument("--model", required=True, choices=("2dof", "4dof"))
     pt.add_argument("--method", default="erk4", choices=method_names())
-    pt.add_argument("--interp", default="hermite")
-    pt.add_argument("--alpha", type=float, default=None,
+    pt.add_argument("--interp", choices=sorted(_INTERPS), default="hermite")
+    pt.add_argument("--alpha", type=float, required=True,
                     help="fast/slow time-scale ratio")
-    pt.add_argument("--kappa", default=None,
+    pt.add_argument("--kappa", type=_floats, required=True,
                     help="comma list of coupling strengths")
-    pt.add_argument("--M", default=None,
+    pt.add_argument("--M", type=_ints, required=True,
                     help="comma list of fast/slow step-size ratios")
     pt.add_argument("--gamma1", type=float, default=0.01)
     pt.add_argument("--omega1", type=float, default=1.0)
@@ -440,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("accuracy",
                         help="single- vs multi-rate propagator error sweep")
     pa.add_argument("--method", default="erk4", choices=method_names())
-    pa.add_argument("--interp", default="hermite")
-    pa.add_argument("--C", default=None,
+    pa.add_argument("--interp", choices=sorted(_INTERPS), default="hermite")
+    pa.add_argument("--C", type=_floats, required=True,
                     help="comma list of normalized step sizes")
     pa.add_argument("--M", type=int, default=10)
     pa.add_argument("--steps", type=int, default=10,
@@ -456,37 +431,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(parser, argv):
-    """Parse argv with a JSON config file supplying defaults."""
-    pre, _ = parser.parse_known_args(argv)
-    if pre.config is not None:
-        try:
-            with open(pre.config) as fh:
-                values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {pre.config}: {exc}")
-        if not isinstance(values, dict):
-            raise UsageError("config file must hold a JSON object")
-        known = {a.dest for a in parser._actions}
-        for p in parser._subparsers._group_actions[0].choices.values():
-            known |= {a.dest for a in p._actions}
-        unknown = set(values) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        parser.set_defaults(**values)
-        for p in parser._subparsers._group_actions[0].choices.values():
-            p.set_defaults(**{k: v for k, v in values.items()
-                              if k in {a.dest for a in p._actions}})
-    return parser.parse_args(argv)
+def _config_flags(path: str) -> list[str]:
+    """The JSON config file's values as ``--key-name=value`` flags."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise UsageError("config file must hold a JSON object")
+    flags = []
+    for key, value in values.items():
+        if not (key == "param" and isinstance(value, list)):
+            value = [value]         # only --param repeats
+        flags += [f"--{key.replace('_', '-')}="
+                  + (v if isinstance(v, str) else json.dumps(v))
+                  for v in value if v is not None]
+    return flags
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
     try:
-        args = _merge_config(parser, argv)
+        known, rest = pre.parse_known_args(argv)
+        if known.config is not None:
+            # After the subcommand and before the user's flags, which win.
+            rest[1:1] = _config_flags(known.config)
+        args = build_parser().parse_args(rest)
         return args.func(args)
-    except (UsageError, MethodNotFound) as exc:
-        # A config-file method bypasses argparse's choices check.
+    except UsageError as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except IntegrationFailure as exc:

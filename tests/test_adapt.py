@@ -41,9 +41,18 @@ def test_solver_config_validation():
                          ("h0", -1.0), ("h0", 0.0), ("h0", np.nan),
                          ("h_min", -1.0), ("h_min", np.nan),
                          ("newton_max_iters", 0),
-                         ("jacobian_strategy", "JacC")]:
+                         ("jacobian_strategy", "JacC"),
+                         ("alpha", np.nan), ("alpha", -1.0), ("alpha", 0.0),
+                         ("beta", np.inf), ("beta", np.nan),
+                         ("newton_max_iters", 2.5), ("max_steps", 1.5),
+                         ("t_eval", np.array([1.0, 0.0])),
+                         ("t_eval", np.array([0.0, np.nan])),
+                         ("t_eval", np.zeros((2, 2)))]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+    # Fast sub-runs pass the (possibly empty) slice of the output grid.
+    SolverConfig(t_eval=np.array([]))
+    SolverConfig(t_eval=np.array([0.0, 0.5, 0.5, 1.0]))
 
 
 def test_newton_config_derived_from_step_tolerances():

@@ -212,6 +212,11 @@ def test_external_temperature_peak_at_14h():
     assert external_temperature(2 * 3600.0) == pytest.approx(270.15)
 
 
+def test_heating_params_validation():
+    with pytest.raises(ValueError, match="at least one unit"):
+        HeatingParams(N=0)
+
+
 def test_heating_schedule_seeded_and_in_range():
     p = HeatingParams()
     up1, down1 = heating_schedule(p)

@@ -164,6 +164,8 @@ def test_stability_usage_errors(tmp_path):
     ["--safety-min", "1.5"],
     ["--safety-max", "0.9"],
     ["--safety-min", "0.8", "--safety-max", "0.95"],
+    ["--safety", "0"],
+    ["--beta", "inf"],
 ], ids=lambda f: " ".join(f))
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
     rc = main(["solve", "--problem", "constant", "--method", "erk4",
@@ -174,15 +176,15 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
 
 
 def test_solve_controller_and_jacobian_flags(tmp_path):
-    """--safety, --safety-min, --safety-max and --jacobian-strategy reach
-    the run: each moves the counters the way its setting implies."""
+    """Every solver flag reaches the run: each moves the counters the way
+    its setting implies."""
     base = ["solve", "--problem", "inverter", "--param", "N=20",
             "--param", "t_span=[0.0, 6.5]", "--method", "esdirk3",
             "--rtol", "1e-4", "--atol", "1e-4", "--output-dt", "0.5"]
 
-    def stats(*flags):
+    def stats(*flags, rc=0):
         out = tmp_path / ("run" + "".join(flags))
-        assert main(base + list(flags) + ["--outdir", str(out)]) == 0
+        assert main(base + list(flags) + ["--outdir", str(out)]) == rc
         return json.loads((out / "stats.json").read_text())
 
     ref = stats()
@@ -197,6 +199,26 @@ def test_solve_controller_and_jacobian_flags(tmp_path):
     assert (stats("--jacobian-strategy", "JacA")["global_jacobians"]
             < ref["global_jacobians"] / 2)
 
+    multi = ("--mode", "multi")
+    mref = stats(*multi)
+    # A smaller fast cap re-integrates fewer components.
+    assert (stats(*multi, "--phi", "0.05")["local_rhs_calls"]
+            < mref["local_rhs_calls"])
+    # A looser acceptance threshold rejects fewer fast steps.
+    assert (stats(*multi, "--beta", "2.0")["rejected_fast_error"]
+            < mref["rejected_fast_error"])
+    # Hermite slow values evaluate the endpoint derivatives.
+    assert (stats(*multi, "--interp", "hermite")["global_rhs_calls"]
+            > mref["global_rhs_calls"])
+    # A tiny first step takes more global steps to grow.
+    assert (stats(*multi, "--h0", "1e-6")["accepted_global"]
+            > mref["accepted_global"])
+    # Two Newton iterations are too few for many stages.
+    assert (stats(*multi, "--newton-max-iters", "2")
+            ["rejected_global_convergence"]
+            > mref["rejected_global_convergence"])
+    assert stats(*multi, "--h-min", "0.1", rc=3)["failed"] is True
+
 
 @pytest.mark.parametrize("command,key,value", [
     ("solve", "jacobian_strategy", "JacC"),
@@ -206,8 +228,8 @@ def test_solve_controller_and_jacobian_flags(tmp_path):
 ])
 def test_config_file_values_outside_choices(tmp_path, capsys, command, key,
                                             value):
-    """argparse checks ``choices`` only on the command line, so a config
-    file's value is checked by the solver settings or the method lookup."""
+    """A config file's value goes through the flag's ``choices`` check, so
+    argparse names the flag and the rejected value."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     args = {"solve": ["--problem", "constant"],
@@ -219,7 +241,71 @@ def test_config_file_values_outside_choices(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("usage error:") and "Traceback" not in err
-    assert (key if key == "jacobian_strategy" else value) in err
+    assert "--" + key.replace("_", "-") in err and value in err
+
+
+_STAB = ["stability", "--model", "2dof", "--alpha", "10", "--c-max", "10"]
+_SOLVE = ["solve", "--problem", "constant", "--method", "erk4"]
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"columns": "x"}, _SOLVE),
+    ({"max_steps": 1.5}, _SOLVE),
+    ({"kappa": [0.1, 0.01]}, _STAB + ["--M", "2"]),
+    ({"interp": "cubic"}, ["accuracy", "--C", "0.01"]),
+    ({"M": 2}, _SOLVE),                       # not an option of solve
+    (None, _SOLVE + ["--param", "t_span=5"]),
+    (None, _SOLVE + ["--param", 't_span=[0,"a"]']),
+    (None, ["solve", "--problem", "inverter", "--param", "breakpoints=3"]),
+    (None, _SOLVE + ["--param", "N=0"]),
+    (None, ["solve", "--problem", "heating", "--param", "N=0"]),
+], ids=["columns", "max_steps", "kappa-list", "interp", "solve-M",
+        "t_span-number", "t_span-string", "breakpoints", "constant-N0",
+        "heating-N0"])
+def test_bad_config_values_and_params_are_usage_errors(tmp_path, capsys,
+                                                       config, argv):
+    pre = []
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        pre = ["--config", str(path)]
+    rc = main(pre + argv + ["--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def _outputs(tmp_path, name, argv, config=None):
+    pre = []
+    if config is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        pre = ["--config", str(path)]
+    out = tmp_path / name
+    assert main(pre + argv + ["--outdir", str(out)]) == 0
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    if "stats.json" in files:
+        stats = json.loads(files["stats.json"])
+        del stats["wall_time"]
+        files["stats.json"] = stats
+    return files
+
+
+@pytest.mark.parametrize("config,argv,flags", [
+    ({"M": 5}, _STAB + ["--kappa", "0.1"], ["--M", "5"]),
+    ({"columns": 3}, _SOLVE, ["--columns", "3"]),
+    ({"param": "N=3"}, _SOLVE, ["--param", "N=3"]),
+    ({"param": ["N=3"]}, _SOLVE, ["--param", "N=3"]),
+    ({"h0": None}, _SOLVE, []),               # null keeps the default
+    # A flag on the command line overrides the same key from the file.
+    ({"M": 7}, _STAB + ["--kappa", "0.1", "--M", "5"], ["--M", "5"]),
+    ({"param": ["N=5"]}, _SOLVE + ["--param", "N=3"], ["--param", "N=3"]),
+], ids=["M", "columns", "param-string", "param-list", "null",
+        "flag-wins-M", "flag-wins-param"])
+def test_config_file_equals_its_flag_form(tmp_path, config, argv, flags):
+    from_file = _outputs(tmp_path, "file", argv, config)
+    assert from_file == _outputs(tmp_path, "flags", argv + flags)
 
 
 @pytest.mark.parametrize("env,expected", [
@@ -248,6 +334,20 @@ def test_cli_pins_blas_threads_unless_set(env, expected):
     out = subprocess.run([sys.executable, "-c", probe], env=child_env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [expected]
+
+
+def test_module_entry_point_reports_usage_errors(tmp_path):
+    """``python -m mrrk.cli`` reads sys.argv and exits with main's code."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"M": 5.5}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrrk.cli", "--config", str(cfg), "stability",
+         "--model", "2dof", "--alpha", "10", "--kappa", "0.1",
+         "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "usage error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_accuracy_sweep(tmp_path):
