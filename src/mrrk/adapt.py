@@ -190,9 +190,9 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     if not np.isfinite(eta).all():
         raise ValueError("error quotients must be finite")
     N = len(eta)
-    m = int(np.floor(phi * N))
+    m = math.floor(phi * N)
     if m == 0:
-        eta_s = float(np.max(eta))
+        eta_s = float(eta.max())
         return ("reject" if eta_s > beta else "accept",
                 Partition(fast=np.array([], dtype=int), N=N), eta_s, 0.0)
     order = np.argsort(-eta, kind="stable")
@@ -263,7 +263,9 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
     The full-state buffer carries interpolated slow values at the needed
     columns (the structural closure of the fast rows) and the solver's
     fast iterate; RHS and Jacobian evaluation delegate to the parent
-    problem's restricted entry points.
+    problem's restricted entry points.  The slow columns are interpolated
+    once per distinct ``t``: every Newton iterate of a stage shares its
+    stage time, and the next step-start Jacobian often reuses it.
     """
     fast = np.asarray(fast, dtype=int)
     closure = set()
@@ -274,16 +276,18 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
     interp = make_interp(cols) if len(cols) else None
     buf = u_n.copy()
     scratch = np.empty_like(buf)
+    filled_t = [None]           # time of the slow values held in buf
 
     def fill(yf, t):
-        if interp is not None:
+        if interp is not None and t != filled_t[0]:
             buf[cols] = interp((t - t_n) / h)
+            filled_t[0] = t
         buf[fast] = yf
 
     def rhs(yf, t, out):
         fill(yf, t)
         problem.rhs_restricted(buf, t, fast, scratch)
-        out[:] = scratch[fast]
+        scratch.take(fast, out=out)
 
     jac = None
     if problem.jacobian_restricted is not None:

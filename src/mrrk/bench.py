@@ -64,10 +64,19 @@ def inverter_g(y, z, U_tau):
     return a * a - b * b
 
 
+def _input_fn(params: InverterChainParams):
+    """The input voltage as a function of t, breakpoints converted once."""
+    pts = np.asarray(params.breakpoints, dtype=float)
+    times, values = pts[:, 0].copy(), pts[:, 1].copy()
+
+    def u(t):
+        return np.interp(t, times, values, left=0.0, right=0.0)
+    return u
+
+
 def inverter_input(params: InverterChainParams, t):
     """Piecewise-linear input voltage of the first inverter."""
-    pts = np.asarray(params.breakpoints)
-    return np.interp(t, pts[:, 0], pts[:, 1], left=0.0, right=0.0)
+    return _input_fn(params)(t)
 
 
 def inverter_equilibrium(params: InverterChainParams) -> np.ndarray:
@@ -104,19 +113,19 @@ def make_inverter_chain(
     if p.N < 2:
         raise ValueError("chain needs at least 2 inverters")
     N, U_op, U_tau, G = p.N, p.U_op, p.U_tau, p.Gamma
+    u_in = _input_fn(p)
 
     def rhs(y, t, out):
-        u = inverter_input(p, t)
+        u = u_in(t)
         out[0] = U_op - y[0] - G * inverter_g(u, y[0], U_tau)
         out[1:] = U_op - y[1:] - G * inverter_g(y[:-1], y[1:], U_tau)
 
     def rhs_restricted(y, t, indices, out):
         idx = np.asarray(indices)
-        first = idx == 0
-        if np.any(first):
-            u = inverter_input(p, t)
-            out[0] = U_op - y[0] - G * inverter_g(u, y[0], U_tau)
         rest = idx[idx > 0]
+        if len(rest) < len(idx):            # index 0 is in the set
+            u = u_in(t)
+            out[0] = U_op - y[0] - G * inverter_g(u, y[0], U_tau)
         if len(rest):
             out[rest] = (U_op - y[rest]
                          - G * inverter_g(y[rest - 1], y[rest], U_tau))
@@ -128,7 +137,7 @@ def make_inverter_chain(
         return 2.0 * a - 2.0 * b, 2.0 * b      # d/dy_prev, d/dy_cur
 
     def jacobian(y, t):
-        u = inverter_input(p, t)
+        u = u_in(t)
         diag = np.empty(N)
         sub = np.empty(N - 1)
         _, gz0 = _dg(np.array([u]), y[:1])
@@ -143,7 +152,7 @@ def make_inverter_chain(
         k = len(idx)
         J = np.zeros((k, k))
         yprev = y[idx - 1]
-        yprev[idx == 0] = inverter_input(p, t)
+        yprev[idx == 0] = u_in(t)
         gy, gz = _dg(yprev, y[idx])
         diag = np.arange(k)
         J[diag, diag] = -1.0 - G * gz

@@ -31,6 +31,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -52,6 +53,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INTEGRATION = 3
 EXIT_NUMERIC = 4
+
+# Most values (grid rows x state size) the solution grid may hold; the
+# sampler keeps all of them in memory, 8 bytes each.
+MAX_OUTPUT_VALUES = 10_000_000
 
 _INTERPS = {"linear": LINEAR, "hermite": HERMITE, "dense": DENSE}
 
@@ -133,6 +138,29 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
+def _checked(parse, ok, expected: str):
+    """Option type: ``parse(text)``, each of whose values passes ``ok``."""
+    def checked(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            value = None
+        if value is None or not all(
+                map(ok, value if isinstance(value, list) else [value])):
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}")
+        return value
+    return checked
+
+
+_positive_floats = _checked(_floats, lambda v: 0 < v < math.inf,
+                            "a comma list of positive finite numbers")
+_counts = _checked(_ints, lambda v: v >= 1, "a comma list of integers >= 1")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_c_max = _checked(float, lambda v: 1 <= v < math.inf,
+                  "a finite number >= 1")
+
+
 @dataclasses.dataclass(frozen=True)
 class ConstantParams:
     """Stub problem y' = 0, y(t0) = (0, 1, ..., N-1), for plumbing tests."""
@@ -202,9 +230,19 @@ def _output_grid(problem: OdeProblem, dt: float | None) -> np.ndarray:
         dt = (t1 - t0) / 1000.0
     if not dt > 0:
         raise UsageError("output grid spacing must be positive")
-    n = int(np.floor((t1 - t0) / dt + 1e-9))
+    # Count the rows before allocating any: n + 1 points from t0, plus t1
+    # when the last of them falls short of it.  min() keeps n finite for
+    # a tiny dt; such a grid is over the limit either way.
+    steps = (t1 - t0) / dt + 1e-9
+    n = math.floor(min(steps, MAX_OUTPUT_VALUES))
+    rows = n + 1 + (t0 + dt * n < t1 - 1e-12 * max(1.0, abs(t1)))
+    if rows * problem.N > MAX_OUTPUT_VALUES:
+        raise UsageError(
+            f"output grid of {steps + 1:.6g} rows x {problem.N} states "
+            f"exceeds the limit of {MAX_OUTPUT_VALUES} values; use a "
+            f"larger --output-dt")
     grid = t0 + dt * np.arange(n + 1)
-    if grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+    if rows > n + 1:
         grid = np.append(grid, t1)
     else:
         grid[-1] = t1
@@ -401,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fast/slow time-scale ratio")
     pt.add_argument("--kappa", type=_floats, required=True,
                     help="comma list of coupling strengths")
-    pt.add_argument("--M", type=_ints, required=True,
+    pt.add_argument("--M", type=_counts, required=True,
                     help="comma list of fast/slow step-size ratios")
     pt.add_argument("--gamma1", type=float, default=0.01)
     pt.add_argument("--omega1", type=float, default=1.0)
     pt.add_argument("--model-beta", type=float, default=1.0,
                     help="4-DOF damping ratio")
-    pt.add_argument("--c-max", type=float, default=100.0,
+    pt.add_argument("--c-max", type=_c_max, default=100.0,
                     help="largest scanned normalized step")
     pt.add_argument("--outdir", default=".")
     pt.set_defaults(func=cmd_stability)
@@ -416,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single- vs multi-rate propagator error sweep")
     pa.add_argument("--method", default="erk4", choices=method_names())
     pa.add_argument("--interp", choices=sorted(_INTERPS), default="hermite")
-    pa.add_argument("--C", type=_floats, required=True,
+    pa.add_argument("--C", type=_positive_floats, required=True,
                     help="comma list of normalized step sizes")
-    pa.add_argument("--M", type=int, default=10)
-    pa.add_argument("--steps", type=int, default=10,
+    pa.add_argument("--M", type=_count, default=10)
+    pa.add_argument("--steps", type=_count, default=10,
                     help="global steps per sweep point")
     pa.add_argument("--gamma1", type=float, default=0.01)
     pa.add_argument("--omega1", type=float, default=1.0)

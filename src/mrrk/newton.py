@@ -22,7 +22,11 @@ direction is then a single LAPACK back-substitution:
 A non-finite iteration matrix or a zero pivot raises FactorizationError
 when it is factored (for ``dgtsv``, when it is solved); a non-finite
 solution raises it after every solve.  ``solve_stage`` turns it into a
-ConvergenceFailure.
+ConvergenceFailure, and that solve check is the only finiteness check of
+a Newton direction.  ``solve_stage`` checks the RHS and the residual
+through the norms it computes anyway: the weighted norm of each iterate
+(a non-finite RHS at the start fails there) and the 2-norm of each
+line-search trial (a non-finite trial fails the decrease test).
 
 A `JacobianCache` carries the run's `NewtonConfig` and counts its own
 Jacobian evaluations; RHS calls are counted by the driver's problem.
@@ -30,6 +34,7 @@ Jacobian evaluations; RHS calls are counted by the driver's problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,6 +309,15 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     above 0.9 three times in a row), up to ``MAX_REFRESHES`` times per
     solve.  The iteration cap, an exhausted line search, or a non-finite
     evaluation raise ConvergenceFailure.
+
+    Each quantity is checked for finiteness once, where it is read:
+
+    - the weighted norm of every iterate's residual; at the start a
+      non-finite RHS makes it non-finite and is reported as such;
+    - each Newton direction, inside `JacobianCache.solve`;
+    - each line-search trial through its residual 2-norm: a NaN or Inf
+      fails the decrease test, so the search damps the step, and an
+      accepted trial is finite.
     """
     if a_ii <= 0:
         raise ValueError("solve_stage requires an implicit stage (a_ii > 0)")
@@ -312,25 +326,32 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     U = base.copy()
     f = np.empty_like(U)
     ft = np.empty_like(U)
+    w = np.empty_like(U)
+    q = np.empty_like(U)
 
     def residual(state, deriv):
         problem.rhs(state, t, deriv)
-        if not np.isfinite(deriv).all():
-            raise ConvergenceFailure("non-finite RHS during stage solve")
         return state - base - h_gamma * deriv
 
     def wnorm(r, state):
-        return float(np.max(np.abs(r) / (cfg.rel_tol * np.abs(state)
-                                         + cfg.abs_tol)))
+        np.abs(state, out=w)
+        np.multiply(w, cfg.rel_tol, out=w)
+        np.add(w, cfg.abs_tol, out=w)
+        np.abs(r, out=q)
+        np.divide(q, w, out=q)
+        return float(q.max())
 
     r = residual(U, f)
+    n0 = None                   # 2-norm of r, once the line search needs it
     refreshes = 0
     stall_count = 0
     prev_norm = None
     for _ in range(cfg.max_iters):
         norm = wnorm(r, U)
-        if not np.isfinite(norm):
-            raise ConvergenceFailure("non-finite residual during stage solve")
+        if not math.isfinite(norm):
+            # Accepted trials are finite, so only the first RHS can be.
+            what = "RHS" if not np.isfinite(f).all() else "residual"
+            raise ConvergenceFailure(f"non-finite {what} during stage solve")
         if norm <= 1.0:
             return U
         if prev_norm is not None:
@@ -348,30 +369,25 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         try:
             dU = cache.solve(h_gamma, -r)
         except FactorizationError as exc:
-            # A singular or overflowed iteration matrix mid-solve means
-            # the iterate has left the basin; reject and shrink the step.
+            # A singular or overflowed iteration matrix, or a non-finite
+            # direction, mid-solve means the iterate has left the basin;
+            # reject and shrink the step.
             raise ConvergenceFailure(
                 f"iteration matrix factorization failed: {exc}") from exc
-        if not np.isfinite(dU).all():
-            raise ConvergenceFailure("non-finite update during stage solve")
         # Backtracking line search on the residual 2-norm.  An undamped
         # accepted trial reuses its RHS evaluation for the next iteration,
         # so the well-behaved path costs one RHS call per iteration.
-        n0 = float(np.linalg.norm(r))
+        if n0 is None:
+            n0 = math.sqrt(r.dot(r))
         lam = 1.0
-        accepted = False
         while lam >= LAM_MIN:
-            Ut = U + lam * dU
-            try:
-                rt = residual(Ut, ft)
-            except ConvergenceFailure:
-                lam *= 0.5
-                continue
-            if float(np.linalg.norm(rt)) < (1.0 - 1e-4 * lam) * n0:
-                accepted = True
+            Ut = U + dU if lam == 1.0 else U + lam * dU
+            rt = residual(Ut, ft)
+            nt = math.sqrt(rt.dot(rt))
+            if nt < (1.0 - 1e-4 * lam) * n0:
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             if refreshes >= MAX_REFRESHES:
                 raise ConvergenceFailure(
                     "line search failed with no refreshes left")
@@ -379,7 +395,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             refreshes += 1
             prev_norm = None
             continue
-        U, r = Ut, rt
+        U, r, n0 = Ut, rt, nt
         f, ft = ft, f
         if lam < 1.0 and refreshes < MAX_REFRESHES:
             # The frozen-Jacobian direction needed damping; re-linearize.

@@ -41,6 +41,11 @@ class DenseOutputCoeffs:
 
     p_star: int
     B_star: np.ndarray  # shape (s, p_star)
+    # The exponents 1..p_star of the tau powers, built once.
+    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_exponents", np.arange(1, self.p_star + 1))
 
     def weights(self, tau):
         """Evaluate the stage weight vector b*(tau).
@@ -49,7 +54,7 @@ class DenseOutputCoeffs:
         contracted, leaving ``tau.shape + (s,)``.
         """
         tau = np.asarray(tau, dtype=float)
-        powers = tau[..., None] ** np.arange(1, self.p_star + 1)
+        powers = tau[..., None] ** self._exponents
         return powers @ self.B_star.T
 
     @property

@@ -11,7 +11,7 @@ import mrrk.adapt as adapt
 from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
-from mrrk.interp import LINEAR
+from mrrk.interp import LINEAR, slow_interpolant
 from mrrk.odecore import OdeProblem, new_step_size
 from mrrk.tableaux import get_method
 
@@ -266,6 +266,39 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
     res = integrate(prob, get_method(name), cfg)
     assert checked and res.stats.accepted_fast > 0
+
+
+def test_fast_subproblem_interpolates_slow_columns_once_per_time():
+    """Each RHS or Jacobian call equals a fresh sub-problem's evaluation at
+    its t, while the slow columns are interpolated only when t changes."""
+    problem = bench.make_inverter_chain(bench.InverterChainParams(N=20))
+    rng = np.random.default_rng(5)
+    u_n, u_next = rng.uniform(0.0, 5.0, 20), rng.uniform(0.0, 5.0, 20)
+    t_n, h = 9.0, 0.5                     # inside the input ramp
+    fast = np.array([0, 5, 6, 12])
+    make = slow_interpolant(LINEAR, u_n, u_next, h)
+    taus = []
+
+    def counting_make(cols):
+        interp = make(cols)
+
+        def counted(tau):
+            taus.append(tau)
+            return interp(tau)
+        return counted
+
+    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, counting_make)
+    t1, t2 = 9.1, 9.35
+    for t in (t1, t1, t2, t1):
+        yf = rng.uniform(0.0, 5.0, len(fast))
+        out, ref = np.empty(len(fast)), np.empty(len(fast))
+        sub.rhs(yf, t, out)
+        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, make)
+        fresh.rhs(yf, t, ref)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(sub.jacobian(yf, t),
+                                      fresh.jacobian(yf, t))
+    assert taus == [(t - t_n) / h for t in (t1, t2, t1)]
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])

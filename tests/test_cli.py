@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mrrk.cli import index_ranges, main
+from mrrk.cli import (MAX_OUTPUT_VALUES, UsageError, _output_grid,
+                      index_ranges, main, make_problem)
 
 
 def read_csv(path):
@@ -151,6 +152,64 @@ def test_stability_usage_errors(tmp_path):
     assert main(base + ["--M", "2"]) == 2                  # no kappa
     assert main(base + ["--kappa", "0.1", "--M", "2.5"]) == 2
     assert main(base + ["--kappa", "abc", "--M", "2"]) == 2
+
+
+_ACC = ["accuracy", "--C", "0.1"]
+_STAB2 = ["stability", "--model", "2dof", "--alpha", "1", "--kappa", "0.1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _STAB2 + ["--M", "0"],
+    _STAB2 + ["--M", "-2"],
+    _STAB2 + ["--M", "2,0"],
+    _STAB2 + ["--M", "2", "--c-max", "-5"],
+    _STAB2 + ["--M", "2", "--c-max", "0.5"],
+    _STAB2 + ["--M", "2", "--c-max", "inf"],
+    _STAB2 + ["--M", "2", "--c-max", "nan"],
+    _ACC + ["--M", "0"],
+    _ACC + ["--M", "1.5"],
+    _ACC + ["--steps", "0"],
+    _ACC + ["--steps", "-3"],
+    ["accuracy", "--C", "-1"],
+    ["accuracy", "--C", "0"],
+    ["accuracy", "--C", "0.1,nan"],
+    ["accuracy", "--C", "inf"],
+], ids=lambda a: " ".join(a[-2:]))
+def test_bad_stability_and_accuracy_settings(tmp_path, capsys, argv):
+    rc = main(argv + ["--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_grid_is_bounded(tmp_path):
+    """A grid too large to hold exits 2 at once, before any allocation."""
+    probe = (
+        "import sys, time\n"
+        "from mrrk.cli import main\n"
+        "t = time.perf_counter()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t)\n"
+        "sys.exit(rc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "solve", "--problem", "constant",
+         "--output-dt", "1e-9", "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert float(proc.stdout) < 1.0
+    assert proc.stderr.startswith("usage error:")
+    assert "Traceback" not in proc.stderr
+    assert str(MAX_OUTPUT_VALUES) in proc.stderr
+    # The limit is on rows x states: 10 states fit 10**6 rows, not one more.
+    problem = make_problem("constant", {"N": 10})
+    rows = MAX_OUTPUT_VALUES // 10
+    grid = _output_grid(problem, 1.0 / (rows - 1))
+    assert len(grid) == rows and grid[-1] == 1.0
+    with pytest.raises(UsageError, match=str(MAX_OUTPUT_VALUES)):
+        _output_grid(problem, 1.0 / rows)
 
 
 @pytest.mark.parametrize("flags", [

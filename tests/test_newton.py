@@ -331,6 +331,70 @@ def test_solve_stage_iteration_cap(monkeypatch):
         solve_stage(prob, 0.0, 1.0, 0.5, np.zeros(1), cache)
 
 
+def _scalar_problem(rhs, J):
+    return OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.ones(1),
+                      dependency=lambda i: (0,),
+                      jacobian=lambda y, t: np.array([[J]]))
+
+
+def test_solve_stage_nonfinite_rhs_at_start_fails():
+    def rhs(y, t, out):
+        out[0] = np.nan
+    prob = _scalar_problem(rhs, -1.0)
+    cache = JacobianCache(prob, NewtonConfig())
+    cache.refresh(np.ones(1), 0.0)
+    with pytest.raises(ConvergenceFailure, match="non-finite RHS"):
+        solve_stage(prob, 0.0, 0.1, 0.5, np.ones(1), cache)
+
+
+def test_solve_stage_nonfinite_trial_is_damped():
+    """A NaN RHS on the undamped trial halves the step; the solve goes on
+    to the root the NaN-free solve finds."""
+    def cubic(y, t, out):
+        out[0] = -y[0] ** 3
+
+    def nan_on_first_trial(y, t, out):
+        calls.append(float(y[0]))
+        cubic(y, t, out)
+        if len(calls) == 2:     # the start residual, then the first trial
+            out[0] = np.nan
+
+    cfg = NewtonConfig(max_iters=30, rel_tol=1e-12, abs_tol=1e-12)
+    base = np.array([1.0])
+    roots = []
+    for rhs in (cubic, nan_on_first_trial):
+        calls = []
+        prob = _scalar_problem(rhs, -3.0)
+        cache = JacobianCache(prob, cfg)
+        cache.refresh(np.ones(1), 0.0)
+        roots.append(solve_stage(prob, 0.0, 0.5, 0.25, base, cache))
+    U_clean, U_nan = roots
+    # From U = base = 1 the residual is h a_ii = 0.125 and the frozen
+    # direction dU = -0.125 / (1 - h a_ii J).  The second call is the
+    # undamped trial, the third the trial at half of it, and the damped
+    # step re-evaluates the Jacobian.
+    dU = -0.125 / (1.0 + 0.125 * 3.0)
+    assert calls[1] == 1.0 + dU and calls[2] == 1.0 + 0.5 * dU
+    assert cache.evals > 1
+    np.testing.assert_allclose(U_nan, U_clean, rtol=1e-11)
+    assert U_nan[0] + 0.125 * U_nan[0] ** 3 == pytest.approx(1.0, abs=1e-10)
+
+
+def test_solve_stage_nonfinite_linear_solve_fails():
+    """A finite residual whose Newton direction overflows is rejected by
+    the cache's solve check."""
+    J = np.nextafter(1.0, 0.0)          # 1 - h a_ii J = 2**-53 with h a_ii = 1
+
+    def rhs(y, t, out):
+        out[0] = J * y[0] + 1e295
+    prob = _scalar_problem(rhs, J)
+    cache = JacobianCache(prob, NewtonConfig())
+    cache.refresh(np.ones(1), 0.0)
+    with pytest.raises(ConvergenceFailure,
+                       match="factorization failed: singular"):
+        solve_stage(prob, 0.0, 1.0, 1.0, np.ones(1), cache)
+
+
 def test_solve_stage_rejects_explicit_stage():
     prob, _ = tridiag_problem(2)
     with pytest.raises(ValueError):
