@@ -12,6 +12,7 @@ sub-problem, so there is one adaptive loop.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -236,7 +237,8 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
     Returns a function cols -> (tau -> values at cols), built by
-    `interp.slow_interpolant`.  Methods with continuous output use it;
+    `interp.slow_interpolant`; a slice of all columns reads the step's
+    arrays without a copy.  Methods with continuous output use it;
     others fall back to cubic Hermite.  Only the Hermite kind evaluates
     the endpoint derivatives (one fresh RHS call for the right endpoint,
     one for the left unless the first stage holds it).
@@ -317,6 +319,9 @@ class _OutputSampler:
 
     def __init__(self, t_eval, n_state, t0, y0):
         self.t_eval = np.asarray(t_eval, dtype=float)
+        # The grid as floats, for `bisect`: one lookup costs a tenth of a
+        # `searchsorted` call on one value.
+        self._t = self.t_eval.tolist()
         self.y = np.empty((len(self.t_eval), n_state))
         # Points at or before the start of integration hold the initial
         # state; later commits never revisit them.
@@ -326,15 +331,22 @@ class _OutputSampler:
 
     def window(self, t0, h):
         """Grid rows [lo, hi) that the step [t0, t0 + h] fills."""
-        lo = int(np.searchsorted(self.t_eval, t0, side="right"))
-        hi = int(np.searchsorted(self.t_eval, t0 + h, side="right"))
+        lo = bisect.bisect_right(self._t, t0)
+        hi = bisect.bisect_right(self._t, t0 + h)
         return min(lo, self.filled), hi   # close round-off gaps
 
     def commit_step(self, t0, h, interp, fast=None, y_fast=None):
+        """Fill the step's grid rows from one evaluation of ``interp``.
+
+        ``interp(tau, out)`` writes the rows of the taus of the window,
+        clamped to [0, 1], into ``out`` (see `interp.slow_interpolant`);
+        ``y_fast`` then overwrites the ``fast`` columns of those rows.
+        """
         lo, hi = self.window(t0, h)
-        for i in range(lo, hi):
-            tau = min(max((self.t_eval[i] - t0) / h, 0.0), 1.0)
-            self.y[i] = interp(tau)
+        if hi > lo:
+            tau = (self.t_eval[lo:hi] - t0) / h
+            np.minimum(np.maximum(tau, 0.0, out=tau), 1.0, out=tau)
+            interp(tau, self.y[lo:hi])
         if fast is not None:
             self.y[lo:hi, fast] = y_fast
         self.filled = max(self.filled, hi)
@@ -419,8 +431,8 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
         step_index=step_index, t_start=r.t_start, t_end=r.t_end,
         kind="fast", active_indices=fast) for r in res.activity)
     if sampler is not None:
-        sampler.commit_step(t_n, h_n, make_interp(np.arange(problem.N)),
-                            fast, res.y_out)
+        sampler.commit_step(t_n, h_n, make_interp(slice(None)), fast,
+                            res.y_out)
     u_next = u_tentative.copy()
     u_next[fast] = res.y[-1]
     return u_next
@@ -507,7 +519,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         if decision == "accept":
             u_next = u_tent
             if sampler is not None:
-                sampler.commit_step(t, h, make_interp(all_idx))
+                sampler.commit_step(t, h, make_interp(slice(None)))
         else:
             try:
                 u_next = multirate_step(

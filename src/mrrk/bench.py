@@ -1,11 +1,13 @@
 """Benchmark problems: inverter chain, viscous Burgers, building heating.
 
 Each factory returns an `OdeProblem` with vectorized RHS, analytic
-Jacobians (sparse where the structure is banded), restricted Jacobians
-and per-component dependency sets.  The inverter chain and Burgers also
-evaluate the RHS over an index subset; heating uses `OdeProblem`'s
-full-RHS fallback, which is cheaper than classifying the index set on
-every call.
+Jacobians, restricted Jacobians and per-component dependency sets.  The
+banded Jacobians of the inverter chain and Burgers are filled straight
+into a `scipy.sparse.dia_array`, whose band the stage solver reads
+directly, with no CSR in between; heating's is dense.  The inverter
+chain and Burgers also evaluate the RHS over an index subset; heating
+uses `OdeProblem`'s full-RHS fallback, which is cheaper than classifying
+the index set on every call.
 """
 
 from __future__ import annotations
@@ -137,15 +139,19 @@ def make_inverter_chain(
         return 2.0 * a - 2.0 * b, 2.0 * b      # d/dy_prev, d/dy_cur
 
     def jacobian(y, t):
-        u = u_in(t)
-        diag = np.empty(N)
-        sub = np.empty(N - 1)
-        _, gz0 = _dg(np.array([u]), y[:1])
-        diag[0] = -1.0 - G * gz0[0]
+        # DIA rows for offsets 0 and -1: band[1, j] is J[j + 1, j], and
+        # band[1, N - 1] lies outside the matrix.
+        band = np.empty((2, N))
+        # Row 0 reads the input; d/dy_cur of g is 2 max(u - y_0 - U_tau, 0).
+        b0 = max(u_in(t) - y[0] - U_tau, 0.0)
+        band[0, 0] = -1.0 - G * (2.0 * b0)
         gy, gz = _dg(y[:-1], y[1:])
-        diag[1:] = -1.0 - G * gz
-        sub[:] = -G * gy
-        return sp.diags([diag, sub], [0, -1], format="csr")
+        # band[0, 1:] = -1 - G gz and band[1, :-1] = -G gy, in place.
+        diag, sub = band[0, 1:], band[1, :-1]
+        np.subtract(-1.0, np.multiply(G, gz, out=diag), out=diag)
+        np.multiply(-G, gy, out=sub)
+        band[1, -1] = 0.0
+        return sp.dia_array((band, [0, -1]), shape=(N, N))
 
     def jacobian_restricted(y, t, indices):
         idx = np.asarray(indices, dtype=int)
@@ -224,13 +230,14 @@ def make_burgers(params: BurgersParams | None = None) -> OdeProblem:
                                   + y[inner - 1]))
 
     def jacobian(y, t):
-        lo = np.zeros(N - 1)
-        di = np.zeros(N)
-        up = np.zeros(N - 1)
-        di[1:-1] = -(y[2:] - y[:-2]) * c1 - 2.0 * c2
-        lo[:-1] = y[1:-1] * c1 + c2
-        up[1:] = -y[1:-1] * c1 + c2
-        return sp.diags([lo, di, up], [-1, 0, 1], format="csr")
+        # DIA rows for offsets -1, 0 and 1: column j of each row holds
+        # J[j + 1, j], J[j, j] and J[j - 1, j].  The frozen boundary rows
+        # stay zero.
+        band = np.zeros((3, N))
+        band[0, :-2] = y[1:-1] * c1 + c2
+        band[1, 1:-1] = -(y[2:] - y[:-2]) * c1 - 2.0 * c2
+        band[2, 2:] = -y[1:-1] * c1 + c2
+        return sp.dia_array((band, [-1, 0, 1]), shape=(N, N))
 
     def jacobian_restricted(y, t, indices):
         idx = np.asarray(indices, dtype=int)

@@ -52,16 +52,47 @@ def _check_tau(tau):
     return tau
 
 
+def _hermite_rows(tau, h, data, out=None):
+    """Hermite rows of an array of tau, each equal to the scalar formula.
+
+    The coefficients of each tau are computed as the scalar path does,
+    squares included (Python's ``**`` and numpy's array square may differ
+    in the last bit), then the four terms are accumulated into ``out`` in
+    the scalar path's order.
+    """
+    tl = np.asarray(tau).tolist()
+    s0 = np.array([(1.0 - t) ** 2 for t in tl])[:, None]
+    s1 = np.array([t**2 for t in tl])[:, None]
+    tau = np.asarray(tau)[:, None]
+    coeffs = ((1.0 + 2.0 * tau) * s0, (3.0 - 2.0 * tau) * s1,
+              h * tau * s0, h * (tau - 1.0) * s1)
+    out = np.multiply(coeffs[0], data[0], out=out)
+    term = np.empty_like(out)
+    for c, v in zip(coeffs[1:], data[1:]):
+        out += np.multiply(c, v, out=term)
+    return out
+
+
 def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
                      f_next=None, K=None, dense=None):
     """Data-form interpolant of one step [t_n, t_n + h] as a builder.
 
-    Returns make(cols) -> (tau -> values at t_n + tau*h restricted to
-    cols); tau is not checked.  ``linear`` reads the endpoint states,
-    ``hermite`` also the endpoint derivatives ``f_n``/``f_next``, and
-    ``dense`` the stage derivatives ``K`` with the method's
-    continuous-output coefficients ``dense``, computing the weight vector
-    of each tau once for every column set.
+    Returns make(cols) -> interp, where ``interp(tau)`` gives the values
+    at t_n + tau*h restricted to ``cols`` (an index array or a slice);
+    tau is not checked.  ``linear`` reads the endpoint states, ``hermite``
+    also the endpoint derivatives ``f_n``/``f_next``, and ``dense`` the
+    stage derivatives ``K`` with the method's continuous-output
+    coefficients ``dense``.
+
+    A scalar tau gives one row; the dense kind computes the weight vector
+    of each scalar tau once for every column set.  A 1-D array of m taus
+    gives all m rows in one evaluation, written into ``interp(tau, out)``
+    when an (m, len(cols)) ``out`` is given: ``dense`` makes one
+    ``weights`` call and one product with the stage derivatives, and
+    ``linear`` and ``hermite`` broadcast their tau coefficients over the
+    rows.  The linear and hermite rows equal the scalar ones bit for bit;
+    the dense rows agree with them to round-off, as a batched product
+    sums in another order than a one-row one.
     """
     if kind.kind == "dense":
         W_cache = {}
@@ -70,7 +101,12 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
             Kc = K[:, cols]
             u0 = u_n[cols]
 
-            def interp(tau):
+            def interp(tau, out=None):
+                if np.ndim(tau):
+                    # h scales the (m, s) weights, not the (m, n) rows.
+                    out = np.matmul(h * dense.weights(tau), Kc, out=out)
+                    out += u0
+                    return out
                 w = W_cache.get(tau)
                 if w is None:
                     w = dense.weights(np.array([tau]))[0]
@@ -81,7 +117,12 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
         def make(cols):
             a, bb = u_n[cols], u_next[cols]
 
-            def interp(tau):
+            def interp(tau, out=None):
+                if np.ndim(tau):
+                    tau = np.asarray(tau)[:, None]
+                    out = np.multiply(1.0 - tau, a, out=out)
+                    out += tau * bb
+                    return out
                 return (1.0 - tau) * a + tau * bb
             return interp
     else:
@@ -89,7 +130,9 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
             a, bb = u_n[cols], u_next[cols]
             fa, fb = f_n[cols], f_next[cols]
 
-            def interp(tau):
+            def interp(tau, out=None):
+                if np.ndim(tau):
+                    return _hermite_rows(tau, h, (a, bb, fa, fb), out)
                 return ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2 * a
                         + (3.0 - 2.0 * tau) * tau**2 * bb
                         + h * tau * (1.0 - tau) ** 2 * fa
@@ -105,10 +148,13 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
     ``f_n``/``f_next`` are the endpoint derivatives (required for
     ``hermite``); ``K`` holds the step's stage derivatives and ``dense``
     the method's continuous-output coefficients (both required for
-    ``dense``).  ``tau`` may be a scalar or an array; an array yields one
-    row per tau value.
+    ``dense``).  ``tau`` may be a scalar or a 1-D array; an array yields
+    one row per tau value, all from one evaluation (see
+    `slow_interpolant`).
     """
     tau = _check_tau(tau)
+    if tau.ndim > 1:
+        raise ValueError("tau must be a scalar or a 1-D array")
     if kind.kind == "hermite":
         if f_n is None or f_next is None or h is None:
             raise ValueError("hermite interpolation requires endpoint "
@@ -123,9 +169,7 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
     interp = slow_interpolant(kind, np.asarray(u_n, dtype=float),
                               np.asarray(u_next, dtype=float), h, f_n,
                               f_next, K, dense)(slice(None))
-    if tau.ndim == 0:
-        return interp(float(tau))
-    return np.array([interp(x) for x in tau.tolist()])
+    return interp(float(tau)) if tau.ndim == 0 else interp(tau)
 
 
 def interp_operator(kind: InterpolatorKind, L: np.ndarray, h: float,

@@ -16,7 +16,10 @@ direction is then a single LAPACK back-substitution:
   solve;
 - sparse J with kl + ku <= BANDED_LIMIT: ``dgbtrf`` once, ``dgbtrs`` per
   solve; a tridiagonal J instead calls ``dgtsv`` on the stored band per
-  solve, as ``scipy.linalg.solve_banded`` does;
+  solve, as ``scipy.linalg.solve_banded`` does.  The band of a DIA J
+  (``scipy.sparse.dia_array``) is read directly from its diagonals, that
+  of any other sparse format through one ``tocoo()``; kl and ku come from
+  the nonzero pattern either way;
 - any other J: SuperLU (``splu``) once, its ``solve`` per solve.
 
 A non-finite iteration matrix or a zero pivot raises FactorizationError
@@ -52,19 +55,42 @@ MAX_REFRESHES = 5
 LAM_MIN = 1e-4
 
 
-def _bandwidths(coo) -> tuple[int, int]:
-    """Lower and upper bandwidth of a COO matrix's nonzero pattern."""
-    if coo.nnz == 0:
-        return 0, 0
-    diff = coo.row - coo.col
-    return int(max(diff.max(), 0)), int(max((-diff).max(), 0))
+def _band_storage(J) -> tuple[int, int, np.ndarray | None]:
+    """Bandwidths of a sparse J's nonzero pattern and its band storage.
 
-
-def _banded_storage(coo, kl: int, ku: int) -> np.ndarray:
-    """Pack a COO matrix into LAPACK banded storage (kl + ku + 1, n)."""
-    ab = np.zeros((kl + ku + 1, coo.shape[0]))
-    ab[ku + coo.row - coo.col, coo.col] = coo.data
-    return ab
+    Returns (kl, ku, Jb): ``Jb`` is J in LAPACK banded storage
+    (kl + ku + 1, n), row ku - d holding diagonal d, or None when
+    kl + ku > BANDED_LIMIT.  A DIA J is read from ``J.offsets``/``J.data``
+    directly: the entries of a data row that lie outside the matrix are
+    ignored, and a diagonal with no nonzero entry does not widen the band.
+    Any other format goes through one ``tocoo()``.
+    """
+    n = J.shape[0]
+    if J.format == "dia":
+        live = []
+        for d, row in zip(J.offsets.tolist(), J.data):
+            # Column j of diagonal d is row j - d of the matrix.
+            lo, hi = max(d, 0), min(n + min(d, 0), row.shape[0])
+            if lo < hi and np.count_nonzero(row[lo:hi]):
+                live.append((d, lo, hi, row))
+        kl = max([0] + [-d for d, *_ in live])
+        ku = max([0] + [d for d, *_ in live])
+        if kl + ku > BANDED_LIMIT:
+            return kl, ku, None
+        Jb = np.zeros((kl + ku + 1, n))
+        for d, lo, hi, row in live:
+            Jb[ku - d, lo:hi] = row[lo:hi]
+        return kl, ku, Jb
+    coo = J.tocoo()
+    kl = ku = 0
+    if coo.nnz:
+        diff = coo.row - coo.col
+        kl, ku = int(max(diff.max(), 0)), int(max((-diff).max(), 0))
+    if kl + ku > BANDED_LIMIT:
+        return kl, ku, None
+    Jb = np.zeros((kl + ku + 1, n))
+    Jb[ku + coo.row - coo.col, coo.col] = coo.data
+    return kl, ku, Jb
 
 
 class ConvergenceFailure(Exception):
@@ -219,8 +245,8 @@ class JacobianCache:
     ``_fac_key = (J, h a_ii)`` on the J object itself, so a refresh or a
     direct assignment to ``J`` forces a new factorization while repeated
     solves with one h a_ii reuse it.  ``_band = (J, kl, ku, Jb)`` keeps the
-    bandwidths and the band storage of a sparse J, taken from one
-    ``tocoo()`` per J, for every h a_ii that J is factored with.  Each
+    bandwidths and the band storage of a sparse J, taken once per J (see
+    `_band_storage`), for every h a_ii that J is factored with.  Each
     ``solve`` checks that its result is finite.
     """
 
@@ -267,11 +293,7 @@ class JacobianCache:
         n = J.shape[0]
         if sp.issparse(J):
             if self._band is None or self._band[0] is not J:
-                coo = J.tocoo()
-                kl, ku = _bandwidths(coo)
-                Jb = (_banded_storage(coo, kl, ku)
-                      if kl + ku <= BANDED_LIMIT else None)
-                self._band = (J, kl, ku, Jb)
+                self._band = (J, *_band_storage(J))
             _, kl, ku, Jb = self._band
             if Jb is not None:
                 self._fac = _banded_factor(Jb, kl, ku, h_gamma)

@@ -39,10 +39,12 @@ class OdeProblem:
     state entries their formulas need.  ``dependency(i)`` returns the
     state indices component i's RHS reads, a superset of the structural
     nonzeros of Jacobian row i.  ``jacobian(y, t)`` returns a dense array
-    or a scipy sparse matrix; ``jacobian_restricted(y, t, indices)``
-    returns the square sub-Jacobian over ``indices``.  Jacobian callables
-    may be None, in which case solvers fall back to colored finite
-    differences.
+    or a scipy sparse matrix; the stage solver reads the band of a DIA one
+    (``scipy.sparse.dia_array``) directly from its diagonals, so a banded
+    Jacobian is cheapest in that form.  ``jacobian_restricted(y, t,
+    indices)`` returns the square sub-Jacobian over ``indices``.  Jacobian
+    callables may be None, in which case solvers fall back to colored
+    finite differences.
     """
 
     N: int

@@ -514,12 +514,19 @@ def test_integrate_dispatches_on_mode():
     assert r1.mode == "single" and r2.mode == "multi"
 
 
+def batched(f):
+    """An array-tau interpolant that writes f(tau) row by row into out."""
+    def interp(tau, out):
+        out[:] = [f(x) for x in tau]
+    return interp
+
+
 def test_output_sampler_unit():
     s = adapt._OutputSampler(np.array([0.0, 0.5, 1.0, 1.5, 2.0]), 1,
                              0.0, np.array([7.0]))
     assert s.filled == 1  # t = 0 pinned to the initial state
-    s.commit_step(0.0, 1.0, lambda tau: np.array([10.0 * tau]))
-    s.commit_step(1.0, 0.6, lambda tau: np.array([100.0 + tau]))
+    s.commit_step(0.0, 1.0, batched(lambda tau: np.array([10.0 * tau])))
+    s.commit_step(1.0, 0.6, batched(lambda tau: np.array([100.0 + tau])))
     t, y = s.finish(np.array([-1.0]))
     np.testing.assert_allclose(
         y[:, 0], [7.0, 5.0, 10.0, 100.0 + 0.5 / 0.6, -1.0])
@@ -530,8 +537,95 @@ def test_output_sampler_fast_overlay_unit():
                              np.zeros(2))
     assert s.window(0.0, 1.0) == (0, 2)
     # The fast sub-run's samples on the step's rows fill column 1.
-    s.commit_step(0.0, 1.0, lambda tau: np.array([tau, tau]), np.array([1]),
-                  np.array([[0.25], [42.0]]))
+    s.commit_step(0.0, 1.0, batched(lambda tau: np.array([tau, tau])),
+                  np.array([1]), np.array([[0.25], [42.0]]))
     _, y = s.finish(np.zeros(2))
     np.testing.assert_allclose(y[0], [0.25, 0.25])
     np.testing.assert_allclose(y[1], [0.75, 42.0])
+
+
+@pytest.mark.parametrize("name", ["esdirk3", "erk4"])
+def test_output_sampler_batched_commit_matches_rows(name):
+    """One commit equals row-by-row evaluation of the step's interpolant;
+    rows up to t0 stay as they were and fast columns take ``y_fast``."""
+    prob = bench.make_burgers(bench.BurgersParams(N=40, t_span=(0.0, 1.0)))
+    m = get_method(name)
+    cache = None
+    if not m.is_explicit:
+        cache = adapt.JacobianCache(prob, SolverConfig().newton_config())
+    t0, h = 0.3, 0.25
+    u0 = prob.y0
+    u1, _, K = adapt.rk_step(prob, u0, t0, h, m, cache)
+    make = adapt._make_interpolant(prob, m, SolverConfig(), u0, u1, t0, h,
+                                   K)
+    grid = np.linspace(0.0, 1.0, 101)
+    s = adapt._OutputSampler(grid, prob.N, 0.0, u0)
+    s.filled = lo = int(np.searchsorted(grid, t0, side="right"))
+    s.y[:lo] = before = np.arange(lo * prob.N, dtype=float).reshape(
+        lo, prob.N)
+    fast = np.array([3, 17, 18])
+    hi = int(np.searchsorted(grid, t0 + h, side="right"))
+    y_fast = np.full((hi - lo, len(fast)), -5.0)
+    s.commit_step(t0, h, make(slice(None)), fast, y_fast)
+    assert s.filled == hi
+    assert s.y[:lo].tobytes() == before.tobytes()
+    interp = make(slice(None))
+    ref = np.array([interp(float((t - t0) / h)) for t in grid[lo:hi]])
+    ref[:, fast] = y_fast
+    np.testing.assert_allclose(s.y[lo:hi], ref, rtol=1e-14,
+                               atol=1e-14 * np.abs(ref).max())
+    assert s.y[lo:hi, fast].tobytes() == y_fast.tobytes()
+
+
+def test_output_sampler_clamps_tau_and_closes_round_off_gap():
+    taus = []
+
+    def interp(tau, out):
+        taus.append(tau.copy())
+        out[:, 0] = tau
+    # t0 + h rounds up to 0.30000000000000004, a grid point whose tau is
+    # 1 + 2**-52 unclamped.
+    grid = np.array([0.0, 0.05, 0.1 + 0.2, 0.4, 0.5])
+    s = adapt._OutputSampler(grid, 1, 0.0, np.zeros(1))
+    assert (grid[2] - 0.1) / 0.2 > 1.0
+    # Row 1 (t = 0.05) lies before the step: the sampler was left behind
+    # by round-off, so the step fills it with tau clamped to 0.
+    assert s.window(0.1, 0.2) == (1, 3)
+    s.commit_step(0.1, 0.2, interp)
+    np.testing.assert_array_equal(taus[-1], [0.0, 1.0])
+    np.testing.assert_array_equal(s.y[:3, 0], [0.0, 0.0, 1.0])
+    assert s.filled == 3
+    s.commit_step(0.3, 0.2, interp)
+    assert s.filled == 5
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+@pytest.mark.parametrize("make", [
+    lambda: bench.make_inverter_chain(
+        bench.InverterChainParams(N=50, t_span=(0.0, 8.0))),
+    lambda: bench.make_burgers(bench.BurgersParams(N=100,
+                                                   t_span=(0.0, 2.0))),
+], ids=["inverter", "burgers"])
+def test_dia_jacobian_runs_equal_csr_runs(make, mode):
+    """The problems' DIA Jacobians and their CSR copies give the same run:
+    trajectory, activity and counters bitwise, dense output to 1e-12."""
+    prob = make()
+    as_csr = replace(prob, jacobian=lambda y, t, jac=prob.jacobian:
+                     jac(y, t).tocsr())
+    cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode=mode, phi=0.1,
+                       t_eval=np.linspace(*prob.t_span, 301))
+    dia = integrate(prob, get_method("esdirk3"), cfg)
+    csr = integrate(as_csr, get_method("esdirk3"), cfg)
+    assert dia.t.tobytes() == csr.t.tobytes()
+    assert dia.y.tobytes() == csr.y.tobytes()
+    s1, s2 = asdict(dia.stats), asdict(csr.stats)
+    s1.pop("wall_time")
+    s2.pop("wall_time")
+    assert s1 == s2
+    assert (s1["accepted_fast"] > 0) == (mode == "multi")
+    assert len(dia.activity) == len(csr.activity)
+    for a, b in zip(dia.activity, csr.activity):
+        assert ((a.step_index, a.t_start, a.t_end, a.kind)
+                == (b.step_index, b.t_start, b.t_end, b.kind))
+        assert a.active_indices.tobytes() == b.active_indices.tobytes()
+    np.testing.assert_allclose(dia.y_out, csr.y_out, rtol=1e-12, atol=1e-12)

@@ -138,3 +138,52 @@ def test_array_tau_rows():
     out = interp_value(LINEAR, u0, u1, tau=taus)
     assert out.shape == (3, 3)
     np.testing.assert_allclose(out[1], 0.5 * np.ones(3))
+
+
+@pytest.mark.parametrize("name", ["esdirk3", "esdirk4", "erk4-owren"])
+def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
+    """An array of tau gives the scalar rows from one evaluation (also
+    into ``out``): bit for bit for linear and hermite, to 1e-14 relative
+    for dense.  A scalar tau is the one-row formula, bit for bit."""
+    from mrrk import bench
+    prob = bench.make_burgers(bench.BurgersParams(N=30, t_span=(0.0, 1.0)))
+    m = get_method(name)
+    cache = None if m.is_explicit else JacobianCache(prob, NewtonConfig())
+    h = 0.3
+    u0 = prob.y0 + 0.1
+    u1, _, K = rk_step(prob, u0, 0.2, h, m, cache)
+    f0, f1 = np.empty(prob.N), np.empty(prob.N)
+    prob.rhs(u0, 0.2, f0)
+    prob.rhs(u1, 0.2 + h, f1)
+    taus = np.concatenate([[0.0, 1.0], np.random.default_rng(5).random(9)])
+    scalar = {
+        LINEAR: lambda t: (1.0 - t) * u0 + t * u1,
+        HERMITE: lambda t: ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * u0
+                            + (3.0 - 2.0 * t) * t**2 * u1
+                            + h * t * (1.0 - t) ** 2 * f0
+                            + h * (t - 1.0) * t**2 * f1),
+        DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0] @ K),
+    }
+    for kind, kw in ((LINEAR, {}),
+                     (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
+                     (DENSE, dict(K=K, dense=m.dense, h=h))):
+        rows = np.array([interp_value(kind, u0, u1, tau=t, **kw)
+                         for t in taus])
+        for t, row in zip(taus, rows):
+            assert row.tobytes() == scalar[kind](float(t)).tobytes(), kind
+        cols = np.array([2, 3, 17])
+        interp = _make_interpolant(prob, m, SolverConfig(interp=kind), u0,
+                                   u1, 0.2, h, K)(cols)
+        out = np.full((len(taus), len(cols)), np.nan)
+        interp(taus, out)
+        batch = interp_value(kind, u0, u1, tau=taus, **kw)
+        if kind is DENSE:
+            scale = 1e-14 * np.abs(rows).max()
+            np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=scale)
+            np.testing.assert_allclose(out, rows[:, cols], rtol=1e-14,
+                                       atol=scale)
+        else:
+            assert batch.tobytes() == rows.tobytes(), kind
+            assert out.tobytes() == rows[:, cols].tobytes(), kind
+    with pytest.raises(ValueError, match="1-D"):
+        interp_value(LINEAR, u0, u1, tau=np.zeros((2, 2)))

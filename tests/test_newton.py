@@ -204,6 +204,82 @@ def test_dense_backend_bitwise_equals_lu_solve(n):
             assert x.tobytes() == lu_solve(fac, b).tobytes()
 
 
+def assert_dia_band_matches_csr(J, backend):
+    """A DIA J and its CSR copy give one (kl, ku, Jb) and bitwise solves."""
+    n = J.shape[0]
+    caches = []
+    for M in (J, J.tocsr()):
+        cache = JacobianCache(None, NewtonConfig())
+        cache.J = M
+        caches.append(cache)
+    rng = np.random.default_rng(n)
+    for hg in (0.05, 0.7, 0.05):
+        b = rng.normal(size=n)
+        x_dia, x_csr = (cache.solve(hg, b) for cache in caches)
+        assert caches[0]._fac[0] == caches[1]._fac[0] == backend
+        assert x_dia.tobytes() == x_csr.tobytes()
+    (_, *dia), (_, *csr) = (cache._band for cache in caches)
+    assert dia[:2] == csr[:2]
+    if dia[2] is None:
+        assert csr[2] is None
+    else:
+        np.testing.assert_array_equal(dia[2], csr[2])
+    return dia[:2]
+
+
+def test_dia_band_of_benchmark_jacobians_matches_csr():
+    from mrrk import bench
+    rng = np.random.default_rng(8)
+    inv = bench.make_inverter_chain(bench.InverterChainParams(N=300))
+    y = rng.uniform(0.0, 5.0, inv.N)
+    assert assert_dia_band_matches_csr(inv.jacobian(y, 12.0),
+                                       "banded") == [1, 0]
+    # At rest every coupling is zero (stored as -0.0): the band shrinks to
+    # the diagonal, as for the CSR form, which drops the zeros.
+    J = inv.jacobian(inv.y0, 0.0)
+    assert J.format == "dia" and not J.data[1].any()
+    assert assert_dia_band_matches_csr(J, "banded") == [0, 0]
+    burgers = bench.make_burgers(bench.BurgersParams(N=300))
+    J = burgers.jacobian(bench.burgers_initial(bench.BurgersParams(N=300)),
+                         0.0)
+    assert J.format == "dia"
+    assert assert_dia_band_matches_csr(J, "banded") == [1, 1]
+
+
+def test_dia_band_ignores_padding_and_zero_diagonals():
+    n = 50
+    rng = np.random.default_rng(9)
+    data = rng.normal(size=(5, n + 3))
+    offsets = [0, -1, 2, -3, 7]
+    data[3] = 0.0            # offset -3 is all zero
+    data[4, 7:] = 0.0        # offset 7 is zero inside the matrix
+    # Garbage in the padding outside the matrix (and past column n).
+    data[1, n - 1:] = np.nan
+    data[2, :2] = 1e300
+    data[4, :7] = np.inf
+    data[0, n:] = np.nan
+    J = sp.dia_array((data, offsets), shape=(n, n))
+    assert assert_dia_band_matches_csr(J, "banded") == [1, 2]
+    # A zero main diagonal with one nonzero sub-diagonal entry.
+    J = sp.dia_array((np.array([np.zeros(n), np.eye(1, n, 3)[0]]), [0, -2]),
+                     shape=(n, n))
+    assert assert_dia_band_matches_csr(J, "banded") == [2, 0]
+    # Data rows shorter than n, and a diagonal wholly outside the matrix.
+    data = rng.normal(size=(3, n - 5))
+    J = sp.dia_array((data, [0, 1, -n]), shape=(n, n))
+    assert assert_dia_band_matches_csr(J, "banded") == [0, 1]
+
+
+def test_dia_beyond_banded_limit_goes_to_superlu():
+    n = 60
+    rng = np.random.default_rng(10)
+    offsets = [-3, -1, 0, 1, 2]
+    data = rng.normal(size=(len(offsets), n))
+    data[offsets.index(0)] -= 4.0
+    J = sp.dia_array((data, offsets), shape=(n, n))
+    assert assert_dia_band_matches_csr(J, "sparse") == [3, 2]
+
+
 # I - 1.0 J is exactly singular for each J below: the zero matrix, a lower
 # bidiagonal matrix with a zero diagonal, and a tridiagonal one with two
 # equal rows.
