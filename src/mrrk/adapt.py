@@ -12,7 +12,6 @@ sub-problem, so there is one adaptive loop.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
 from dataclasses import dataclass, replace
@@ -319,9 +318,6 @@ class _OutputSampler:
 
     def __init__(self, t_eval, n_state, t0, y0):
         self.t_eval = np.asarray(t_eval, dtype=float)
-        # The grid as floats, for `bisect`: one lookup costs a tenth of a
-        # `searchsorted` call on one value.
-        self._t = self.t_eval.tolist()
         self.y = np.empty((len(self.t_eval), n_state))
         # Points at or before the start of integration hold the initial
         # state; later commits never revisit them.
@@ -331,8 +327,8 @@ class _OutputSampler:
 
     def window(self, t0, h):
         """Grid rows [lo, hi) that the step [t0, t0 + h] fills."""
-        lo = bisect.bisect_right(self._t, t0)
-        hi = bisect.bisect_right(self._t, t0 + h)
+        lo = int(np.searchsorted(self.t_eval, t0, side="right"))
+        hi = int(np.searchsorted(self.t_eval, t0 + h, side="right"))
         return min(lo, self.filled), hi   # close round-off gaps
 
     def commit_step(self, t0, h, interp, fast=None, y_fast=None):

@@ -88,23 +88,30 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
     of each scalar tau once for every column set.  A 1-D array of m taus
     gives all m rows in one evaluation, written into ``interp(tau, out)``
     when an (m, len(cols)) ``out`` is given: ``dense`` makes one
-    ``weights`` call and one product with the stage derivatives, and
-    ``linear`` and ``hermite`` broadcast their tau coefficients over the
-    rows.  The linear and hermite rows equal the scalar ones bit for bit;
-    the dense rows agree with them to round-off, as a batched product
-    sums in another order than a one-row one.
+    ``weight_rows`` call and one stacked product with the stage
+    derivatives, and ``linear`` and ``hermite`` broadcast their tau
+    coefficients over the rows.  Every row equals the scalar one bit for
+    bit.  The dense kind reads ``K[:, cols]`` column-major, which copies
+    K for a slice.
     """
     if kind.kind == "dense":
         W_cache = {}
 
         def make(cols):
-            Kc = K[:, cols]
+            # Column-major, as K[:, cols] of an index array already is: the
+            # product w @ Kc sums the stages in another order for a
+            # row-major Kc, so every column set reads K the same way.
+            Kc = np.asfortranarray(K[:, cols])
             u0 = u_n[cols]
 
             def interp(tau, out=None):
                 if np.ndim(tau):
-                    # h scales the (m, s) weights, not the (m, n) rows.
-                    out = np.matmul(h * dense.weights(tau), Kc, out=out)
+                    # One (1, s) @ (s, n) product per row, so each row is
+                    # the scalar path's u0 + h * (w @ Kc) bit for bit.
+                    if out is None:
+                        out = np.empty((len(tau), Kc.shape[1]))
+                    np.matmul(dense.weight_rows(tau), Kc, out=out[:, None])
+                    out *= h
                     out += u0
                     return out
                 w = W_cache.get(tau)

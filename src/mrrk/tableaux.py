@@ -57,6 +57,17 @@ class DenseOutputCoeffs:
         powers = tau[..., None] ** self._exponents
         return powers @ self.B_star.T
 
+    def weight_rows(self, tau):
+        """Weight vectors of a 1-D array of m taus as an (m, 1, s) stack.
+
+        numpy evaluates a stack of (1, p) @ (p, s) products one row at a
+        time, as it does ``weights(np.array([t]))``, so each row equals
+        that call's result bit for bit; one (m, p) @ (p, s) product, as
+        ``weights(tau)`` makes, sums in another order.
+        """
+        tau = np.asarray(tau, dtype=float)
+        return (tau[:, None, None] ** self._exponents) @ self.B_star.T
+
     @property
     def endpoint_weights(self) -> np.ndarray:
         return self.B_star.sum(axis=1)
