@@ -134,7 +134,8 @@ class StepStats:
     Newton residuals, finite-difference columns and Hermite endpoints.
     ``global_jacobians`` counts the Jacobian evaluations of the run's own
     cache, likewise.  ``local_*`` sum these two over the fast sub-runs,
-    failed ones included, whose RHS is the problem's ``rhs_restricted``.
+    failed ones included; each RHS call of a sub-run is one call of the
+    problem's ``rhs_restricted`` over the fast indices.
     """
 
     accepted_global: int = 0
@@ -264,9 +265,11 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
     The full-state buffer carries interpolated slow values at the needed
     columns (the structural closure of the fast rows) and the solver's
     fast iterate; RHS and Jacobian evaluation delegate to the parent
-    problem's restricted entry points.  The slow columns are interpolated
-    once per distinct ``t``: every Newton iterate of a stage shares its
-    stage time, and the next step-start Jacobian often reuses it.
+    problem's restricted entry points, which write the fast values
+    straight into the sub-problem's output.  The slow columns are
+    interpolated once per distinct ``t``: every Newton iterate of a stage
+    shares its stage time, and the next step-start Jacobian often reuses
+    it.
     """
     fast = np.asarray(fast, dtype=int)
     closure = set()
@@ -276,19 +279,19 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
     cols = np.array(sorted(closure), dtype=int)
     interp = make_interp(cols) if len(cols) else None
     buf = u_n.copy()
-    scratch = np.empty_like(buf)
+    tau, row = np.empty(1), np.empty((1, len(cols)))
     filled_t = [None]           # time of the slow values held in buf
 
     def fill(yf, t):
         if interp is not None and t != filled_t[0]:
-            buf[cols] = interp((t - t_n) / h)
+            tau[0] = (t - t_n) / h
+            buf[cols] = interp(tau, row)[0]
             filled_t[0] = t
         buf[fast] = yf
 
     def rhs(yf, t, out):
         fill(yf, t)
-        problem.rhs_restricted(buf, t, fast, scratch)
-        scratch.take(fast, out=out)
+        problem.rhs_restricted(buf, t, fast, out)
 
     jac = None
     if problem.jacobian_restricted is not None:
@@ -449,9 +452,18 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
 
     ``config.mode == "multi"`` lets up to floor(phi * N) components be
     re-integrated with fast sub-steps; ``"single"`` runs the same loop
-    with a fast cap of 0.
+    with a fast cap of 0.  Raises ValueError when a point of
+    ``config.t_eval`` lies outside the span by more than round-off,
+    1e-9 * max(1, |t0|, |T|): a grid that np.arange fills over the span
+    can end past T by about its length times ulp(T).
     """
     cfg = config
+    t0, T = problem.t_span
+    grid_tol = 1e-9 * max(1.0, abs(t0), abs(T))
+    if cfg.t_eval is not None and len(cfg.t_eval) and not (
+            t0 - grid_tol <= cfg.t_eval[0]
+            and cfg.t_eval[-1] <= T + grid_tol):
+        raise ValueError(f"t_eval must lie within t_span [{t0}, {T}]")
     phi = cfg.phi if cfg.mode == "multi" else 0.0
     stats = StepStats()
 
@@ -460,7 +472,6 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         rhs(y, t, out)
 
     problem = replace(problem, rhs=counted_rhs)
-    t0, T = problem.t_span
     t, u = t0, problem.y0.copy()
     h = _initial_step(problem, cfg, method)
     activity = []

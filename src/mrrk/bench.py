@@ -5,9 +5,10 @@ Jacobians, restricted Jacobians and per-component dependency sets.  The
 banded Jacobians of the inverter chain and Burgers are filled straight
 into a `scipy.sparse.dia_array`, whose band the stage solver reads
 directly, with no CSR in between; heating's is dense.  The inverter
-chain and Burgers also evaluate the RHS over an index subset; heating
-uses `OdeProblem`'s full-RHS fallback, which is cheaper than classifying
-the index set on every call.
+chain and Burgers also evaluate the RHS over an ascending index subset,
+in one vector expression that writes the subset's values compactly, in
+index order; heating uses `OdeProblem`'s full-RHS fallback, which is
+cheaper than classifying the index set on every call.
 """
 
 from __future__ import annotations
@@ -123,14 +124,14 @@ def make_inverter_chain(
         out[1:] = U_op - y[1:] - G * inverter_g(y[:-1], y[1:], U_tau)
 
     def rhs_restricted(y, t, indices, out):
+        # Ascending indices: index 0, which reads the input, can only come
+        # first.
         idx = np.asarray(indices)
-        rest = idx[idx > 0]
-        if len(rest) < len(idx):            # index 0 is in the set
-            u = u_in(t)
-            out[0] = U_op - y[0] - G * inverter_g(u, y[0], U_tau)
-        if len(rest):
-            out[rest] = (U_op - y[rest]
-                         - G * inverter_g(y[rest - 1], y[rest], U_tau))
+        ycur, yprev = y[idx], y[idx - 1]
+        if idx[0] == 0:
+            yprev[0] = u_in(t)
+        np.subtract(U_op - ycur, G * inverter_g(yprev, ycur, U_tau),
+                    out=out)
 
     def _dg(yprev, ycur):
         # Partial derivatives of g(y_prev, y_cur).
@@ -221,13 +222,15 @@ def make_burgers(params: BurgersParams | None = None) -> OdeProblem:
                      + c2 * (y[2:] - 2.0 * y[1:-1] + y[:-2]))
 
     def rhs_restricted(y, t, indices, out):
+        # Ascending indices: the frozen boundaries can only come first and
+        # last, where the stencil's clipped neighbours are overwritten.
         idx = np.asarray(indices)
-        inner = idx[(idx > 0) & (idx < N - 1)]
-        out[idx] = 0.0
-        if len(inner):
-            out[inner] = (-y[inner] * (y[inner + 1] - y[inner - 1]) * c1
-                          + c2 * (y[inner + 1] - 2.0 * y[inner]
-                                  + y[inner - 1]))
+        yl, yc, yr = y[idx - 1], y[idx], y.take(idx + 1, mode="clip")
+        np.add(-yc * (yr - yl) * c1, c2 * (yr - 2.0 * yc + yl), out=out)
+        if idx[0] == 0:
+            out[0] = 0.0
+        if idx[-1] == N - 1:
+            out[-1] = 0.0
 
     def jacobian(y, t):
         # DIA rows for offsets -1, 0 and 1: column j of each row holds

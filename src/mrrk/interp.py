@@ -53,17 +53,17 @@ def _check_tau(tau):
 
 
 def _hermite_rows(tau, h, data, out=None):
-    """Hermite rows of an array of tau, each equal to the scalar formula.
+    """Hermite rows of an array of tau, each computed as for one tau.
 
-    The coefficients of each tau are computed as the scalar path does,
-    squares included (Python's ``**`` and numpy's array square may differ
-    in the last bit), then the four terms are accumulated into ``out`` in
-    the scalar path's order.
+    The coefficients of each tau are computed with Python floats, squares
+    included (Python's ``**`` and numpy's array square may differ in the
+    last bit), then the four terms are accumulated into ``out`` in a fixed
+    order, so a row does not depend on the other taus of the array.
     """
-    tl = np.asarray(tau).tolist()
+    tl = tau.tolist()
     s0 = np.array([(1.0 - t) ** 2 for t in tl])[:, None]
     s1 = np.array([t**2 for t in tl])[:, None]
-    tau = np.asarray(tau)[:, None]
+    tau = tau[:, None]
     coeffs = ((1.0 + 2.0 * tau) * s0, (3.0 - 2.0 * tau) * s1,
               h * tau * s0, h * (tau - 1.0) * s1)
     out = np.multiply(coeffs[0], data[0], out=out)
@@ -77,26 +77,22 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
                      f_next=None, K=None, dense=None):
     """Data-form interpolant of one step [t_n, t_n + h] as a builder.
 
-    Returns make(cols) -> interp, where ``interp(tau)`` gives the values
-    at t_n + tau*h restricted to ``cols`` (an index array or a slice);
-    tau is not checked.  ``linear`` reads the endpoint states, ``hermite``
-    also the endpoint derivatives ``f_n``/``f_next``, and ``dense`` the
-    stage derivatives ``K`` with the method's continuous-output
-    coefficients ``dense``.
+    Returns make(cols) -> interp, where ``interp(tau, out=None)`` gives
+    the values at t_n + tau*h restricted to ``cols`` (an index array or a
+    slice) for a 1-D array of m taus, as an (m, len(cols)) array written
+    into ``out`` when one is given; tau is not checked.  ``linear`` reads
+    the endpoint states, ``hermite`` also the endpoint derivatives
+    ``f_n``/``f_next``, and ``dense`` the stage derivatives ``K`` with the
+    method's continuous-output coefficients ``dense``.
 
-    A scalar tau gives one row; the dense kind computes the weight vector
-    of each scalar tau once for every column set.  A 1-D array of m taus
-    gives all m rows in one evaluation, written into ``interp(tau, out)``
-    when an (m, len(cols)) ``out`` is given: ``dense`` makes one
-    ``weight_rows`` call and one stacked product with the stage
-    derivatives, and ``linear`` and ``hermite`` broadcast their tau
-    coefficients over the rows.  Every row equals the scalar one bit for
-    bit.  The dense kind reads ``K[:, cols]`` column-major, which copies
-    K for a slice.
+    Each row is computed as if its tau came alone, so a row is the same
+    bits in any array: ``linear`` and ``hermite`` broadcast their tau
+    coefficients over the rows, and ``dense`` makes one ``weights`` call
+    and one stack of (1, s) @ (s, n) products with the stage derivatives.
+    The dense kind reads ``K[:, cols]`` column-major, which copies K for a
+    slice.
     """
     if kind.kind == "dense":
-        W_cache = {}
-
         def make(cols):
             # Column-major, as K[:, cols] of an index array already is: the
             # product w @ Kc sums the stages in another order for a
@@ -105,46 +101,27 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
             u0 = u_n[cols]
 
             def interp(tau, out=None):
-                if np.ndim(tau):
-                    # One (1, s) @ (s, n) product per row, so each row is
-                    # the scalar path's u0 + h * (w @ Kc) bit for bit.
-                    if out is None:
-                        out = np.empty((len(tau), Kc.shape[1]))
-                    np.matmul(dense.weight_rows(tau), Kc, out=out[:, None])
-                    out *= h
-                    out += u0
-                    return out
-                w = W_cache.get(tau)
-                if w is None:
-                    w = dense.weights(np.array([tau]))[0]
-                    W_cache[tau] = w
-                return u0 + h * (w @ Kc)
+                if out is None:
+                    out = np.empty((len(tau), Kc.shape[1]))
+                np.matmul(dense.weights(tau)[:, None], Kc, out=out[:, None])
+                out *= h
+                out += u0
+                return out
             return interp
     elif kind.kind == "linear":
         def make(cols):
             a, bb = u_n[cols], u_next[cols]
 
             def interp(tau, out=None):
-                if np.ndim(tau):
-                    tau = np.asarray(tau)[:, None]
-                    out = np.multiply(1.0 - tau, a, out=out)
-                    out += tau * bb
-                    return out
-                return (1.0 - tau) * a + tau * bb
+                tau = tau[:, None]
+                out = np.multiply(1.0 - tau, a, out=out)
+                out += tau * bb
+                return out
             return interp
     else:
         def make(cols):
-            a, bb = u_n[cols], u_next[cols]
-            fa, fb = f_n[cols], f_next[cols]
-
-            def interp(tau, out=None):
-                if np.ndim(tau):
-                    return _hermite_rows(tau, h, (a, bb, fa, fb), out)
-                return ((1.0 + 2.0 * tau) * (1.0 - tau) ** 2 * a
-                        + (3.0 - 2.0 * tau) * tau**2 * bb
-                        + h * tau * (1.0 - tau) ** 2 * fa
-                        + h * (tau - 1.0) * tau**2 * fb)
-            return interp
+            data = (u_n[cols], u_next[cols], f_n[cols], f_next[cols])
+            return lambda tau, out=None: _hermite_rows(tau, h, data, out)
     return make
 
 
@@ -155,9 +132,9 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
     ``f_n``/``f_next`` are the endpoint derivatives (required for
     ``hermite``); ``K`` holds the step's stage derivatives and ``dense``
     the method's continuous-output coefficients (both required for
-    ``dense``).  ``tau`` may be a scalar or a 1-D array; an array yields
-    one row per tau value, all from one evaluation (see
-    `slow_interpolant`).
+    ``dense``).  ``tau`` may be a scalar, giving one state, or a 1-D
+    array, giving one row per tau; both go through the one array
+    evaluation of `slow_interpolant`.
     """
     tau = _check_tau(tau)
     if tau.ndim > 1:
@@ -176,7 +153,8 @@ def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
     interp = slow_interpolant(kind, np.asarray(u_n, dtype=float),
                               np.asarray(u_next, dtype=float), h, f_n,
                               f_next, K, dense)(slice(None))
-    return interp(float(tau)) if tau.ndim == 0 else interp(tau)
+    rows = interp(np.atleast_1d(tau))
+    return rows if tau.ndim else rows[0]
 
 
 def interp_operator(kind: InterpolatorKind, L: np.ndarray, h: float,

@@ -34,9 +34,11 @@ class OdeProblem:
     """Initial-value problem y' = f(y, t), y(t0) = y0.
 
     ``rhs(y, t, out)`` writes f(y, t) into ``out``.  ``rhs_restricted(y,
-    t, indices, out)`` evaluates only the components in ``indices``
-    (writing into the corresponding slots of ``out``), reading only the
-    state entries their formulas need.  ``dependency(i)`` returns the
+    t, indices, out)`` evaluates only the components in ``indices``, an
+    ascending, non-empty index array, and writes their ``len(indices)``
+    values into ``out`` in that order, reading only the state entries
+    their formulas need; without one, the full RHS is evaluated and the
+    entries taken from it.  ``dependency(i)`` returns the
     state indices component i's RHS reads, a superset of the structural
     nonzeros of Jacobian row i.  ``jacobian(y, t)`` returns a dense array
     or a scipy sparse matrix; the stage solver reads the band of a DIA one
@@ -75,7 +77,7 @@ class OdeProblem:
             def _restricted(y, t, indices, out, _rhs=self.rhs, _n=self.N):
                 full = np.empty(_n)
                 _rhs(y, t, full)
-                out[indices] = full[indices]
+                full.take(indices, out=out)
             object.__setattr__(self, "rhs_restricted", _restricted)
 
 

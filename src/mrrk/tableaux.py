@@ -36,7 +36,9 @@ class DenseOutputCoeffs:
 
     ``B_star[i, j]`` is the coefficient of tau**(j+1) in b*_i(tau); there is
     no constant term, so every b*_i(0) = 0 and the interpolant reproduces
-    u_n at the left endpoint.
+    u_n at the left endpoint.  `weights` is the one evaluation of b*: the
+    data-form interpolant, the output sampler and the operator form
+    (`_linops`) all call it.
     """
 
     p_star: int
@@ -50,23 +52,15 @@ class DenseOutputCoeffs:
     def weights(self, tau):
         """Evaluate the stage weight vector b*(tau).
 
-        ``tau`` may be a scalar or an array; the polynomial degree axis is
-        contracted, leaving ``tau.shape + (s,)``.
+        ``tau`` may be a scalar or an array; the result has shape
+        ``tau.shape + (s,)``.  Each tau is its own (1, p) @ (p, s) product,
+        so the weights of a tau are the same bits whether it comes alone
+        or in an array (one (m, p) @ (p, s) product would sum in another
+        order).
         """
         tau = np.asarray(tau, dtype=float)
-        powers = tau[..., None] ** self._exponents
-        return powers @ self.B_star.T
-
-    def weight_rows(self, tau):
-        """Weight vectors of a 1-D array of m taus as an (m, 1, s) stack.
-
-        numpy evaluates a stack of (1, p) @ (p, s) products one row at a
-        time, as it does ``weights(np.array([t]))``, so each row equals
-        that call's result bit for bit; one (m, p) @ (p, s) product, as
-        ``weights(tau)`` makes, sums in another order.
-        """
-        tau = np.asarray(tau, dtype=float)
-        return (tau[:, None, None] ** self._exponents) @ self.B_star.T
+        powers = tau[..., None, None] ** self._exponents
+        return (powers @ self.B_star.T)[..., 0, :]
 
     @property
     def endpoint_weights(self) -> np.ndarray:

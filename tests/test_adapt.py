@@ -183,6 +183,32 @@ def test_t_eval_sampler_constant_problem():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.5, 2.0], [1.0, 1.5, 2.0, 5.0],
+                                  [0.0, 1.5, 2.0, 5.0]],
+                         ids=["below", "above", "both"])
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_t_eval_outside_span_is_rejected(grid, mode):
+    """A grid point outside t_span raises ValueError naming the span, not
+    an output row made up from the initial or final state."""
+    prob = make_linear_problem(np.diag([-1.0, -50.0]), t_span=(1.0, 2.0))
+    cfg = SolverConfig(mode=mode, phi=0.5, t_eval=np.array(grid))
+    with pytest.raises(ValueError, match=r"t_span \[1\.0, 2\.0\]"):
+        integrate(prob, get_method("esdirk3"), cfg)
+
+
+def test_t_eval_round_off_past_span_is_sampled():
+    """Points past either end by round-off, as the last point of an
+    np.arange grid can be, are kept: the start row holds y0 and the end
+    row the final state."""
+    prob = make_linear_problem(np.array([[-1.0]]), t_span=(1.0, 2.0))
+    grid = np.array([1.0 - 1e-12, 1.5, 2.0 + 1.5e-12])
+    res = integrate(prob, get_method("esdirk3"),
+                    SolverConfig(rtol=1e-8, atol=1e-10, t_eval=grid))
+    assert res.y_out[0, 0] == prob.y0[0]
+    np.testing.assert_allclose(res.y_out[:, 0], np.exp(1.0 - grid),
+                               atol=1e-6)
+
+
 def test_t_eval_sampler_matches_solution():
     prob = make_linear_problem(np.array([[-1.0]]), y0=np.array([1.0]),
                                t_span=(0.0, 4.0))
@@ -282,9 +308,9 @@ def test_fast_subproblem_interpolates_slow_columns_once_per_time():
     def counting_make(cols):
         interp = make(cols)
 
-        def counted(tau):
-            taus.append(tau)
-            return interp(tau)
+        def counted(tau, out=None):
+            taus.extend(tau.tolist())
+            return interp(tau, out)
         return counted
 
     sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, counting_make)
@@ -570,7 +596,8 @@ def test_output_sampler_batched_commit_matches_rows(name):
     assert s.filled == hi
     assert s.y[:lo].tobytes() == before.tobytes()
     interp = make(slice(None))
-    ref = np.array([interp(float((t - t0) / h)) for t in grid[lo:hi]])
+    ref = np.array([interp(np.array([(t - t0) / h]))[0]
+                    for t in grid[lo:hi]])
     ref[:, fast] = y_fast
     np.testing.assert_allclose(s.y[lo:hi], ref, rtol=1e-14,
                                atol=1e-14 * np.abs(ref).max())

@@ -17,9 +17,9 @@ def dense_jac(problem, y, t):
 def check_restricted_consistency(problem, y, t, indices, atol=1e-12):
     full = np.empty(problem.N)
     problem.rhs(y, t, full)
-    out = np.zeros(problem.N)
+    out = np.zeros(len(indices))
     problem.rhs_restricted(y, t, np.asarray(indices), out)
-    np.testing.assert_allclose(out[indices], full[indices], atol=atol)
+    np.testing.assert_allclose(out, full[indices], atol=atol)
 
 
 def strip_jacobian(problem):
@@ -151,6 +151,36 @@ def test_burgers_restricted_and_jacobian():
     Jr = prob.jacobian_restricted(y, 0.5, idx)
     J = dense_jac(prob, y, 0.5)
     np.testing.assert_allclose(Jr, J[np.ix_(idx, idx)], atol=1e-12)
+
+
+@pytest.mark.parametrize("make, params, indices", [
+    (make_inverter_chain, InverterChainParams(N=30), [0, 1, 7, 8, 29]),
+    (make_inverter_chain, InverterChainParams(N=30), [3, 4, 17]),
+    (make_inverter_chain, InverterChainParams(N=30), [0]),
+    (make_burgers, BurgersParams(N=40), [0, 1, 2, 20, 38, 39]),
+    (make_burgers, BurgersParams(N=40), [0]),
+    (make_burgers, BurgersParams(N=40), [39]),
+    (make_burgers, BurgersParams(N=40), [5, 6, 30]),
+    (make_heating, HeatingParams(N=6), [0, 2, 7, 9, 13]),
+], ids=["inverter-with-0", "inverter-without-0", "inverter-only-0",
+        "burgers-both-boundaries", "burgers-left", "burgers-right",
+        "burgers-interior", "heating-fallback"])
+def test_restricted_rhs_writes_compact_values_bitwise(make, params, indices):
+    """rhs_restricted writes exactly len(indices) values, in index order,
+    bitwise equal to the full RHS at those indices."""
+    prob = make(params)
+    rng = np.random.default_rng(8)
+    y = prob.y0 * (1.0 + 0.1 * rng.standard_normal(prob.N)) + 0.05
+    idx = np.array(indices)
+    # At t = 12 the inverter's input is on its plateau; heating's switches
+    # are under way at 8.5 h.
+    t = 8.5 * 3600.0 if prob.name == "heating" else 12.0
+    full = np.empty(prob.N)
+    prob.rhs(y, t, full)
+    guard = np.full(len(idx) + 2, np.nan)
+    prob.rhs_restricted(y, t, idx, guard[1:-1])
+    assert np.isnan(guard[0]) and np.isnan(guard[-1])
+    assert guard[1:-1].tobytes() == full[idx].tobytes()
 
 
 @pytest.mark.parametrize("make, params", [

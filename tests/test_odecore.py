@@ -47,9 +47,9 @@ def test_default_restricted_rhs_matches_full():
     y = np.array([1.0, 2.0])
     full = np.empty(2)
     prob.rhs(y, 0.0, full)
-    out = np.zeros(2)
+    out = np.zeros(1)
     prob.rhs_restricted(y, 0.0, np.array([1]), out)
-    assert out[1] == full[1]
+    assert out[0] == full[1]
 
 
 @pytest.mark.parametrize("name", ALL)

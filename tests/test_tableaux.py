@@ -128,12 +128,14 @@ def test_dense_weights_shape_contract():
 
 
 @pytest.mark.parametrize("name", ["erk4-owren", "esdirk3", "esdirk4"])
-def test_dense_weight_rows_equal_one_row_weights(name):
-    """weight_rows stacks the one-tau weight vectors bit for bit."""
+def test_dense_weights_over_array_equal_one_tau_weights(name):
+    """weights over an array equals one-tau weights bit for bit."""
     m = get_method(name)
     taus = np.concatenate([[0.0, 1.0],
                            np.random.default_rng(3).random(200)])
-    rows = m.dense.weight_rows(taus)
-    assert rows.shape == (len(taus), 1, m.s)
-    one = np.array([m.dense.weights(np.array([t]))[0] for t in taus])
-    assert rows[:, 0].tobytes() == one.tobytes()
+    rows = m.dense.weights(taus)
+    assert rows.shape == (len(taus), m.s)
+    one = np.array([m.dense.weights(t) for t in taus])
+    assert rows.tobytes() == one.tobytes()
+    assert one.tobytes() == np.array(
+        [m.dense.weights(np.array([t]))[0] for t in taus]).tobytes()

@@ -16,11 +16,12 @@ with each commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
 a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
 
-The set has 44 runs: four seeded 1000-stage inverter chains, a
+The set has 47 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
 MR, with JacA and JacB, esdirk3, esdirk4 and erk4, with and without an
-output grid.  BLAS runs on one thread, as results depend on the thread
-count.
+output grid.  The methods' own slow interpolants are the dense and
+Hermite kinds; three more MR runs select the linear kind.  BLAS runs on
+one thread, as results depend on the thread count.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ BURGERS_RUNS = (("esdirk3", "JacB", True), ("esdirk3", "JacA", False),
                 ("erk4", "JacB", True), ("erk4", "JacB", False))
 HEATING_RUNS = (("esdirk3", "JacB", True), ("esdirk3", "JacA", False),
                 ("esdirk4", "JacB", False), ("esdirk4", "JacA", True))
+# (problem label, method) of the MR runs with linear slow interpolation,
+# each with JacB and an output grid.
+LINEAR_RUNS = (("inverter11", "esdirk3"), ("burgers", "esdirk3"),
+               ("burgers", "erk4"))
 
 
 def _inverter(seed: int):
@@ -71,6 +76,7 @@ def parity_set():
     """(name, problem, method name, SolverConfig) of every run."""
     from mrrk import bench
     from mrrk.adapt import SolverConfig
+    from mrrk.interp import LINEAR
     problems = [(f"inverter{s}", _inverter(s), INVERTER_RUNS, 0.05)
                 for s in INVERTER_SEEDS]
     problems.append(("burgers", bench.make_burgers(bench.BurgersParams(
@@ -87,6 +93,13 @@ def parity_set():
                 name = (f"{label}-{method}-{strategy}-{mode}"
                         + ("-grid" if with_grid else ""))
                 yield name, prob, method, cfg
+    probs = {label: (prob, phi) for label, prob, _, phi in problems}
+    for label, method in LINEAR_RUNS:
+        prob, phi = probs[label]
+        cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode="multi", phi=phi,
+                           interp=LINEAR, jacobian_strategy="JacB",
+                           t_eval=np.linspace(*prob.t_span, 201))
+        yield f"{label}-{method}-JacB-multi-linear-grid", prob, method, cfg
 
 
 def digest(t, y, activity, stats) -> str:
