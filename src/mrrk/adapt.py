@@ -20,10 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
-from .newton import ConvergenceFailure, JacobianCache, NewtonConfig
+from .newton import STRATEGIES, ConvergenceFailure, JacobianCache
 from .odecore import (NumericalBlowup, OdeProblem, error_quotients,
                       new_step_size, rk_step)
 from .tableaux import ButcherTableau
+
+# Names of the integration modes: the fast cap is 0 in "single".
+MODES = ("single", "multi")
 
 
 class IntegrationFailure(Exception):
@@ -46,8 +49,11 @@ class IntegrationFailure(Exception):
 class SolverConfig:
     """Tolerances and controller settings for one integration run.
 
-    Tolerances, step bounds and controller settings are validated here,
-    so a bad value raises ValueError at construction, not inside the run.
+    This is the one owner of a run's settings, their defaults and their
+    valid values: the stage solves read it through their `JacobianCache`,
+    and the CLI's solver flags default to its fields.  Tolerances, step
+    bounds and controller settings are validated here, so a bad value
+    raises ValueError at construction, not inside the run.
     """
 
     rtol: float = 1e-6
@@ -89,10 +95,11 @@ class SolverConfig:
             raise ValueError("phi must lie in (0, 1)")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ValueError("beta must be finite and positive")
-        if self.mode not in ("single", "multi"):
-            raise ValueError("mode must be 'single' or 'multi'")
-        if self.jacobian_strategy not in ("JacA", "JacB"):
-            raise ValueError("jacobian_strategy must be 'JacA' or 'JacB'")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if self.jacobian_strategy not in STRATEGIES:
+            raise ValueError(
+                f"jacobian_strategy must be one of {STRATEGIES}")
         if self.t_eval is not None:
             t = np.asarray(self.t_eval, dtype=float)
             # A non-decreasing grid holds no NaN and lies between its ends,
@@ -102,12 +109,6 @@ class SolverConfig:
                     and (t[1:] >= t[:-1]).all())):
                 raise ValueError(
                     "t_eval must be a finite, non-decreasing 1-D array")
-
-    def newton_config(self) -> NewtonConfig:
-        return NewtonConfig(max_iters=self.newton_max_iters,
-                            rel_tol=0.01 * self.rtol,
-                            abs_tol=0.01 * self.atol,
-                            strategy=self.jacobian_strategy)
 
 
 @dataclass(frozen=True)
@@ -238,14 +239,18 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
 
     Returns a function cols -> (tau -> values at cols), built by
     `interp.slow_interpolant`; a slice of all columns reads the step's
-    arrays without a copy.  Methods with continuous output use it;
-    others fall back to cubic Hermite.  Only the Hermite kind evaluates
-    the endpoint derivatives (one fresh RHS call for the right endpoint,
-    one for the left unless the first stage holds it).
+    arrays without a copy.  Methods with continuous output and an
+    embedded pair use it; others fall back to cubic Hermite.  A method
+    without an embedded pair accepts the two half steps of step doubling,
+    while its stage derivatives ``K`` come from the single full step, so
+    its continuous output would not end at ``u_next``.  Only the Hermite
+    kind evaluates the endpoint derivatives (one fresh RHS call for the
+    right endpoint, one for the left unless the first stage holds it).
     """
     kind = cfg.interp
-    if kind is None or (kind.kind == "dense" and method.dense is None):
-        kind = DENSE if method.dense is not None else HERMITE
+    dense = method.dense is not None and method.b_hat is not None
+    if kind is None or (kind.kind == "dense" and not dense):
+        kind = DENSE if dense else HERMITE
     f_n = f_next = None
     if kind.kind == "hermite":
         if method.explicit_first_stage:
@@ -481,7 +486,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         sampler = _OutputSampler(cfg.t_eval, problem.N, t0, u)
     cache = None
     if not method.is_explicit:
-        cache = JacobianCache(problem, cfg.newton_config())
+        cache = JacobianCache(problem, cfg)
     start = time.perf_counter()
 
     def close_stats():

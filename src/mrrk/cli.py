@@ -43,8 +43,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import bench
-from .adapt import IntegrationFailure, SolverConfig, integrate
-from .interp import DENSE, HERMITE, LINEAR
+from .adapt import MODES, IntegrationFailure, SolverConfig, integrate
+from .interp import KINDS, InterpolatorKind
+from .newton import STRATEGIES
 from .odecore import NumericalBlowup, OdeProblem
 from .stability import model_2dof, model_4dof, propagator_error, scan_cell
 from .tableaux import get_method, method_names
@@ -57,8 +58,6 @@ EXIT_NUMERIC = 4
 # Most values (grid rows x state size) the solution grid may hold; the
 # sampler keeps all of them in memory, 8 bytes each.
 MAX_OUTPUT_VALUES = 10_000_000
-
-_INTERPS = {"linear": LINEAR, "hermite": HERMITE, "dense": DENSE}
 
 
 class UsageError(Exception):
@@ -211,15 +210,17 @@ def make_problem(name: str, overrides: dict) -> OdeProblem:
 
 
 def _solver_config(args, t_eval: np.ndarray) -> SolverConfig:
+    interp = None if args.interp is None else InterpolatorKind(args.interp)
+    given = dict(
+        rtol=args.rtol, atol=args.atol, alpha=args.safety,
+        alpha_min=args.safety_min, alpha_max=args.safety_max,
+        beta=args.beta, phi=args.phi, h0=args.h0, h_min=args.h_min,
+        mode=args.mode, interp=interp,
+        jacobian_strategy=args.jacobian_strategy,
+        newton_max_iters=args.newton_max_iters, max_steps=args.max_steps)
     try:
         return SolverConfig(
-            rtol=args.rtol, atol=args.atol, alpha=args.safety,
-            alpha_min=args.safety_min, alpha_max=args.safety_max,
-            beta=args.beta, phi=args.phi, h0=args.h0, h_min=args.h_min,
-            mode=args.mode, interp=_INTERPS.get(args.interp),
-            jacobian_strategy=args.jacobian_strategy,
-            newton_max_iters=args.newton_max_iters, t_eval=t_eval,
-            max_steps=args.max_steps)
+            t_eval=t_eval, **{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -325,7 +326,7 @@ def _make_model(args, kappa: float):
 
 
 def cmd_stability(args) -> int:
-    kind = _INTERPS[args.interp]
+    kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     try:
         models = [_make_model(args, k) for k in args.kappa]
@@ -358,7 +359,7 @@ def cmd_stability(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    kind = _INTERPS[args.interp]
+    kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     model = model_4dof(omega1=args.omega1, gamma1=args.gamma1,
                        alpha_ratio=args.alpha, beta_ratio=args.model_beta,
@@ -384,23 +385,27 @@ def cmd_accuracy(args) -> int:
 
 
 def _add_solver_flags(p):
-    p.add_argument("--rtol", type=float, default=1e-6)
-    p.add_argument("--atol", type=float, default=1e-6)
-    p.add_argument("--phi", type=float, default=0.1,
-                   help="fast-component fraction cap")
-    p.add_argument("--beta", type=float, default=1.0,
+    """One flag per `SolverConfig` field but ``t_eval``; a flag left out
+    is None and takes the field's default."""
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--interp", choices=KINDS,
+                   help="slow-value interpolator (default: dense output "
+                        "with an embedded pair, else hermite)")
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
+    p.add_argument("--phi", type=float, help="fast-component fraction cap")
+    p.add_argument("--beta", type=float,
                    help="error-quotient acceptance threshold")
-    p.add_argument("--safety", type=float, default=0.9,
+    p.add_argument("--safety", type=float,
                    help="step controller safety factor")
-    p.add_argument("--safety-min", type=float, default=0.5)
-    p.add_argument("--safety-max", type=float, default=1.2)
-    p.add_argument("--h0", type=float, default=None,
+    p.add_argument("--safety-min", type=float)
+    p.add_argument("--safety-max", type=float)
+    p.add_argument("--h0", type=float,
                    help="initial step size (default: automatic heuristic)")
-    p.add_argument("--h-min", type=float, default=1e-12)
-    p.add_argument("--jacobian-strategy", choices=("JacA", "JacB"),
-                   default="JacB")
-    p.add_argument("--newton-max-iters", type=int, default=20)
-    p.add_argument("--max-steps", type=int, default=10_000_000)
+    p.add_argument("--h-min", type=float)
+    p.add_argument("--jacobian-strategy", choices=STRATEGIES)
+    p.add_argument("--newton-max-iters", type=int)
+    p.add_argument("--max-steps", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,10 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="NAME=VALUE",
                     help="problem parameter override (JSON value)")
     ps.add_argument("--method", default="esdirk3", choices=method_names())
-    ps.add_argument("--mode", choices=("single", "multi"), default="single")
-    ps.add_argument("--interp", choices=sorted(_INTERPS), default=None,
-                    help="slow-value interpolator (default: method's "
-                         "continuous output, else hermite)")
     _add_solver_flags(ps)
     ps.add_argument("--output-dt", type=float, default=None,
                     help="solution.csv grid spacing (default span/1000)")
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("stability", help="multi-rate stability scan")
     pt.add_argument("--model", required=True, choices=("2dof", "4dof"))
     pt.add_argument("--method", default="erk4", choices=method_names())
-    pt.add_argument("--interp", choices=sorted(_INTERPS), default="hermite")
+    pt.add_argument("--interp", choices=KINDS, default="hermite")
     pt.add_argument("--alpha", type=float, required=True,
                     help="fast/slow time-scale ratio")
     pt.add_argument("--kappa", type=_floats, required=True,
@@ -453,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("accuracy",
                         help="single- vs multi-rate propagator error sweep")
     pa.add_argument("--method", default="erk4", choices=method_names())
-    pa.add_argument("--interp", choices=sorted(_INTERPS), default="hermite")
+    pa.add_argument("--interp", choices=KINDS, default="hermite")
     pa.add_argument("--C", type=_positive_floats, required=True,
                     help="comma list of normalized step sizes")
     pa.add_argument("--M", type=_count, default=10)

@@ -31,8 +31,9 @@ through the norms it computes anyway: the weighted norm of each iterate
 (a non-finite RHS at the start fails there) and the 2-norm of each
 line-search trial (a non-finite trial fails the decrease test).
 
-A `JacobianCache` carries the run's `NewtonConfig` and counts its own
-Jacobian evaluations; RHS calls are counted by the driver's problem.
+A `JacobianCache` carries the run's `adapt.SolverConfig`, the one owner
+of its settings, and counts its own Jacobian evaluations; RHS calls are
+counted by the driver's problem.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
+# Names of the Jacobian strategies, which `adapt.SolverConfig` validates.
+STRATEGIES = ("JacA", "JacB")
+# Residual tolerances of a stage solve relative to the step tolerances, so
+# the algebraic error stays well below the embedded error estimate.
+RESIDUAL_TOL_FACTOR = 0.01
 DENSE_FACTOR_LIMIT = 512
 BANDED_LIMIT = 4
 # JacA re-evaluates J once it is this many global steps old.
@@ -154,28 +160,6 @@ def _sparse_factor(A):
         raise FactorizationError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Convergence control for the stage solves.
-
-    ``rel_tol``/``abs_tol`` weight the residual the same way the step
-    controller weights the local error; they default to one hundredth of
-    the step tolerances so the algebraic error never contaminates the
-    embedded error estimate.
-    """
-
-    max_iters: int = 20
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-8
-    strategy: str = "JacB"
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.strategy not in ("JacA", "JacB"):
-            raise ValueError("strategy must be 'JacA' or 'JacB'")
-
-
 def structural_coloring(dependency, n: int):
     """Group columns so no two columns in a group touch a common row.
 
@@ -234,8 +218,11 @@ def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
 class JacobianCache:
     """Jacobian plus factorization of I - h a_ii J, with reuse policy.
 
-    ``evals`` counts Jacobian evaluations, finite-difference ones included;
-    the driver reads it as its Jacobian counter when a run ends.  Without
+    ``config`` is the run's `adapt.SolverConfig`: its
+    ``jacobian_strategy`` sets the step-start policy, and `solve_stage`
+    reads its tolerances and ``newton_max_iters``.  ``evals`` counts
+    Jacobian evaluations, finite-difference ones included; the driver
+    reads it as its Jacobian counter when a run ends.  Without
     an analytic Jacobian the column coloring and the rows each column
     reaches are built on the first refresh and kept.
 
@@ -251,7 +238,7 @@ class JacobianCache:
     """
 
     problem: object
-    config: NewtonConfig
+    config: object
     J: object = None
     age: int = 0
     evals: int = 0
@@ -263,7 +250,7 @@ class JacobianCache:
 
     def begin_global_step(self, y: np.ndarray, t: float):
         """Apply the strategy's step-start policy."""
-        if self.config.strategy == "JacB":
+        if self.config.jacobian_strategy == "JacB":
             self.refresh(y, t)
         else:
             self.age += 1
@@ -321,16 +308,18 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                 base: np.ndarray, cache: JacobianCache):
     """Solve U = base + h a_ii f(U, t) by line-search modified Newton.
 
-    Starts from ``base`` and returns U; the settings are ``cache.config``.
-    Convergence is measured in the weighted max norm |r_i| / (rel_tol |U_i|
-    + abs_tol) <= 1.  Each Newton direction comes from the cached (frozen)
-    Jacobian; a backtracking line search on the residual 2-norm, down to a
-    damping factor of ``LAM_MIN``, keeps the iteration monotone.  The
-    Jacobian is re-evaluated at the current iterate when the line search has
-    to damp the step or when the weighted residual stalls (reduction factor
-    above 0.9 three times in a row), up to ``MAX_REFRESHES`` times per
-    solve.  The iteration cap, an exhausted line search, or a non-finite
-    evaluation raise ConvergenceFailure.
+    Starts from ``base`` and returns U.  The settings come from the run's
+    config, ``cache.config``: at most ``newton_max_iters`` iterations, and
+    convergence in the weighted max norm |r_i| / (rel_tol |U_i| + abs_tol)
+    <= 1 with rel_tol = ``RESIDUAL_TOL_FACTOR * rtol`` and abs_tol =
+    ``RESIDUAL_TOL_FACTOR * atol``.  Each Newton direction comes from the
+    cached (frozen) Jacobian; a backtracking line search on the residual
+    2-norm, down to a damping factor of ``LAM_MIN``, keeps the iteration
+    monotone.  The Jacobian is re-evaluated at the current iterate when
+    the line search has to damp the step or when the weighted residual
+    stalls (reduction factor above 0.9 three times in a row), up to
+    ``MAX_REFRESHES`` times per solve.  The iteration cap, an exhausted
+    line search, or a non-finite evaluation raise ConvergenceFailure.
 
     Each quantity is checked for finiteness once, where it is read:
 
@@ -344,6 +333,8 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     if a_ii <= 0:
         raise ValueError("solve_stage requires an implicit stage (a_ii > 0)")
     cfg = cache.config
+    rel_tol = RESIDUAL_TOL_FACTOR * cfg.rtol
+    abs_tol = RESIDUAL_TOL_FACTOR * cfg.atol
     h_gamma = h * a_ii
     U = base.copy()
     f = np.empty_like(U)
@@ -357,8 +348,8 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
 
     def wnorm(r, state):
         np.abs(state, out=w)
-        np.multiply(w, cfg.rel_tol, out=w)
-        np.add(w, cfg.abs_tol, out=w)
+        np.multiply(w, rel_tol, out=w)
+        np.add(w, abs_tol, out=w)
         np.abs(r, out=q)
         np.divide(q, w, out=q)
         return float(q.max())
@@ -368,7 +359,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     refreshes = 0
     stall_count = 0
     prev_norm = None
-    for _ in range(cfg.max_iters):
+    for _ in range(cfg.newton_max_iters):
         norm = wnorm(r, U)
         if not math.isfinite(norm):
             # Accepted trials are finite, so only the first RHS can be.
@@ -425,4 +416,4 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             refreshes += 1
             prev_norm = None
     raise ConvergenceFailure(
-        f"stage solve did not converge in {cfg.max_iters} iterations")
+        f"stage solve did not converge in {cfg.newton_max_iters} iterations")

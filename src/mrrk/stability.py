@@ -24,6 +24,9 @@ from . import _linops
 from .interp import InterpolatorKind
 from .tableaux import ButcherTableau
 
+# A step counts as stable while its spectral radius is <= 1 + RHO_TOL.
+RHO_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class PartitionedLinearModel:
@@ -51,18 +54,6 @@ class PartitionedLinearModel:
     @property
     def N(self) -> int:
         return self.L.shape[0]
-
-    @property
-    def n_slow(self) -> int:
-        return self.N - self.d
-
-    @property
-    def L_fs(self) -> np.ndarray:
-        return self.L[self.n_slow:, :self.n_slow]
-
-    @property
-    def L_ff(self) -> np.ndarray:
-        return self.L[self.n_slow:, self.n_slow:]
 
     @cached_property
     def Lam(self) -> float:
@@ -173,51 +164,50 @@ def _integer_grid(C_max: float) -> np.ndarray:
 
 
 def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
-                interp: InterpolatorKind, M: int, C_max: float = 100.0,
-                rho_tol: float = 1e-8):
+                interp: InterpolatorKind, M: int, C_max: float = 100.0):
     """Integer max-C table entry: ceiling of the first stability boundary.
 
     The published tables round the first loss-of-stability boundary up to
     the next integer (boundaries that sit on an integer within 1e-6 are
-    kept as that integer).  Returns the sentinel ">= {C_max}" when the
+    kept as that integer).  A C is unstable when its spectral radius
+    exceeds 1 + ``RHO_TOL``.  Returns the sentinel ">= {C_max}" when the
     scheme stays stable on the whole integer grid.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
-    return _entry(model, method, interp, M, C_grid, rho, rho_tol, C_max)
+    return _entry(model, method, interp, M, C_grid, rho, C_max)
 
 
-def _entry(model, method, interp, M, C_grid, rho, rho_tol, C_max):
+def _entry(model, method, interp, M, C_grid, rho, C_max):
     """`table_entry` from its integer-grid scan ``rho``.
 
     The first boundary lies in (C_i - 1, C_i] for the first unstable
     integer C_i.  Its ceiling is C_i unless it sits within 1e-6 above
     C_i - 1, which one probe at C_i - 1 + 1e-6 decides.
     """
-    unstable = np.nonzero(rho > 1.0 + rho_tol)[0]
+    unstable = np.nonzero(rho > 1.0 + RHO_TOL)[0]
     if len(unstable) == 0:
         return f">= {C_max:g}"
     C_i = int(C_grid[unstable[0]])
     probe = rho_curve(model, method, interp, M, np.array([C_i - 1 + 1e-6]))
-    return C_i - 1 if probe[0] > 1.0 + rho_tol else C_i
+    return C_i - 1 if probe[0] > 1.0 + RHO_TOL else C_i
 
 
 def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
-              interp: InterpolatorKind, M: int, C_max: float = 100.0,
-              rho_tol: float = 1e-8):
+              interp: InterpolatorKind, M: int, C_max: float = 100.0):
     """Scan rows and the `table_entry` of one M, from one scan.
 
     The rows are {model, method, interp, params..., M, C, rho, stable},
-    one per C of the integer grid 1..floor(C_max); model parameters that
-    a model kind does not define are empty strings, so all rows share one
-    header.  Both read the spectral radii on that grid, so it is scanned
-    once; only the boundary probe adds a C value.
+    one per C of the integer grid 1..floor(C_max), ``stable`` meaning
+    rho <= 1 + ``RHO_TOL``; model parameters that a model kind does not
+    define are empty strings, so all rows share one header.  Both read
+    the spectral radii on that grid, so it is scanned once; only the
+    boundary probe adds a C value.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
-    rows = _records(model, method, interp, M, C_grid, rho, rho_tol)
-    return rows, _entry(model, method, interp, M, C_grid, rho, rho_tol,
-                        C_max)
+    rows = _records(model, method, interp, M, C_grid, rho)
+    return rows, _entry(model, method, interp, M, C_grid, rho, C_max)
 
 
 def matrix_exponential(L: np.ndarray, t: float) -> np.ndarray:
@@ -253,7 +243,7 @@ def propagator_error(model: PartitionedLinearModel, method: ButcherTableau,
     return float(np.linalg.norm(err, 2) / np.linalg.norm(exact, 2))
 
 
-def _records(model, method, interp, M, C_grid, rho, rho_tol):
+def _records(model, method, interp, M, C_grid, rho):
     """`scan_cell` rows of one M from its scan ``rho`` over C_grid."""
     p = model.params
     base = {
@@ -267,5 +257,5 @@ def _records(model, method, interp, M, C_grid, rho, rho_tol):
         "kappa": p.get("kappa", ""),
     }
     return [dict(base, M=int(M), C=float(C), rho=float(r),
-                 stable=bool(r <= 1.0 + rho_tol))
+                 stable=bool(r <= 1.0 + RHO_TOL))
             for C, r in zip(C_grid, rho)]

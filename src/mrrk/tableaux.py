@@ -41,13 +41,13 @@ class DenseOutputCoeffs:
     (`_linops`) all call it.
     """
 
-    p_star: int
-    B_star: np.ndarray  # shape (s, p_star)
-    # The exponents 1..p_star of the tau powers, built once.
+    B_star: np.ndarray  # shape (s, p*), p* the degree in tau
+    # The exponents 1..p* of the tau powers, built once.
     _exponents: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_exponents", np.arange(1, self.p_star + 1))
+        object.__setattr__(self, "_exponents",
+                           np.arange(1, self.B_star.shape[1] + 1))
 
     def weights(self, tau):
         """Evaluate the stage weight vector b*(tau).
@@ -104,6 +104,11 @@ class ButcherTableau:
         return self.kind in ("explicit", "esdirk")
 
 
+# Round-off allowed in the coefficient sums that `validate_tableau` and
+# `endpoint_consistent` check.
+COEFF_TOL = 1e-12
+
+
 class MethodNotFound(KeyError):
     pass
 
@@ -137,7 +142,7 @@ def _make_erk4() -> ButcherTableau:
 # eight order-4 conditions exactly.
 # ----------------------------------------------------------------------------
 
-def _make_owren() -> tuple[ButcherTableau, DenseOutputCoeffs]:
+def _make_owren() -> ButcherTableau:
     A_rows = [
         ["0", "0", "0", "0", "0", "0"],
         ["1/6", "0", "0", "0", "0", "0"],
@@ -155,8 +160,7 @@ def _make_owren() -> tuple[ButcherTableau, DenseOutputCoeffs]:
         ["0", "-1522125/762944", "982125/190736", "-624375/217984"],
         ["0", "165/131", "-461/131", "296/131"],
     ]
-    B_star = _frac_matrix(B_rows)
-    dense = DenseOutputCoeffs(p_star=4, B_star=B_star)
+    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
     # Endpoint weights in exact arithmetic; the continuous extension at
     # tau = 1 is the discrete fourth-order method.
     b = np.array([
@@ -164,9 +168,8 @@ def _make_owren() -> tuple[ButcherTableau, DenseOutputCoeffs]:
     ])
     c = np.array([float(Fraction(x)) for x in
                   ["0", "1/6", "11/37", "11/17", "13/15", "1"]])
-    tab = ButcherTableau("erk4-owren", A, b, c, p=4, kind="explicit",
-                         dense=dense)
-    return tab, dense
+    return ButcherTableau("erk4-owren", A, b, c, p=4, kind="explicit",
+                          dense=dense)
 
 
 # ----------------------------------------------------------------------------
@@ -177,7 +180,7 @@ def _make_owren() -> tuple[ButcherTableau, DenseOutputCoeffs]:
 _ESDIRK3_GAMMA = 0.43586652150845899941601945
 
 
-def _make_esdirk3() -> tuple[ButcherTableau, DenseOutputCoeffs]:
+def _make_esdirk3() -> ButcherTableau:
     g = Fraction(43586652150845899941601945, 10**26)
     c3 = Fraction(3, 5)
     a32 = c3 * (c3 - 2 * g) / (4 * g)
@@ -207,11 +210,10 @@ def _make_esdirk3() -> tuple[ButcherTableau, DenseOutputCoeffs]:
         ["-4782987747279/4575882152666", "22547150295437/9402010570133",
          "-8621837051676/9402290144509"],
     ]
-    dense = DenseOutputCoeffs(p_star=3, B_star=_frac_matrix(B_rows))
+    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
     b_hat = _embedded_weights(A, b, c, p_hat=2)
-    tab = ButcherTableau("esdirk3", A, b, c, p=3, kind="esdirk",
-                         b_hat=b_hat, p_hat=2, dense=dense)
-    return tab, dense
+    return ButcherTableau("esdirk3", A, b, c, p=3, kind="esdirk",
+                          b_hat=b_hat, p_hat=2, dense=dense)
 
 
 # ----------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def _make_esdirk3() -> tuple[ButcherTableau, DenseOutputCoeffs]:
 # embedded order-3 pair and a degree-4 continuous output.
 # ----------------------------------------------------------------------------
 
-def _make_esdirk4() -> tuple[ButcherTableau, DenseOutputCoeffs]:
+def _make_esdirk4() -> ButcherTableau:
     # Closed forms in the field Q(sqrt(2)), evaluated via (p, q) -> p + q*r2.
     r2 = math.sqrt(2.0)
 
@@ -268,11 +270,10 @@ def _make_esdirk4() -> tuple[ButcherTableau, DenseOutputCoeffs]:
         ["27308879169709/13030500014233", "-84229392543950/6077740599399",
          "1102028547503824/51424476870755", "-63602213973224/6753880425717"],
     ]
-    dense = DenseOutputCoeffs(p_star=4, B_star=_frac_matrix(B_rows))
+    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
     b_hat = _embedded_weights(A, b, c, p_hat=3)
-    tab = ButcherTableau("esdirk4", A, b, c, p=4, kind="esdirk",
-                         b_hat=b_hat, p_hat=3, dense=dense)
-    return tab, dense
+    return ButcherTableau("esdirk4", A, b, c, p=4, kind="esdirk",
+                          b_hat=b_hat, p_hat=3, dense=dense)
 
 
 def _embedded_weights(A, b, c, p_hat):
@@ -311,11 +312,7 @@ _REGISTRY: dict[str, ButcherTableau] = {}
 
 
 def _build_registry():
-    erk4 = _make_erk4()
-    owren, _ = _make_owren()
-    e3, _ = _make_esdirk3()
-    e4, _ = _make_esdirk4()
-    for t in (erk4, owren, e3, e4):
+    for t in (_make_erk4(), _make_owren(), _make_esdirk3(), _make_esdirk4()):
         _REGISTRY[t.name] = t
 
 
@@ -353,12 +350,15 @@ class ValidationReport:
             self.failures.append(label)
 
 
-def validate_tableau(tab: ButcherTableau, tol: float = 1e-12) -> ValidationReport:
-    """Check structural invariants of a tableau; report residuals."""
+def validate_tableau(tab: ButcherTableau) -> ValidationReport:
+    """Check structural invariants of a tableau; report residuals.
+
+    Residuals of the coefficient sums pass up to ``COEFF_TOL``.
+    """
     rep = ValidationReport(tab.name)
-    rep.record("sum_b", float(tab.b.sum() - 1.0), tol)
+    rep.record("sum_b", float(tab.b.sum() - 1.0), COEFF_TOL)
     row_resid = float(np.max(np.abs(tab.A.sum(axis=1) - tab.c)))
-    rep.record("row_sums", row_resid, tol)
+    rep.record("row_sums", row_resid, COEFF_TOL)
     s = tab.s
     if tab.kind == "explicit":
         upper = float(np.max(np.abs(np.triu(tab.A))))
@@ -367,7 +367,7 @@ def validate_tableau(tab: ButcherTableau, tol: float = 1e-12) -> ValidationRepor
         rep.record("first_stage_explicit", float(abs(tab.A[0, 0])), 0.0)
         gam = tab.A[1, 1]
         diag_resid = float(np.max(np.abs(np.diag(tab.A)[1:] - gam)))
-        rep.record("constant_diagonal", diag_resid, tol)
+        rep.record("constant_diagonal", diag_resid, COEFF_TOL)
         if not gam > 0:
             rep.failures.append("positive_gamma")
         upper = float(np.max(np.abs(np.triu(tab.A, 1))))
@@ -380,11 +380,11 @@ def validate_tableau(tab: ButcherTableau, tol: float = 1e-12) -> ValidationRepor
     else:
         rep.failures.append(f"unknown kind {tab.kind!r}")
     if tab.b_hat is not None:
-        rep.record("sum_b_hat", float(tab.b_hat.sum() - 1.0), tol)
+        rep.record("sum_b_hat", float(tab.b_hat.sum() - 1.0), COEFF_TOL)
         if tab.p_hat is None:
             rep.failures.append("p_hat_missing")
     if tab.dense is not None:
-        if tab.dense.B_star.shape != (s, tab.dense.p_star):
+        if tab.dense.B_star.shape[0] != s:
             rep.failures.append("b_star_shape")
         # Endpoint consistency is a property of the method, not an
         # invariant; record the residual for information.
@@ -393,9 +393,11 @@ def validate_tableau(tab: ButcherTableau, tol: float = 1e-12) -> ValidationRepor
     return rep
 
 
-def endpoint_consistent(tab: ButcherTableau, tol: float = 1e-12) -> bool:
-    """Whether the dense output reproduces the discrete step at tau = 1."""
+def endpoint_consistent(tab: ButcherTableau) -> bool:
+    """Whether the dense output reproduces the discrete step at tau = 1,
+    its weights b*(1) matching b up to ``COEFF_TOL``."""
     if tab.dense is None:
         return False
-    return bool(np.max(np.abs(tab.dense.endpoint_weights - tab.b)) <= tol)
+    return bool(
+        np.max(np.abs(tab.dense.endpoint_weights - tab.b)) <= COEFF_TOL)
 

@@ -12,7 +12,7 @@ from dataclasses import replace  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest
 
-from mrrk.newton import NewtonConfig
+from mrrk.adapt import SolverConfig
 from mrrk.odecore import OdeProblem
 
 
@@ -54,4 +54,4 @@ def counting_problem(problem):
 
 @pytest.fixture
 def tight_newton():
-    return NewtonConfig(max_iters=50, rel_tol=1e-14, abs_tol=1e-14)
+    return SolverConfig(newton_max_iters=50, rtol=1e-12, atol=1e-12)

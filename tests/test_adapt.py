@@ -11,7 +11,7 @@ import mrrk.adapt as adapt
 from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
-from mrrk.interp import LINEAR, slow_interpolant
+from mrrk.interp import DENSE, HERMITE, LINEAR, slow_interpolant
 from mrrk.odecore import OdeProblem, new_step_size
 from mrrk.tableaux import get_method
 
@@ -55,13 +55,55 @@ def test_solver_config_validation():
     SolverConfig(t_eval=np.array([0.0, 0.5, 0.5, 1.0]))
 
 
-def test_newton_config_derived_from_step_tolerances():
-    cfg = SolverConfig(rtol=1e-4, atol=1e-6, newton_max_iters=33,
-                       jacobian_strategy="JacA")
-    nc = cfg.newton_config()
-    assert nc.rel_tol == pytest.approx(1e-6)
-    assert nc.abs_tol == pytest.approx(1e-8)
-    assert nc.max_iters == 33 and nc.strategy == "JacA"
+def test_stage_solve_reads_run_config():
+    """A stage solve weights its residual with one hundredth of the run's
+    step tolerances and stops at the run's ``newton_max_iters``."""
+    from mrrk.newton import ConvergenceFailure, solve_stage
+    cfg = SolverConfig(rtol=1e-4, atol=1e-6, newton_max_iters=33)
+    base = np.array([0.0, 1e4])
+    # |r_i| / (1e-6 |U_i| + 1e-8) <= 1 accepts the start U = base.
+    w = np.array([1e-8, 1e-6 * 1e4 + 1e-8])
+
+    def solve(c):
+        """U = base + f(U) with f = c: the start residual is -c, and one
+        Newton step (J = 0) reaches base + c."""
+        prob = OdeProblem(N=2, rhs=lambda y, t, out: np.copyto(out, c),
+                          t_span=(0.0, 1.0), y0=base,
+                          dependency=lambda i: (i,),
+                          jacobian=lambda y, t: np.zeros((2, 2)))
+        cache = adapt.JacobianCache(prob, cfg)
+        cache.refresh(base, 0.0)
+        return solve_stage(prob, 0.0, 1.0, 1.0, base, cache)
+
+    inside, outside = w * (1.0 - 1e-6), w * (1.0 + 1e-6)
+    np.testing.assert_array_equal(solve(inside), base)
+    for c in (np.array([outside[0], inside[1]]),      # the atol weight
+              np.array([inside[0], outside[1]])):     # the rtol weight
+        np.testing.assert_array_equal(solve(c), base + c)
+
+    # With J = 0 for f(y) = -y the residual shrinks by h a_ii = 0.5 per
+    # iteration, so the solve needs a fixed number of iterations.
+    iters = []
+    prob = OdeProblem(N=1, rhs=lambda y, t, out: np.negative(y, out=out),
+                      t_span=(0.0, 1.0), y0=np.ones(1),
+                      dependency=lambda i: (0,),
+                      jacobian=lambda y, t: np.zeros((1, 1)))
+
+    def stage(cap):
+        cache = adapt.JacobianCache(prob, replace(cfg, newton_max_iters=cap))
+        cache.refresh(prob.y0, 0.0)
+        solve_linear = cache.solve
+        cache.solve = lambda *a: iters.append(1) or solve_linear(*a)
+        return solve_stage(prob, 0.0, 1.0, 0.5, prob.y0, cache)
+
+    stage(cfg.newton_max_iters)
+    # n Newton steps take n + 1 passes: the last one only checks.
+    needed = len(iters) + 1
+    assert 2 < needed < cfg.newton_max_iters
+    stage(needed)
+    with pytest.raises(ConvergenceFailure,
+                       match=f"in {needed - 1} iterations"):
+        stage(needed - 1)
 
 
 def test_select_partition_accept():
@@ -344,6 +386,28 @@ def test_linear_output_costs_no_rhs_calls(mode):
     assert gridded.stats.global_rhs_calls > 0
 
 
+@pytest.mark.parametrize("name", ["erk4", "erk4-owren", "esdirk3",
+                                  "esdirk4"])
+def test_interpolant_ends_at_accepted_state(name):
+    """Every kind `_make_interpolant` picks ends at the accepted state:
+    interp(1) equals u_next within 1e-9 in the weighted norm, also for a
+    method that accepts the two half steps of step doubling."""
+    prob = bench.make_burgers(bench.BurgersParams(N=100))
+    m = get_method(name)
+    cfg = SolverConfig()
+    t, h, u = prob.t_span[0], 0.02, prob.y0
+    cache = None if m.is_explicit else adapt.JacobianCache(prob, cfg)
+    if cache is not None:
+        cache.begin_global_step(u, t)
+    u_next, _, K = adapt._attempt_step(prob, u, t, h, m, cfg, cache)
+    for kind in (None, LINEAR, HERMITE, DENSE):
+        make = adapt._make_interpolant(prob, m, replace(cfg, interp=kind),
+                                       u, u_next, t, h, K)
+        end = make(slice(None))(np.array([1.0]))[0]
+        gap = np.abs(end - u_next) / (cfg.rtol * np.abs(u_next) + cfg.atol)
+        assert gap.max() <= 1e-9, kind
+
+
 def test_multirate_activity_tiling_and_counters():
     prob, _ = stiff_pair_problem()
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
@@ -578,7 +642,7 @@ def test_output_sampler_batched_commit_matches_rows(name):
     m = get_method(name)
     cache = None
     if not m.is_explicit:
-        cache = adapt.JacobianCache(prob, SolverConfig().newton_config())
+        cache = adapt.JacobianCache(prob, SolverConfig())
     t0, h = 0.3, 0.25
     u0 = prob.y0
     u1, _, K = adapt.rk_step(prob, u0, t0, h, m, cache)

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
+from mrrk.adapt import SolverConfig
 from mrrk.cli import (MAX_OUTPUT_VALUES, UsageError, _output_grid,
-                      index_ranges, main, make_problem)
+                      _solver_config, build_parser, index_ranges, main,
+                      make_problem)
 
 
 def read_csv(path):
@@ -232,6 +236,46 @@ def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_each_solver_setting_has_one_solve_flag():
+    """Each `SolverConfig` field but ``t_eval`` is set by exactly one
+    ``mrrk solve`` flag, and a solve without solver flags runs with
+    `SolverConfig`'s defaults, field for field."""
+    parser = build_parser()
+    solve = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["solve"]
+    grid = np.linspace(0.0, 1.0, 5)
+    fields = [f.name for f in dataclasses.fields(SolverConfig)
+              if f.name != "t_eval"]
+
+    def config(*flags):
+        args = parser.parse_args(["solve", "--problem", "constant", *flags])
+        return _solver_config(args, grid)
+
+    default = config()
+    assert default.t_eval is grid
+    for name in fields:
+        assert getattr(default, name) == getattr(SolverConfig(), name), name
+    sets = {name: [] for name in fields}
+    for action in solve._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        values = action.choices or {float: ["0.37", "1.37"],
+                                    int: ["7"]}.get(action.type, ["1"])
+        moved = set()
+        for value in values:
+            try:
+                cfg = config(flag, str(value))
+            except UsageError:      # outside the field's valid values
+                continue
+            moved.update(name for name in fields
+                         if getattr(cfg, name) != getattr(default, name))
+        assert len(moved) <= 1, (flag, moved)
+        for name in moved:
+            sets[name].append(flag)
+    assert all(len(flags) == 1 for flags in sets.values()), sets
 
 
 def test_solve_controller_and_jacobian_flags(tmp_path):

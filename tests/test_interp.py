@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrrk.adapt import SolverConfig, _make_interpolant
 from mrrk.interp import DENSE, HERMITE, LINEAR, InterpolatorKind, interp_operator, interp_value
-from mrrk.newton import JacobianCache, NewtonConfig
+from mrrk.newton import JacobianCache
 from mrrk.odecore import OdeProblem, rk_step
 from mrrk.tableaux import get_method
 
@@ -97,15 +97,21 @@ def test_operator_endpoint_identities(name):
         np.testing.assert_allclose(Q1, Rh, atol=1e-12)
 
 
+def controller_kind(kind, m):
+    """The kind `_make_interpolant` uses when ``kind`` is asked for: dense
+    only for a method with an embedded pair, else Hermite."""
+    return HERMITE if kind is DENSE and m.b_hat is None else kind
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), tau=st.floats(0.0, 1.0),
        name=st.sampled_from(["erk4-owren", "esdirk3", "esdirk4"]))
 def test_duality_data_vs_operator(seed, tau, name):
     """On y' = Ly the data form applied to a real step equals the operator
     form applied to u_n, for every kind, to round-off.  The controller's
-    column-restricted slow interpolant is the data form: bitwise for the
-    linear and hermite kinds, and for dense up to the summation order of
-    w @ K, which the column layout may change."""
+    column-restricted slow interpolant is the data form of the kind it
+    uses: bitwise for the linear and hermite kinds, and for dense up to
+    the summation order of w @ K, which the column layout may change."""
     rng = np.random.default_rng(seed)
     L = random_stable_matrix(rng, 3)
     h = rng.uniform(0.05, 0.4)
@@ -113,23 +119,27 @@ def test_duality_data_vs_operator(seed, tau, name):
     m = get_method(name)
     prob = linear_problem(L)
     cache = None if m.is_explicit else JacobianCache(
-        prob, NewtonConfig(max_iters=50, rel_tol=1e-14, abs_tol=1e-14))
+        prob, SolverConfig(newton_max_iters=50, rtol=1e-12, atol=1e-12))
     u1, _, K = rk_step(prob, u0, 0.0, h, m, cache)
     f0, f1 = L @ u0, L @ u1
     cols = np.array([0, 2])
+    data = {}
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
-        v = interp_value(kind, u0, u1, tau=tau, **kw)
+        data[kind] = v = interp_value(kind, u0, u1, tau=tau, **kw)
         Q = interp_operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
+    for kind in data:
         make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
                                  0.0, h, K)
         row = make(cols)(np.array([tau]))[0]
-        if kind is DENSE:
-            np.testing.assert_allclose(row, v[cols], rtol=0, atol=1e-14)
+        used = controller_kind(kind, m)
+        if used is DENSE:
+            np.testing.assert_allclose(row, data[used][cols], rtol=0,
+                                       atol=1e-14)
         else:
-            np.testing.assert_array_equal(row, v[cols])
+            np.testing.assert_array_equal(row, data[used][cols])
 
 
 def test_array_tau_rows():
@@ -143,12 +153,13 @@ def test_array_tau_rows():
 @pytest.mark.parametrize("name", ["esdirk3", "esdirk4", "erk4-owren"])
 def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
     """An array of tau gives the scalar rows from one evaluation, also
-    into ``out``, bit for bit for all three kinds.  A scalar tau is the
-    one-row formula, bit for bit."""
+    into ``out`` through the controller's interpolant of the kind it
+    uses, bit for bit for all three kinds.  A scalar tau is the one-row
+    formula, bit for bit."""
     from mrrk import bench
     prob = bench.make_burgers(bench.BurgersParams(N=30, t_span=(0.0, 1.0)))
     m = get_method(name)
-    cache = None if m.is_explicit else JacobianCache(prob, NewtonConfig())
+    cache = None if m.is_explicit else JacobianCache(prob, SolverConfig())
     h = 0.3
     u0 = prob.y0 + 0.1
     u1, _, K = rk_step(prob, u0, 0.2, h, m, cache)
@@ -166,11 +177,12 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
         DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0]
                                    @ np.asfortranarray(K)),
     }
+    rows_of = {}
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
-        rows = np.array([interp_value(kind, u0, u1, tau=t, **kw)
-                         for t in taus])
+        rows_of[kind] = rows = np.array(
+            [interp_value(kind, u0, u1, tau=t, **kw) for t in taus])
         for t, row in zip(taus, rows):
             assert row.tobytes() == scalar[kind](float(t)).tobytes(), kind
         cols = np.array([2, 3, 17])
@@ -180,6 +192,7 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
         interp(taus, out)
         batch = interp_value(kind, u0, u1, tau=taus, **kw)
         assert batch.tobytes() == rows.tobytes(), kind
-        assert out.tobytes() == rows[:, cols].tobytes(), kind
+        used = rows_of[controller_kind(kind, m)]
+        assert out.tobytes() == used[:, cols].tobytes(), kind
     with pytest.raises(ValueError, match="1-D"):
         interp_value(LINEAR, u0, u1, tau=np.zeros((2, 2)))

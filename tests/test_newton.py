@@ -5,9 +5,10 @@ from scipy.linalg import lu_factor, lu_solve, solve_banded
 from hypothesis import given, settings, strategies as st
 
 from mrrk import newton
+from mrrk.adapt import SolverConfig
 from mrrk.newton import (ConvergenceFailure, FactorizationError,
-                         JacobianCache, NewtonConfig, fd_jacobian,
-                         solve_stage, structural_coloring)
+                         JacobianCache, fd_jacobian, solve_stage,
+                         structural_coloring)
 from mrrk.odecore import OdeProblem
 
 from conftest import counting_problem, make_linear_problem
@@ -17,13 +18,6 @@ def tridiag_problem(n, lo=0.3, mid=-2.0, hi=0.4):
     L = (np.diag(np.full(n, mid)) + np.diag(np.full(n - 1, lo), -1)
          + np.diag(np.full(n - 1, hi), 1))
     return make_linear_problem(L), L
-
-
-def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(strategy="JacC")
 
 
 def test_structural_coloring_tridiagonal():
@@ -72,7 +66,7 @@ def test_fd_jacobian_sparse_large_tridiagonal():
 def test_cache_banded_matches_dense_solve():
     n = 600
     prob, L = tridiag_problem(n)
-    cfg = NewtonConfig()
+    cfg = SolverConfig()
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(n), 0.0)
     # The analytic Jacobian is dense here; force the sparse banded path.
@@ -100,7 +94,7 @@ def test_cache_sparse_path_for_wide_bandwidth():
     L = L.tocsr()
     prob = OdeProblem(N=n, rhs=lambda y, t, out: None, t_span=(0, 1),
                       y0=np.zeros(n), dependency=lambda i: (i,))
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.J = L
     rhs = rng.normal(size=n)
     x = cache.solve(0.1, rhs)
@@ -111,7 +105,7 @@ def test_cache_sparse_path_for_wide_bandwidth():
 
 def test_factorization_reused_for_same_h_gamma():
     prob, L = tridiag_problem(8)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.refresh(np.ones(8), 0.0)
     cache.solve(0.05, np.ones(8))
     fac = cache._fac
@@ -125,11 +119,11 @@ def test_strategy_step_start_policies(monkeypatch):
     monkeypatch.setattr(newton, "JACA_REFRESH_PERIOD", 3)
     prob, _ = tridiag_problem(4)
     y = np.ones(4)
-    jb = JacobianCache(prob, NewtonConfig(strategy="JacB"))
+    jb = JacobianCache(prob, SolverConfig(jacobian_strategy="JacB"))
     for _ in range(4):
         jb.begin_global_step(y, 0.0)
     assert jb.evals == 4
-    ja = JacobianCache(prob, NewtonConfig(strategy="JacA"))
+    ja = JacobianCache(prob, SolverConfig(jacobian_strategy="JacA"))
     for _ in range(7):
         ja.begin_global_step(y, 0.0)
     # First call evaluates (empty cache), then every third step.
@@ -139,7 +133,7 @@ def test_strategy_step_start_policies(monkeypatch):
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_matrix_surfaces_as_factorization_error():
     prob, _ = tridiag_problem(4)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.J = np.eye(4)
     with pytest.raises(FactorizationError):
         # I - 1.0 * I is exactly singular.
@@ -149,7 +143,7 @@ def test_singular_matrix_surfaces_as_factorization_error():
 def test_singular_banded_matrix_raises():
     n = 4
     prob, _ = tridiag_problem(n)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.J = sp.csr_matrix(np.eye(n))
     with pytest.raises(FactorizationError):
         cache.solve(1.0, np.ones(n))
@@ -178,7 +172,7 @@ def test_banded_backend_bitwise_equals_solve_banded(kl, ku):
         n = int(rng.integers(kl + ku + 1, 60))
         J = random_banded(rng, n, kl, ku)
         hg = float(rng.uniform(0.05, 3.0))
-        cache = JacobianCache(None, NewtonConfig())
+        cache = JacobianCache(None, SolverConfig())
         cache.J = J
         for _ in range(3):
             b = rng.normal(size=n)
@@ -194,7 +188,7 @@ def test_dense_backend_bitwise_equals_lu_solve(n):
     for _ in range(40):
         J = rng.normal(size=(n, n))
         hg = float(rng.uniform(0.05, 3.0))
-        cache = JacobianCache(None, NewtonConfig())
+        cache = JacobianCache(None, SolverConfig())
         cache.J = J
         fac = lu_factor(np.eye(n) - hg * J)
         for _ in range(3):
@@ -209,7 +203,7 @@ def assert_dia_band_matches_csr(J, backend):
     n = J.shape[0]
     caches = []
     for M in (J, J.tocsr()):
-        cache = JacobianCache(None, NewtonConfig())
+        cache = JacobianCache(None, SolverConfig())
         cache.J = M
         caches.append(cache)
     rng = np.random.default_rng(n)
@@ -294,7 +288,7 @@ SINGULAR_AT_HG_1 = {
 
 @pytest.mark.parametrize("path", sorted(SINGULAR_AT_HG_1))
 def test_singular_iteration_matrix_raises_on_every_path(path):
-    cache = JacobianCache(None, NewtonConfig())
+    cache = JacobianCache(None, SolverConfig())
     cache.J = SINGULAR_AT_HG_1[path]
     with pytest.raises(FactorizationError, match="singular"):
         cache.solve(1.0, np.ones(4))
@@ -305,7 +299,7 @@ def test_singular_iteration_matrix_raises_on_every_path(path):
 def test_non_finite_iteration_matrix_raises_on_every_path(path, bad):
     J = SINGULAR_AT_HG_1[path].copy()
     J[1, 0] = bad
-    cache = JacobianCache(None, NewtonConfig())
+    cache = JacobianCache(None, SolverConfig())
     cache.J = J
     with pytest.raises(FactorizationError, match="non-finite"):
         cache.solve(0.5, np.ones(4))
@@ -316,7 +310,7 @@ def test_factorization_keyed_on_jacobian_object():
     prob, L = tridiag_problem(n)
     rng = np.random.default_rng(4)
     b = rng.normal(size=n)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.refresh(np.ones(n), 0.0)
     cache.solve(0.05, b)
     fac = cache._fac
@@ -350,7 +344,7 @@ def test_refresh_drops_band_of_jacobian_updated_in_place():
     prob = OdeProblem(N=n, rhs=lambda y, t, out: None, t_span=(0, 1),
                       y0=np.zeros(n), dependency=lambda i: (i,),
                       jacobian=lambda y, t: J)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.refresh(np.ones(n), 0.0)
     b = np.ones(n)
     cache.solve(0.1, b)
@@ -364,7 +358,7 @@ def test_refresh_drops_band_of_jacobian_updated_in_place():
 def test_solve_stage_linear_exact():
     """On y' = Ly one Newton iteration lands on the exact stage value."""
     prob, L = tridiag_problem(6)
-    cfg = NewtonConfig(max_iters=10, rel_tol=1e-13, abs_tol=1e-13)
+    cfg = SolverConfig(newton_max_iters=10, rtol=1e-11, atol=1e-11)
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(6), 0.0)
     base = np.linspace(0.5, 1.5, 6)
@@ -383,7 +377,7 @@ def test_solve_stage_nonlinear_scalar():
     prob = OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.ones(1),
                       dependency=lambda i: (0,),
                       jacobian=lambda y, t: np.array([[-3 * y[0] ** 2]]))
-    cfg = NewtonConfig(max_iters=30, rel_tol=1e-12, abs_tol=1e-12)
+    cfg = SolverConfig(newton_max_iters=30, rtol=1e-10, atol=1e-10)
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(1), 0.0)
     base = np.array([1.0])
@@ -400,7 +394,7 @@ def test_solve_stage_iteration_cap(monkeypatch):
         out[0] = 1e6 * np.cos(1e3 * y[0])
     prob = OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.zeros(1),
                       dependency=lambda i: (0,))
-    cfg = NewtonConfig(max_iters=3, rel_tol=1e-14, abs_tol=1e-14)
+    cfg = SolverConfig(newton_max_iters=3, rtol=1e-12, atol=1e-12)
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.zeros(1), 0.0)
     with pytest.raises(ConvergenceFailure):
@@ -417,7 +411,7 @@ def test_solve_stage_nonfinite_rhs_at_start_fails():
     def rhs(y, t, out):
         out[0] = np.nan
     prob = _scalar_problem(rhs, -1.0)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.refresh(np.ones(1), 0.0)
     with pytest.raises(ConvergenceFailure, match="non-finite RHS"):
         solve_stage(prob, 0.0, 0.1, 0.5, np.ones(1), cache)
@@ -435,7 +429,7 @@ def test_solve_stage_nonfinite_trial_is_damped():
         if len(calls) == 2:     # the start residual, then the first trial
             out[0] = np.nan
 
-    cfg = NewtonConfig(max_iters=30, rel_tol=1e-12, abs_tol=1e-12)
+    cfg = SolverConfig(newton_max_iters=30, rtol=1e-10, atol=1e-10)
     base = np.array([1.0])
     roots = []
     for rhs in (cubic, nan_on_first_trial):
@@ -464,7 +458,7 @@ def test_solve_stage_nonfinite_linear_solve_fails():
     def rhs(y, t, out):
         out[0] = J * y[0] + 1e295
     prob = _scalar_problem(rhs, J)
-    cache = JacobianCache(prob, NewtonConfig())
+    cache = JacobianCache(prob, SolverConfig())
     cache.refresh(np.ones(1), 0.0)
     with pytest.raises(ConvergenceFailure,
                        match="factorization failed: singular"):
@@ -475,7 +469,7 @@ def test_solve_stage_rejects_explicit_stage():
     prob, _ = tridiag_problem(2)
     with pytest.raises(ValueError):
         solve_stage(prob, 0.0, 0.1, 0.0, np.ones(2),
-                    JacobianCache(prob, NewtonConfig()))
+                    JacobianCache(prob, SolverConfig()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -485,7 +479,7 @@ def test_solve_stage_linear_property(seed, hg):
     import _oracles
     L = _oracles.random_stable_matrix(rng, 4)
     prob = make_linear_problem(L)
-    cfg = NewtonConfig(max_iters=20, rel_tol=1e-13, abs_tol=1e-13)
+    cfg = SolverConfig(newton_max_iters=20, rtol=1e-11, atol=1e-11)
     cache = JacobianCache(prob, cfg)
     cache.refresh(np.ones(4), 0.0)
     base = rng.normal(size=4)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrrk.adapt import SolverConfig
 from mrrk.interp import DENSE, interp_value
-from mrrk.newton import ConvergenceFailure, JacobianCache, NewtonConfig
+from mrrk.newton import ConvergenceFailure, JacobianCache
 from mrrk.odecore import (NumericalBlowup, OdeProblem, error_quotients,
                           new_step_size, rk_step)
 from mrrk.tableaux import get_method
@@ -104,7 +104,7 @@ def test_convergence_failure_surfaces(tight_newton):
         out[0] = y[0] ** 2 + 1e8
     prob = OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.zeros(1),
                       dependency=lambda i: (0,))
-    cfg = NewtonConfig(max_iters=5, rel_tol=1e-12, abs_tol=1e-12)
+    cfg = SolverConfig(newton_max_iters=5, rtol=1e-10, atol=1e-10)
     with pytest.raises((ConvergenceFailure, NumericalBlowup)):
         rk_step(prob, np.zeros(1), 0.0, 10.0, get_method("esdirk4"),
                 JacobianCache(prob, cfg))

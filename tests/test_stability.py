@@ -225,8 +225,7 @@ def test_scan_cell_matches_scan_records_and_table_entry():
     rows, entry = scan_cell(model, m, IK_H, 4, C_max=30.0)
     grid = np.arange(1.0, 31.0)
     assert rows == stability._records(model, m, IK_H, 4, grid,
-                                      rho_curve(model, m, IK_H, 4, grid),
-                                      1e-8)
+                                      rho_curve(model, m, IK_H, 4, grid))
     assert entry == table_entry(model, m, IK_H, 4, C_max=30.0)
     _, stable_entry = scan_cell(model, m, IK_H, 4, C_max=5.0)
     assert stable_entry == ">= 5"
