@@ -15,11 +15,16 @@ direction is then a single LAPACK back-substitution:
 - dense J with n <= DENSE_FACTOR_LIMIT: ``dgetrf`` once, ``dgetrs`` per
   solve;
 - sparse J with kl + ku <= BANDED_LIMIT: ``dgbtrf`` once, ``dgbtrs`` per
-  solve; a tridiagonal J instead calls ``dgtsv`` on the stored band per
-  solve, as ``scipy.linalg.solve_banded`` does.  The band of a DIA J
-  (``scipy.sparse.dia_array``) is read directly from its diagonals, that
-  of any other sparse format through one ``tocoo()``; kl and ku come from
-  the nonzero pattern either way;
+  solve, except for two kinds of band.  A lower band (ku = 0) where no
+  subdiagonal entry beats its diagonal in absolute value, so that partial
+  pivoting swaps no rows, stores ``dgbtrf``'s multipliers once; each
+  solve is one unit-lower ``dtbtrs`` sweep and a division by the
+  diagonal, bitwise equal to ``dgbtrs``.  The inverter chain's
+  lower-bidiagonal I - h a_ii J is such a band.  A tridiagonal J calls
+  ``dgtsv`` on the stored band per solve, as ``scipy.linalg.solve_banded``
+  does.  The band of a DIA J (``scipy.sparse.dia_array``) is read
+  directly from its diagonals, that of any other sparse format through
+  one ``tocoo()``; kl and ku come from the nonzero pattern either way;
 - any other J: SuperLU (``splu``) once, its ``solve`` per solve.
 
 A non-finite iteration matrix or a zero pivot raises FactorizationError
@@ -69,7 +74,8 @@ def _band_storage(J) -> tuple[int, int, np.ndarray | None]:
     kl + ku > BANDED_LIMIT.  A DIA J is read from ``J.offsets``/``J.data``
     directly: the entries of a data row that lie outside the matrix are
     ignored, and a diagonal with no nonzero entry does not widen the band.
-    Any other format goes through one ``tocoo()``.
+    Any other format goes through one ``tocoo()``, whose duplicate entries
+    are summed without changing J.
     """
     n = J.shape[0]
     if J.format == "dia":
@@ -95,7 +101,9 @@ def _band_storage(J) -> tuple[int, int, np.ndarray | None]:
     if kl + ku > BANDED_LIMIT:
         return kl, ku, None
     Jb = np.zeros((kl + ku + 1, n))
-    Jb[ku + coo.row - coo.col, coo.col] = coo.data
+    # Duplicate entries (COO input, non-canonical CSR) add up, as they do
+    # in SuperLU and ``toarray()``.
+    np.add.at(Jb, (ku + coo.row - coo.col, coo.col), coo.data)
     return kl, ku, Jb
 
 
@@ -128,15 +136,64 @@ def _dense_factor(A: np.ndarray):
     return "dense", lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
+def _pivot_free(ab: np.ndarray) -> bool:
+    """Whether ``dgbtrf`` keeps every diagonal pivot of the lower band ab.
+
+    ``ab`` is a band with ku = 0 whose row 0 is the diagonal.  Partial
+    pivoting swaps rows only where a subdiagonal entry beats its diagonal
+    in absolute value (``IDAMAX`` takes the first of equal maxima).  With
+    ku = 0 and no swap, elimination updates no later column, so each
+    pivot test sees the entries tested here.  A zero diagonal is left to
+    ``dgbtrf``, which pivots or reports a singular matrix.
+    """
+    d = ab[0]
+    return bool(d.all() and (np.abs(ab[1:]) <= np.abs(d)).all())
+
+
+def _unit_lower_solver(ab: np.ndarray, kl: int):
+    """Solver of a pivot-free lower band, bitwise equal to ``dgbtrs``.
+
+    ``dgbtrf`` would store the multipliers ``sub * (1.0 / d)`` below an
+    unchanged diagonal d and kl rows of zero fill-in above it.  So one
+    unit-lower ``dtbtrs`` sweep over the multipliers, whose axpy updates
+    are those of ``dgbtrs``'s ``dger`` calls, and a division by d give
+    ``dgbtrs``'s result.  Only when that result has a zero entry does the
+    upper sweep over the fill-in run as well, for the sign of the zero.
+    The bands are Fortran-ordered, as a C-ordered band costs f2py a copy
+    per call.
+    """
+    d = ab[0]
+    n = d.shape[0]
+    L = np.empty((kl + 1, n), order="F")
+    L[0] = 1.0
+    np.multiply(ab[1:], 1.0 / d, out=L[1:])
+
+    def solve(b):
+        y = lapack.dtbtrs(L, b, uplo="L", diag="U")[0]
+        if np.count_nonzero(y) == n:
+            return y / d
+        # dgbtrs's U sweep adds -x_i * 0.0 from the zero fill-in, which
+        # can turn a -0.0 entry into +0.0; repeat that sweep exactly.
+        U = np.zeros((kl + 1, n), order="F")
+        U[kl] = d
+        return lapack.dtbtrs(U, y, uplo="U")[0]
+    return solve
+
+
 def _banded_factor(Jb: np.ndarray, kl: int, ku: int, h_gamma: float):
     """Factor I - h_gamma J from the band storage ``Jb`` of J.
 
     ``0.0 - x`` rather than ``-x`` gives +0.0 where h_gamma J is zero, so
-    the band equals that of the sparse I - h_gamma J bit for bit.
+    the band equals that of the sparse I - h_gamma J bit for bit.  A lower
+    band that partial pivoting leaves alone skips ``dgbtrf``
+    (`_unit_lower_solver`); a tridiagonal one is solved by ``dgtsv``; any
+    other goes through ``dgbtrf``/``dgbtrs``.
     """
     ab = 0.0 - h_gamma * Jb
     ab[ku] = 1.0 - h_gamma * Jb[ku]
     _require_finite(ab)
+    if ku == 0 and _pivot_free(ab):
+        return "banded", _unit_lower_solver(ab, kl)
     if kl == ku == 1:
         du, d, dl = ab[0, 1:], ab[1], ab[2, :-1]
 
@@ -165,12 +222,13 @@ def structural_coloring(dependency, n: int):
 
     ``dependency(i)`` lists the columns structurally read by row i.  All
     columns in one group can be perturbed together in a single RHS call
-    when forming a finite-difference Jacobian.  Returns (groups, rows
-    reading each column).
+    when forming a finite-difference Jacobian.  Returns (groups, entries):
+    ``entries[g]`` is the (rows, cols) index pair of the Jacobian entries
+    group g's perturbation reaches, one pair per entry.
     """
     rows_of_col: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        for j in dependency(i):
+        for j in dict.fromkeys(dependency(i)):
             rows_of_col[j].append(i)
     groups: list[list[int]] = []
     taken: list[set[int]] = []
@@ -183,35 +241,49 @@ def structural_coloring(dependency, n: int):
         else:
             groups.append([j])
             taken.append(set(rows_j))
-    return [np.array(g) for g in groups], rows_of_col
+    entries = []
+    for g in groups:
+        rows = np.array([i for j in g for i in rows_of_col[j]], dtype=np.intp)
+        cols = np.repeat(np.array(g, dtype=np.intp),
+                         [len(rows_of_col[j]) for j in g])
+        entries.append((rows, cols))
+    return [np.array(g) for g in groups], entries
 
 
 def fd_jacobian(problem, y: np.ndarray, t: float, coloring=None):
     """Finite-difference Jacobian compressed by structural coloring.
 
-    ``coloring`` is the (groups, rows reading each column) pair of the
-    problem's structure, built here when None.  Returns a CSR matrix when
-    the problem declares sparse structure (more than one color group and
-    N above the dense limit), else a dense array.
+    ``coloring`` is the (groups, entries) pair of `structural_coloring`
+    for the problem's structure, built here when None.  Each group costs
+    one RHS call, and its entries come from one vectorized difference.
+    Returns a CSR matrix without stored zeros when N is above the dense
+    limit, else a dense array.
     """
     n = problem.N
     if coloring is None:
         coloring = structural_coloring(problem.dependency, n)
-    groups, rows_of_col = coloring
+    groups, entries = coloring
     f0 = np.empty(n)
     problem.rhs(y, t, f0)
-    sparse = n > DENSE_FACTOR_LIMIT
-    J = sp.lil_matrix((n, n)) if sparse else np.zeros((n, n))
+    dy = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y), 1.0)
     f1 = np.empty(n)
-    for cols in groups:
-        dy = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y[cols]), 1.0)
+    vals = []
+    for cols, (r, c) in zip(groups, entries):
         yp = y.copy()
-        yp[cols] += dy
+        yp[cols] += dy[cols]
         problem.rhs(yp, t, f1)
-        for j, d in zip(cols, dy):
-            for i in rows_of_col[j]:
-                J[i, j] = (f1[i] - f0[i]) / d
-    return J.tocsr() if sparse else J
+        vals.append((f1[r] - f0[r]) / dy[c])
+    rows = np.concatenate([r for r, _ in entries])
+    cols = np.concatenate([c for _, c in entries])
+    vals = np.concatenate(vals)
+    if n > DENSE_FACTOR_LIMIT:
+        J = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        # A stored zero would widen the band read from the pattern.
+        J.eliminate_zeros()
+        return J
+    J = np.zeros((n, n))
+    J[rows, cols] = vals
+    return J
 
 
 @dataclass
@@ -222,9 +294,10 @@ class JacobianCache:
     ``jacobian_strategy`` sets the step-start policy, and `solve_stage`
     reads its tolerances and ``newton_max_iters``.  ``evals`` counts
     Jacobian evaluations, finite-difference ones included; the driver
-    reads it as its Jacobian counter when a run ends.  Without
-    an analytic Jacobian the column coloring and the rows each column
-    reaches are built on the first refresh and kept.
+    reads it as its Jacobian counter when a run ends.  Without an
+    analytic Jacobian the column coloring and the entry indices of each
+    group (`structural_coloring`) are built on the first refresh and kept
+    in ``_coloring``.
 
     ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver),
     the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see the module
@@ -245,8 +318,7 @@ class JacobianCache:
     _fac: tuple | None = None
     _fac_key: tuple | None = None
     _band: tuple | None = None
-    _groups: list = field(default_factory=list, repr=False)
-    _rows_of_col: list = field(default_factory=list, repr=False)
+    _coloring: tuple | None = field(default=None, repr=False)
 
     def begin_global_step(self, y: np.ndarray, t: float):
         """Apply the strategy's step-start policy."""
@@ -262,10 +334,9 @@ class JacobianCache:
         if getattr(p, "jacobian", None) is not None:
             self.J = p.jacobian(y, t)
         else:
-            if not self._groups:
-                self._groups, self._rows_of_col = structural_coloring(
-                    p.dependency, p.N)
-            self.J = fd_jacobian(p, y, t, (self._groups, self._rows_of_col))
+            if self._coloring is None:
+                self._coloring = structural_coloring(p.dependency, p.N)
+            self.J = fd_jacobian(p, y, t, self._coloring)
         self.evals += 1
         self.age = 0
         self._fac = None

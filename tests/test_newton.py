@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import lapack, lu_factor, lu_solve, solve_banded
 from hypothesis import given, settings, strategies as st
 
 from mrrk import newton
@@ -61,6 +61,58 @@ def test_fd_jacobian_sparse_large_tridiagonal():
     J = fd_jacobian(prob_no_jac, np.ones(n), 0.0)
     assert sp.issparse(J)
     np.testing.assert_allclose(J.toarray(), L, atol=1e-6)
+
+
+def fd_jacobian_loop(problem, y, t):
+    """`fd_jacobian` as it was: entry by entry into a ``lil_matrix``."""
+    n = problem.N
+    groups, _ = structural_coloring(problem.dependency, n)
+    rows_of_col = [[] for _ in range(n)]
+    for i in range(n):
+        for j in problem.dependency(i):
+            rows_of_col[j].append(i)
+    f0 = np.empty(n)
+    problem.rhs(y, t, f0)
+    sparse = n > newton.DENSE_FACTOR_LIMIT
+    J = sp.lil_matrix((n, n)) if sparse else np.zeros((n, n))
+    f1 = np.empty(n)
+    for cols in groups:
+        dy = np.sqrt(np.finfo(float).eps) * np.maximum(np.abs(y[cols]), 1.0)
+        yp = y.copy()
+        yp[cols] += dy
+        problem.rhs(yp, t, f1)
+        for j, d in zip(cols, dy):
+            for i in rows_of_col[j]:
+                J[i, j] = (f1[i] - f0[i]) / d
+    return J.tocsr() if sparse else J
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_fd_jacobian_equals_entry_loop(n):
+    from dataclasses import replace
+    from mrrk import bench
+    prob = replace(bench.make_inverter_chain(bench.InverterChainParams(N=n)),
+                   jacobian=None, jacobian_restricted=None)
+    rng = np.random.default_rng(n)
+    # Most stages at rest, where the coupling to the previous stage is an
+    # exact zero that the sparse result must not store.
+    y = prob.y0 + rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.3)
+    ref = fd_jacobian_loop(prob, y, 6.0)
+    J = fd_jacobian(prob, y, 6.0)
+    if n <= newton.DENSE_FACTOR_LIMIT:
+        assert isinstance(J, np.ndarray) and J.tobytes() == ref.tobytes()
+        return
+    assert type(J) is type(ref) and J.format == "csr"
+    assert 0 < (ref.toarray() != 0).sum() == J.nnz < 2 * n - 1
+    np.testing.assert_array_equal(J.indptr, ref.indptr)
+    np.testing.assert_array_equal(J.indices, ref.indices)
+    assert J.data.tobytes() == ref.data.tobytes()
+    # A dependency that lists a column twice reads it once.
+    twice = OdeProblem(N=n, rhs=prob.rhs, t_span=prob.t_span, y0=prob.y0,
+                       dependency=lambda i: prob.dependency(i) * 2)
+    J2 = fd_jacobian(twice, y, 6.0)
+    assert J2.data.tobytes() == J.data.tobytes()
+    np.testing.assert_array_equal(J2.indices, J.indices)
 
 
 def test_cache_banded_matches_dense_solve():
@@ -272,6 +324,188 @@ def test_dia_beyond_banded_limit_goes_to_superlu():
     data[offsets.index(0)] -= 4.0
     J = sp.dia_array((data, offsets), shape=(n, n))
     assert assert_dia_band_matches_csr(J, "sparse") == [3, 2]
+
+
+def test_band_storage_sums_duplicate_entries():
+    n = 5
+    rng = np.random.default_rng(12)
+    rows, cols = [0, 1, 2, 3, 4, 2, 1], [0, 1, 2, 3, 4, 2, 0]
+    vals = rng.normal(size=len(rows))
+    b = rng.normal(size=n)
+    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    # The same entries as a CSR matrix with a duplicate in row 2.
+    csr = sp.csr_matrix((vals[[0, 6, 1, 2, 5, 3, 4]],
+                         [0, 0, 1, 2, 2, 3, 4], [0, 1, 3, 5, 6, 7]),
+                        shape=(n, n))
+    assert not csr.has_canonical_format
+    A = np.eye(n) - 0.1 * coo.toarray()
+    for J in (coo, csr):
+        data = J.data.copy()
+        cache = JacobianCache(None, SolverConfig())
+        cache.J = J
+        x = cache.solve(0.1, b)
+        assert cache._fac[0] == "banded" and cache._band[1:3] == (1, 0)
+        np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-14,
+                                   atol=1e-14)
+        # The caller's matrix keeps its duplicates.
+        assert J.nnz == len(rows) and J.data.tobytes() == data.tobytes()
+
+
+@pytest.fixture
+def dtbtrs_calls(monkeypatch):
+    """The ``uplo`` of every ``lapack.dtbtrs`` call made during a test."""
+    calls = []
+    real = lapack.dtbtrs
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("uplo", "U"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(lapack, "dtbtrs", spy)
+    return calls
+
+
+def raw_band_solves(J, hg, rhs):
+    """``dgbtrf`` of I - hg J from its band storage, ``dgbtrs`` per rhs.
+
+    Returns the solutions and whether partial pivoting swapped any rows.
+    """
+    kl, ku, Jb = newton._band_storage(J)
+    ab = 0.0 - hg * Jb
+    ab[ku] = 1.0 - hg * Jb[ku]
+    lu = np.zeros((2 * kl + ku + 1, ab.shape[1]))
+    lu[kl:] = ab
+    lu, piv, info = lapack.dgbtrf(lu, kl, ku)
+    assert info == 0
+    swapped = bool((piv != np.arange(len(piv))).any())
+    return [lapack.dgbtrs(lu, kl, ku, b, piv)[0] for b in rhs], swapped
+
+
+def assert_cache_solves_bitwise(J, hg, rhs):
+    """The cache's solves equal raw ``dgbtrf``/``dgbtrs`` bit for bit."""
+    refs, swapped = raw_band_solves(J, hg, rhs)
+    cache = JacobianCache(None, SolverConfig())
+    cache.J = J
+    for b, ref in zip(rhs, refs):
+        x = cache.solve(hg, b)
+        assert cache._fac[0] == "banded"
+        assert x.tobytes() == ref.tobytes()
+    return swapped
+
+
+def signed_zero_rhs(rng, n):
+    """Normal right-hand sides, and ones whose leading entries are signed
+    zeros, so that those entries of the solution are zeros as well."""
+    rhs = [rng.normal(size=n) for _ in range(3)]
+    for _ in range(3):
+        b = rng.normal(size=n)
+        m = int(rng.integers(1, n + 1))
+        b[:m] = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+        rhs.append(b)
+    return rhs
+
+
+@pytest.mark.parametrize("kl", range(newton.BANDED_LIMIT + 1))
+def test_pivot_free_lower_band_bitwise_equals_dgbtrs(kl, dtbtrs_calls):
+    rng = np.random.default_rng(20 + kl)
+    for _ in range(30):
+        n = int(rng.integers(kl + 1, 80))
+        hg = float(rng.uniform(0.05, 3.0))
+        # 1 - hg J_jj >= 1 on the diagonal, |hg J_ij| < 1 below it.
+        diags = [-rng.uniform(0.0, 5.0, n)] + [
+            rng.uniform(-0.99, 0.99, n - k) / hg for k in range(1, kl + 1)]
+        J = sp.diags(diags, [-k for k in range(kl + 1)], format="csr")
+        _, _, Jb = newton._band_storage(J)
+        ab = 0.0 - hg * Jb
+        ab[0] = 1.0 - hg * Jb[0]
+        assert newton._pivot_free(ab)
+        assert not assert_cache_solves_bitwise(
+            J, hg, signed_zero_rhs(rng, n))
+    # Every solve took the triangular sweep, and solutions with a zero
+    # entry the upper sweep over the fill-in as well.
+    assert dtbtrs_calls.count("L") == 30 * 6
+    assert 0 < dtbtrs_calls.count("U") <= 30 * 3
+
+
+def test_pivot_tie_takes_triangular_branch(dtbtrs_calls):
+    n = 7
+    rng = np.random.default_rng(13)
+    # With hg = 1 the diagonal of I - J is 2 and every subdiagonal entry
+    # is +-2: a tie, on which IDAMAX keeps the diagonal.
+    J = sp.diags([-np.ones(n), np.where(rng.random(n - 1) < 0.5, 2.0, -2.0)],
+                 [0, -1], format="csr")
+    assert not assert_cache_solves_bitwise(J, 1.0, signed_zero_rhs(rng, n))
+    assert dtbtrs_calls.count("L") == 6
+
+
+def test_lower_band_that_pivots_keeps_dgbtrf(dtbtrs_calls):
+    n = 9
+    rng = np.random.default_rng(14)
+    for kl in (1, 3):
+        diags = [-rng.uniform(0.0, 1.0, n)] + [
+            rng.uniform(-0.5, 0.5, n - k) for k in range(1, kl + 1)]
+        # One entry below the diagonal outgrows its diagonal entry.
+        diags[kl][2] = 50.0
+        J = sp.diags(diags, [-k for k in range(kl + 1)], format="csr")
+        assert assert_cache_solves_bitwise(J, 0.5, signed_zero_rhs(rng, n))
+    assert dtbtrs_calls == []
+
+
+def test_lower_band_with_zero_diagonal_raises(dtbtrs_calls):
+    n = 6
+    diag = np.full(n, -1.0)
+    sub = np.full(n - 1, 0.25)
+    # With hg = 1, I - J has a zero diagonal entry, and nothing below it.
+    diag[3], sub[3] = 1.0, 0.0
+    cache = JacobianCache(None, SolverConfig())
+    cache.J = sp.diags([diag, sub], [0, -1], format="csr")
+    with pytest.raises(FactorizationError, match="zero pivot 4 in dgbtrf"):
+        cache.solve(1.0, np.ones(n))
+    assert dtbtrs_calls == []
+
+
+def inverter_run(mode):
+    from mrrk import bench
+    from mrrk.adapt import integrate
+    from mrrk.tableaux import get_method
+    prob = bench.make_inverter_chain(bench.InverterChainParams(
+        N=50, t_span=(0.0, 8.0)))
+    cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode=mode, phi=0.05,
+                       t_eval=np.linspace(5.0, 8.0, 61))
+    return integrate(prob, get_method("esdirk3"), cfg)
+
+
+def test_inverter_jacobian_reaches_triangular_branch(dtbtrs_calls,
+                                                     monkeypatch):
+    bands = []
+    real = newton._unit_lower_solver
+
+    def spy(ab, kl):
+        bands.append(kl)
+        return real(ab, kl)
+    monkeypatch.setattr(newton, "_unit_lower_solver", spy)
+    res = inverter_run("single")
+    # The chain's lower-bidiagonal I - h a_ii J, once the input moves it.
+    assert 1 in bands and dtbtrs_calls.count("L") > res.stats.accepted_global
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_inverter_runs_bitwise_without_triangular_branch(mode, monkeypatch,
+                                                          dtbtrs_calls):
+    on = inverter_run(mode)
+    assert dtbtrs_calls
+    monkeypatch.setattr(newton, "_pivot_free", lambda ab: False)
+    calls = len(dtbtrs_calls)
+    off = inverter_run(mode)
+    assert len(dtbtrs_calls) == calls
+    for name in ("t", "y", "y_out"):
+        assert getattr(on, name).tobytes() == getattr(off, name).tobytes()
+    def records(res):
+        return [(a.step_index, a.t_start, a.t_end, a.kind,
+                 a.active_indices.tolist()) for a in res.activity]
+    assert records(on) == records(off)
+    for s in (on.stats, off.stats):
+        s.wall_time = 0.0
+    assert on.stats == off.stats
 
 
 # I - 1.0 J is exactly singular for each J below: the zero matrix, a lower

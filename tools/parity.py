@@ -16,12 +16,15 @@ with each commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
 a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
 
-The set has 47 runs: four seeded 1000-stage inverter chains, a
+The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
 MR, with JacA and JacB, esdirk3, esdirk4 and erk4, with and without an
 output grid.  The methods' own slow interpolants are the dense and
-Hermite kinds; three more MR runs select the linear kind.  BLAS runs on
-one thread, as results depend on the thread count.
+Hermite kinds; three more MR runs select the linear kind.  Two more runs,
+SR and MR, integrate a 600-stage chain without Jacobians, so every stage
+solve differentiates by `newton.fd_jacobian`: sparse for the full system,
+dense for the fast sub-systems.  BLAS runs on one thread, as results
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import asdict  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -57,6 +60,10 @@ HEATING_RUNS = (("esdirk3", "JacB", True), ("esdirk3", "JacA", False),
 # each with JacB and an output grid.
 LINEAR_RUNS = (("inverter11", "esdirk3"), ("burgers", "esdirk3"),
                ("burgers", "erk4"))
+# Stages of the chain without Jacobians, and its span: the input ramp
+# starts at t = 5 and passes U_tau, where the chain starts to move, at 6.
+FD_N = 600
+FD_SPAN = (0.0, 7.0)
 
 
 def _inverter(seed: int):
@@ -100,6 +107,13 @@ def parity_set():
                            interp=LINEAR, jacobian_strategy="JacB",
                            t_eval=np.linspace(*prob.t_span, 201))
         yield f"{label}-{method}-JacB-multi-linear-grid", prob, method, cfg
+    fd = replace(bench.make_inverter_chain(bench.InverterChainParams(
+        N=FD_N, t_span=FD_SPAN)), jacobian=None, jacobian_restricted=None)
+    for mode in ("single", "multi"):
+        cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode=mode, phi=0.05,
+                           jacobian_strategy="JacB",
+                           t_eval=np.linspace(*FD_SPAN, 201))
+        yield f"inverter-fd-esdirk3-JacB-{mode}-grid", fd, "esdirk3", cfg
 
 
 def digest(t, y, activity, stats) -> str:
