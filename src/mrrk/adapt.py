@@ -21,8 +21,7 @@ import numpy as np
 
 from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
 from .newton import STRATEGIES, ConvergenceFailure, JacobianCache
-from .odecore import (NumericalBlowup, OdeProblem, error_quotients,
-                      new_step_size, rk_step)
+from .odecore import OdeProblem, error_quotients, new_step_size, rk_step
 from .tableaux import ButcherTableau
 
 # Names of the integration modes: the fast cap is 0 in "single".
@@ -33,9 +32,10 @@ class IntegrationFailure(Exception):
     """The run cannot continue.
 
     Raised when the step size falls below ``h_min`` or is NaN (after an
-    error rejection, a convergence failure or a failed fast phase) or when
-    the step budget ``max_steps`` is exhausted.  Carries the time, state,
-    and statistics (``wall_time`` included) at the point of failure.
+    error rejection, or after a failed step, whose `ConvergenceFailure`
+    message it repeats) or when the step budget ``max_steps`` is
+    exhausted.  Carries the time, state, and statistics (``wall_time``
+    included) at the point of failure.
     """
 
     def __init__(self, message, t=None, y=None, stats=None):
@@ -111,19 +111,6 @@ class SolverConfig:
                     "t_eval must be a finite, non-decreasing 1-D array")
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Fast/slow split of the N state indices for one global step."""
-
-    fast: np.ndarray
-    N: int
-
-    @property
-    def slow(self) -> np.ndarray:
-        """The indices outside ``fast``, built only when read."""
-        return np.setdiff1d(np.arange(self.N), self.fast, assume_unique=True)
-
-
 @dataclass
 class StepStats:
     """Counters of a run, split into global and fast (local) work.
@@ -182,11 +169,12 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
 
     Sorts eta descending (ties broken by ascending index), caps the fast
     candidate count at m with m/N <= phi < (m+1)/N, and returns
-    (decision, partition, eta_s, eta_f) where decision is one of
-    "accept", "reject", "go_multirate".  eta_s is the largest quotient
-    outside the top-m, eta_f the largest inside (0 when m = 0, so the step
-    is accepted or rejected whole).  The fast set contains the top-m
-    candidates that actually violate beta.
+    (decision, fast, eta_s, eta_f) where decision is one of "accept",
+    "reject", "go_multirate".  eta_s is the largest quotient outside the
+    top-m, eta_f the largest inside (0 when m = 0, so the step is accepted
+    or rejected whole).  ``fast`` is the ascending index array of the
+    top-m candidates that actually violate beta, empty unless the step
+    goes multirate.
     """
     eta = np.asarray(eta, dtype=float)
     if not np.isfinite(eta).all():
@@ -196,7 +184,7 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     if m == 0:
         eta_s = float(eta.max())
         return ("reject" if eta_s > beta else "accept",
-                Partition(fast=np.array([], dtype=int), N=N), eta_s, 0.0)
+                np.array([], dtype=int), eta_s, 0.0)
     order = np.argsort(-eta, kind="stable")
     top = order[:m]
     rest = order[m:]
@@ -210,7 +198,7 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     else:
         decision = "go_multirate"
         fast = np.sort(top[eta[top] > beta])
-    return decision, Partition(fast=fast, N=N), eta_s, eta_f
+    return decision, fast, eta_s, eta_f
 
 
 def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
@@ -339,6 +327,11 @@ class _OutputSampler:
         hi = int(np.searchsorted(self.t_eval, t0 + h, side="right"))
         return min(lo, self.filled), hi   # close round-off gaps
 
+    def rows(self, t0, h):
+        """Grid times of the rows [lo, hi) of `window`, or None if none."""
+        lo, hi = self.window(t0, h)
+        return self.t_eval[lo:hi] if hi > lo else None
+
     def commit_step(self, t0, h, interp, fast=None, y_fast=None):
         """Fill the step's grid rows from one evaluation of ``interp``.
 
@@ -398,12 +391,13 @@ def _initial_step(problem, cfg, method):
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
-                   partition: Partition, eta_f: float, make_interp,
+                   fast: np.ndarray, eta_f: float, make_interp,
                    stats: StepStats, activity: list, step_index: int,
                    sampler: _OutputSampler | None = None):
     """Re-integrate the fast components of one accepted global interval.
 
-    The slow components of the returned state are taken bitwise from the
+    ``fast`` is the ascending index array of `select_partition`.  The slow
+    components of the returned state are taken bitwise from the
     tentative global step.  The fast components are advanced by a
     single-rate `integrate` run on the fast sub-problem over
     [t_n, t_n + h_n], starting from the step size the controller derives
@@ -411,18 +405,15 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     set only, and it inherits ``max_steps``, so one fast phase takes at
     most that many sub-steps.  The sub-run's global counters are added to
     the fast counters of ``stats`` and its steps to ``activity`` as
-    ``"fast"`` records of global step ``step_index``.  With a ``sampler``
-    the sub-run samples the grid rows of this step and the step is
-    committed to it.  Returns the combined state, or raises
-    ConvergenceFailure when the sub-run fails (the caller then rejects
-    the global step); counters of the failed sub-run are kept, its
-    activity is not.
+    ``"fast"`` records of global step ``step_index``.  When the step holds
+    rows of a ``sampler``, the sub-run samples them and the step is
+    committed to it; otherwise the sub-run has no output grid.  Returns
+    the combined state, or raises ConvergenceFailure when the sub-run
+    fails (the caller then rejects the global step); counters of the
+    failed sub-run are kept, its activity is not.
     """
-    fast = partition.fast
     sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
-    t_eval = None
-    if sampler is not None:
-        t_eval = sampler.t_eval[slice(*sampler.window(t_n, h_n))]
+    t_eval = None if sampler is None else sampler.rows(t_n, h_n)
     sub_cfg = replace(config, mode="single", t_eval=t_eval,
                       h0=new_step_size(h_n, eta_f, method.q, config))
     try:
@@ -434,7 +425,7 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     activity.extend(ActivityRecord(
         step_index=step_index, t_start=r.t_start, t_end=r.t_end,
         kind="fast", active_indices=fast) for r in res.activity)
-    if sampler is not None:
+    if t_eval is not None:
         sampler.commit_step(t_n, h_n, make_interp(slice(None)), fast,
                             res.y_out)
     u_next = u_tentative.copy()
@@ -508,43 +499,36 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         try:
             u_tent, eta, K = _attempt_step(
                 problem, u, t, h, method, cfg, cache)
-        except (ConvergenceFailure, NumericalBlowup):
+            decision, fast, eta_s, eta_f = select_partition(
+                eta, phi, cfg.beta)
+            if decision == "go_multirate":
+                make_interp = _make_interpolant(problem, method, cfg, u,
+                                                u_tent, t, h, K)
+                u_next = multirate_step(
+                    problem, method, cfg, u, t, h, u_tent, fast, eta_f,
+                    make_interp, stats, activity, stats.accepted_global + 1,
+                    sampler)
+        except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1
             h *= 0.5
             # "not >=" also ends the run on a NaN step size, which the
             # initial-step heuristic returns for a non-finite RHS at t0.
             if not h >= cfg.h_min:
                 raise failure(
-                    "step size below h_min after convergence failures")
+                    f"step size below h_min after a failed step: {exc}")
             continue
-        decision, part, eta_s, eta_f = select_partition(eta, phi, cfg.beta)
         if decision == "reject":
             stats.rejected_global_error += 1
             h = new_step_size(h, eta_s, method.q, cfg)
             if not h >= cfg.h_min:
                 raise failure("step size below h_min")
             continue
-        make_interp = None
-        if decision == "go_multirate" or sampler is not None:
-            make_interp = _make_interpolant(problem, method, cfg, u,
-                                            u_tent, t, h, K)
         if decision == "accept":
             u_next = u_tent
-            if sampler is not None:
-                sampler.commit_step(t, h, make_interp(slice(None)))
-        else:
-            try:
-                u_next = multirate_step(
-                    problem, method, cfg, u, t, h, u_tent, part, eta_f,
-                    make_interp, stats, activity, stats.accepted_global + 1,
-                    sampler)
-            except ConvergenceFailure:
-                stats.rejected_global_convergence += 1
-                h *= 0.5
-                if not h >= cfg.h_min:
-                    raise failure(
-                        "step size below h_min after fast-phase failure")
-                continue
+            # Only a step that holds grid rows pays for an interpolant.
+            if sampler is not None and sampler.rows(t, h) is not None:
+                sampler.commit_step(t, h, _make_interpolant(
+                    problem, method, cfg, u, u_tent, t, h, K)(slice(None)))
         stats.accepted_global += 1
         activity.append(ActivityRecord(
             step_index=stats.accepted_global, t_start=t, t_end=t + h,

@@ -7,8 +7,9 @@ into a `scipy.sparse.dia_array`, whose band the stage solver reads
 directly, with no CSR in between; heating's is dense.  The inverter
 chain and Burgers also evaluate the RHS over an ascending index subset,
 in one vector expression that writes the subset's values compactly, in
-index order; heating uses `OdeProblem`'s full-RHS fallback, which is
-cheaper than classifying the index set on every call.
+index order, and place the couplings of their restricted Jacobians from
+adjacent positions of that subset; heating uses `OdeProblem`'s full-RHS
+fallback, which is cheaper than classifying the index set on every call.
 """
 
 from __future__ import annotations
@@ -19,21 +20,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .odecore import OdeProblem
-
-
-def _neighbour_pairs(idx: np.ndarray, offset: int):
-    """Positions (r, q) in ``idx`` with idx[q] == idx[r] + offset.
-
-    Looks every idx[r] + offset up in the sorted indices at once, so a
-    restricted Jacobian can place its off-diagonal entries without a
-    Python loop over the rows.
-    """
-    order = np.argsort(idx, kind="stable")
-    ordered = idx[order]
-    want = idx + offset
-    at = np.minimum(np.searchsorted(ordered, want), len(idx) - 1)
-    r = np.flatnonzero(ordered[at] == want)
-    return r, order[at[r]]
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +149,11 @@ def make_inverter_chain(
         gy, gz = _dg(yprev, y[idx])
         diag = np.arange(k)
         J[diag, diag] = -1.0 - G * gz
-        r, q = _neighbour_pairs(idx, -1)
+        # Ascending indices: stage idx[a + 1] reads idx[a] when adjacent.
+        adj = np.flatnonzero(idx[1:] == idx[:-1] + 1)
         # 0.0 - x, not -x: a zero coupling is +0.0, as in the full
         # Jacobian, whose sparse form drops it.
-        J[r, q] = 0.0 - G * gy[r]
+        J[adj + 1, adj] = 0.0 - G * gy[adj + 1]
         return J
 
     def dependency(i):
@@ -251,12 +238,13 @@ def make_burgers(params: BurgersParams | None = None) -> OdeProblem:
         r = np.flatnonzero(interior)
         j = idx[r]
         J[r, r] = -(y[j + 1] - y[j - 1]) * c1 - 2.0 * c2
-        r, q = _neighbour_pairs(idx, -1)
-        r, q = r[interior[r]], q[interior[r]]
-        J[r, q] = y[idx[r]] * c1 + c2
-        r, q = _neighbour_pairs(idx, 1)
-        r, q = r[interior[r]], q[interior[r]]
-        J[r, q] = -y[idx[r]] * c1 + c2
+        # Ascending indices: positions a and a + 1 are neighbours when
+        # their indices are.
+        adj = np.flatnonzero(idx[1:] == idx[:-1] + 1)
+        r = adj[interior[adj + 1]] + 1
+        J[r, r - 1] = y[idx[r]] * c1 + c2
+        r = adj[interior[adj]]
+        J[r, r + 1] = -y[idx[r]] * c1 + c2
         return J
 
     def dependency(i):

@@ -27,14 +27,15 @@ direction is then a single LAPACK back-substitution:
   one ``tocoo()``; kl and ku come from the nonzero pattern either way;
 - any other J: SuperLU (``splu``) once, its ``solve`` per solve.
 
-A non-finite iteration matrix or a zero pivot raises FactorizationError
+A non-finite iteration matrix or a zero pivot raises ConvergenceFailure
 when it is factored (for ``dgtsv``, when it is solved); a non-finite
-solution raises it after every solve.  ``solve_stage`` turns it into a
-ConvergenceFailure, and that solve check is the only finiteness check of
-a Newton direction.  ``solve_stage`` checks the RHS and the residual
-through the norms it computes anyway: the weighted norm of each iterate
-(a non-finite RHS at the start fails there) and the 2-norm of each
-line-search trial (a non-finite trial fails the decrease test).
+solution raises it after every solve.  It is the one exception of a
+failed step, so ``solve_stage`` passes it on unchanged, and that solve
+check is the only finiteness check of a Newton direction.
+``solve_stage`` checks the RHS and the residual through the norms it
+computes anyway: the weighted norm of each iterate (a non-finite RHS at
+the start fails there) and the 2-norm of each line-search trial (a
+non-finite trial fails the decrease test).
 
 A `JacobianCache` carries the run's `adapt.SolverConfig`, the one owner
 of its settings, and counts its own Jacobian evaluations; RHS calls are
@@ -108,21 +109,23 @@ def _band_storage(J) -> tuple[int, int, np.ndarray | None]:
 
 
 class ConvergenceFailure(Exception):
-    """Newton did not converge; the caller should shrink the step."""
+    """A step failed; the caller should shrink the step.
 
-
-class FactorizationError(Exception):
-    """Iteration matrix could not be factorized."""
+    Raised when a stage solve does not converge, when the iteration matrix
+    is singular or non-finite, and when a Newton direction, a stage
+    derivative or the new state is non-finite.  The message names the
+    cause.
+    """
 
 
 def _require_finite(A):
     if not np.isfinite(A).all():
-        raise FactorizationError("non-finite iteration matrix")
+        raise ConvergenceFailure("non-finite iteration matrix")
 
 
 def _require_pivots(info: int, routine: str):
     if info > 0:
-        raise FactorizationError(
+        raise ConvergenceFailure(
             f"singular iteration matrix (zero pivot {info} in {routine})")
     if info < 0:
         raise ValueError(f"illegal argument {-info} to {routine}")
@@ -214,7 +217,7 @@ def _sparse_factor(A):
     try:
         return "sparse", splu(A).solve
     except (RuntimeError, ValueError) as exc:
-        raise FactorizationError(str(exc)) from exc
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def structural_coloring(dependency, n: int):
@@ -371,7 +374,7 @@ class JacobianCache:
         # SuperLU of a singular matrix, or a non-finite right-hand side,
         # shows only here; every backend raises the same error for it.
         if not np.isfinite(x).all():
-            raise FactorizationError("singular iteration matrix")
+            raise ConvergenceFailure("singular iteration matrix")
         return x
 
 
@@ -390,7 +393,9 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     the line search has to damp the step or when the weighted residual
     stalls (reduction factor above 0.9 three times in a row), up to
     ``MAX_REFRESHES`` times per solve.  The iteration cap, an exhausted
-    line search, or a non-finite evaluation raise ConvergenceFailure.
+    line search, a non-finite evaluation, and a singular iteration matrix
+    or non-finite direction from `JacobianCache.solve` raise
+    ConvergenceFailure.
 
     Each quantity is checked for finiteness once, where it is read:
 
@@ -450,14 +455,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                 prev_norm = None
                 continue
         prev_norm = norm
-        try:
-            dU = cache.solve(h_gamma, -r)
-        except FactorizationError as exc:
-            # A singular or overflowed iteration matrix, or a non-finite
-            # direction, mid-solve means the iterate has left the basin;
-            # reject and shrink the step.
-            raise ConvergenceFailure(
-                f"iteration matrix factorization failed: {exc}") from exc
+        dU = cache.solve(h_gamma, -r)
         # Backtracking line search on the residual 2-norm.  An undamped
         # accepted trial reuses its RHS evaluation for the next iteration,
         # so the well-behaved path costs one RHS call per iteration.

@@ -20,13 +20,9 @@ from .newton import ConvergenceFailure, JacobianCache
 from .tableaux import ButcherTableau
 
 __all__ = [
-    "OdeProblem", "NumericalBlowup", "rk_step", "error_quotients",
-    "new_step_size", "ConvergenceFailure",
+    "OdeProblem", "rk_step", "error_quotients", "new_step_size",
+    "ConvergenceFailure",
 ]
-
-
-class NumericalBlowup(Exception):
-    """The step produced non-finite state values."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +40,8 @@ class OdeProblem:
     or a scipy sparse matrix; the stage solver reads the band of a DIA one
     (``scipy.sparse.dia_array``) directly from its diagonals, so a banded
     Jacobian is cheapest in that form.  ``jacobian_restricted(y, t,
-    indices)`` returns the square sub-Jacobian over ``indices``.  Jacobian
+    indices)`` returns the square sub-Jacobian over ``indices``, which are
+    ascending and non-empty as for ``rhs_restricted``.  Jacobian
     callables may be None, in which case solvers fall back to colored
     finite differences.
     """
@@ -91,9 +88,9 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     and whose J is evaluated first if it holds none; each stage's
     iteration starts from the accumulated explicit part.
 
-    Raises ConvergenceFailure when an implicit stage does not converge and
-    NumericalBlowup when the state leaves the finite range; in both cases
-    the caller should retry with a smaller step.
+    Raises ConvergenceFailure when an implicit stage solve fails or a
+    stage derivative or the new state is non-finite; the caller should
+    retry with a smaller step.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -118,10 +115,11 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             # to the Newton residual and free of an extra RHS call.
             K[k] = (U - base) / (h * A[k, k])
         if not np.isfinite(K[k]).all():
-            raise NumericalBlowup(f"non-finite derivative at stage {k + 1}")
+            raise ConvergenceFailure(
+                f"non-finite derivative at stage {k + 1}")
     u_next = u_n + h * (b @ K)
     if not np.isfinite(u_next).all():
-        raise NumericalBlowup("non-finite state after step")
+        raise ConvergenceFailure("non-finite state after step")
     u_hat = None
     if method.b_hat is not None:
         u_hat = u_n + h * (method.b_hat @ K)

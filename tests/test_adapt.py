@@ -108,10 +108,10 @@ def test_stage_solve_reads_run_config():
 
 def test_select_partition_accept():
     eta = np.array([0.1, 0.5, 0.2, 0.9])
-    decision, part, eta_s, eta_f = select_partition(eta, phi=0.5, beta=1.0)
+    decision, fast, eta_s, eta_f = select_partition(eta, phi=0.5, beta=1.0)
     assert decision == "accept"
-    assert part.fast.size == 0
-    assert np.array_equal(part.slow, np.arange(4))
+    assert fast.size == 0
+    assert np.array_equal(np.delete(np.arange(4), fast), np.arange(4))
     # m = floor(0.5 * 4) = 2; top two are indices 3 and 1.
     assert eta_f == pytest.approx(0.9)
     assert eta_s == pytest.approx(0.2)
@@ -119,19 +119,19 @@ def test_select_partition_accept():
 
 def test_select_partition_reject():
     eta = np.array([2.0, 0.1, 3.0, 1.5])
-    decision, part, eta_s, _ = select_partition(eta, phi=0.25, beta=1.0)
+    decision, fast, eta_s, _ = select_partition(eta, phi=0.25, beta=1.0)
     # m = 1, so only index 2 can be fast; index 0 still violates.
     assert decision == "reject"
     assert eta_s == pytest.approx(2.0)
-    assert part.fast.size == 0
+    assert fast.size == 0
 
 
 def test_select_partition_multirate():
     eta = np.array([0.2, 5.0, 0.8, 3.0])
-    decision, part, eta_s, eta_f = select_partition(eta, phi=0.5, beta=1.0)
+    decision, fast, eta_s, eta_f = select_partition(eta, phi=0.5, beta=1.0)
     assert decision == "go_multirate"
-    assert np.array_equal(part.fast, [1, 3])
-    assert np.array_equal(part.slow, [0, 2])
+    assert np.array_equal(fast, [1, 3])
+    assert np.array_equal(np.delete(np.arange(4), fast), [0, 2])
     assert eta_f == pytest.approx(5.0)
     assert eta_s == pytest.approx(0.8)
 
@@ -139,22 +139,22 @@ def test_select_partition_multirate():
 def test_select_partition_only_violators_fast():
     # Both top-m slots exist but only one component violates beta.
     eta = np.array([0.2, 5.0, 0.8, 0.9])
-    decision, part, _, _ = select_partition(eta, phi=0.5, beta=1.0)
+    decision, fast, _, _ = select_partition(eta, phi=0.5, beta=1.0)
     assert decision == "go_multirate"
-    assert np.array_equal(part.fast, [1])
+    assert np.array_equal(fast, [1])
 
 
 def test_select_partition_tie_break_ascending_index():
     eta = np.array([2.0, 2.0, 2.0, 0.1])
-    decision, part, eta_s, _ = select_partition(eta, phi=0.5, beta=1.0)
+    decision, _, eta_s, _ = select_partition(eta, phi=0.5, beta=1.0)
     # Ties broken by ascending index: indices 0 and 1 enter the top-2,
     # index 2 stays outside and forces rejection.
     assert decision == "reject"
     assert eta_s == pytest.approx(2.0)
     eta2 = np.array([2.0, 2.0, 0.3, 0.1])
-    decision2, part2, _, _ = select_partition(eta2, phi=0.5, beta=1.0)
+    decision2, fast2, _, _ = select_partition(eta2, phi=0.5, beta=1.0)
     assert decision2 == "go_multirate"
-    assert np.array_equal(part2.fast, [0, 1])
+    assert np.array_equal(fast2, [0, 1])
 
 
 def test_select_partition_rejects_nonfinite():
@@ -168,11 +168,12 @@ def test_select_partition_rejects_nonfinite():
 def test_select_partition_properties(seed, n, phi, beta):
     rng = np.random.default_rng(seed)
     eta = rng.exponential(scale=beta, size=n)
-    decision, part, eta_s, eta_f = select_partition(eta, phi, beta)
+    decision, fast, eta_s, eta_f = select_partition(eta, phi, beta)
     m = int(np.floor(phi * n))
-    assert len(part.fast) <= m
-    assert len(part.fast) + len(part.slow) == n
-    assert np.array_equal(np.sort(part.fast), part.fast)
+    assert len(fast) <= m
+    # Distinct state indices in ascending order.
+    assert fast.dtype.kind == "i" and np.all(np.diff(fast) > 0)
+    assert np.all((0 <= fast) & (fast < n))
     # eta_s is the largest quotient outside the fast set's rank window.
     order = np.argsort(-eta, kind="stable")
     assert eta_s == pytest.approx(np.max(eta[order[m:]]))
@@ -180,15 +181,15 @@ def test_select_partition_properties(seed, n, phi, beta):
         assert eta_s > beta
     elif decision == "accept":
         assert eta_f <= beta or m == 0
-        assert part.fast.size == 0
+        assert fast.size == 0
     else:
         assert eta_s <= beta < eta_f
-        assert np.all(eta[part.fast] > beta)
-        assert np.all(np.isin(part.fast, order[:m]))
+        assert np.all(eta[fast] > beta)
+        assert np.all(np.isin(fast, order[:m]))
     # Determinism: identical input yields an identical partition.
-    d2, p2, s2, f2 = select_partition(eta, phi, beta)
+    d2, fast2, s2, f2 = select_partition(eta, phi, beta)
     assert d2 == decision and s2 == eta_s and f2 == eta_f
-    assert np.array_equal(p2.fast, part.fast)
+    assert np.array_equal(fast2, fast)
 
 
 @pytest.mark.parametrize("name", ["erk4", "esdirk3", "esdirk4"])
@@ -277,20 +278,21 @@ def test_multirate_slow_components_bitwise(monkeypatch):
     seen = []
     orig = adapt.multirate_step
 
-    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, partition,
+    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
             *args, **kw):
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   partition, *args, **kw)
-        seen.append((u_tentative.copy(), partition, out.copy()))
+                   fast, *args, **kw)
+        seen.append((u_tentative.copy(), fast, out.copy()))
         return out
 
     monkeypatch.setattr(adapt, "multirate_step", spy)
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
     integrate(prob, get_method("esdirk3"), cfg)
     assert seen
-    for u_tent, part, u_next in seen:
-        assert np.array_equal(u_next[part.slow], u_tent[part.slow])
-        assert not np.array_equal(u_next[part.fast], u_tent[part.fast])
+    for u_tent, fast, u_next in seen:
+        assert np.array_equal(np.delete(u_next, fast),
+                              np.delete(u_tent, fast))
+        assert not np.array_equal(u_next[fast], u_tent[fast])
 
 
 @pytest.mark.parametrize("name", ["esdirk3", "erk4"])
@@ -301,17 +303,17 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     orig = adapt.multirate_step
     checked = []
 
-    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, partition,
+    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
             eta_f, make_interp, stats, activity, step_index, *args, **kw):
         before, n_act = asdict(stats), len(activity)
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   partition, eta_f, make_interp, stats, activity,
+                   fast, eta_f, make_interp, stats, activity,
                    step_index, *args, **kw)
-        sub = adapt._fast_subproblem(problem, partition.fast, u_n, t_n, h_n,
+        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n,
                                      make_interp)
         h0 = new_step_size(h_n, eta_f, method.q, config)
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
-        np.testing.assert_array_equal(out[partition.fast], ref.y[-1])
+        np.testing.assert_array_equal(out[fast], ref.y[-1])
         after = asdict(stats)
         delta = {k: after[k] - before[k] for k in before if k != "wall_time"}
         assert delta == dict(
@@ -326,7 +328,7 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
         recs = activity[n_act:]
         assert [(r.step_index, r.t_start, r.t_end, r.kind) for r in recs] == [
             (step_index, r.t_start, r.t_end, "fast") for r in ref.activity]
-        assert all(r.active_indices is partition.fast for r in recs)
+        assert all(r.active_indices is fast for r in recs)
         checked.append(step_index)
         return out
 
@@ -439,6 +441,57 @@ def test_multirate_t_eval_overlays_fast_components():
     np.testing.assert_allclose(res.y_out, exact, atol=2e-3)
 
 
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_one_point_grid_pays_one_interpolant(mode):
+    """Only a step whose window holds a grid row builds an interpolant.
+
+    erk4 falls back to Hermite output, which costs one RHS call for the
+    right endpoint of each interpolated step, global or fast.  A one-point
+    grid lies in one global step: accepted whole, it pays that call; gone
+    multirate, it builds its interpolant anyway, and the one fast sub-step
+    that holds the point pays it.
+    """
+    prob = bench.make_burgers(bench.BurgersParams(N=100, t_span=(0.0, 2.0)))
+    cfg = SolverConfig(rtol=1e-6, atol=1e-6, phi=0.2, mode=mode)
+    plain = integrate(prob, get_method("erk4"), cfg)
+    point = integrate(prob, get_method("erk4"),
+                      replace(cfg, t_eval=np.array([1.0])))
+    np.testing.assert_array_equal(plain.t, point.t)
+    np.testing.assert_array_equal(plain.y, point.y)
+    if mode == "multi":
+        assert plain.stats.accepted_fast > 0
+    a, b = asdict(plain.stats), asdict(point.stats)
+    extra = {k: b[k] - a[k] for k in a if k != "wall_time"}
+    assert extra.pop("global_rhs_calls") + extra.pop("local_rhs_calls") == 1
+    assert not any(extra.values())
+
+
+def test_failed_fast_phase_rejects_global_step():
+    """A fast phase whose every sub-step fails halves the global step.
+
+    The restricted RHS writes NaN, so no fast sub-step succeeds: each
+    multirate attempt ends in a global convergence rejection until the
+    step is small enough to be accepted whole.
+    """
+    prob, L = stiff_pair_problem()
+
+    def nan_rhs(y, t, indices, out):
+        out.fill(np.nan)
+    prob, calls = counting_problem(replace(
+        prob, rhs_restricted=nan_rhs,
+        jacobian_restricted=lambda y, t, idx: L[np.ix_(idx, idx)]))
+    cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5,
+                       h_min=1e-6)
+    res = integrate(prob, get_method("esdirk3"), cfg)
+    assert res.t[-1] == pytest.approx(2.0)
+    assert {r.kind for r in res.activity} == {"global"}
+    s = res.stats
+    assert s.rejected_global_convergence > 0
+    assert s.accepted_fast == 0 and s.rejected_fast_convergence > 0
+    assert s.local_rhs_calls == calls["rhs_restricted"] > 0
+    assert s.local_jacobians == calls["jacobian_restricted"] > 0
+
+
 def test_multirate_matches_single_rate_on_easy_problem():
     prob = make_linear_problem(np.array([[-1.0, 0.2], [0.1, -0.5]]),
                                t_span=(0.0, 2.0))
@@ -469,7 +522,8 @@ def test_integration_failure_carries_state():
 @pytest.mark.parametrize("name", ["erk4", "esdirk3"])
 def test_nonfinite_rhs_at_start_fails_fast(name, mode):
     """A NaN RHS at (y0, t0) makes the initial step NaN; the h_min guards
-    must still end the run instead of halving a NaN step forever."""
+    must still end the run instead of halving a NaN step forever, and the
+    message names the cause."""
     def rhs(y, t, out):
         out[:] = np.nan
     prob = OdeProblem(N=2, rhs=rhs, t_span=(0.0, 1.0), y0=np.ones(2),
@@ -479,6 +533,7 @@ def test_nonfinite_rhs_at_start_fails_fast(name, mode):
     with pytest.raises(IntegrationFailure, match="h_min") as exc:
         integrate(prob, get_method(name), cfg)
     assert time.perf_counter() - start < 1.0
+    assert "non-finite" in str(exc.value)
     assert exc.value.stats.wall_time > 0.0
     assert exc.value.stats.accepted_global == 0
 

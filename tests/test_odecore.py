@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from mrrk.adapt import SolverConfig
 from mrrk.interp import DENSE, interp_value
 from mrrk.newton import ConvergenceFailure, JacobianCache
-from mrrk.odecore import (NumericalBlowup, OdeProblem, error_quotients,
-                          new_step_size, rk_step)
+from mrrk.odecore import OdeProblem, error_quotients, new_step_size, rk_step
 from mrrk.tableaux import get_method
 
 from _oracles import random_stable_matrix, single_rate_R, stage_ops
@@ -94,7 +93,7 @@ def test_blowup_detected():
     prob = OdeProblem(N=1, rhs=lambda y, t, out: out.fill(np.nan),
                       t_span=(0, 1), y0=np.zeros(1),
                       dependency=lambda i: (0,))
-    with pytest.raises(NumericalBlowup):
+    with pytest.raises(ConvergenceFailure):
         rk_step(prob, np.zeros(1), 0.0, 0.1, get_method("erk4"))
 
 
@@ -105,7 +104,7 @@ def test_convergence_failure_surfaces(tight_newton):
     prob = OdeProblem(N=1, rhs=rhs, t_span=(0, 1), y0=np.zeros(1),
                       dependency=lambda i: (0,))
     cfg = SolverConfig(newton_max_iters=5, rtol=1e-10, atol=1e-10)
-    with pytest.raises((ConvergenceFailure, NumericalBlowup)):
+    with pytest.raises(ConvergenceFailure):
         rk_step(prob, np.zeros(1), 0.0, 10.0, get_method("esdirk4"),
                 JacobianCache(prob, cfg))
 

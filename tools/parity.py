@@ -5,16 +5,19 @@
 
 ``run`` integrates every run of the parity set with the ``mrrk`` on the
 import path (``compare`` does not import it) and prints one line per
-run: its name and the sha256 of its ``t``, ``y``, activity records and
-every ``StepStats`` field except ``wall_time``.  It writes the digests
-to OUT.json and the runs' dense output ``y_out`` to OUT.npz beside it.
-To check a change against an earlier commit, run the same script once
-with each commit's ``src`` on ``PYTHONPATH`` and compare the two files.
+run: its name and one sha256 per part of the run (`PARTS`): its ``t``
+and ``y``, its activity records, and every ``StepStats`` field except
+``wall_time``.  A failed run digests the failure's ``t`` and ``y``, no
+activity and the failure's counters.  It writes the digests to OUT.json
+and the runs' dense output ``y_out`` to OUT.npz beside it.  To check a
+change against an earlier commit, run the same script once with each
+commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 
-``compare`` lists the runs whose digests differ and reports the largest
-``y_out`` deviation in each run's weighted error norm,
-max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
-a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
+``compare`` lists each run whose digests differ with the parts that
+differ, and reports the largest ``y_out`` deviation in each run's
+weighted error norm, max |a - b| / (rtol |a| + atol).  It exits with 1
+when a digest differs, a run is missing, or a deviation exceeds
+``Y_OUT_TOL``.
 
 The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
@@ -116,35 +119,46 @@ def parity_set():
         yield f"inverter-fd-esdirk3-JacB-{mode}-grid", fd, "esdirk3", cfg
 
 
-def digest(t, y, activity, stats) -> str:
-    """sha256 of a run's t, y, activity and counters without wall_time."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(t, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(y, dtype=float).tobytes())
+# The digested parts of a run, in print order: the trajectory (t, y), the
+# activity records and the counters.
+PARTS = ("trajectory", "activity", "counters")
+
+
+def digests(t, y, activity, stats, failed=False) -> dict:
+    """sha256 of each of a run's `PARTS`, the counters without wall_time.
+
+    The trajectory digest of a failed run is prefixed with ``failed:``.
+    """
+    traj = hashlib.sha256()
+    traj.update(np.ascontiguousarray(t, dtype=float).tobytes())
+    traj.update(np.ascontiguousarray(y, dtype=float).tobytes())
+    act = hashlib.sha256()
     for a in activity:
-        h.update(repr((a.step_index, a.t_start, a.t_end, a.kind)).encode())
-        h.update(np.asarray(a.active_indices, dtype=np.int64).tobytes())
+        act.update(repr((a.step_index, a.t_start, a.t_end, a.kind)).encode())
+        act.update(np.asarray(a.active_indices, dtype=np.int64).tobytes())
     counters = asdict(stats)
     counters.pop("wall_time")
-    h.update(repr(sorted(counters.items())).encode())
-    return h.hexdigest()
+    cnt = hashlib.sha256(repr(sorted(counters.items())).encode())
+    return {"trajectory": ("failed:" if failed else "") + traj.hexdigest(),
+            "activity": act.hexdigest(), "counters": cnt.hexdigest()}
 
 
 def cmd_run(out: Path) -> int:
     from mrrk.adapt import IntegrationFailure, integrate
     from mrrk.tableaux import get_method
-    digests, y_out = {}, {}
+    runs, y_out = {}, {}
     for name, prob, method, cfg in parity_set():
         try:
             res = integrate(prob, get_method(method), cfg)
-            d = digest(res.t, res.y, res.activity, res.stats)
+            d = digests(res.t, res.y, res.activity, res.stats)
             if res.y_out is not None:
                 y_out[name] = res.y_out
         except IntegrationFailure as exc:
-            d = "failed:" + digest([exc.t], [exc.y], [], exc.stats)
-        digests[name] = {"digest": d, "rtol": cfg.rtol, "atol": cfg.atol}
-        print(name, d, flush=True)
-    out.write_text(json.dumps(digests, indent=1) + "\n")
+            d = digests([exc.t], [exc.y], [], exc.stats, failed=True)
+        runs[name] = {**d, "rtol": cfg.rtol, "atol": cfg.atol}
+        print(name, *(f"{part}={d[part][:16]}" for part in PARTS),
+              flush=True)
+    out.write_text(json.dumps(runs, indent=1) + "\n")
     np.savez_compressed(out.with_suffix(".npz"), **y_out)
     return 0
 
@@ -157,8 +171,10 @@ def cmd_compare(a: Path, b: Path) -> int:
         if name not in da or name not in db:
             print(f"{name}: missing from {a if name not in da else b}")
             bad += 1
-        elif da[name]["digest"] != db[name]["digest"]:
-            print(f"{name}: digests differ")
+            continue
+        moved = [part for part in PARTS if da[name][part] != db[name][part]]
+        if moved:
+            print(f"{name}: {', '.join(moved)} differ")
             bad += 1
     worst, worst_name = 0.0, None
     for name in sorted(set(ya.files) & set(yb.files)):
