@@ -3,8 +3,8 @@
 All kernels act on stacks of matrices: ``L`` has shape (B, n, n) and the
 step size ``h`` has shape (B,).  Broadcasting a whole grid of step sizes
 through one call keeps parameter scans fast without any explicit
-parallelism.  The public modules (`interp`, `stability`) wrap these kernels
-with single-matrix signatures.
+parallelism.  `stability` wraps these kernels with single-model
+signatures.
 
 Every slow-variable interpolant is, on y' = Ly, a fixed combination
 
@@ -146,6 +146,12 @@ def _interp_weights(kind: str, tab: ButcherTableau,
 def interp_matrices(kind: str, L: np.ndarray, h: np.ndarray,
                     tab: ButcherTableau, taus: np.ndarray) -> np.ndarray:
     """Interpolation operators Q(tau) for a stack of tau values.
+
+    The operator form of `interp.slow_interpolant`: on y' = Ly,
+    Q(tau) u_n is the data form's value at t_n + tau*h.  The stability
+    path contracts `_interp_basis` and `_interp_weights` itself; tests
+    check this evaluator against the brute-force oracle, and
+    `perfbench/tracing.py` patches it by name.
 
     Returns shape (T, B, n, n) where T = len(taus).  Kinds:
 

@@ -174,11 +174,12 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     top-m, eta_f the largest inside (0 when m = 0, so the step is accepted
     or rejected whole).  ``fast`` is the ascending index array of the
     top-m candidates that actually violate beta, empty unless the step
-    goes multirate.
+    goes multirate.  A non-finite quotient raises ConvergenceFailure, so
+    the step is halved like any other failed step.
     """
     eta = np.asarray(eta, dtype=float)
     if not np.isfinite(eta).all():
-        raise ValueError("error quotients must be finite")
+        raise ConvergenceFailure("non-finite error estimate")
     N = len(eta)
     m = math.floor(phi * N)
     if m == 0:

@@ -63,11 +63,6 @@ def _input_fn(params: InverterChainParams):
     return u
 
 
-def inverter_input(params: InverterChainParams, t):
-    """Piecewise-linear input voltage of the first inverter."""
-    return _input_fn(params)(t)
-
-
 def inverter_equilibrium(params: InverterChainParams) -> np.ndarray:
     """Alternating rest state of the chain for zero input.
 

@@ -318,20 +318,20 @@ def cmd_solve(args) -> int:
 
 
 def _make_model(args, kappa: float):
-    if args.model == "2dof":
-        return model_2dof(alpha=args.alpha, kappa=kappa)
-    return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
-                      alpha_ratio=args.alpha, beta_ratio=args.model_beta,
-                      kappa=kappa)
+    try:
+        if args.model == "2dof":
+            return model_2dof(alpha=args.alpha, kappa=kappa)
+        return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
+                          alpha_ratio=args.alpha,
+                          beta_ratio=args.model_beta, kappa=kappa)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_stability(args) -> int:
     kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
-    try:
-        models = [_make_model(args, k) for k in args.kappa]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    models = [_make_model(args, k) for k in args.kappa]
 
     all_rows = []
     table = {}
@@ -361,9 +361,7 @@ def cmd_stability(args) -> int:
 def cmd_accuracy(args) -> int:
     kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
-    model = model_4dof(omega1=args.omega1, gamma1=args.gamma1,
-                       alpha_ratio=args.alpha, beta_ratio=args.model_beta,
-                       kappa=args.kappa)
+    model = _make_model(args, args.kappa)
     rows = []
     for C in args.C:
         h_s = C / model.Lam
@@ -466,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--model-beta", type=float, default=1.0)
     pa.add_argument("--kappa", type=float, default=1e-3)
     pa.add_argument("--outdir", default=".")
-    pa.set_defaults(func=cmd_accuracy)
+    pa.set_defaults(func=cmd_accuracy, model="4dof")
     return parser
 
 

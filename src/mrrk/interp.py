@@ -1,12 +1,11 @@
 """Interpolation of slow variables inside one global step.
 
-Two dual representations are provided.  The data form consumes the
-vectors produced by an actual step (endpoint states, endpoint derivatives,
-or stage derivatives) and is what the adaptive controller uses.  The
-operator form produces the matrix Q(tau) acting on u_n for the linear
-problem y' = Ly, which is the building block of the multi-rate
-amplification matrix.  On linear problems the two forms agree to round-off
-by construction.
+`slow_interpolant` is the data form: it consumes the vectors produced by
+an actual step (endpoint states, endpoint derivatives, or stage
+derivatives) and is what the adaptive controller and its output sampler
+use.  On y' = Ly the same kinds are the matrices Q(tau) acting on u_n,
+which `_linops` builds for the multi-rate amplification matrix; the two
+agree to round-off by construction.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _linops
-from .tableaux import ButcherTableau
 
 KINDS = ("linear", "hermite", "dense")
 
@@ -43,13 +39,6 @@ class InterpolatorKind:
 LINEAR = InterpolatorKind("linear")
 HERMITE = InterpolatorKind("hermite")
 DENSE = InterpolatorKind("dense")
-
-
-def _check_tau(tau):
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0.0) or np.any(tau > 1.0):
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return tau
 
 
 def _hermite_rows(tau, h, data, out=None):
@@ -123,51 +112,3 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
             data = (u_n[cols], u_next[cols], f_n[cols], f_next[cols])
             return lambda tau, out=None: _hermite_rows(tau, h, data, out)
     return make
-
-
-def interp_value(kind: InterpolatorKind, u_n, u_next, f_n=None, f_next=None,
-                 K=None, dense=None, h: float | None = None, tau=0.0):
-    """Interpolated state at t_n + tau*h from one step's data.
-
-    ``f_n``/``f_next`` are the endpoint derivatives (required for
-    ``hermite``); ``K`` holds the step's stage derivatives and ``dense``
-    the method's continuous-output coefficients (both required for
-    ``dense``).  ``tau`` may be a scalar, giving one state, or a 1-D
-    array, giving one row per tau; both go through the one array
-    evaluation of `slow_interpolant`.
-    """
-    tau = _check_tau(tau)
-    if tau.ndim > 1:
-        raise ValueError("tau must be a scalar or a 1-D array")
-    if kind.kind == "hermite":
-        if f_n is None or f_next is None or h is None:
-            raise ValueError("hermite interpolation requires endpoint "
-                             "derivatives f_n, f_next and the step size")
-        f_n = np.asarray(f_n, dtype=float)
-        f_next = np.asarray(f_next, dtype=float)
-    elif kind.kind == "dense":
-        if K is None or dense is None or h is None:
-            raise ValueError("dense interpolation requires the stage "
-                             "derivatives, continuous-output coefficients "
-                             "and the step size")
-    interp = slow_interpolant(kind, np.asarray(u_n, dtype=float),
-                              np.asarray(u_next, dtype=float), h, f_n,
-                              f_next, K, dense)(slice(None))
-    rows = interp(np.atleast_1d(tau))
-    return rows if tau.ndim else rows[0]
-
-
-def interp_operator(kind: InterpolatorKind, L: np.ndarray, h: float,
-                    method: ButcherTableau, tau: float) -> np.ndarray:
-    """Matrix Q(tau) with Q(tau) u_n = interp_value(...) on y' = Ly.
-
-    Endpoint identities: Q(0) = I for every kind, and Q(1) = R(hL) for the
-    linear and hermite kinds (and for dense when the method's continuous
-    output is endpoint-consistent).
-    """
-    tau = float(_check_tau(tau))
-    L = np.asarray(L, dtype=float)
-    out = _linops.interp_matrices(
-        kind.kind, L[None], np.array([h], dtype=float), method,
-        np.array([tau]))
-    return out[0, 0]

@@ -113,8 +113,8 @@ class ConvergenceFailure(Exception):
 
     Raised when a stage solve does not converge, when the iteration matrix
     is singular or non-finite, and when a Newton direction, a stage
-    derivative or the new state is non-finite.  The message names the
-    cause.
+    derivative, the new state or the error estimate is non-finite.  The
+    message names the cause.
     """
 
 

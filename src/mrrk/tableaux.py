@@ -1,4 +1,4 @@
-"""Registry of Runge-Kutta methods with validated coefficients.
+"""Registry of Runge-Kutta methods and their coefficients.
 
 Each method is described by a Butcher tableau (A, b, c, optional embedded
 weights b_hat) plus, where available, the coefficient matrix B* of the
@@ -26,7 +26,6 @@ __all__ = [
     "MethodNotFound",
     "get_method",
     "method_names",
-    "validate_tableau",
 ]
 
 
@@ -37,8 +36,8 @@ class DenseOutputCoeffs:
     ``B_star[i, j]`` is the coefficient of tau**(j+1) in b*_i(tau); there is
     no constant term, so every b*_i(0) = 0 and the interpolant reproduces
     u_n at the left endpoint.  `weights` is the one evaluation of b*: the
-    data-form interpolant, the output sampler and the operator form
-    (`_linops`) all call it.
+    data-form interpolant, which the output sampler reads, and the
+    stability kernels of `_linops` both call it.
     """
 
     B_star: np.ndarray  # shape (s, p*), p* the degree in tau
@@ -61,10 +60,6 @@ class DenseOutputCoeffs:
         tau = np.asarray(tau, dtype=float)
         powers = tau[..., None, None] ** self._exponents
         return (powers @ self.B_star.T)[..., 0, :]
-
-    @property
-    def endpoint_weights(self) -> np.ndarray:
-        return self.B_star.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -102,11 +97,6 @@ class ButcherTableau:
     @property
     def explicit_first_stage(self) -> bool:
         return self.kind in ("explicit", "esdirk")
-
-
-# Round-off allowed in the coefficient sums that `validate_tableau` and
-# `endpoint_consistent` check.
-COEFF_TOL = 1e-12
 
 
 class MethodNotFound(KeyError):
@@ -332,72 +322,3 @@ def get_method(name: str) -> ButcherTableau:
             f"unknown method {name!r}; registered methods: "
             f"{', '.join(method_names())}"
         ) from None
-
-
-@dataclass
-class ValidationReport:
-    name: str
-    checks: dict[str, float] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, label: str, residual: float, tol: float):
-        self.checks[label] = residual
-        if not (abs(residual) <= tol):
-            self.failures.append(label)
-
-
-def validate_tableau(tab: ButcherTableau) -> ValidationReport:
-    """Check structural invariants of a tableau; report residuals.
-
-    Residuals of the coefficient sums pass up to ``COEFF_TOL``.
-    """
-    rep = ValidationReport(tab.name)
-    rep.record("sum_b", float(tab.b.sum() - 1.0), COEFF_TOL)
-    row_resid = float(np.max(np.abs(tab.A.sum(axis=1) - tab.c)))
-    rep.record("row_sums", row_resid, COEFF_TOL)
-    s = tab.s
-    if tab.kind == "explicit":
-        upper = float(np.max(np.abs(np.triu(tab.A))))
-        rep.record("strictly_lower", upper, 0.0)
-    elif tab.kind == "esdirk":
-        rep.record("first_stage_explicit", float(abs(tab.A[0, 0])), 0.0)
-        gam = tab.A[1, 1]
-        diag_resid = float(np.max(np.abs(np.diag(tab.A)[1:] - gam)))
-        rep.record("constant_diagonal", diag_resid, COEFF_TOL)
-        if not gam > 0:
-            rep.failures.append("positive_gamma")
-        upper = float(np.max(np.abs(np.triu(tab.A, 1))))
-        rep.record("lower_triangular", upper, 0.0)
-    elif tab.kind == "dirk":
-        if not np.all(np.diag(tab.A) > 0):
-            rep.failures.append("positive_diagonal")
-        upper = float(np.max(np.abs(np.triu(tab.A, 1))))
-        rep.record("lower_triangular", upper, 0.0)
-    else:
-        rep.failures.append(f"unknown kind {tab.kind!r}")
-    if tab.b_hat is not None:
-        rep.record("sum_b_hat", float(tab.b_hat.sum() - 1.0), COEFF_TOL)
-        if tab.p_hat is None:
-            rep.failures.append("p_hat_missing")
-    if tab.dense is not None:
-        if tab.dense.B_star.shape[0] != s:
-            rep.failures.append("b_star_shape")
-        # Endpoint consistency is a property of the method, not an
-        # invariant; record the residual for information.
-        resid = float(np.max(np.abs(tab.dense.endpoint_weights - tab.b)))
-        rep.checks["dense_endpoint"] = resid
-    return rep
-
-
-def endpoint_consistent(tab: ButcherTableau) -> bool:
-    """Whether the dense output reproduces the discrete step at tau = 1,
-    its weights b*(1) matching b up to ``COEFF_TOL``."""
-    if tab.dense is None:
-        return False
-    return bool(
-        np.max(np.abs(tab.dense.endpoint_weights - tab.b)) <= COEFF_TOL)
-

@@ -12,6 +12,7 @@ from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
 from mrrk.interp import DENSE, HERMITE, LINEAR, slow_interpolant
+from mrrk.newton import ConvergenceFailure
 from mrrk.odecore import OdeProblem, new_step_size
 from mrrk.tableaux import get_method
 
@@ -158,7 +159,7 @@ def test_select_partition_tie_break_ascending_index():
 
 
 def test_select_partition_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConvergenceFailure, match="non-finite error"):
         select_partition(np.array([1.0, np.nan]), phi=0.5, beta=1.0)
 
 
@@ -536,6 +537,21 @@ def test_nonfinite_rhs_at_start_fails_fast(name, mode):
     assert "non-finite" in str(exc.value)
     assert exc.value.stats.wall_time > 0.0
     assert exc.value.stats.accepted_global == 0
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_error_estimate_is_a_failed_step(mode):
+    """Finite stages whose error quotients overflow are rejected as a
+    failed step and halve h, so the run ends in IntegrationFailure."""
+    def rhs(y, t, out):
+        out[:] = 1.7e308 * np.sign(np.sin(1e3 * t + np.arange(2)))
+    prob = OdeProblem(N=2, rhs=rhs, t_span=(0.0, 1.0), y0=np.zeros(2),
+                      dependency=lambda i: (i,))
+    cfg = SolverConfig(h0=0.9, mode=mode, phi=0.5)
+    with pytest.raises(IntegrationFailure, match="h_min") as exc:
+        integrate(prob, get_method("erk4"), cfg)
+    assert exc.value.stats.rejected_global_convergence > 0
 
 
 def test_step_budget_exhaustion():

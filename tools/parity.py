@@ -8,16 +8,20 @@ import path (``compare`` does not import it) and prints one line per
 run: its name and one sha256 per part of the run (`PARTS`): its ``t``
 and ``y``, its activity records, and every ``StepStats`` field except
 ``wall_time``.  A failed run digests the failure's ``t`` and ``y``, no
-activity and the failure's counters.  It writes the digests to OUT.json
+activity and the failure's counters.  It then prints one sha256 for the
+stability part: the 504 cells of the published stability tables
+(`perfbench.cases.stability_cells`), each cell's `stability.table_entry`
+and the spectral radii of its scan over the integer C grid 1..100.  It
+writes the digests, with each cell's entry and radii digest, to OUT.json
 and the runs' dense output ``y_out`` to OUT.npz beside it.  To check a
 change against an earlier commit, run the same script once with each
 commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 
 ``compare`` lists each run whose digests differ with the parts that
-differ, and reports the largest ``y_out`` deviation in each run's
-weighted error norm, max |a - b| / (rtol |a| + atol).  It exits with 1
-when a digest differs, a run is missing, or a deviation exceeds
-``Y_OUT_TOL``.
+differ and each stability cell that differs, and reports the largest
+``y_out`` deviation in each run's weighted error norm,
+max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
+a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
 
 The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
@@ -45,6 +49,10 @@ from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+# The repository root, from which the stability part imports
+# `perfbench.cases`.
+ROOT = Path(__file__).resolve().parents[1]
 
 # Largest weighted y_out deviation that `compare` passes.
 Y_OUT_TOL = 1e-12
@@ -143,6 +151,22 @@ def digests(t, y, activity, stats, failed=False) -> dict:
             "activity": act.hexdigest(), "counters": cnt.hexdigest()}
 
 
+def stability_part() -> dict:
+    """Each table cell's entry and radii digest, and one digest of all."""
+    from mrrk import stability
+    sys.path.append(str(ROOT))
+    from perfbench.cases import stability_cells
+    grid = np.arange(1.0, 101.0)
+    cells, total = {}, hashlib.sha256()
+    for c in stability_cells():
+        entry = stability.table_entry(c.model, c.method, c.interp, c.M)
+        rho = stability.rho_curve(c.model, c.method, c.interp, c.M, grid)
+        cells[repr(c.id)] = cell = [repr(entry),
+                                    hashlib.sha256(rho.tobytes()).hexdigest()]
+        total.update(repr((c.id, cell)).encode())
+    return {"digest": total.hexdigest(), "cells": cells}
+
+
 def cmd_run(out: Path) -> int:
     from mrrk.adapt import IntegrationFailure, integrate
     from mrrk.tableaux import get_method
@@ -158,13 +182,18 @@ def cmd_run(out: Path) -> int:
         runs[name] = {**d, "rtol": cfg.rtol, "atol": cfg.atol}
         print(name, *(f"{part}={d[part][:16]}" for part in PARTS),
               flush=True)
-    out.write_text(json.dumps(runs, indent=1) + "\n")
+    stab = stability_part()
+    print(f"stability: {len(stab['cells'])} cells "
+          f"digest={stab['digest'][:16]}", flush=True)
+    out.write_text(json.dumps({"runs": runs, "stability": stab}, indent=1)
+                   + "\n")
     np.savez_compressed(out.with_suffix(".npz"), **y_out)
     return 0
 
 
 def cmd_compare(a: Path, b: Path) -> int:
-    da, db = json.loads(a.read_text()), json.loads(b.read_text())
+    fa, fb = json.loads(a.read_text()), json.loads(b.read_text())
+    da, db = fa["runs"], fb["runs"]
     ya, yb = np.load(a.with_suffix(".npz")), np.load(b.with_suffix(".npz"))
     bad = 0
     for name in sorted(set(da) | set(db)):
@@ -176,6 +205,15 @@ def cmd_compare(a: Path, b: Path) -> int:
         if moved:
             print(f"{name}: {', '.join(moved)} differ")
             bad += 1
+    sa, sb = fa["stability"]["cells"], fb["stability"]["cells"]
+    cells = sorted(set(sa) | set(sb))
+    moved = [c for c in cells if sa.get(c) != sb.get(c)]
+    for c in moved:
+        print(f"stability cell {c}: {sa.get(c)} != {sb.get(c)}")
+    print(f"stability: {len(cells) - len(moved)} of {len(cells)} cells "
+          "identical")
+    if fa["stability"]["digest"] != fb["stability"]["digest"]:
+        bad += 1
     worst, worst_name = 0.0, None
     for name in sorted(set(ya.files) & set(yb.files)):
         u, v = ya[name], yb[name]
@@ -187,7 +225,8 @@ def cmd_compare(a: Path, b: Path) -> int:
         dev = float(np.max(np.abs(u - v) / w)) if u.size else 0.0
         if not dev <= worst:
             worst, worst_name = dev, name
-    print(f"{len(set(da) & set(db))} runs in both files, {bad} mismatched; "
+    print(f"{len(set(da) & set(db))} runs in both files, {bad} mismatched "
+          "(the stability part counting as one); "
           f"largest weighted y_out deviation {worst:.3g}"
           + (f" ({worst_name})" if worst_name else ""))
     return 1 if bad or not worst <= Y_OUT_TOL else 0
