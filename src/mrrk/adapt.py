@@ -31,11 +31,11 @@ MODES = ("single", "multi")
 class IntegrationFailure(Exception):
     """The run cannot continue.
 
-    Raised when the step size falls below ``h_min`` or is NaN (after an
-    error rejection, or after a failed step, whose `ConvergenceFailure`
-    message it repeats) or when the step budget ``max_steps`` is
-    exhausted.  Carries the time, state, and statistics (``wall_time``
-    included) at the point of failure.
+    Raised when the step size falls below ``h_min``, is NaN or cannot
+    advance t (after an error rejection, or after a failed step, whose
+    `ConvergenceFailure` message it repeats) or when the step budget
+    ``max_steps`` is exhausted.  Carries the time, state, and statistics
+    (``wall_time`` included) at the point of failure.
     """
 
     def __init__(self, message, t=None, y=None, stats=None):
@@ -152,7 +152,7 @@ class ActivityRecord:
 
 @dataclass
 class IntegrationResult:
-    """Accepted trajectory, counters, and per-step activity."""
+    """Accepted trajectory, counters, per-step activity and dense output."""
 
     t: np.ndarray
     y: np.ndarray
@@ -160,8 +160,6 @@ class IntegrationResult:
     activity: list
     t_out: Optional[np.ndarray] = None
     y_out: Optional[np.ndarray] = None
-    method: str = ""
-    mode: str = "single"
 
 
 def select_partition(eta: np.ndarray, phi: float, beta: float):
@@ -452,7 +450,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     with a fast cap of 0.  Raises ValueError when a point of
     ``config.t_eval`` lies outside the span by more than round-off,
     1e-9 * max(1, |t0|, |T|): a grid that np.arange fills over the span
-    can end past T by about its length times ulp(T).
+    can end past T by about its length times ulp(T).  A rejection that
+    leaves h below the floating-point spacing of t ends the run.
     """
     cfg = config
     t0, T = problem.t_span
@@ -490,6 +489,15 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         close_stats()
         return IntegrationFailure(message, t, u, stats)
 
+    def too_small(h):
+        # Why h cannot follow a rejection, or None.  "not >=" catches the
+        # NaN h of a non-finite RHS at t0; below the spacing of t, steps
+        # leave t in place while h shrinks and regrows without end.
+        if not h >= cfg.h_min:
+            return "step size below h_min"
+        if not t + h > t:
+            return "step size cannot advance t"
+
     all_idx = np.arange(problem.N)
     while t < T - 1e-14 * max(1.0, abs(T)):
         if stats.accepted_global >= cfg.max_steps:
@@ -512,17 +520,14 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1
             h *= 0.5
-            # "not >=" also ends the run on a NaN step size, which the
-            # initial-step heuristic returns for a non-finite RHS at t0.
-            if not h >= cfg.h_min:
-                raise failure(
-                    f"step size below h_min after a failed step: {exc}")
+            if why := too_small(h):
+                raise failure(f"{why} after a failed step: {exc}")
             continue
         if decision == "reject":
             stats.rejected_global_error += 1
             h = new_step_size(h, eta_s, method.q, cfg)
-            if not h >= cfg.h_min:
-                raise failure("step size below h_min")
+            if why := too_small(h):
+                raise failure(why)
             continue
         if decision == "accept":
             u_next = u_tent
@@ -543,5 +548,4 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     if sampler is not None:
         t_out, y_out = sampler.finish(u)
     return IntegrationResult(t=np.array(ts), y=np.array(ys), stats=stats,
-                             activity=activity, t_out=t_out, y_out=y_out,
-                             method=method.name, mode=cfg.mode)
+                             activity=activity, t_out=t_out, y_out=y_out)

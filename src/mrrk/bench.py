@@ -14,7 +14,7 @@ fallback, which is cheaper than classifying the index set on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,32 +61,6 @@ def _input_fn(params: InverterChainParams):
     def u(t):
         return np.interp(t, times, values, left=0.0, right=0.0)
     return u
-
-
-def inverter_equilibrium(params: InverterChainParams) -> np.ndarray:
-    """Alternating rest state of the chain for zero input.
-
-    Solved link by link with a damped fixed-point iteration on
-    y = U_op - Gamma g(y_prev, y); the published rounded values are close
-    to but not exactly on this equilibrium.
-    """
-    y = np.empty(params.N)
-    prev = 0.0
-    for j in range(params.N):
-        val = 0.0
-        for _ in range(200):
-            res = (params.U_op - val
-                   - params.Gamma * inverter_g(prev, val, params.U_tau))
-            # Damping by the local stiffness keeps the iteration stable
-            # on the high-gain links.
-            gain = 1.0 + 2.0 * params.Gamma * max(
-                prev - val - params.U_tau, 0.0)
-            val += res / gain
-            if abs(res) < 1e-14:
-                break
-        y[j] = val
-        prev = val
-    return y
 
 
 def make_inverter_chain(

@@ -160,26 +160,8 @@ _c_max = _checked(float, lambda v: 1 <= v < math.inf,
                   "a finite number >= 1")
 
 
-@dataclasses.dataclass(frozen=True)
-class ConstantParams:
-    """Stub problem y' = 0, y(t0) = (0, 1, ..., N-1), for plumbing tests."""
-
-    N: int = 4
-    t_span: tuple = (0.0, 1.0)
-
-
-def _make_constant(p: ConstantParams) -> OdeProblem:
-    def rhs(y, t, out):
-        out[:] = 0.0
-
-    return OdeProblem(N=p.N, rhs=rhs, t_span=p.t_span,
-                      y0=np.arange(p.N, dtype=float),
-                      dependency=lambda i: (), name="constant")
-
-
 # name -> (parameter dataclass, factory taking an instance of it)
 _PROBLEMS = {
-    "constant": (ConstantParams, _make_constant),
     "inverter": (bench.InverterChainParams, bench.make_inverter_chain),
     "burgers": (bench.BurgersParams, bench.make_burgers),
     "heating": (bench.HeatingParams, bench.make_heating),

@@ -302,15 +302,14 @@ class JacobianCache:
     group (`structural_coloring`) are built on the first refresh and kept
     in ``_coloring``.
 
-    ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver),
-    the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see the module
-    docstring for the LAPACK routines behind each).  It is keyed by
-    ``_fac_key = (J, h a_ii)`` on the J object itself, so a refresh or a
-    direct assignment to ``J`` forces a new factorization while repeated
-    solves with one h a_ii reuse it.  ``_band = (J, kl, ku, Jb)`` keeps the
-    bandwidths and the band storage of a sparse J, taken once per J (see
-    `_band_storage`), for every h a_ii that J is factored with.  Each
-    ``solve`` checks that its result is finite.
+    ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver,
+    h a_ii), the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see
+    the module docstring for the LAPACK routines behind each); repeated
+    solves with one h a_ii reuse it.  ``_band = (kl, ku, Jb)`` keeps the
+    bandwidths and the band storage of a sparse J (see `_band_storage`)
+    for every h a_ii that J is factored with.  ``refresh``, the one writer
+    of J in a run, drops both.  Each ``solve`` checks that its result is
+    finite.
     """
 
     problem: object
@@ -319,7 +318,6 @@ class JacobianCache:
     age: int = 0
     evals: int = 0
     _fac: tuple | None = None
-    _fac_key: tuple | None = None
     _band: tuple | None = None
     _coloring: tuple | None = field(default=None, repr=False)
 
@@ -343,30 +341,28 @@ class JacobianCache:
         self.evals += 1
         self.age = 0
         self._fac = None
-        self._fac_key = None
         self._band = None
 
     def _factor(self, h_gamma: float):
-        J = self.J
-        if (self._fac is not None and self._fac_key[0] is J
-                and self._fac_key[1] == h_gamma):
+        if self._fac is not None and self._fac[2] == h_gamma:
             return
+        J = self.J
         n = J.shape[0]
         if sp.issparse(J):
-            if self._band is None or self._band[0] is not J:
-                self._band = (J, *_band_storage(J))
-            _, kl, ku, Jb = self._band
+            if self._band is None:
+                self._band = _band_storage(J)
+            kl, ku, Jb = self._band
             if Jb is not None:
-                self._fac = _banded_factor(Jb, kl, ku, h_gamma)
+                fac = _banded_factor(Jb, kl, ku, h_gamma)
             else:
-                self._fac = _sparse_factor(
+                fac = _sparse_factor(
                     sp.identity(n, format="csc") - h_gamma * J.tocsc())
         elif n > DENSE_FACTOR_LIMIT:
-            self._fac = _sparse_factor(
+            fac = _sparse_factor(
                 sp.identity(n, format="csc") - h_gamma * sp.csc_matrix(J))
         else:
-            self._fac = _dense_factor(np.eye(n) - h_gamma * np.asarray(J))
-        self._fac_key = (J, h_gamma)
+            fac = _dense_factor(np.eye(n) - h_gamma * np.asarray(J))
+        self._fac = (*fac, h_gamma)
 
     def solve(self, h_gamma: float, rhs: np.ndarray) -> np.ndarray:
         self._factor(h_gamma)

@@ -147,8 +147,11 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
     grows with M only as log2(M): the fast stage factor is inverted once,
     the slow coupling L_fs Q(tau) comes from one contraction over every
     stage time, and the sub-steps are chained by powers of the fast
-    single-rate matrix, built by repeated doubling.
+    single-rate matrix, built by repeated doubling.  Raises ValueError
+    unless M is an integer >= 1.
     """
+    if not (isinstance(M, (int, np.integer)) and M >= 1):
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
     C_grid = np.asarray(C_grid, dtype=float)
     h = C_grid / model.Lam
     Lb = np.broadcast_to(model.L, (len(C_grid),) + model.L.shape)
@@ -157,6 +160,8 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
 
 
 def _integer_grid(C_max: float) -> np.ndarray:
+    if not (math.isfinite(C_max) and C_max >= 1):
+        raise ValueError(f"C_max must be finite and >= 1, got {C_max!r}")
     return np.arange(1.0, np.floor(C_max) + 1.0)
 
 
@@ -168,7 +173,8 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
     the next integer (boundaries that sit on an integer within 1e-6 are
     kept as that integer).  A C is unstable when its spectral radius
     exceeds 1 + ``RHO_TOL``.  Returns the sentinel ">= {C_max}" when the
-    scheme stays stable on the whole integer grid.
+    scheme stays stable on the whole integer grid.  Raises ValueError
+    unless M is an integer >= 1 and C_max is finite and >= 1.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)

@@ -167,9 +167,6 @@ def _make_owren() -> ButcherTableau:
 # embedded order-2 pair and a degree-3 continuous output.
 # ----------------------------------------------------------------------------
 
-_ESDIRK3_GAMMA = 0.43586652150845899941601945
-
-
 def _make_esdirk3() -> ButcherTableau:
     g = Fraction(43586652150845899941601945, 10**26)
     c3 = Fraction(3, 5)

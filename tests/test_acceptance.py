@@ -11,8 +11,7 @@ import pytest
 
 import mrrk.adapt as adapt
 from mrrk.adapt import SolverConfig, integrate, select_partition
-from mrrk.bench import (BurgersParams, make_burgers, make_heating,
-                        make_inverter_chain)
+from mrrk.bench import make_burgers, make_heating, make_inverter_chain
 from mrrk.interp import InterpolatorKind
 from mrrk.stability import (model_2dof, model_4dof, propagator_error,
                             table_entry)

@@ -540,6 +540,34 @@ def test_nonfinite_rhs_at_start_fails_fast(name, mode):
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])
+@pytest.mark.parametrize("name", ["erk4", "esdirk3"])
+@pytest.mark.parametrize("t_span,h_min", [((1e5, 2e5), 1e-12),
+                                          ((0.0, 1.0), 0.0)],
+                         ids=["default-h_min", "zero-h_min"])
+def test_step_that_cannot_advance_t_ends_the_run(name, mode, t_span, h_min):
+    """A NaN RHS from mid-span on: the failed steps halve h below the
+    spacing of t, where a step of h_min or more cannot move t.  The run
+    ends there, naming the condition and the failed step's cause, instead
+    of accepting steps that leave t in place until the step budget."""
+    t_nan = 0.5 * (t_span[0] + t_span[1])
+
+    def rhs(y, t, out):
+        out[:] = -y / t_span[1] if t < t_nan else np.nan
+    prob = OdeProblem(N=2, rhs=rhs, t_span=t_span, y0=np.ones(2),
+                      dependency=lambda i: (i,))
+    cfg = SolverConfig(h_min=h_min, max_steps=1000, mode=mode, phi=0.5)
+    with pytest.raises(IntegrationFailure,
+                       match="cannot advance t after a failed step") as exc:
+        integrate(prob, get_method(name), cfg)
+    assert "non-finite" in str(exc.value)
+    t = exc.value.t
+    assert t < t_nan and not t + np.spacing(t) < t_nan
+    s = exc.value.stats
+    assert (s.accepted_global + s.rejected_global_error
+            + s.rejected_global_convergence) <= 200
+
+
+@pytest.mark.parametrize("mode", ["single", "multi"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_error_estimate_is_a_failed_step(mode):
     """Finite stages whose error quotients overflow are rejected as a
@@ -583,7 +611,6 @@ def test_single_rate_is_multirate_with_fast_cap_zero(name, with_grid):
     cfg = SolverConfig(rtol=1e-4, atol=1e-4, phi=0.01, t_eval=grid)
     sr = integrate(prob, get_method(name), cfg)
     mr = integrate(prob, get_method(name), replace(cfg, mode="multi"))
-    assert (sr.mode, mr.mode) == ("single", "multi")
     np.testing.assert_array_equal(sr.t, mr.t)
     np.testing.assert_array_equal(sr.y, mr.y)
     if with_grid:
@@ -668,11 +695,16 @@ def test_work_counters_equal_problem_calls(mode, max_steps):
 
 
 def test_integrate_dispatches_on_mode():
-    prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 1.0))
-    m = get_method("erk4")
-    r1 = integrate(prob, m, SolverConfig(mode="single"))
-    r2 = integrate(prob, m, SolverConfig(mode="multi"))
-    assert r1.mode == "single" and r2.mode == "multi"
+    """On one problem, "single" accepts every step whole and "multi"
+    re-integrates the fast component."""
+    prob, _ = stiff_pair_problem()
+    cfg = SolverConfig(rtol=1e-6, atol=1e-8, phi=0.5)
+    sr = integrate(prob, get_method("esdirk3"), cfg)
+    mr = integrate(prob, get_method("esdirk3"), replace(cfg, mode="multi"))
+    assert sr.stats.accepted_fast == 0
+    assert {r.kind for r in sr.activity} == {"global"}
+    assert mr.stats.accepted_fast > 0
+    assert {r.kind for r in mr.activity} == {"global", "fast"}
 
 
 def batched(f):

@@ -3,9 +3,9 @@ import pytest
 
 from mrrk.bench import (BurgersParams, HeatingParams, InverterChainParams,
                         _input_fn, burgers_initial, external_temperature,
-                        heating_schedule, inverter_equilibrium, inverter_g,
-                        make_burgers, make_heating, make_inverter_chain,
-                        smooth_sat, smooth_step)
+                        heating_schedule, inverter_g, make_burgers,
+                        make_heating, make_inverter_chain, smooth_sat,
+                        smooth_step)
 from mrrk.newton import fd_jacobian
 
 
@@ -71,18 +71,6 @@ def test_inverter_initial_state_pattern():
     assert prob.y0[1] == pytest.approx(6.247e-3)
     np.testing.assert_allclose(prob.y0[::2], 1.0)
     np.testing.assert_allclose(prob.y0[1::2], 6.247e-3)
-
-
-def test_inverter_equilibrium_is_fixed_point():
-    p = InverterChainParams(N=40)
-    y = inverter_equilibrium(p)
-    prob = make_inverter_chain(p)
-    out = np.empty(p.N)
-    prob.rhs(y, 0.0, out)          # zero input at t = 0
-    np.testing.assert_allclose(out, 0.0, atol=1e-9)
-    # Alternating high/low pattern; even links sit near the low state.
-    assert y[0] == pytest.approx(5.0)
-    assert y[1] == pytest.approx(1.24988e-3, rel=1e-3)
 
 
 def test_inverter_restricted_and_jacobian():

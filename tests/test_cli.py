@@ -9,10 +9,37 @@ import sys
 import numpy as np
 import pytest
 
+from mrrk import bench, cli
 from mrrk.adapt import SolverConfig
 from mrrk.cli import (MAX_OUTPUT_VALUES, UsageError, _output_grid,
                       _solver_config, build_parser, index_ranges, main,
                       make_problem)
+from mrrk.odecore import OdeProblem
+
+
+@dataclasses.dataclass(frozen=True)
+class ConstantParams:
+    """Stub problem y' = 0, y(t0) = (0, 1, ..., N-1)."""
+
+    N: int = 4
+    t_span: tuple = (0.0, 1.0)
+
+
+def make_constant(p: ConstantParams) -> OdeProblem:
+    def rhs(y, t, out):
+        out[:] = 0.0
+
+    return OdeProblem(N=p.N, rhs=rhs, t_span=p.t_span,
+                      y0=np.arange(p.N, dtype=float),
+                      dependency=lambda i: (), name="constant")
+
+
+@pytest.fixture(autouse=True)
+def constant_problem(monkeypatch):
+    """``--problem constant``: a stub whose runs test the CLI's plumbing
+    in milliseconds.  `build_parser` reads the registry on every call."""
+    monkeypatch.setitem(cli._PROBLEMS, "constant",
+                        (ConstantParams, make_constant))
 
 
 def read_csv(path):
@@ -206,7 +233,7 @@ def test_output_grid_is_bounded(tmp_path):
         "sys.exit(rc)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "solve", "--problem", "constant",
+        [sys.executable, "-c", probe, "solve", "--problem", "burgers",
          "--output-dt", "1e-9", "--outdir", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
@@ -473,6 +500,58 @@ def test_accuracy_sweep(tmp_path):
     assert float(rows[0][1]) < 1e-8
     assert float(rows[0][2]) < 1e-4
     assert main(["accuracy", "--C", "", "--outdir", str(out)]) == 2
+
+
+def test_omega1_reaches_stability_and_accuracy(tmp_path):
+    """``--omega1`` sets the 4-DOF model's slow frequency: scan.csv records
+    it, and it moves the spectral radii and the propagator errors."""
+    stab = ["stability", "--model", "4dof", "--alpha", "10", "--kappa",
+            "0.1", "--M", "4", "--c-max", "5"]
+    acc = ["accuracy", "--C", "0.5", "--steps", "2"]
+    runs = {}
+    for omega1 in ("1", "2"):
+        out = tmp_path / omega1
+        assert main(stab + ["--omega1", omega1,
+                            "--outdir", str(out / "stab")]) == 0
+        assert main(acc + ["--omega1", omega1,
+                           "--outdir", str(out / "acc")]) == 0
+        _, scan = read_csv(out / "stab" / "scan.csv")
+        _, errors = read_csv(out / "acc" / "errors.csv")
+        assert {float(r[4]) for r in scan} == {float(omega1)}
+        runs[omega1] = ([r[10] for r in scan], errors)
+    assert runs["1"][0] != runs["2"][0]
+    assert runs["1"][1] != runs["2"][1]
+
+
+_PARAMS = [("inverter", "U_op", 6.0), ("inverter", "U_tau", 0.8),
+           ("inverter", "Gamma", 250.0),
+           ("heating", "K_ps", 0.1), ("heating", "T_h", 295.15),
+           ("heating", "T_l", 287.15), ("heating", "T_s0", 353.15),
+           ("heating", "G_hn", 180.0), ("heating", "G_u", 120.0),
+           ("heating", "t_h", 30.0), ("heating", "K_pu", 2.0),
+           ("heating", "step_width", 2.0)]
+
+
+@pytest.mark.parametrize("name,field,value", _PARAMS,
+                         ids=[f"{n}-{f}" for n, f, _ in _PARAMS])
+def test_problem_parameters_reach_the_rhs(name, field, value):
+    """A valid non-default value of each model parameter changes the RHS."""
+    size = {"N": 10 if name == "inverter" else 5}
+    default = make_problem(name, size)
+    changed = make_problem(name, dict(size, **{field: value}))
+    if name == "inverter":
+        y, t = np.linspace(0.2, 4.8, default.N), 12.0
+    else:
+        # Half a second into the first set-point switch, whose transition
+        # is one second wide, so T_h, T_l and step_width all act.
+        t_up, _ = bench.heating_schedule(bench.HeatingParams(**size))
+        y = np.concatenate([[330.0], np.full(5, 50.0), np.full(5, 289.5),
+                            [0.0]])
+        t = t_up.min() + 0.5
+    f_default, f_changed = np.empty(default.N), np.empty(default.N)
+    default.rhs(y, t, f_default)
+    changed.rhs(y, t, f_changed)
+    assert not np.array_equal(f_default, f_changed)
 
 
 def test_config_file_merge_and_flag_override(tmp_path):

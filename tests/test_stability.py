@@ -142,6 +142,24 @@ def test_table_entry_rounding_from_one_scan(monkeypatch, slope, entry):
     assert table_entry(model, get_method("erk4"), IK_H, 4) == entry
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"M": 0}, "M must"), ({"M": -1}, "M must"), ({"M": 2.5}, "M must"),
+    ({"C_max": float("nan")}, "C_max must"), ({"C_max": 0.5}, "C_max must"),
+], ids=["M0", "M-1", "M2.5", "Cmax-nan", "Cmax-0.5"])
+def test_bad_scan_inputs_raise_value_error(kw, match):
+    """An M that is not an integer >= 1 and a C_max that is not finite and
+    >= 1 raise ValueError in every scan entry point."""
+    model = model_2dof(alpha=10.0, kappa=0.009)
+    m = get_method("erk4")
+    args = dict({"M": 4, "C_max": 10.0}, **kw)
+    for scan in (table_entry, scan_cell):
+        with pytest.raises(ValueError, match=match):
+            scan(model, m, IK_H, args["M"], C_max=args["C_max"])
+    if "M" in kw:
+        with pytest.raises(ValueError, match=match):
+            rho_curve(model, m, IK_H, kw["M"], np.array([1.0]))
+
+
 def test_table_entry_is_first_unstable_boundary():
     m = get_method("erk4")
     model = model_2dof(alpha=10.0, kappa=0.9e-2)

@@ -1,10 +1,7 @@
-from itertools import product
-
 import numpy as np
 import pytest
 
-from mrrk.tableaux import (ButcherTableau, DenseOutputCoeffs, MethodNotFound,
-                           get_method, method_names)
+from mrrk.tableaux import MethodNotFound, get_method, method_names
 
 ALL = ["erk4", "erk4-owren", "esdirk3", "esdirk4"]
 
