@@ -47,7 +47,8 @@ from .adapt import MODES, IntegrationFailure, SolverConfig, integrate
 from .interp import KINDS, InterpolatorKind
 from .newton import STRATEGIES
 from .odecore import OdeProblem
-from .stability import model_2dof, model_4dof, propagator_error, scan_cell
+from .stability import (RHO_TOL, model_2dof, model_4dof, propagator_errors,
+                        scan_cell)
 from .tableaux import get_method, method_names
 
 EXIT_OK = 0
@@ -314,24 +315,30 @@ def cmd_stability(args) -> int:
     kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     models = [_make_model(args, k) for k in args.kappa]
+    # scan.csv's gamma1, omega1, alpha and beta; 2dof has only alpha.
+    if args.model == "4dof":
+        params = [args.gamma1, args.omega1, args.alpha, args.model_beta]
+    else:
+        params = ["", "", args.alpha, ""]
 
-    all_rows = []
-    table = {}
-    for ik, model in enumerate(models):
+    scan, table = [], []
+    for kappa, model in zip(args.kappa, models):
+        entries = []
         for M in args.M:
-            rows, table[(ik, M)] = scan_cell(model, method, kind, M,
-                                             C_max=args.c_max)
-            all_rows.extend(rows)
+            C_grid, rho, entry = scan_cell(model, method, kind, M,
+                                           C_max=args.c_max)
+            entries.append(entry)
+            scan.extend([args.model, method.name, kind.kind, *params, kappa,
+                         M, C, r, r <= 1.0 + RHO_TOL]
+                        for C, r in zip(C_grid.tolist(), rho.tolist()))
+        table.append([kappa] + entries)
 
     os.makedirs(args.outdir, exist_ok=True)
-    scan_header = ["model", "method", "interp", "gamma1", "omega1",
-                   "alpha", "beta", "kappa", "M", "C", "rho", "stable"]
-    _write_csv(os.path.join(args.outdir, "scan.csv"), scan_header,
-               ([r[c] for c in scan_header] for r in all_rows))
+    _write_csv(os.path.join(args.outdir, "scan.csv"),
+               ["model", "method", "interp", "gamma1", "omega1", "alpha",
+                "beta", "kappa", "M", "C", "rho", "stable"], scan)
     _write_csv(os.path.join(args.outdir, "table.csv"),
-               ["kappa"] + [f"M={M}" for M in args.M],
-               ([_fmt(kappa)] + [table[(ik, M)] for M in args.M]
-                for ik, kappa in enumerate(args.kappa)))
+               ["kappa"] + [f"M={M}" for M in args.M], table)
     print(f"wrote scan.csv, table.csv to {args.outdir}")
     return EXIT_OK
 
@@ -344,15 +351,9 @@ def cmd_accuracy(args) -> int:
     kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     model = _make_model(args, args.kappa)
-    rows = []
-    for C in args.C:
-        h_s = C / model.Lam
-        t_final = args.steps * h_s
-        sr = propagator_error(model, method, kind, "single", args.M, C,
-                              t_final)
-        mr = propagator_error(model, method, kind, "multi", args.M, C,
-                              t_final)
-        rows.append([C, sr, mr])
+    rows = [[C, *propagator_errors(model, method, kind, args.M, C,
+                                   args.steps)]
+            for C in args.C]
     os.makedirs(args.outdir, exist_ok=True)
     _write_csv(os.path.join(args.outdir, "errors.csv"),
                ["C", "single_rate_error", "multirate_error"], rows)

@@ -15,7 +15,7 @@ two fast variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,18 +31,16 @@ RHO_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PartitionedLinearModel:
-    """Linear model y' = Ly with the last ``d`` components labelled fast.
+    """Linear model y' = Ly: the matrix L and the count ``d`` of its last
+    components, which are labelled fast.
 
     ``Lam`` is the largest eigenvalue modulus of L and converts between the
     step size h_s and the normalized step C = h_s * Lam; it is computed on
     first use and kept, so L must not be modified after construction.
-    ``label`` and ``params`` carry presentation metadata for scan output.
     """
 
     L: np.ndarray
     d: int
-    label: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=float)
@@ -56,10 +54,6 @@ class PartitionedLinearModel:
             raise ValueError("fast dimension d must be in [1, N]")
         object.__setattr__(self, "L", L)
 
-    @property
-    def N(self) -> int:
-        return self.L.shape[0]
-
     @cached_property
     def Lam(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.L))))
@@ -69,16 +63,17 @@ def model_2dof(alpha: float, kappa: float) -> PartitionedLinearModel:
     """Two-variable model with one fast variable.
 
     L = [[-1, 1], [-kappa*alpha, -alpha]]; alpha is the fast/slow
-    time-scale ratio and kappa the coupling strength.  Both eigenvalues
-    have negative real part for kappa < 1.
+    time-scale ratio and kappa the coupling strength.  trace L = -(1 +
+    alpha) < 0 and det L = alpha (1 + kappa), so both eigenvalues have
+    negative real part exactly when kappa > -1; kappa must lie in
+    (-1, 1), the upper bound being the range of the published tables.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if kappa >= 1:
-        raise ValueError("kappa must be < 1 for a stable model")
+    if not -1 < kappa < 1:
+        raise ValueError("kappa must lie in (-1, 1)")
     L = np.array([[-1.0, 1.0], [-kappa * alpha, -alpha]])
-    return PartitionedLinearModel(
-        L, d=1, label="2dof", params={"alpha": alpha, "kappa": kappa})
+    return PartitionedLinearModel(L, d=1)
 
 
 def model_4dof(omega1: float, gamma1: float, alpha_ratio: float,
@@ -105,10 +100,14 @@ def model_4dof(omega1: float, gamma1: float, alpha_ratio: float,
         [0.0, 0.0, 0.0, 1.0],
         [a2 * w2, 0.0, -a2 * w2, -beta_ratio * gamma1],
     ])
-    return PartitionedLinearModel(
-        L, d=2, label="4dof",
-        params={"omega1": omega1, "gamma1": gamma1, "alpha": alpha_ratio,
-                "beta": beta_ratio, "kappa": kappa})
+    return PartitionedLinearModel(L, d=2)
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def single_rate_R(L: np.ndarray, h: float,
@@ -128,9 +127,9 @@ def multirate_R(model: PartitionedLinearModel, h_s: float, M: int,
     the slow values interpolated by the selected scheme, so the fast rows
     are C_ff^M on the fast block plus the accumulated slow-coupling term,
     C_ff being the fast-block single-rate matrix at h_f = h_s / M.
+    Raises ValueError unless M is an integer >= 1.
     """
-    if M < 1:
-        raise ValueError("M must be at least 1")
+    _check_count("M", M)
     h = np.array([float(h_s)])
     return _linops.multirate_matrix(
         model.L[None], model.d, h, M, method, interp.kind)[0]
@@ -150,8 +149,7 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
     single-rate matrix, built by repeated doubling.  Raises ValueError
     unless M is an integer >= 1.
     """
-    if not (isinstance(M, (int, np.integer)) and M >= 1):
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    _check_count("M", M)
     C_grid = np.asarray(C_grid, dtype=float)
     h = C_grid / model.Lam
     Lb = np.broadcast_to(model.L, (len(C_grid),) + model.L.shape)
@@ -165,6 +163,28 @@ def _integer_grid(C_max: float) -> np.ndarray:
     return np.arange(1.0, np.floor(C_max) + 1.0)
 
 
+def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
+              interp: InterpolatorKind, M: int, C_max: float = 100.0):
+    """Integer-grid scan of one M and its `table_entry`, from one scan.
+
+    Returns ``(C_grid, rho, entry)``: the grid 1..floor(C_max), the
+    spectral radii on it and the table entry.  The first boundary lies in
+    (C_i - 1, C_i] for the first unstable integer C_i.  Its ceiling is
+    C_i unless it sits within 1e-6 above C_i - 1, which one probe at
+    C_i - 1 + 1e-6 decides; that probe is the only C value added to the
+    grid.  Raises ValueError unless M is an integer >= 1 and C_max is
+    finite and >= 1.
+    """
+    C_grid = _integer_grid(C_max)
+    rho = rho_curve(model, method, interp, M, C_grid)
+    unstable = np.nonzero(rho > 1.0 + RHO_TOL)[0]
+    if len(unstable) == 0:
+        return C_grid, rho, f">= {C_max:g}"
+    C_i = int(C_grid[unstable[0]])
+    probe = rho_curve(model, method, interp, M, np.array([C_i - 1 + 1e-6]))
+    return C_grid, rho, C_i - 1 if probe[0] > 1.0 + RHO_TOL else C_i
+
+
 def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
                 interp: InterpolatorKind, M: int, C_max: float = 100.0):
     """Integer max-C table entry: ceiling of the first stability boundary.
@@ -173,84 +193,32 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
     the next integer (boundaries that sit on an integer within 1e-6 are
     kept as that integer).  A C is unstable when its spectral radius
     exceeds 1 + ``RHO_TOL``.  Returns the sentinel ">= {C_max}" when the
-    scheme stays stable on the whole integer grid.  Raises ValueError
-    unless M is an integer >= 1 and C_max is finite and >= 1.
+    scheme stays stable on the whole integer grid.  This is the third
+    value `scan_cell` returns; raises ValueError unless M is an integer
+    >= 1 and C_max is finite and >= 1.
     """
-    C_grid = _integer_grid(C_max)
-    rho = rho_curve(model, method, interp, M, C_grid)
-    return _entry(model, method, interp, M, C_grid, rho, C_max)
+    return scan_cell(model, method, interp, M, C_max)[2]
 
 
-def _entry(model, method, interp, M, C_grid, rho, C_max):
-    """`table_entry` from its integer-grid scan ``rho``.
+def propagator_errors(model: PartitionedLinearModel, method: ButcherTableau,
+                      interp: InterpolatorKind, M: int, C: float,
+                      steps: int) -> tuple[float, float]:
+    """Relative operator-norm errors of the single- and multi-rate
+    propagators over ``steps`` global steps of h_s = C / Lam.
 
-    The first boundary lies in (C_i - 1, C_i] for the first unstable
-    integer C_i.  Its ceiling is C_i unless it sits within 1e-6 above
-    C_i - 1, which one probe at C_i - 1 + 1e-6 decides.
+    Returns ``(single, multi)``: ||A^steps - E||_2 / ||E||_2 for the
+    single-rate matrix R(h_s L) and for the multi-rate matrix, both
+    against one E = exp(L t), t = steps * h_s.  Raises ValueError unless
+    M and steps are integers >= 1.
     """
-    unstable = np.nonzero(rho > 1.0 + RHO_TOL)[0]
-    if len(unstable) == 0:
-        return f">= {C_max:g}"
-    C_i = int(C_grid[unstable[0]])
-    probe = rho_curve(model, method, interp, M, np.array([C_i - 1 + 1e-6]))
-    return C_i - 1 if probe[0] > 1.0 + RHO_TOL else C_i
-
-
-def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
-              interp: InterpolatorKind, M: int, C_max: float = 100.0):
-    """Scan rows and the `table_entry` of one M, from one scan.
-
-    The rows are {model, method, interp, params..., M, C, rho, stable},
-    one per C of the integer grid 1..floor(C_max), ``stable`` meaning
-    rho <= 1 + ``RHO_TOL``; model parameters that a model kind does not
-    define are empty strings, so all rows share one header.  Both read
-    the spectral radii on that grid, so it is scanned once; only the
-    boundary probe adds a C value.
-    """
-    C_grid = _integer_grid(C_max)
-    rho = rho_curve(model, method, interp, M, C_grid)
-    rows = _records(model, method, interp, M, C_grid, rho)
-    return rows, _entry(model, method, interp, M, C_grid, rho, C_max)
-
-
-def propagator_error(model: PartitionedLinearModel, method: ButcherTableau,
-                     interp: InterpolatorKind, mode: str, M: int,
-                     C: float, t_final: float) -> float:
-    """Relative operator-norm error of the n-step propagator vs exp(Lt).
-
-    ``mode`` selects the single-rate matrix R(h_s L) or the multi-rate
-    matrix; n = t_final / h_s must be an integer number of global steps.
-    """
-    if mode not in ("single", "multi"):
-        raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
+    _check_count("M", M)
+    _check_count("steps", steps)
     h_s = C / model.Lam
-    n_real = t_final / h_s
-    n = round(n_real)
-    if abs(n_real - n) > 1e-9 * max(1.0, abs(n_real)) or n < 1:
-        raise ValueError(
-            f"t_final / h_s = {n_real} is not a positive integer")
-    if mode == "single":
-        A = single_rate_R(model.L, h_s, method)
-    else:
-        A = multirate_R(model, h_s, M, method, interp)
-    exact = expm(model.L * float(t_final))
-    err = np.linalg.matrix_power(A, n) - exact
-    return float(np.linalg.norm(err, 2) / np.linalg.norm(exact, 2))
+    exact = expm(model.L * (steps * h_s))
 
+    def error(A):
+        err = np.linalg.matrix_power(A, steps) - exact
+        return float(np.linalg.norm(err, 2) / np.linalg.norm(exact, 2))
 
-def _records(model, method, interp, M, C_grid, rho):
-    """`scan_cell` rows of one M from its scan ``rho`` over C_grid."""
-    p = model.params
-    base = {
-        "model": model.label,
-        "method": method.name,
-        "interp": interp.kind,
-        "gamma1": p.get("gamma1", ""),
-        "omega1": p.get("omega1", ""),
-        "alpha": p.get("alpha", ""),
-        "beta": p.get("beta", ""),
-        "kappa": p.get("kappa", ""),
-    }
-    return [dict(base, M=int(M), C=float(C), rho=float(r),
-                 stable=bool(r <= 1.0 + RHO_TOL))
-            for C, r in zip(C_grid, rho)]
+    return (error(single_rate_R(model.L, h_s, method)),
+            error(multirate_R(model, h_s, M, method, interp)))

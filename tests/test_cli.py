@@ -9,12 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from mrrk import bench, cli
+from mrrk import bench, cli, stability
 from mrrk.adapt import SolverConfig
 from mrrk.cli import (MAX_OUTPUT_VALUES, UsageError, _output_grid,
                       _solver_config, build_parser, index_ranges, main,
                       make_problem)
+from mrrk.interp import InterpolatorKind
 from mrrk.odecore import OdeProblem
+from mrrk.tableaux import get_method
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,6 +167,47 @@ def test_stability_scan_and_table(tmp_path):
     assert {r[11] for r in srows} <= {"True", "False"}
 
 
+@pytest.mark.parametrize("kind,method,interp,flags", [
+    ("2dof", "erk4", "hermite", {"alpha": "10"}),
+    ("4dof", "esdirk4", "dense", {"gamma1": "0.02", "omega1": "1.5",
+                                  "alpha": "3", "model-beta": "2"}),
+])
+def test_scan_csv_columns_are_the_arguments(tmp_path, kind, method, interp,
+                                            flags):
+    """Each scan.csv row holds the text of the flags that made it (model
+    parameters a kind does not have are empty), then the radius of
+    `rho_curve` on the integer grid and whether it is <= 1 + RHO_TOL."""
+    kappas, Ms = (1e-4, 0.1), (2, 8)
+    out = tmp_path / "stab"
+    argv = ["stability", "--model", kind, "--method", method, "--interp",
+            interp, "--kappa", "1e-4,0.1", "--M", "2,8", "--c-max", "12.5",
+            "--outdir", str(out)]
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    assert main(argv) == 0
+    _, rows = read_csv(out / "scan.csv")
+    cols = [cli._fmt(float(flags[k])) if k in flags else ""
+            for k in ("gamma1", "omega1", "alpha", "model-beta")]
+    grid = np.arange(1.0, 13.0)
+    expected = []
+    for kappa in kappas:
+        if kind == "2dof":
+            model = stability.model_2dof(alpha=10.0, kappa=kappa)
+        else:
+            model = stability.model_4dof(omega1=1.5, gamma1=0.02,
+                                         alpha_ratio=3.0, beta_ratio=2.0,
+                                         kappa=kappa)
+        for M in Ms:
+            rho = stability.rho_curve(model, get_method(method),
+                                      InterpolatorKind(interp), M, grid)
+            expected += [[kind, method, interp, *cols, cli._fmt(kappa),
+                          str(M), cli._fmt(C), cli._fmt(r),
+                          str(r <= 1.0 + stability.RHO_TOL)]
+                         for C, r in zip(grid, rho)]
+    assert rows == expected
+    assert {r[-1] for r in rows} == {"True", "False"}
+
+
 def test_stability_sentinel_and_worker_env(tmp_path):
     out = tmp_path / "stab4"
     rc = main(["stability", "--model", "4dof", "--method", "esdirk4",
@@ -212,6 +255,9 @@ _STAB2 = ["stability", "--model", "2dof", "--alpha", "1", "--kappa", "0.1"]
     _ACC + ["--alpha", "nan"],
     ["stability", "--model", "2dof", "--alpha", "nan", "--kappa", "0.1",
      "--M", "1"],
+    # det L = alpha (1 + kappa): an eigenvalue of real part +0.84.
+    ["stability", "--model", "2dof", "--alpha", "10", "--M", "2",
+     "--c-max", "5", "--kappa", "-2"],
 ], ids=lambda a: " ".join(a[-2:]))
 def test_bad_stability_and_accuracy_settings(tmp_path, capsys, argv):
     rc = main(argv + ["--outdir", str(tmp_path / "out")])

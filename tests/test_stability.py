@@ -3,7 +3,7 @@ import pytest
 
 from mrrk import stability
 from mrrk.stability import (PartitionedLinearModel, model_2dof, model_4dof,
-                            multirate_R, propagator_error, rho_curve,
+                            multirate_R, propagator_errors, rho_curve,
                             scan_cell, single_rate_R, table_entry)
 from mrrk.interp import InterpolatorKind
 from mrrk.tableaux import get_method
@@ -21,7 +21,6 @@ def test_model_2dof_structure():
     ev = np.linalg.eigvals(m.L)
     assert np.all(np.real(ev) < 0)
     assert m.Lam == pytest.approx(np.max(np.abs(ev)))
-    assert m.params["alpha"] == 10.0 and m.params["kappa"] == 0.01
 
 
 def test_model_4dof_structure():
@@ -49,6 +48,16 @@ def test_model_validation():
     with pytest.raises(ValueError, match="finite"):
         model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=np.nan,
                    beta_ratio=1.0, kappa=1e-3)
+
+
+@pytest.mark.parametrize("kappa", [-2.0, -1.0])
+def test_model_2dof_rejects_kappa_at_or_below_minus_one(kappa):
+    """det L = alpha (1 + kappa): kappa <= -1 puts an eigenvalue at or right
+    of zero (kappa = -2, alpha = 10 gives +0.84)."""
+    L = np.array([[-1.0, 1.0], [-kappa * 10.0, -10.0]])
+    assert np.max(np.real(np.linalg.eigvals(L))) >= -1e-12
+    with pytest.raises(ValueError, match=r"kappa must lie in \(-1, 1\)"):
+        model_2dof(alpha=10.0, kappa=kappa)
 
 
 @pytest.mark.parametrize("name", ["erk4", "erk4-owren", "esdirk3", "esdirk4"])
@@ -144,8 +153,9 @@ def test_table_entry_rounding_from_one_scan(monkeypatch, slope, entry):
 
 @pytest.mark.parametrize("kw,match", [
     ({"M": 0}, "M must"), ({"M": -1}, "M must"), ({"M": 2.5}, "M must"),
+    ({"M": True}, "M must"),
     ({"C_max": float("nan")}, "C_max must"), ({"C_max": 0.5}, "C_max must"),
-], ids=["M0", "M-1", "M2.5", "Cmax-nan", "Cmax-0.5"])
+], ids=["M0", "M-1", "M2.5", "Mtrue", "Cmax-nan", "Cmax-0.5"])
 def test_bad_scan_inputs_raise_value_error(kw, match):
     """An M that is not an integer >= 1 and a C_max that is not finite and
     >= 1 raise ValueError in every scan entry point."""
@@ -174,36 +184,35 @@ def test_propagator_error_single_rate_converges():
     model = model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=50.0,
                        beta_ratio=1.0, kappa=1e-3)
     m = get_method("erk4")
-    t_final = 10 * 0.01 / model.Lam
-    e1 = propagator_error(model, m, IK_H, "single", 1, 0.01, t_final)
+    e1, _ = propagator_errors(model, m, IK_H, 1, 0.01, 10)
     assert e1 < 1e-8
-    e2 = propagator_error(model, m, IK_H, "single", 1, 0.02,
-                          2 * t_final / 2)
+    e2, _ = propagator_errors(model, m, IK_H, 1, 0.02, 5)
     assert np.isfinite(e2)
 
 
 def test_propagator_error_multirate_smaller_C_smaller_error():
     model = model_2dof(alpha=10.0, kappa=0.01)
     m = get_method("esdirk3")
-    errs = []
-    for C in (0.05, 0.025):
-        t_final = 10 * C / model.Lam
-        errs.append(propagator_error(model, m, IK_D, "multi", 4, C,
-                                     t_final))
+    errs = [propagator_errors(model, m, IK_D, 4, C, 10)[1]
+            for C in (0.05, 0.025)]
     assert errs[1] < errs[0]
 
 
-def test_scan_records_schema():
-    model = model_2dof(alpha=10.0, kappa=0.9e-1)
+@pytest.mark.parametrize("M,steps,match", [
+    (2.5, 10, "M must"), (True, 10, "M must"), (0, 10, "M must"),
+    (4, 0, "steps must"), (4, 2.5, "steps must"), (4, True, "steps must"),
+], ids=["M2.5", "Mtrue", "M0", "steps0", "steps2.5", "stepstrue"])
+def test_bad_counts_raise_value_error(M, steps, match):
+    """M and the step count must be integers >= 1, bools excluded, in the
+    propagator errors and, for M, the amplification matrix."""
+    model = model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=50.0,
+                       beta_ratio=1.0, kappa=1e-3)
     m = get_method("erk4")
-    recs = [r for M in (2, 4)
-            for r in scan_cell(model, m, IK_H, M, C_max=2.0)[0]]
-    assert len(recs) == 4
-    r = recs[0]
-    for key in ("model", "method", "interp", "kappa", "M", "C", "rho",
-                "stable"):
-        assert key in r
-    assert r["method"] == "erk4" and r["interp"] == "hermite"
+    with pytest.raises(ValueError, match=match):
+        propagator_errors(model, m, IK_H, M, 0.01, steps)
+    if steps == 10:
+        with pytest.raises(ValueError, match=match):
+            multirate_R(model, 0.01 / model.Lam, M, m, IK_H)
 
 
 @pytest.mark.parametrize("M", [32, 128])
@@ -242,10 +251,9 @@ def test_multirate_R_singular_fast_stage_factor_names_stage():
 def test_scan_cell_matches_scan_records_and_table_entry():
     model = model_2dof(alpha=10.0, kappa=0.9e-2)
     m = get_method("erk4")
-    rows, entry = scan_cell(model, m, IK_H, 4, C_max=30.0)
+    C_grid, rho, entry = scan_cell(model, m, IK_H, 4, C_max=30.0)
     grid = np.arange(1.0, 31.0)
-    assert rows == stability._records(model, m, IK_H, 4, grid,
-                                      rho_curve(model, m, IK_H, 4, grid))
+    assert C_grid.tobytes() == grid.tobytes()
+    assert rho.tobytes() == rho_curve(model, m, IK_H, 4, grid).tobytes()
     assert entry == table_entry(model, m, IK_H, 4, C_max=30.0)
-    _, stable_entry = scan_cell(model, m, IK_H, 4, C_max=5.0)
-    assert stable_entry == ">= 5"
+    assert scan_cell(model, m, IK_H, 4, C_max=5.0)[2] == ">= 5"

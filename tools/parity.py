@@ -11,14 +11,19 @@ and ``y``, its activity records, and every ``StepStats`` field except
 activity and the failure's counters.  It then prints one sha256 for the
 stability part: the 504 cells of the published stability tables
 (`perfbench.cases.stability_cells`), each cell's `stability.table_entry`
-and the spectral radii of its scan over the integer C grid 1..100.  It
-writes the digests, with each cell's entry and radii digest, to OUT.json
-and the runs' dense output ``y_out`` to OUT.npz beside it.  To check a
+and the spectral radii of its scan over the integer C grid 1..100.  Last
+comes the CLI part: each invocation of `CLI_RUNS` runs ``mrrk.cli.main``
+into its own temporary directory, and ``run`` digests its exit code and
+each file it wrote, whole except ``stats.json``, which is digested
+without ``wall_time``.  It writes the digests, with each cell's entry and
+radii digest, to OUT.json and the runs' dense output ``y_out`` to OUT.npz
+beside it.  To check a
 change against an earlier commit, run the same script once with each
 commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 
 ``compare`` lists each run whose digests differ with the parts that
-differ and each stability cell that differs, and reports the largest
+differ, each stability cell that differs and each CLI artifact that
+differs, and reports the largest
 ``y_out`` deviation in each run's weighted error norm,
 max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
 a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
@@ -42,9 +47,12 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -75,6 +83,29 @@ LINEAR_RUNS = (("inverter11", "esdirk3"), ("burgers", "esdirk3"),
 # starts at t = 5 and passes U_tau, where the chain starts to move, at 6.
 FD_N = 600
 FD_SPAN = (0.0, 7.0)
+
+_BURGERS_SOLVE = ["solve", "--problem", "burgers", "--param", "N=100",
+                  "--param", "t_span=[0, 0.5]", "--method", "esdirk3",
+                  "--mode", "multi", "--phi", "0.2", "--output-dt", "0.05"]
+# (name, mrrk.cli argv without --outdir) of the CLI part: a stability scan
+# of each model kind, an accuracy sweep, and a Burgers solve that succeeds
+# and one that runs out of steps.
+CLI_RUNS = (
+    ("stability-2dof",
+     ["stability", "--model", "2dof", "--method", "erk4", "--interp",
+      "hermite", "--alpha", "10", "--kappa", "1e-4,0.1", "--M", "2,8",
+      "--c-max", "12.5"]),
+    ("stability-4dof",
+     ["stability", "--model", "4dof", "--method", "esdirk4", "--interp",
+      "dense", "--alpha", "3", "--gamma1", "0.02", "--omega1", "1.5",
+      "--model-beta", "2", "--kappa", "0.1,1", "--M", "2,4",
+      "--c-max", "12.5"]),
+    ("accuracy",
+     ["accuracy", "--method", "erk4", "--interp", "hermite",
+      "--C", "0.01,0.1,0.5,2", "--M", "4", "--steps", "10"]),
+    ("solve-burgers", _BURGERS_SOLVE),
+    ("solve-burgers-max-steps", _BURGERS_SOLVE + ["--max-steps", "3"]),
+)
 
 
 def _inverter(seed: int):
@@ -167,6 +198,27 @@ def stability_part() -> dict:
     return {"digest": total.hexdigest(), "cells": cells}
 
 
+def cli_part() -> dict:
+    """Per `CLI_RUNS` invocation: its exit code and each file's digest."""
+    from mrrk.cli import main
+    part = {}
+    for name, argv in CLI_RUNS:
+        with tempfile.TemporaryDirectory() as outdir:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--outdir", outdir])
+            files = {"exit code": str(code)}
+            for path in sorted(Path(outdir).iterdir()):
+                data = path.read_bytes()
+                if path.name == "stats.json":
+                    stats = json.loads(data)
+                    stats.pop("wall_time")
+                    data = json.dumps(stats, sort_keys=True).encode()
+                files[path.name] = hashlib.sha256(data).hexdigest()
+        part[name] = files
+    return part
+
+
 def cmd_run(out: Path) -> int:
     from mrrk.adapt import IntegrationFailure, integrate
     from mrrk.tableaux import get_method
@@ -185,8 +237,12 @@ def cmd_run(out: Path) -> int:
     stab = stability_part()
     print(f"stability: {len(stab['cells'])} cells "
           f"digest={stab['digest'][:16]}", flush=True)
-    out.write_text(json.dumps({"runs": runs, "stability": stab}, indent=1)
-                   + "\n")
+    cli = cli_part()
+    for name, files in cli.items():
+        print(f"cli {name}:", *(f"{f}={d[:16]}" for f, d in files.items()),
+              flush=True)
+    out.write_text(json.dumps({"runs": runs, "stability": stab, "cli": cli},
+                              indent=1) + "\n")
     np.savez_compressed(out.with_suffix(".npz"), **y_out)
     return 0
 
@@ -214,6 +270,15 @@ def cmd_compare(a: Path, b: Path) -> int:
           "identical")
     if fa["stability"]["digest"] != fb["stability"]["digest"]:
         bad += 1
+    ca, cb = fa["cli"], fb["cli"]
+    artifacts = sorted({(n, f) for c in (ca, cb) for n in c for f in c[n]})
+    moved = [(n, f) for n, f in artifacts
+             if ca.get(n, {}).get(f) != cb.get(n, {}).get(f)]
+    for n, f in moved:
+        print(f"cli {n}: {f} differs")
+    print(f"cli: {len(artifacts) - len(moved)} of {len(artifacts)} "
+          "artifacts identical")
+    bad += len(moved)
     worst, worst_name = 0.0, None
     for name in sorted(set(ya.files) & set(yb.files)):
         u, v = ya[name], yb[name]
@@ -226,7 +291,8 @@ def cmd_compare(a: Path, b: Path) -> int:
         if not dev <= worst:
             worst, worst_name = dev, name
     print(f"{len(set(da) & set(db))} runs in both files, {bad} mismatched "
-          "(the stability part counting as one); "
+          "(the stability part counting as one, each CLI artifact as "
+          "one); "
           f"largest weighted y_out deviation {worst:.3g}"
           + (f" ({worst_name})" if worst_name else ""))
     return 1 if bad or not worst <= Y_OUT_TOL else 0
