@@ -52,8 +52,8 @@ class SolverConfig:
     This is the one owner of a run's settings, their defaults and their
     valid values: the stage solves read it through their `JacobianCache`,
     and the CLI's solver flags default to its fields.  Tolerances, step
-    bounds and controller settings are validated here, so a bad value
-    raises ValueError at construction, not inside the run.
+    bounds, the step budget and controller settings are validated here, so
+    a bad value raises ValueError at construction, not inside the run.
     """
 
     rtol: float = 1e-6
@@ -85,8 +85,9 @@ class SolverConfig:
         if not (isinstance(self.newton_max_iters, (int, np.integer))
                 and self.newton_max_iters >= 1):
             raise ValueError("newton_max_iters must be an integer >= 1")
-        if not isinstance(self.max_steps, (int, np.integer)):
-            raise ValueError("max_steps must be an integer")
+        if not (isinstance(self.max_steps, (int, np.integer))
+                and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer >= 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
         if not 0 < self.alpha_min < 1 < self.alpha_max:

@@ -14,6 +14,7 @@ fallback, which is cheaper than classifying the index set on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class InverterChainParams:
     U_op: float = 5.0
     U_tau: float = 1.0
     Gamma: float = 500.0
-    # Input breakpoints (t, value); zero after the last breakpoint.
+    # Input breakpoints: one or more (t, value) pairs of finite numbers,
+    # t non-decreasing; linear between them and zero outside them.
     breakpoints: tuple = ((0.0, 0.0), (5.0, 0.0), (10.0, 5.0),
                           (15.0, 5.0), (20.0, 0.0))
     t_span: tuple = (0.0, 200.0)
@@ -54,8 +56,15 @@ def inverter_g(y, z, U_tau):
 
 
 def _input_fn(params: InverterChainParams):
-    """The input voltage as a function of t, breakpoints converted once."""
+    """The input voltage as a function of t, breakpoints converted once;
+    raises ValueError on breakpoints `np.interp` would misread silently."""
     pts = np.asarray(params.breakpoints, dtype=float)
+    # On Python floats: for a few pairs a numpy reduction costs more.
+    flat = pts.ravel().tolist() if pts.ndim == 2 and pts.shape[1] == 2 else []
+    if not (flat and all(map(math.isfinite, flat))
+            and all(a <= b for a, b in zip(flat[::2], flat[2::2]))):
+        raise ValueError("breakpoints must be one or more (t, value) pairs "
+                         "of finite numbers with non-decreasing t")
     times, values = pts[:, 0].copy(), pts[:, 1].copy()
 
     def u(t):

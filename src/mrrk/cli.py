@@ -21,8 +21,12 @@ before the command line's own flags: ``{"output_dt": 0.5}`` is
 exactly as flags are, and a flag overrides the file.  All numeric CSV
 fields use 17 significant digits so values round-trip exactly.
 
-Exit codes: 0 success, 2 usage error, 3 integration failure, 4 numeric
-error.
+The CLI parses text into numbers, writes the artifacts and turns the
+library's exceptions into exit codes; every range or shape rule belongs
+to the library module that owns the value.  Exit codes: 0 success, 2
+usage error (a bad command line, or any value the library rejects with
+ValueError, whose message it prints), 3 integration failure, 4 numeric
+error (`numpy.linalg.LinAlgError`).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ EXIT_NUMERIC = 4
 MAX_OUTPUT_VALUES = 10_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Invalid command line, config file or option combination."""
 
 
@@ -138,29 +142,6 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
-def _checked(parse, ok, expected: str):
-    """Option type: ``parse(text)``, each of whose values passes ``ok``."""
-    def checked(text: str):
-        try:
-            value = parse(text)
-        except (ValueError, argparse.ArgumentTypeError):
-            value = None
-        if value is None or not all(
-                map(ok, value if isinstance(value, list) else [value])):
-            raise argparse.ArgumentTypeError(
-                f"expected {expected}, got {text!r}")
-        return value
-    return checked
-
-
-_positive_floats = _checked(_floats, lambda v: 0 < v < math.inf,
-                            "a comma list of positive finite numbers")
-_counts = _checked(_ints, lambda v: v >= 1, "a comma list of integers >= 1")
-_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_c_max = _checked(float, lambda v: 1 <= v < math.inf,
-                  "a finite number >= 1")
-
-
 # name -> (parameter dataclass, factory taking an instance of it)
 _PROBLEMS = {
     "inverter": (bench.InverterChainParams, bench.make_inverter_chain),
@@ -170,21 +151,12 @@ _PROBLEMS = {
 
 
 def make_problem(name: str, overrides: dict) -> OdeProblem:
-    """Instantiate a registered problem with parameter overrides."""
+    """Instantiate a registered problem with parameter overrides, which
+    the problem checks; a TypeError (an unknown name) is a UsageError."""
     cls, factory = _PROBLEMS[name]
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise UsageError(
-            f"unknown {cls.__name__} overrides: {sorted(unknown)}")
-    overrides = dict(overrides)
     try:
-        if "t_span" in overrides:
-            overrides["t_span"] = tuple(overrides["t_span"])
-        if "breakpoints" in overrides:
-            overrides["breakpoints"] = tuple(
-                tuple(bp) for bp in overrides["breakpoints"])
         return factory(cls(**overrides))
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -193,19 +165,14 @@ def make_problem(name: str, overrides: dict) -> OdeProblem:
 
 
 def _solver_config(args, t_eval: np.ndarray) -> SolverConfig:
-    interp = None if args.interp is None else InterpolatorKind(args.interp)
-    given = dict(
-        rtol=args.rtol, atol=args.atol, alpha=args.safety,
-        alpha_min=args.safety_min, alpha_max=args.safety_max,
-        beta=args.beta, phi=args.phi, h0=args.h0, h_min=args.h_min,
-        mode=args.mode, interp=interp,
-        jacobian_strategy=args.jacobian_strategy,
-        newton_max_iters=args.newton_max_iters, max_steps=args.max_steps)
-    try:
-        return SolverConfig(
-            t_eval=t_eval, **{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    """Each `SolverConfig` field but ``t_eval`` from the flag of that dest;
+    a flag left out (None) takes the field's default."""
+    given = {f.name: getattr(args, f.name)
+             for f in dataclasses.fields(SolverConfig)
+             if f.name != "t_eval" and getattr(args, f.name) is not None}
+    if "interp" in given:
+        given["interp"] = InterpolatorKind(given["interp"])
+    return SolverConfig(t_eval=t_eval, **given)
 
 
 def _output_grid(problem: OdeProblem, dt: float | None) -> np.ndarray:
@@ -242,27 +209,6 @@ def _select_columns(args, n_state: int) -> list[int]:
     return args.columns
 
 
-def _stats_dict(stats, failed=False, message=None) -> dict:
-    out = dataclasses.asdict(stats)
-    if failed:
-        out["failed"] = True
-        out["failure_message"] = message
-    return out
-
-
-def _write_solution(path, t_out, y_out, cols):
-    header = ["t"] + [f"y{c}" for c in cols]
-    rows = ([t] + [y[c] for c in cols] for t, y in zip(t_out, y_out))
-    _write_csv(path, header, rows)
-
-
-def _write_activity(path, records):
-    _write_csv(path, ["step_index", "t_start", "t_end", "kind",
-                      "active_indices"],
-               ([r.step_index, r.t_start, r.t_end, r.kind,
-                 index_ranges(r.active_indices)] for r in records))
-
-
 def cmd_solve(args) -> int:
     problem = make_problem(args.problem, dict(args.param or ()))
     cfg = _solver_config(args, _output_grid(problem, args.output_dt))
@@ -270,28 +216,32 @@ def cmd_solve(args) -> int:
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     cols = _select_columns(args, problem.N)
+    failure = None
     try:
         res = integrate(problem, method, cfg)
+        t_out, y_out, activity = res.t_out, res.y_out, res.activity
+        stats = dataclasses.asdict(res.stats)
     except IntegrationFailure as exc:
-        # Flag the failure; emit headers plus counters so partial runs
-        # are recognizable without being mistaken for results.
-        _write_csv(os.path.join(outdir, "solution.csv"),
-                   ["t"] + [f"y{c}" for c in cols], [])
-        _write_activity(os.path.join(outdir, "activity.csv"), [])
-        stats = _stats_dict(exc.stats, failed=True, message=str(exc))
+        # Headers and flagged counters, so a partial run is recognizable
+        # without being mistaken for a result.
+        failure, t_out, y_out, activity = str(exc), [], [], []
+        stats = dict(dataclasses.asdict(exc.stats), failed=True,
+                     failure_message=failure)
         if exc.t is not None:
             stats["failure_time"] = exc.t
-        with open(os.path.join(outdir, "stats.json"), "w") as fh:
-            json.dump(stats, fh, indent=2)
-            fh.write("\n")
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    _write_solution(os.path.join(outdir, "solution.csv"),
-                    res.t_out, res.y_out, cols)
-    _write_activity(os.path.join(outdir, "activity.csv"), res.activity)
+    _write_csv(os.path.join(outdir, "solution.csv"),
+               ["t"] + [f"y{c}" for c in cols],
+               ([t] + [y[c] for c in cols] for t, y in zip(t_out, y_out)))
+    _write_csv(os.path.join(outdir, "activity.csv"),
+               ["step_index", "t_start", "t_end", "kind", "active_indices"],
+               ([r.step_index, r.t_start, r.t_end, r.kind,
+                 index_ranges(r.active_indices)] for r in activity))
     with open(os.path.join(outdir, "stats.json"), "w") as fh:
-        json.dump(_stats_dict(res.stats), fh, indent=2)
+        json.dump(stats, fh, indent=2)
         fh.write("\n")
+    if failure is not None:
+        print(f"integration failed: {failure}", file=sys.stderr)
+        return EXIT_INTEGRATION
     print(f"wrote solution.csv, activity.csv, stats.json to {outdir}")
     return EXIT_OK
 
@@ -301,14 +251,11 @@ def cmd_solve(args) -> int:
 
 
 def _make_model(args, kappa: float):
-    try:
-        if args.model == "2dof":
-            return model_2dof(alpha=args.alpha, kappa=kappa)
-        return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
-                          alpha_ratio=args.alpha,
-                          beta_ratio=args.model_beta, kappa=kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.model == "2dof":
+        return model_2dof(alpha=args.alpha, kappa=kappa)
+    return model_4dof(omega1=args.omega1, gamma1=args.gamma1,
+                      alpha_ratio=args.alpha, beta_ratio=args.model_beta,
+                      kappa=kappa)
 
 
 def cmd_stability(args) -> int:
@@ -366,8 +313,8 @@ def cmd_accuracy(args) -> int:
 
 
 def _add_solver_flags(p):
-    """One flag per `SolverConfig` field but ``t_eval``; a flag left out
-    is None and takes the field's default."""
+    """One flag per `SolverConfig` field but ``t_eval``, its dest the
+    field's name; a flag left out is None and takes the field's default."""
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--interp", choices=KINDS,
                    help="slow-value interpolator (default: dense output "
@@ -377,10 +324,10 @@ def _add_solver_flags(p):
     p.add_argument("--phi", type=float, help="fast-component fraction cap")
     p.add_argument("--beta", type=float,
                    help="error-quotient acceptance threshold")
-    p.add_argument("--safety", type=float,
+    p.add_argument("--safety", type=float, dest="alpha",
                    help="step controller safety factor")
-    p.add_argument("--safety-min", type=float)
-    p.add_argument("--safety-max", type=float)
+    p.add_argument("--safety-min", type=float, dest="alpha_min")
+    p.add_argument("--safety-max", type=float, dest="alpha_max")
     p.add_argument("--h0", type=float,
                    help="initial step size (default: automatic heuristic)")
     p.add_argument("--h-min", type=float)
@@ -421,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fast/slow time-scale ratio")
     pt.add_argument("--kappa", type=_floats, required=True,
                     help="comma list of coupling strengths")
-    pt.add_argument("--M", type=_counts, required=True,
+    pt.add_argument("--M", type=_ints, required=True,
                     help="comma list of fast/slow step-size ratios")
     pt.add_argument("--gamma1", type=float, default=0.01)
     pt.add_argument("--omega1", type=float, default=1.0)
     pt.add_argument("--model-beta", type=float, default=1.0,
                     help="4-DOF damping ratio")
-    pt.add_argument("--c-max", type=_c_max, default=100.0,
+    pt.add_argument("--c-max", type=float, default=100.0,
                     help="largest scanned normalized step")
     pt.add_argument("--outdir", default=".")
     pt.set_defaults(func=cmd_stability)
@@ -436,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="single- vs multi-rate propagator error sweep")
     pa.add_argument("--method", default="erk4", choices=method_names())
     pa.add_argument("--interp", choices=KINDS, default="hermite")
-    pa.add_argument("--C", type=_positive_floats, required=True,
+    pa.add_argument("--C", type=_floats, required=True,
                     help="comma list of normalized step sizes")
-    pa.add_argument("--M", type=_count, default=10)
-    pa.add_argument("--steps", type=_count, default=10,
+    pa.add_argument("--M", type=int, default=10)
+    pa.add_argument("--steps", type=int, default=10,
                     help="global steps per sweep point")
     pa.add_argument("--gamma1", type=float, default=0.01)
     pa.add_argument("--omega1", type=float, default=1.0)
@@ -480,12 +427,13 @@ def main(argv=None) -> int:
             rest[1:1] = _config_flags(known.config)
         args = build_parser().parse_args(rest)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError first: it is a ValueError.
     except np.linalg.LinAlgError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -29,14 +29,23 @@ from .tableaux import ButcherTableau
 RHO_TOL = 1e-8
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PartitionedLinearModel:
     """Linear model y' = Ly: the matrix L and the count ``d`` of its last
     components, which are labelled fast.
 
-    ``Lam`` is the largest eigenvalue modulus of L and converts between the
-    step size h_s and the normalized step C = h_s * Lam; it is computed on
-    first use and kept, so L must not be modified after construction.
+    L must be a finite square N x N matrix and ``d`` an integer in [1, N]
+    (not a bool), else construction raises ValueError.  ``Lam`` is the
+    largest eigenvalue modulus of L and converts between the step size h_s
+    and the normalized step C = h_s * Lam; it is computed on first use and
+    kept, so L must not be modified after construction.
     """
 
     L: np.ndarray
@@ -50,7 +59,8 @@ class PartitionedLinearModel:
         # reduction would add half the cost of building the model.
         if not all(map(math.isfinite, L.ravel().tolist())):
             raise ValueError("L must be finite")
-        if not (0 < self.d <= L.shape[0]):
+        _check_count("d", self.d)
+        if self.d > L.shape[0]:
             raise ValueError("fast dimension d must be in [1, N]")
         object.__setattr__(self, "L", L)
 
@@ -101,13 +111,6 @@ def model_4dof(omega1: float, gamma1: float, alpha_ratio: float,
         [a2 * w2, 0.0, -a2 * w2, -beta_ratio * gamma1],
     ])
     return PartitionedLinearModel(L, d=2)
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def single_rate_R(L: np.ndarray, h: float,
@@ -209,10 +212,12 @@ def propagator_errors(model: PartitionedLinearModel, method: ButcherTableau,
     Returns ``(single, multi)``: ||A^steps - E||_2 / ||E||_2 for the
     single-rate matrix R(h_s L) and for the multi-rate matrix, both
     against one E = exp(L t), t = steps * h_s.  Raises ValueError unless
-    M and steps are integers >= 1.
+    M and steps are integers >= 1 and C is finite and > 0.
     """
     _check_count("M", M)
     _check_count("steps", steps)
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and > 0, got {C!r}")
     h_s = C / model.Lam
     exact = expm(model.L * (steps * h_s))
 

@@ -133,10 +133,10 @@ def test_solve_usage_errors(tmp_path):
 
 def test_solve_integration_failure_artifacts(tmp_path):
     out = tmp_path / "fail"
-    # A zero step budget makes the run fail immediately and exercises the
-    # partial-output path.
+    # The stub's first step is far shorter than its span, so a one-step
+    # budget makes the run fail and exercises the partial-output path.
     rc = main(["solve", "--problem", "constant", "--param", "N=2",
-               "--method", "erk4", "--max-steps", "0",
+               "--method", "erk4", "--max-steps", "1",
                "--outdir", str(out)])
     assert rc == 3
     stats = json.loads((out / "stats.json").read_text())
@@ -268,6 +268,34 @@ def test_bad_stability_and_accuracy_settings(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    _STAB2 + ["--M", "2", "--c-max", "5"],
+    ["accuracy", "--C", "0.1"],
+], ids=["stability", "accuracy"])
+def test_method_without_dense_output_is_a_usage_error(tmp_path, capsys,
+                                                      argv):
+    """Dense slow values need the method's dense-output coefficients; erk4
+    has none, and the library's ValueError exits 2 with its message."""
+    rc = main(argv + ["--method", "erk4", "--interp", "dense",
+                      "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("usage error: method 'erk4' has no dense-output "
+                   "coefficients\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linalg_error_exits_4_not_2(tmp_path, capsys):
+    """A LinAlgError is a ValueError, so `main` must catch it first: at
+    C = 1e300 the propagator overflows and its 2-norm's SVD fails."""
+    rc = main(["accuracy", "--C", "1e300", "--outdir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_output_grid_is_bounded(tmp_path):
     """A grid too large to hold exits 2 at once, before any allocation."""
     probe = (
@@ -309,6 +337,8 @@ def test_output_grid_is_bounded(tmp_path):
     ["--safety-min", "0.8", "--safety-max", "0.95"],
     ["--safety", "0"],
     ["--beta", "inf"],
+    ["--max-steps", "0"],
+    ["--max-steps", "-1"],
 ], ids=lambda f: " ".join(f))
 def test_solve_rejects_bad_solver_settings(tmp_path, capsys, flags):
     rc = main(["solve", "--problem", "constant", "--method", "erk4",
@@ -348,7 +378,7 @@ def test_each_solver_setting_has_one_solve_flag():
         for value in values:
             try:
                 cfg = config(flag, str(value))
-            except UsageError:      # outside the field's valid values
+            except ValueError:      # outside the field's valid values
                 continue
             moved.update(name for name in fields
                          if getattr(cfg, name) != getattr(default, name))
@@ -440,10 +470,15 @@ _SOLVE = ["solve", "--problem", "constant", "--method", "erk4"]
     (None, _SOLVE + ["--param", "t_span=5"]),
     (None, _SOLVE + ["--param", 't_span=[0,"a"]']),
     (None, ["solve", "--problem", "inverter", "--param", "breakpoints=3"]),
+    (None, ["solve", "--problem", "inverter", "--param",
+            "breakpoints=[[5,0],[0,1]]"]),
+    (None, ["solve", "--problem", "inverter", "--param",
+            "breakpoints=[[0,0],[NaN,1]]"]),
     (None, _SOLVE + ["--param", "N=0"]),
     (None, ["solve", "--problem", "heating", "--param", "N=0"]),
 ], ids=["columns", "max_steps", "kappa-list", "interp", "solve-M",
-        "t_span-number", "t_span-string", "breakpoints", "constant-N0",
+        "t_span-number", "t_span-string", "breakpoints",
+        "breakpoints-decreasing", "breakpoints-nan", "constant-N0",
         "heating-N0"])
 def test_bad_config_values_and_params_are_usage_errors(tmp_path, capsys,
                                                        config, argv):

@@ -50,6 +50,15 @@ def test_model_validation():
                    beta_ratio=1.0, kappa=1e-3)
 
 
+@pytest.mark.parametrize("d", [1.5, True, 0, 3],
+                         ids=["d1.5", "dtrue", "d0", "dN+1"])
+def test_fast_dimension_must_be_a_count_up_to_N(d):
+    """d indexes and slices L, so it must be an integer in [1, N], not a
+    bool; a bad d fails at construction, not in a later scan."""
+    with pytest.raises(ValueError, match="d must"):
+        PartitionedLinearModel(np.diag([-1.0, -2.0]), d=d)
+
+
 @pytest.mark.parametrize("kappa", [-2.0, -1.0])
 def test_model_2dof_rejects_kappa_at_or_below_minus_one(kappa):
     """det L = alpha (1 + kappa): kappa <= -1 puts an eigenvalue at or right
@@ -213,6 +222,16 @@ def test_bad_counts_raise_value_error(M, steps, match):
     if steps == 10:
         with pytest.raises(ValueError, match=match):
             multirate_R(model, 0.01 / model.Lam, M, m, IK_H)
+
+
+@pytest.mark.parametrize("C", [np.nan, np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_propagator_errors_reject_non_positive_or_non_finite_C(C):
+    """Unchecked, C = nan would reach a LinAlgError, C = -1 a backward
+    propagator and C = 0 a pair of zero errors."""
+    model = model_2dof(alpha=10.0, kappa=0.01)
+    with pytest.raises(ValueError, match="C must be finite and > 0"):
+        propagator_errors(model, get_method("erk4"), IK_H, 4, C, 10)
 
 
 @pytest.mark.parametrize("M", [32, 128])

@@ -15,10 +15,11 @@ and the spectral radii of its scan over the integer C grid 1..100.  Last
 comes the CLI part: each invocation of `CLI_RUNS` runs ``mrrk.cli.main``
 into its own temporary directory, and ``run`` digests its exit code and
 each file it wrote, whole except ``stats.json``, which is digested
-without ``wall_time``.  It writes the digests, with each cell's entry and
-radii digest, to OUT.json and the runs' dense output ``y_out`` to OUT.npz
-beside it.  To check a
-change against an earlier commit, run the same script once with each
+without ``wall_time``; the names of the digested files record which
+files an invocation wrote, none for an error exit.  It writes the
+digests, with each cell's entry and radii digest, to OUT.json and the
+runs' dense output ``y_out`` to OUT.npz beside it.  To check a change
+against an earlier commit, run the same script once with each
 commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 
 ``compare`` lists each run whose digests differ with the parts that
@@ -88,8 +89,9 @@ _BURGERS_SOLVE = ["solve", "--problem", "burgers", "--param", "N=100",
                   "--param", "t_span=[0, 0.5]", "--method", "esdirk3",
                   "--mode", "multi", "--phi", "0.2", "--output-dt", "0.05"]
 # (name, mrrk.cli argv without --outdir) of the CLI part: a stability scan
-# of each model kind, an accuracy sweep, and a Burgers solve that succeeds
-# and one that runs out of steps.
+# of each model kind, an accuracy sweep, a Burgers solve that succeeds and
+# one that runs out of steps, and two error exits that write no file: a
+# scan with M = 0 (exit 2) and a sweep whose C overflows (exit 4).
 CLI_RUNS = (
     ("stability-2dof",
      ["stability", "--model", "2dof", "--method", "erk4", "--interp",
@@ -105,6 +107,10 @@ CLI_RUNS = (
       "--C", "0.01,0.1,0.5,2", "--M", "4", "--steps", "10"]),
     ("solve-burgers", _BURGERS_SOLVE),
     ("solve-burgers-max-steps", _BURGERS_SOLVE + ["--max-steps", "3"]),
+    ("stability-M0",
+     ["stability", "--model", "2dof", "--alpha", "10", "--kappa", "0.1",
+      "--M", "0"]),
+    ("accuracy-overflow", ["accuracy", "--C", "1e300"]),
 )
 
 
