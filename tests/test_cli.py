@@ -146,6 +146,23 @@ def test_solve_integration_failure_artifacts(tmp_path):
     assert header[0] == "t" and rows == []
 
 
+def test_value_error_inside_a_solve_run_exits_2(tmp_path, capsys,
+                                                monkeypatch):
+    """The exception's type decides the exit code: a ValueError raised by
+    the run itself, after every object was checked, also exits 2 with its
+    message and leaves the output directory without artifacts."""
+    def integrate(problem, method, cfg):
+        raise ValueError("raised inside the run")
+    monkeypatch.setattr(cli, "integrate", integrate)
+    out = tmp_path / "run"
+    rc = main(["solve", "--problem", "constant", "--param", "N=2",
+               "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "usage error: raised inside the run\n"
+    assert os.listdir(out) == []
+
+
 def test_stability_scan_and_table(tmp_path):
     out = tmp_path / "stab"
     rc = main(["stability", "--model", "2dof", "--method", "erk4",
