@@ -14,6 +14,7 @@ fallback, which is cheaper than classifying the index set on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,10 @@ def _input_fn(params: InverterChainParams):
     """The input voltage as a function of t, breakpoints converted once;
     raises ValueError on breakpoints `np.interp` would misread silently."""
     pts = np.asarray(params.breakpoints, dtype=float)
-    if not (pts.ndim == 2 and pts.shape[0] >= 1 and pts.shape[1] == 2
-            and np.isfinite(pts).all() and (np.diff(pts[:, 0]) >= 0).all()):
+    # On Python floats: for a few pairs a numpy reduction costs more.
+    flat = pts.ravel().tolist() if pts.ndim == 2 and pts.shape[1] == 2 else []
+    if not (flat and all(map(math.isfinite, flat))
+            and all(a <= b for a, b in zip(flat[::2], flat[2::2]))):
         raise ValueError("breakpoints must be one or more (t, value) pairs "
                          "of finite numbers with non-decreasing t")
     times, values = pts[:, 0].copy(), pts[:, 1].copy()

@@ -26,10 +26,8 @@ library's exceptions into exit codes; every range or shape rule belongs
 to the library module that owns the value.  Exit codes: 0 success, 2
 usage error (a bad command line, or any value the library rejects with
 ValueError, whose message it prints), 3 integration failure, 4 numeric
-error (`numpy.linalg.LinAlgError`).  The exception's type decides: a
-ValueError raised inside a ``solve`` run, after every object was built
-and checked, is a library fault yet also exits 2, with no artifact
-written.
+error (`numpy.linalg.LinAlgError`).  The type decides: a ValueError from
+inside a ``solve`` run, a library fault, also exits 2 and writes nothing.
 """
 
 from __future__ import annotations
