@@ -121,10 +121,11 @@ class StepStats:
     ``global_rhs_calls`` counts every call of the problem's ``rhs`` in the
     run, rejected attempts included: initial-step probes, explicit stages,
     Newton residuals, finite-difference columns and Hermite endpoints.
-    ``global_jacobians`` counts the Jacobian evaluations of the run's own
-    cache, likewise.  ``local_*`` sum these two over the fast sub-runs,
-    failed ones included; each RHS call of a sub-run is one call of the
-    problem's ``rhs_restricted`` over the fast indices.
+    ``global_jacobians`` and ``global_solves`` count the Jacobian
+    evaluations and the linear solves of the run's own cache, likewise.
+    ``local_*`` sum these three over the fast sub-runs, failed ones
+    included; each RHS call of a sub-run is one call of the problem's
+    ``rhs_restricted`` over the fast indices.
     """
 
     accepted_global: int = 0
@@ -135,8 +136,10 @@ class StepStats:
     rejected_fast_convergence: int = 0
     global_rhs_calls: int = 0
     global_jacobians: int = 0
+    global_solves: int = 0
     local_rhs_calls: int = 0
     local_jacobians: int = 0
+    local_solves: int = 0
     wall_time: float = 0.0
 
 
@@ -222,13 +225,19 @@ def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
     return u_next, eta, K
 
 
+def _has_dense_output(method) -> bool:
+    """Whether the method's continuous output can serve as slow values."""
+    return method.dense is not None and method.b_hat is not None
+
+
 def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
     Returns a function cols -> (tau -> values at cols), built by
     `interp.slow_interpolant`; a slice of all columns reads the step's
-    arrays without a copy.  Methods with continuous output and an
-    embedded pair use it; others fall back to cubic Hermite.  A method
+    arrays without a copy.  Without a configured kind, methods with
+    continuous output and an embedded pair use it and others cubic
+    Hermite (`integrate` rejects the dense kind for the others).  A method
     without an embedded pair accepts the two half steps of step doubling,
     while its stage derivatives ``K`` come from the single full step, so
     its continuous output would not end at ``u_next``.  Only the Hermite
@@ -236,9 +245,8 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     right endpoint, one for the left unless the first stage holds it).
     """
     kind = cfg.interp
-    dense = method.dense is not None and method.b_hat is not None
-    if kind is None or (kind.kind == "dense" and not dense):
-        kind = DENSE if dense else HERMITE
+    if kind is None:
+        kind = DENSE if _has_dense_output(method) else HERMITE
     f_n = f_next = None
     if kind.kind == "hermite":
         if method.explicit_first_stage:
@@ -440,6 +448,7 @@ def _add_fast_counters(stats: StepStats, sub: StepStats):
     stats.rejected_fast_convergence += sub.rejected_global_convergence
     stats.local_rhs_calls += sub.global_rhs_calls
     stats.local_jacobians += sub.global_jacobians
+    stats.local_solves += sub.global_solves
 
 
 def integrate(problem: OdeProblem, method: ButcherTableau,
@@ -448,13 +457,19 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
 
     ``config.mode == "multi"`` lets up to floor(phi * N) components be
     re-integrated with fast sub-steps; ``"single"`` runs the same loop
-    with a fast cap of 0.  Raises ValueError when a point of
-    ``config.t_eval`` lies outside the span by more than round-off,
-    1e-9 * max(1, |t0|, |T|): a grid that np.arange fills over the span
-    can end past T by about its length times ulp(T).  A rejection that
-    leaves h below the floating-point spacing of t ends the run.
+    with a fast cap of 0.  Raises ValueError when ``config.interp`` is
+    the dense kind and the method has no continuous output or no embedded
+    pair, and when a point of ``config.t_eval`` lies outside the span by
+    more than round-off, 1e-9 * max(1, |t0|, |T|): a grid that np.arange
+    fills over the span can end past T by about its length times ulp(T).
+    A rejection that leaves h below the floating-point spacing of t ends
+    the run.
     """
     cfg = config
+    if cfg.interp == DENSE and not _has_dense_output(method):
+        raise ValueError(
+            f"method {method.name!r} has no dense output with an embedded "
+            "pair, which interp 'dense' needs")
     t0, T = problem.t_span
     grid_tol = 1e-9 * max(1.0, abs(t0), abs(T))
     if cfg.t_eval is not None and len(cfg.t_eval) and not (
@@ -485,6 +500,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         stats.wall_time = time.perf_counter() - start
         if cache is not None:
             stats.global_jacobians = cache.evals
+            stats.global_solves = cache.solves
 
     def failure(message):
         close_stats()

@@ -1,13 +1,22 @@
 """Stage-equation solver for implicit (DIRK) stages.
 
 Each implicit stage is one nonlinear system U = base + h a_ii f(U, t),
-solved by modified Newton with the iteration matrix I - h a_ii J.  The
+solved by simplified Newton with the iteration matrix I - h a_ii J.  The
 Jacobian J lives in a cache whose lifecycle is controlled by one of two
 strategies: reuse with a refresh every ``JACA_REFRESH_PERIOD`` global
 steps (JacA), or a fresh evaluation at the start of every global step
 (JacB).  Either way a stage solve may also refresh J, up to
 ``MAX_REFRESHES`` times, when its line search damps or its residual
 stalls.
+
+A stage solve stops on the convergence rate of its Newton steps (Hairer
+& Wanner, *Solving ODEs II*, Sec. IV.8): with theta_k the ratio of two
+successive step norms, the iterate U + dU_k is returned once
+theta_k / (1 - theta_k) ||dU_k|| <= ``KAPPA``, in the weighted max norm of
+the step tolerances, and ||dU_k|| <= 1.  The first step of a solve takes
+its rate from the last solve that converged with the same cache.  A
+residual at most ``RESIDUAL_TOL_FACTOR`` in that norm ends the solve as
+well.
 
 The iteration matrix is factored once per (J, h a_ii) and each Newton
 direction is then a single LAPACK back-substitution:
@@ -38,8 +47,8 @@ the start fails there) and the 2-norm of each line-search trial (a
 non-finite trial fails the decrease test).
 
 A `JacobianCache` carries the run's `adapt.SolverConfig`, the one owner
-of its settings, and counts its own Jacobian evaluations; RHS calls are
-counted by the driver's problem.
+of its settings, and counts its own Jacobian evaluations and linear
+solves; RHS calls are counted by the driver's problem.
 """
 
 from __future__ import annotations
@@ -54,9 +63,14 @@ from scipy.sparse.linalg import splu
 
 # Names of the Jacobian strategies, which `adapt.SolverConfig` validates.
 STRATEGIES = ("JacA", "JacB")
-# Residual tolerances of a stage solve relative to the step tolerances, so
-# the algebraic error stays well below the embedded error estimate.
+# Residual tolerance of a stage solve in the weighted norm of the step
+# tolerances, so the algebraic error stays well below the error estimate.
 RESIDUAL_TOL_FACTOR = 0.01
+# A stage solve returns once the predicted error of its iterate,
+# theta / (1 - theta) times the last Newton step, is at most KAPPA in the
+# weighted norm of the step tolerances (Hairer & Wanner, Sec. IV.8).
+KAPPA = 0.05
+_UROUND = np.finfo(float).eps
 DENSE_FACTOR_LIMIT = 512
 BANDED_LIMIT = 4
 # JacA re-evaluates J once it is this many global steps old.
@@ -296,8 +310,11 @@ class JacobianCache:
     ``config`` is the run's `adapt.SolverConfig`: its
     ``jacobian_strategy`` sets the step-start policy, and `solve_stage`
     reads its tolerances and ``newton_max_iters``.  ``evals`` counts
-    Jacobian evaluations, finite-difference ones included; the driver
-    reads it as its Jacobian counter when a run ends.  Without an
+    Jacobian evaluations, finite-difference ones included, and ``solves``
+    the linear solves; the driver reads both as its counters when a run
+    ends.  ``eta`` is the rate factor theta / (1 - theta) of the last
+    stage solve that converged, from which the next solve judges its
+    first Newton step (1 before any).  Without an
     analytic Jacobian the column coloring and the entry indices of each
     group (`structural_coloring`) are built on the first refresh and kept
     in ``_coloring``.
@@ -317,6 +334,8 @@ class JacobianCache:
     J: object = None
     age: int = 0
     evals: int = 0
+    solves: int = 0
+    eta: float = 1.0
     _fac: tuple | None = None
     _band: tuple | None = None
     _coloring: tuple | None = field(default=None, repr=False)
@@ -365,6 +384,7 @@ class JacobianCache:
         self._fac = (*fac, h_gamma)
 
     def solve(self, h_gamma: float, rhs: np.ndarray) -> np.ndarray:
+        self.solves += 1
         self._factor(h_gamma)
         x = self._fac[1](rhs)
         # SuperLU of a singular matrix, or a non-finite right-hand side,
@@ -375,22 +395,39 @@ class JacobianCache:
 
 
 def solve_stage(problem, t: float, h: float, a_ii: float,
-                base: np.ndarray, cache: JacobianCache):
-    """Solve U = base + h a_ii f(U, t) by line-search modified Newton.
+                base: np.ndarray, cache: JacobianCache, rate=None):
+    """Solve U = base + h a_ii f(U, t) by safeguarded simplified Newton.
 
-    Starts from ``base`` and returns U.  The settings come from the run's
-    config, ``cache.config``: at most ``newton_max_iters`` iterations, and
-    convergence in the weighted max norm |r_i| / (rel_tol |U_i| + abs_tol)
-    <= 1 with rel_tol = ``RESIDUAL_TOL_FACTOR * rtol`` and abs_tol =
-    ``RESIDUAL_TOL_FACTOR * atol``.  Each Newton direction comes from the
-    cached (frozen) Jacobian; a backtracking line search on the residual
-    2-norm, down to a damping factor of ``LAM_MIN``, keeps the iteration
-    monotone.  The Jacobian is re-evaluated at the current iterate when
-    the line search has to damp the step or when the weighted residual
-    stalls (reduction factor above 0.9 three times in a row), up to
-    ``MAX_REFRESHES`` times per solve.  The iteration cap, an exhausted
-    line search, a non-finite evaluation, and a singular iteration matrix
-    or non-finite direction from `JacobianCache.solve` raise
+    Starts from base + h a_ii ``rate``, or from ``base`` when ``rate`` is
+    None, and returns U.  `rk_step` passes the last stage's derivative,
+    so a stage starts as if its rate were that of the stage before.  The
+    settings come from the run's config, ``cache.config``.  Norms are
+    weighted max norms max_i |x_i| / (rtol |U_i| + atol) at the current
+    iterate U.  Each Newton step dU_k = -(I - h a_ii J)^-1 r(U) uses the
+    cached (frozen) Jacobian, and at most ``newton_max_iters`` steps are
+    taken.  The solve returns:
+
+    - U + dU_k, without evaluating the residual there, once
+      eta_k ||dU_k|| <= ``KAPPA`` and ||dU_k|| <= 1.  eta_k =
+      theta_k / (1 - theta_k), with theta_k = ||dU_k|| / ||dU_{k-1}||
+      and eta_k = inf when theta_k >= 1.  The first step of a solve, and
+      the first after a Jacobian refresh, has no theta of its own: it
+      keeps the eta in force, which starts at max(``cache.eta``,
+      uround)^0.8.  The eta of the returning solve is kept in
+      ``cache.eta``.  The bound on the step itself guards against a
+      rate measured on large first steps, which can be far below the
+      rate near the root;
+    - U once its residual norm is at most ``RESIDUAL_TOL_FACTOR``.
+
+    A step that fails the rate test is safeguarded by a backtracking line
+    search on the residual 2-norm, down to a damping factor of
+    ``LAM_MIN``; an undamped trial's RHS call serves the next iteration.
+    The Jacobian is re-evaluated at the current iterate when the line
+    search has to damp the step or when the weighted residual stalls
+    (reduction factor above 0.9 three times in a row), up to
+    ``MAX_REFRESHES`` times per solve.  The step cap, an exhausted line
+    search, a non-finite evaluation, and a singular iteration matrix or
+    non-finite direction from `JacobianCache.solve` raise
     ConvergenceFailure.
 
     Each quantity is checked for finiteness once, where it is read:
@@ -405,10 +442,8 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     if a_ii <= 0:
         raise ValueError("solve_stage requires an implicit stage (a_ii > 0)")
     cfg = cache.config
-    rel_tol = RESIDUAL_TOL_FACTOR * cfg.rtol
-    abs_tol = RESIDUAL_TOL_FACTOR * cfg.atol
     h_gamma = h * a_ii
-    U = base.copy()
+    U = base.copy() if rate is None else base + h_gamma * rate
     f = np.empty_like(U)
     ft = np.empty_like(U)
     w = np.empty_like(U)
@@ -418,26 +453,28 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         problem.rhs(state, t, deriv)
         return state - base - h_gamma * deriv
 
-    def wnorm(r, state):
-        np.abs(state, out=w)
-        np.multiply(w, rel_tol, out=w)
-        np.add(w, abs_tol, out=w)
-        np.abs(r, out=q)
+    def wnorm(x):
+        """Weighted max norm of x with the weights ``w`` of the iterate."""
+        np.abs(x, out=q)
         np.divide(q, w, out=q)
         return float(q.max())
 
     r = residual(U, f)
+    eta = max(cache.eta, _UROUND) ** 0.8
     n0 = None                   # 2-norm of r, once the line search needs it
-    refreshes = 0
-    stall_count = 0
-    prev_norm = None
-    for _ in range(cfg.newton_max_iters):
-        norm = wnorm(r, U)
+    refreshes = stall_count = steps = 0
+    prev_norm = prev_step = None
+    while True:
+        np.abs(U, out=w)
+        np.multiply(w, cfg.rtol, out=w)
+        np.add(w, cfg.atol, out=w)
+        norm = wnorm(r)
         if not math.isfinite(norm):
             # Accepted trials are finite, so only the first RHS can be.
             what = "RHS" if not np.isfinite(f).all() else "residual"
             raise ConvergenceFailure(f"non-finite {what} during stage solve")
-        if norm <= 1.0:
+        if norm <= RESIDUAL_TOL_FACTOR:
+            cache.eta = eta
             return U
         if prev_norm is not None:
             stall_count = stall_count + 1 if norm > 0.9 * prev_norm else 0
@@ -448,13 +485,24 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                 cache.refresh(U, t)
                 refreshes += 1
                 stall_count = 0
-                prev_norm = None
+                prev_norm = prev_step = None
                 continue
+        if steps == cfg.newton_max_iters:
+            raise ConvergenceFailure(
+                f"stage solve did not converge in {steps} Newton steps")
         prev_norm = norm
         dU = cache.solve(h_gamma, -r)
+        steps += 1
+        step = wnorm(dU)
+        if prev_step is not None:
+            theta = step / prev_step
+            eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
+        prev_step = max(step, _UROUND)
+        if eta * step <= KAPPA and step <= 1.0:
+            cache.eta = eta
+            return U + dU
         # Backtracking line search on the residual 2-norm.  An undamped
-        # accepted trial reuses its RHS evaluation for the next iteration,
-        # so the well-behaved path costs one RHS call per iteration.
+        # accepted trial reuses its RHS evaluation for the next iteration.
         if n0 is None:
             n0 = math.sqrt(r.dot(r))
         lam = 1.0
@@ -471,7 +519,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
                     "line search failed with no refreshes left")
             cache.refresh(U, t)
             refreshes += 1
-            prev_norm = None
+            prev_norm = prev_step = None
             continue
         U, r, n0 = Ut, rt, nt
         f, ft = ft, f
@@ -479,6 +527,4 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             # The frozen-Jacobian direction needed damping; re-linearize.
             cache.refresh(U, t)
             refreshes += 1
-            prev_norm = None
-    raise ConvergenceFailure(
-        f"stage solve did not converge in {cfg.newton_max_iters} iterations")
+            prev_norm = prev_step = None

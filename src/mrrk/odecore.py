@@ -85,8 +85,10 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     Returns (u_next, u_hat, K): u_hat is None when the method has no
     embedded pair, and K holds one stage derivative per row.  An implicit
     method needs a ``cache``, whose ``config`` sets the Newton iteration
-    and whose J is evaluated first if it holds none; each stage's
-    iteration starts from the accumulated explicit part.
+    and whose J is evaluated first if it holds none.  An implicit stage
+    k >= 1 starts its iteration from base + h a_kk K[k-1], as if its
+    derivative were that of the stage before; the first stage starts
+    from u_n.
 
     Raises ConvergenceFailure when an implicit stage solve fails or a
     stage derivative or the new state is non-finite; the caller should
@@ -110,9 +112,10 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
         if A[k, k] == 0.0:
             problem.rhs(base, t_k, K[k])
         else:
-            U = newton.solve_stage(problem, t_k, h, A[k, k], base, cache)
+            U = newton.solve_stage(problem, t_k, h, A[k, k], base, cache,
+                                   K[k - 1] if k else None)
             # Recover K from the stage relation; equal to f(U_k, t_k) up
-            # to the Newton residual and free of an extra RHS call.
+            # to the Newton error and free of an extra RHS call.
             K[k] = (U - base) / (h * A[k, k])
         if not np.isfinite(K[k]).all():
             raise ConvergenceFailure(

@@ -58,13 +58,15 @@ def test_solver_config_validation():
 
 
 def test_stage_solve_reads_run_config():
-    """A stage solve weights its residual with one hundredth of the run's
-    step tolerances and stops at the run's ``newton_max_iters``."""
-    from mrrk.newton import ConvergenceFailure, solve_stage
+    """A stage solve weights its residual and its Newton steps with the
+    run's step tolerances, returns at a residual of
+    ``RESIDUAL_TOL_FACTOR`` or a predicted error of ``KAPPA`` in that
+    norm, and takes at most the run's ``newton_max_iters`` Newton steps."""
+    from mrrk.newton import RESIDUAL_TOL_FACTOR, KAPPA, solve_stage
     cfg = SolverConfig(rtol=1e-4, atol=1e-6, newton_max_iters=33)
     base = np.array([0.0, 1e4])
-    # |r_i| / (1e-6 |U_i| + 1e-8) <= 1 accepts the start U = base.
-    w = np.array([1e-8, 1e-6 * 1e4 + 1e-8])
+    # |r_i| / (1e-4 |U_i| + 1e-6) <= 0.01 accepts the start U = base.
+    w = RESIDUAL_TOL_FACTOR * np.array([1e-6, 1e-4 * 1e4 + 1e-6])
 
     def solve(c):
         """U = base + f(U) with f = c: the start residual is -c, and one
@@ -75,17 +77,23 @@ def test_stage_solve_reads_run_config():
                           jacobian=lambda y, t: np.zeros((2, 2)))
         cache = adapt.JacobianCache(prob, cfg)
         cache.refresh(base, 0.0)
-        return solve_stage(prob, 0.0, 1.0, 1.0, base, cache)
+        return solve_stage(prob, 0.0, 1.0, 1.0, base, cache), cache.solves
 
     inside, outside = w * (1.0 - 1e-6), w * (1.0 + 1e-6)
-    np.testing.assert_array_equal(solve(inside), base)
+    U, steps = solve(inside)
+    np.testing.assert_array_equal(U, base)
+    assert steps == 0
+    # The first step of a fresh cache predicts an error of its own norm,
+    # 0.01 here, so the solve returns base + c without a second residual.
     for c in (np.array([outside[0], inside[1]]),      # the atol weight
-              np.array([inside[0], outside[1]])):     # the rtol weight
-        np.testing.assert_array_equal(solve(c), base + c)
+              np.array([inside[0], outside[1]]),      # the rtol weight
+              np.array([KAPPA / RESIDUAL_TOL_FACTOR * inside[0], 0.0])):
+        U, steps = solve(c)
+        np.testing.assert_array_equal(U, base + c)
+        assert steps == 1
 
-    # With J = 0 for f(y) = -y the residual shrinks by h a_ii = 0.5 per
-    # iteration, so the solve needs a fixed number of iterations.
-    iters = []
+    # With J = 0 for f(y) = -y each Newton step halves the error
+    # (h a_ii = 0.5), so the solve needs a fixed number of steps.
     prob = OdeProblem(N=1, rhs=lambda y, t, out: np.negative(y, out=out),
                       t_span=(0.0, 1.0), y0=np.ones(1),
                       dependency=lambda i: (0,),
@@ -94,17 +102,15 @@ def test_stage_solve_reads_run_config():
     def stage(cap):
         cache = adapt.JacobianCache(prob, replace(cfg, newton_max_iters=cap))
         cache.refresh(prob.y0, 0.0)
-        solve_linear = cache.solve
-        cache.solve = lambda *a: iters.append(1) or solve_linear(*a)
-        return solve_stage(prob, 0.0, 1.0, 0.5, prob.y0, cache)
+        solve_stage(prob, 0.0, 1.0, 0.5, prob.y0, cache)
+        return cache.solves
 
-    stage(cfg.newton_max_iters)
-    # n Newton steps take n + 1 passes: the last one only checks.
-    needed = len(iters) + 1
+    # A cap of n allows n Newton steps.
+    needed = stage(cfg.newton_max_iters)
     assert 2 < needed < cfg.newton_max_iters
-    stage(needed)
+    assert stage(needed) == needed
     with pytest.raises(ConvergenceFailure,
-                       match=f"in {needed - 1} iterations"):
+                       match=f"in {needed - 1} Newton steps"):
         stage(needed - 1)
 
 
@@ -321,12 +327,13 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
         assert delta == dict(
             accepted_global=0, rejected_global_error=0,
             rejected_global_convergence=0, global_rhs_calls=0,
-            global_jacobians=0,
+            global_jacobians=0, global_solves=0,
             accepted_fast=ref.stats.accepted_global,
             rejected_fast_error=ref.stats.rejected_global_error,
             rejected_fast_convergence=ref.stats.rejected_global_convergence,
             local_rhs_calls=ref.stats.global_rhs_calls,
-            local_jacobians=ref.stats.global_jacobians)
+            local_jacobians=ref.stats.global_jacobians,
+            local_solves=ref.stats.global_solves)
         recs = activity[n_act:]
         assert [(r.step_index, r.t_start, r.t_end, r.kind) for r in recs] == [
             (step_index, r.t_start, r.t_end, "fast") for r in ref.activity]
@@ -393,9 +400,11 @@ def test_linear_output_costs_no_rhs_calls(mode):
 @pytest.mark.parametrize("name", ["erk4", "erk4-owren", "esdirk3",
                                   "esdirk4"])
 def test_interpolant_ends_at_accepted_state(name):
-    """Every kind `_make_interpolant` picks ends at the accepted state:
-    interp(1) equals u_next within 1e-9 in the weighted norm, also for a
-    method that accepts the two half steps of step doubling."""
+    """Every kind `integrate` lets `_make_interpolant` use ends at the
+    accepted state: interp(1) equals u_next within 1e-9 in the weighted
+    norm, also for a method that accepts the two half steps of step
+    doubling.  The dense kind needs continuous output and an embedded
+    pair."""
     prob = bench.make_burgers(bench.BurgersParams(N=100))
     m = get_method(name)
     cfg = SolverConfig()
@@ -404,7 +413,10 @@ def test_interpolant_ends_at_accepted_state(name):
     if cache is not None:
         cache.begin_global_step(u, t)
     u_next, _, K = adapt._attempt_step(prob, u, t, h, m, cfg, cache)
-    for kind in (None, LINEAR, HERMITE, DENSE):
+    kinds = (None, LINEAR, HERMITE)
+    if adapt._has_dense_output(m):
+        kinds += (DENSE,)
+    for kind in kinds:
         make = adapt._make_interpolant(prob, m, replace(cfg, interp=kind),
                                        u, u_next, t, h, K)
         end = make(slice(None))(np.array([1.0]))[0]
@@ -583,6 +595,37 @@ def test_overflowing_error_estimate_is_a_failed_step(mode):
     assert exc.value.stats.rejected_global_convergence > 0
 
 
+def test_newton_cap_of_one_allows_one_newton_step():
+    """``newton_max_iters`` counts Newton steps: with a cap of 1 each stage
+    of esdirk3 on y' = -y takes its one step, which solves the linear
+    stage, so the run finishes in a few dozen steps."""
+    prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 1.0))
+    res = integrate(prob, get_method("esdirk3"),
+                    SolverConfig(newton_max_iters=1, max_steps=1000))
+    s = res.stats
+    assert res.t[-1] == 1.0
+    assert s.accepted_global < 50 and s.rejected_global_convergence <= 2
+    assert s.global_solves > 0
+
+
+@pytest.mark.parametrize("name", ["erk4", "erk4-owren"])
+def test_dense_kind_needs_continuous_output_and_a_pair(name):
+    """interp='dense' with a method that has no continuous output (erk4)
+    or no embedded pair (erk4-owren) raises ValueError naming the method
+    before the run starts; left unset, the kind falls back to Hermite."""
+    prob, calls = counting_problem(
+        make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 1.0)))
+    m = get_method(name)
+    for mode in ("single", "multi"):
+        cfg = SolverConfig(interp=DENSE, mode=mode)
+        with pytest.raises(ValueError, match=f"method '{name}' has no "
+                           "dense output"):
+            integrate(prob, m, cfg)
+    assert calls["rhs"] == 0
+    res = integrate(prob, m, SolverConfig(t_eval=np.linspace(0, 1, 5)))
+    assert abs(res.y_out[-1, 0] - np.exp(-1.0)) < 1e-5
+
+
 def test_step_budget_exhaustion():
     prob = make_linear_problem(np.array([[-1.0]]), t_span=(0.0, 100.0))
     cfg = SolverConfig(rtol=1e-10, atol=1e-12, max_steps=5)
@@ -670,16 +713,26 @@ def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
 
 @pytest.mark.parametrize("mode,max_steps", [
     ("single", None), ("single", 100), ("multi", None), ("multi", 130)])
-def test_work_counters_equal_problem_calls(mode, max_steps):
-    """The four work counters are the problem's own call counts, failed
-    attempts included, in results and in `IntegrationFailure` alike.
+def test_work_counters_equal_problem_calls(mode, max_steps, monkeypatch):
+    """The six work counters are the problem's own call counts and the
+    linear solves of the run's caches, failed attempts included, in
+    results and in `IntegrationFailure` alike.
 
-    A 20-stage inverter chain over [0, 7.6] has global convergence
-    rejections in both modes and a fast one in MR; the step budgets stop
-    each run after its rejections."""
+    A 20-stage inverter chain over [0, 24] at tolerances of 1e-3, through
+    the whole input pulse, has global convergence rejections in both
+    modes and fast ones in MR; the step budgets stop each run after its
+    rejections."""
     prob, calls = counting_problem(bench.make_inverter_chain(
-        bench.InverterChainParams(N=20, t_span=(0.0, 7.6))))
-    cfg = SolverConfig(rtol=1e-5, atol=1e-5, mode=mode, phi=0.1)
+        bench.InverterChainParams(N=20, t_span=(0.0, 24.0))))
+    solves = {"global": 0, "local": 0}
+    solve = adapt.JacobianCache.solve
+
+    def counted_solve(cache, *args):
+        # A fast sub-run's cache holds the fast sub-problem.
+        solves["local" if cache.problem.N < prob.N else "global"] += 1
+        return solve(cache, *args)
+    monkeypatch.setattr(adapt.JacobianCache, "solve", counted_solve)
+    cfg = SolverConfig(rtol=1e-3, atol=1e-3, mode=mode, phi=0.1)
     if max_steps is None:
         stats = integrate(prob, get_method("esdirk3"), cfg).stats
     else:
@@ -693,6 +746,9 @@ def test_work_counters_equal_problem_calls(mode, max_steps):
             stats.local_rhs_calls, stats.local_jacobians) == (
         calls["rhs"], calls["jacobian"], calls["rhs_restricted"],
         calls["jacobian_restricted"])
+    assert (stats.global_solves, stats.local_solves) == (
+        solves["global"], solves["local"])
+    assert stats.global_solves > 0
 
 
 def test_integrate_dispatches_on_mode():

@@ -302,6 +302,22 @@ def test_method_without_dense_output_is_a_usage_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_dense_output_without_a_pair_is_a_usage_error(tmp_path,
+                                                             capsys):
+    """``solve --interp dense`` with a method that lacks dense output exits
+    2 with the library's message, as ``stability`` and ``accuracy`` do,
+    and writes no artifact."""
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", "burgers", "--param", "N=20",
+               "--param", "t_span=[0, 0.1]", "--method", "erk4",
+               "--interp", "dense", "--mode", "multi", "--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("usage error: method 'erk4' has no dense output with an "
+                   "embedded pair, which interp 'dense' needs\n")
+    assert os.listdir(out) == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_linalg_error_exits_4_not_2(tmp_path, capsys):
     """A LinAlgError is a ValueError, so `main` must catch it first: at

@@ -88,21 +88,15 @@ def test_operator_endpoint_identities(name):
         np.testing.assert_allclose(Q1, Rh, atol=1e-12)
 
 
-def controller_kind(kind, m):
-    """The kind `_make_interpolant` uses when ``kind`` is asked for: dense
-    only for a method with an embedded pair, else Hermite."""
-    return HERMITE if kind is DENSE and m.b_hat is None else kind
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), tau=st.floats(0.0, 1.0),
        name=st.sampled_from(["erk4-owren", "esdirk3", "esdirk4"]))
 def test_duality_data_vs_operator(seed, tau, name):
     """On y' = Ly the data form applied to a real step equals the operator
     form applied to u_n, for every kind, to round-off.  The controller's
-    column-restricted slow interpolant is the data form of the kind it
-    uses: bitwise for the linear and hermite kinds, and for dense up to
-    the summation order of w @ K, which the column layout may change."""
+    column-restricted slow interpolant is the data form of the same kind:
+    bitwise for the linear and hermite kinds, and for dense up to the
+    summation order of w @ K, which the column layout may change."""
     rng = np.random.default_rng(seed)
     L = random_stable_matrix(rng, 3)
     h = rng.uniform(0.05, 0.4)
@@ -125,12 +119,11 @@ def test_duality_data_vs_operator(seed, tau, name):
         make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
                                  0.0, h, K)
         row = make(cols)(np.array([tau]))[0]
-        used = controller_kind(kind, m)
-        if used is DENSE:
-            np.testing.assert_allclose(row, data[used][cols], rtol=0,
+        if kind is DENSE:
+            np.testing.assert_allclose(row, data[kind][cols], rtol=0,
                                        atol=1e-14)
         else:
-            np.testing.assert_array_equal(row, data[used][cols])
+            np.testing.assert_array_equal(row, data[kind][cols])
 
 
 def test_array_tau_rows():
@@ -144,8 +137,8 @@ def test_array_tau_rows():
 @pytest.mark.parametrize("name", ["esdirk3", "esdirk4", "erk4-owren"])
 def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
     """An array of tau gives the scalar rows from one evaluation, also
-    into ``out`` through the controller's interpolant of the kind it
-    uses, bit for bit for all three kinds.  A scalar tau is the one-row
+    into ``out`` through the controller's interpolant of that kind, bit
+    for bit for all three kinds.  A scalar tau is the one-row
     formula, bit for bit."""
     from mrrk import bench
     prob = bench.make_burgers(bench.BurgersParams(N=30, t_span=(0.0, 1.0)))
@@ -168,11 +161,10 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
         DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0]
                                    @ np.asfortranarray(K)),
     }
-    rows_of = {}
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
-        rows_of[kind] = rows = np.array(
+        rows = np.array(
             [data_rows(kind, u0, u1, t, **kw)[0] for t in taus])
         for t, row in zip(taus, rows):
             assert row.tobytes() == scalar[kind](float(t)).tobytes(), kind
@@ -183,5 +175,4 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
         interp(taus, out)
         batch = data_rows(kind, u0, u1, taus, **kw)
         assert batch.tobytes() == rows.tobytes(), kind
-        used = rows_of[controller_kind(kind, m)]
-        assert out.tobytes() == used[:, cols].tobytes(), kind
+        assert out.tobytes() == rows[:, cols].tobytes(), kind

@@ -622,6 +622,69 @@ def test_solve_stage_linear_exact():
     assert calls["rhs"] <= 3
 
 
+def test_linear_stage_with_exact_jacobian_takes_one_newton_step():
+    """With the exact J of y' = Ly the first Newton step lands on the stage
+    value to round-off.  A fresh cache cannot predict the step's error,
+    so the residual there ends the solve.  After a fast solve, a first
+    step within the tolerance returns without that residual; a larger
+    one is still checked by it."""
+    prob, L = tridiag_problem(6)
+    cfg = SolverConfig(rtol=1e-6, atol=1e-6)
+    cache = JacobianCache(prob, cfg)
+    cache.refresh(np.ones(6), 0.0)
+    base = np.linspace(0.5, 1.5, 6)
+    hg = 0.06
+    U_ref = np.linalg.solve(np.eye(6) - hg * L, base)
+    # A rate that starts the solve 0.2 tolerances from the root.
+    near = (U_ref - base) / hg + 0.2e-6 * (np.abs(U_ref) + 1.0) / hg
+    prob, calls = counting_problem(prob)
+    for rate, eta, rhs_calls in ((None, 1.0, 2), (near, 0.0, 1),
+                                 (None, 0.0, 2)):
+        cache.eta = eta
+        calls["rhs"] = cache.solves = 0
+        U = solve_stage(prob, 0.0, hg, 1.0, base, cache, rate)
+        assert (cache.solves, calls["rhs"]) == (1, rhs_calls)
+        np.testing.assert_allclose(U, U_ref, rtol=1e-14, atol=0)
+    assert cache.evals == 1
+
+
+def test_nonlinear_stage_stops_within_kappa_of_the_root():
+    """A frozen J away from the root makes Newton converge linearly.  The
+    solve stops on the rate test, before a residual at the returned U, and
+    that U lies within KAPPA of the root in the weighted norm."""
+    def rhs(y, t, out):
+        np.negative(y ** 3, out=out)
+        out[:-1] += 0.5 * y[1:]
+
+    def jac(y, t):
+        return np.diag(-3.0 * y ** 2) + np.diag(np.full(2, 0.5), 1)
+    prob = OdeProblem(N=3, rhs=rhs, t_span=(0, 1), y0=np.ones(3),
+                      dependency=lambda i: (i, i + 1) if i < 2 else (i,),
+                      jacobian=jac)
+    base = np.array([1.0, 1.5, 2.0])
+    hg = 0.2
+    cache = JacobianCache(prob, SolverConfig(rtol=1e-6, atol=1e-6))
+    # J at a fifth below the root: each step shrinks the error fourfold.
+    cache.refresh(np.array([0.75, 1.0, 1.15]), 0.0)
+    counted, calls = counting_problem(prob)
+    U = solve_stage(counted, 0.0, hg, 1.0, base, cache)
+    steps = cache.solves
+    assert steps >= 3 and cache.evals == 1
+    # One start residual and one undamped trial per step but the last:
+    # the last step returned without a residual.
+    assert calls["rhs"] == steps
+    # The root by full Newton with the exact Jacobian.
+    U_ref, f = base.copy(), np.empty(3)
+    for _ in range(30):
+        rhs(U_ref, 0.0, f)
+        U_ref -= np.linalg.solve(np.eye(3) - hg * jac(U_ref, 0.0),
+                                 U_ref - base - hg * f)
+    rhs(U_ref, 0.0, f)
+    np.testing.assert_allclose(U_ref, base + hg * f, rtol=1e-15)
+    err = np.abs(U - U_ref) / (1e-6 * np.abs(U_ref) + 1e-6)
+    assert 0.0 < err.max() <= newton.KAPPA
+
+
 def test_solve_stage_nonlinear_scalar():
     def rhs(y, t, out):
         out[0] = -y[0] ** 3

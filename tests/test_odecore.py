@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrrk import newton
 from mrrk.adapt import SolverConfig
 from mrrk.interp import DENSE, slow_interpolant
 from mrrk.newton import ConvergenceFailure, JacobianCache
@@ -49,6 +50,25 @@ def test_default_restricted_rhs_matches_full():
     out = np.zeros(1)
     prob.rhs_restricted(y, 0.0, np.array([1]), out)
     assert out[0] == full[1]
+
+
+@pytest.mark.parametrize("name", ["esdirk3", "esdirk4"])
+def test_implicit_stage_starts_from_the_last_stage_rate(name):
+    """On y' = c the start base + h a_kk K[k-1] of every implicit stage is
+    its solution, so each stage costs its one RHS call and no Newton step;
+    from base alone, a stage needs one."""
+    c = np.array([3.0, -2.0])
+    prob, calls = counting_problem(OdeProblem(
+        N=2, rhs=lambda y, t, out: np.copyto(out, c), t_span=(0.0, 1.0),
+        y0=np.ones(2), dependency=lambda i: (i,),
+        jacobian=lambda y, t: np.zeros((2, 2))))
+    m = get_method(name)
+    cache = JacobianCache(prob, SolverConfig())
+    u1, _, K = rk_step(prob, np.ones(2), 0.0, 0.1, m, cache)
+    assert (calls["rhs"], cache.solves) == (m.s, 0)
+    np.testing.assert_allclose(K, np.tile(c, (m.s, 1)), rtol=1e-15)
+    newton.solve_stage(prob, 0.0, 0.1, m.A[1, 1], np.ones(2), cache)
+    assert cache.solves == 1
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -18,16 +18,20 @@ each file it wrote, whole except ``stats.json``, which is digested
 without ``wall_time``; the names of the digested files record which
 files an invocation wrote, none for an error exit.  It writes the
 digests, with each cell's entry and radii digest, to OUT.json and the
-runs' dense output ``y_out`` to OUT.npz beside it.  To check a change
-against an earlier commit, run the same script once with each
-commit's ``src`` on ``PYTHONPATH`` and compare the two files.
+runs' dense output ``y_out`` to OUT.npz beside it.  OUT.json also keeps
+each run's mode and its counter values.  To check a change against an
+earlier commit, run the same script once with each commit's ``src`` on
+``PYTHONPATH`` and compare the two files.
 
 ``compare`` lists each run whose digests differ with the parts that
 differ, each stability cell that differs and each CLI artifact that
 differs, and reports the largest
 ``y_out`` deviation in each run's weighted error norm,
-max |a - b| / (rtol |a| + atol).  It exits with 1 when a digest differs,
-a run is missing, or a deviation exceeds ``Y_OUT_TOL``.
+max |a - b| / (rtol |a| + atol).  For each run whose counters differ it
+prints every counter that moved as before -> after, then the sums of
+those runs' counters per mode, so a change that is not bitwise shows
+the work it moved.  It exits with 1 when a digest differs, a run is
+missing, or a deviation exceeds ``Y_OUT_TOL``.
 
 The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
@@ -169,6 +173,13 @@ def parity_set():
 PARTS = ("trajectory", "activity", "counters")
 
 
+def counter_values(stats) -> dict:
+    """The ``StepStats`` fields of a run but ``wall_time``."""
+    counters = asdict(stats)
+    counters.pop("wall_time")
+    return counters
+
+
 def digests(t, y, activity, stats, failed=False) -> dict:
     """sha256 of each of a run's `PARTS`, the counters without wall_time.
 
@@ -181,9 +192,8 @@ def digests(t, y, activity, stats, failed=False) -> dict:
     for a in activity:
         act.update(repr((a.step_index, a.t_start, a.t_end, a.kind)).encode())
         act.update(np.asarray(a.active_indices, dtype=np.int64).tobytes())
-    counters = asdict(stats)
-    counters.pop("wall_time")
-    cnt = hashlib.sha256(repr(sorted(counters.items())).encode())
+    cnt = hashlib.sha256(
+        repr(sorted(counter_values(stats).items())).encode())
     return {"trajectory": ("failed:" if failed else "") + traj.hexdigest(),
             "activity": act.hexdigest(), "counters": cnt.hexdigest()}
 
@@ -232,12 +242,15 @@ def cmd_run(out: Path) -> int:
     for name, prob, method, cfg in parity_set():
         try:
             res = integrate(prob, get_method(method), cfg)
-            d = digests(res.t, res.y, res.activity, res.stats)
+            stats = res.stats
+            d = digests(res.t, res.y, res.activity, stats)
             if res.y_out is not None:
                 y_out[name] = res.y_out
         except IntegrationFailure as exc:
-            d = digests([exc.t], [exc.y], [], exc.stats, failed=True)
-        runs[name] = {**d, "rtol": cfg.rtol, "atol": cfg.atol}
+            stats = exc.stats
+            d = digests([exc.t], [exc.y], [], stats, failed=True)
+        runs[name] = {**d, "rtol": cfg.rtol, "atol": cfg.atol,
+                      "mode": cfg.mode, "stats": counter_values(stats)}
         print(name, *(f"{part}={d[part][:16]}" for part in PARTS),
               flush=True)
     stab = stability_part()
@@ -253,11 +266,32 @@ def cmd_run(out: Path) -> int:
     return 0
 
 
+def _moves(before: dict, after: dict) -> str:
+    """The counters whose values differ, as ``name before -> after``."""
+    return ", ".join(f"{k} {before.get(k)} -> {after.get(k)}"
+                     for k in sorted(set(before) | set(after))
+                     if before.get(k) != after.get(k)) or "none"
+
+
+def counter_moves(ra: dict, rb: dict, totals: dict):
+    """Print the counters of one run that moved and add them to
+    ``totals[mode]``; files written without counter values print
+    nothing."""
+    if "stats" not in ra or "stats" not in rb:
+        return
+    print(f"  {_moves(ra['stats'], rb['stats'])}")
+    before, after = totals.setdefault(rb["mode"], ({}, {}))
+    for total, stats in ((before, ra["stats"]), (after, rb["stats"])):
+        for k, v in stats.items():
+            total[k] = total.get(k, 0) + v
+
+
 def cmd_compare(a: Path, b: Path) -> int:
     fa, fb = json.loads(a.read_text()), json.loads(b.read_text())
     da, db = fa["runs"], fb["runs"]
     ya, yb = np.load(a.with_suffix(".npz")), np.load(b.with_suffix(".npz"))
     bad = 0
+    totals = {}
     for name in sorted(set(da) | set(db)):
         if name not in da or name not in db:
             print(f"{name}: missing from {a if name not in da else b}")
@@ -267,6 +301,11 @@ def cmd_compare(a: Path, b: Path) -> int:
         if moved:
             print(f"{name}: {', '.join(moved)} differ")
             bad += 1
+        if "counters" in moved:
+            counter_moves(da[name], db[name], totals)
+    for mode, (before, after) in sorted(totals.items()):
+        print(f"counters of the moved {mode} runs, summed: "
+              + _moves(before, after))
     sa, sb = fa["stability"]["cells"], fb["stability"]["cells"]
     cells = sorted(set(sa) | set(sb))
     moved = [c for c in cells if sa.get(c) != sb.get(c)]
