@@ -317,7 +317,8 @@ class JacobianCache:
     first Newton step (1 before any).  Without an
     analytic Jacobian the column coloring and the entry indices of each
     group (`structural_coloring`) are built on the first refresh and kept
-    in ``_coloring``.
+    in ``_coloring``.  ``_work`` holds the four work vectors of
+    `solve_stage`, allocated by its first solve and reused by the rest.
 
     ``_fac`` is the factorization of I - h a_ii J as (backend tag, solver,
     h a_ii), the tag being ``"dense"``, ``"banded"`` or ``"sparse"`` (see
@@ -339,6 +340,7 @@ class JacobianCache:
     _fac: tuple | None = None
     _band: tuple | None = None
     _coloring: tuple | None = field(default=None, repr=False)
+    _work: tuple | None = field(default=None, repr=False)
 
     def begin_global_step(self, y: np.ndarray, t: float):
         """Apply the strategy's step-start policy."""
@@ -382,6 +384,12 @@ class JacobianCache:
         else:
             fac = _dense_factor(np.eye(n) - h_gamma * np.asarray(J))
         self._fac = (*fac, h_gamma)
+
+    def work_vectors(self, n: int) -> tuple:
+        """Four length-n vectors that `solve_stage` overwrites before use."""
+        if self._work is None or self._work[0].shape[0] != n:
+            self._work = tuple(np.empty(n) for _ in range(4))
+        return self._work
 
     def solve(self, h_gamma: float, rhs: np.ndarray) -> np.ndarray:
         self.solves += 1
@@ -444,10 +452,7 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     cfg = cache.config
     h_gamma = h * a_ii
     U = base.copy() if rate is None else base + h_gamma * rate
-    f = np.empty_like(U)
-    ft = np.empty_like(U)
-    w = np.empty_like(U)
-    q = np.empty_like(U)
+    f, ft, w, q = cache.work_vectors(U.shape[0])
 
     def residual(state, deriv):
         problem.rhs(state, t, deriv)
