@@ -21,7 +21,8 @@ import numpy as np
 
 from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
 from .newton import STRATEGIES, ConvergenceFailure, JacobianCache
-from .odecore import OdeProblem, error_quotients, new_step_size, rk_step
+from .odecore import (OdeProblem, error_quotients, new_step_size,
+                      predictive_step_size, rk_step)
 from .tableaux import ButcherTableau
 
 # Names of the integration modes: the fast cap is 0 in "single".
@@ -408,22 +409,28 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     components of the returned state are taken bitwise from the
     tentative global step.  The fast components are advanced by a
     single-rate `integrate` run on the fast sub-problem over
-    [t_n, t_n + h_n], starting from the step size the controller derives
-    from eta_f; its error measure is the maximum quotient over the fast
-    set only, and it inherits ``max_steps``, so one fast phase takes at
-    most that many sub-steps.  The sub-run's global counters are added to
-    the fast counters of ``stats`` and its steps to ``activity`` as
-    ``"fast"`` records of global step ``step_index``.  When the step holds
-    rows of a ``sampler``, the sub-run samples them and the step is
-    committed to it; otherwise the sub-run has no output grid.  Returns
+    [t_n, t_n + h_n].  It starts from
+    h_n * min(alpha_max, alpha * eta_f^(-1/(q+1))), the controller's step
+    for eta_f without the alpha_min floor: alpha_min bounds the cut after
+    a rejection, while eta_f, measured over a step many fast steps long,
+    may ask for a much smaller start.  Its error measure is the maximum
+    quotient over the fast set only, so its fast cap is 0 and it follows
+    the error trend (`integrate`), and it inherits ``max_steps``, so one
+    fast phase takes at most that many sub-steps.  The sub-run's global
+    counters are added to the fast counters of ``stats`` and its steps to
+    ``activity`` as ``"fast"`` records of global step ``step_index``.
+    When the step holds rows of a ``sampler``, the sub-run samples them
+    and the step is committed to it; otherwise the sub-run has no output
+    grid.  Returns
     the combined state, or raises ConvergenceFailure when the sub-run
     fails (the caller then rejects the global step); counters of the
     failed sub-run are kept, its activity is not.
     """
     sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
     t_eval = None if sampler is None else sampler.rows(t_n, h_n)
-    sub_cfg = replace(config, mode="single", t_eval=t_eval,
-                      h0=new_step_size(h_n, eta_f, method.q, config))
+    h0 = h_n * min(config.alpha_max,
+                   config.alpha * eta_f ** (-1.0 / (method.q + 1)))
+    sub_cfg = replace(config, mode="single", t_eval=t_eval, h0=h0)
     try:
         res = integrate(sub, method, sub_cfg)
     except IntegrationFailure as exc:
@@ -464,6 +471,17 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     fills over the span can end past T by about its length times ulp(T).
     A rejection that leaves h below the floating-point spacing of t ends
     the run.
+
+    Each rejection sizes the retry by `new_step_size`.  After an accepted
+    step the next step size depends on the run's fast cap
+    floor(phi * N).  With cap 0 (every SR run, every fast sub-run, and an
+    MR run with phi * N < 1, which so stays bitwise equal to SR) the error
+    measure is one fixed set of components, and the step follows its
+    error trend: `predictive_step_size` from this step and the accepted
+    step before, or `new_step_size` after the run's first accepted step.
+    With a nonzero cap, eta_s is the largest quotient outside a top m
+    that changes from step to step, so its trend means little, and every
+    step takes `new_step_size`.
     """
     cfg = config
     if cfg.interp == DENSE and not _has_dense_output(method):
@@ -477,6 +495,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             and cfg.t_eval[-1] <= T + grid_tol):
         raise ValueError(f"t_eval must lie within t_span [{t0}, {T}]")
     phi = cfg.phi if cfg.mode == "multi" else 0.0
+    follow_trend = math.floor(phi * problem.N) == 0
     stats = StepStats()
 
     def counted_rhs(y, t, out, rhs=problem.rhs):
@@ -516,6 +535,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             return "step size cannot advance t"
 
     all_idx = np.arange(problem.N)
+    prev = None                 # (h, eta_s) of the last accepted step
     while t < T - 1e-14 * max(1.0, abs(T)):
         if stats.accepted_global >= cfg.max_steps:
             raise failure("step budget exhausted")
@@ -559,7 +579,12 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         t, u = t + h, u_next
         ts.append(t)
         ys.append(u.copy())
-        h = new_step_size(h, eta_s, method.q, cfg)
+        if follow_trend and prev is not None:
+            h_next = predictive_step_size(h, eta_s, *prev, method.q, cfg)
+        else:
+            h_next = new_step_size(h, eta_s, method.q, cfg)
+        prev = (h, eta_s)
+        h = h_next
     close_stats()
     t_out = y_out = None
     if sampler is not None:

@@ -21,7 +21,7 @@ from .tableaux import ButcherTableau
 
 __all__ = [
     "OdeProblem", "rk_step", "error_quotients", "new_step_size",
-    "ConvergenceFailure",
+    "predictive_step_size", "ConvergenceFailure",
 ]
 
 
@@ -143,7 +143,9 @@ def new_step_size(h: float, eta: float, q: int, cfg) -> float:
 
     ``alpha``, ``alpha_min`` and ``alpha_max`` are read from ``cfg``, the
     run's `adapt.SolverConfig`, which validates them.  eta = 0 (or
-    negative round-off) takes the upper clamp alpha_max.
+    negative round-off) takes the upper clamp alpha_max.  This is the
+    rule after every rejection, and after every accepted step that
+    `predictive_step_size` does not size.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -153,3 +155,35 @@ def new_step_size(h: float, eta: float, q: int, cfg) -> float:
         factor = min(cfg.alpha_max,
                      max(cfg.alpha_min, cfg.alpha * eta ** (-1.0 / (q + 1))))
     return h * factor
+
+
+# Floor of the previous step's quotient in `predictive_step_size`, so an
+# accepted step with almost no error does not dictate the next one.
+ETA_PREV_FLOOR = 1e-2
+
+
+def predictive_step_size(h: float, eta: float, h_prev: float,
+                         eta_prev: float, q: int, cfg) -> float:
+    """Predictive controller update after an accepted step (h, eta).
+
+    Gustafsson's controller in the form of RADAU5 (Hairer & Wanner,
+    *Solving ODEs II*, Sec. IV.8): with (h_prev, eta_prev) the accepted
+    step before, eta_prev floored at ``ETA_PREV_FLOOR``, it returns
+
+        min(h_I, h * max(alpha_min, alpha * (h / h_prev) * eta^(-1/(q+1))
+                                    * (eta_prev / eta)^(1/(q+1))))
+
+    with h_I = `new_step_size` (h, eta, q, cfg).  It can only shrink h_I.
+    Before the clamps, it is the plain factor times
+    (h / h_prev) * (eta_prev / eta)^(1/(q+1)), below 1 where eta rose by
+    more than the growth of h explains; the plain rule takes each eta as
+    a constant error and regrows h after every accepted step.  eta = 0
+    (or negative round-off) returns h_I.
+    """
+    h_i = new_step_size(h, eta, q, cfg)
+    if eta <= 0.0:
+        return h_i
+    eta_prev = max(eta_prev, ETA_PREV_FLOOR)
+    factor = (cfg.alpha * (h / h_prev) * eta ** (-1.0 / (q + 1))
+              * (eta_prev / eta) ** (1.0 / (q + 1)))
+    return min(h_i, h * max(cfg.alpha_min, factor))

@@ -13,7 +13,7 @@ from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
 from mrrk.interp import DENSE, HERMITE, LINEAR, slow_interpolant
 from mrrk.newton import ConvergenceFailure
-from mrrk.odecore import OdeProblem, new_step_size
+from mrrk.odecore import OdeProblem, new_step_size, predictive_step_size
 from mrrk.tableaux import get_method
 
 from conftest import counting_problem, make_linear_problem
@@ -319,7 +319,8 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
                    step_index, *args, **kw)
         sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n,
                                      make_interp)
-        h0 = new_step_size(h_n, eta_f, method.q, config)
+        h0 = h_n * min(config.alpha_max,
+                       config.alpha * eta_f ** (-1.0 / (method.q + 1)))
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
         np.testing.assert_array_equal(out[fast], ref.y[-1])
         after = asdict(stats)
@@ -345,6 +346,137 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
     res = integrate(prob, get_method(name), cfg)
     assert checked and res.stats.accepted_fast > 0
+
+
+def small_inverter():
+    """A 20-stage chain driven past its input ramp."""
+    return bench.make_inverter_chain(bench.InverterChainParams(
+        N=20, t_span=(0.0, 6.5)))
+
+
+def record_attempts(monkeypatch):
+    """Spy on `adapt._attempt_step`: (N, t, h, eta) of every attempt at
+    every level, in order; eta is None for an attempt that raised."""
+    seen = []
+    orig = adapt._attempt_step
+
+    def spy(problem, u_n, t_n, h, *args):
+        seen.append((problem.N, t_n, h, None))
+        out = orig(problem, u_n, t_n, h, *args)
+        seen[-1] = (problem.N, t_n, h, out[1])
+        return out
+
+    monkeypatch.setattr(adapt, "_attempt_step", spy)
+    return seen
+
+
+def accepted_proposals(attempts, problem, res, cfg):
+    """(h, eta_s, h_next) of each accepted global step of ``res``, the run
+    of ``problem``, whose next attempt on the same problem came straight
+    after it, unclipped.
+
+    h_next is then the step size the controller proposed after (h, eta_s);
+    a step the loop clipped to the end of the span shows nothing and is
+    left out.  ``attempts`` come from `record_attempts`.
+    """
+    N, T = problem.N, problem.t_span[1]
+    phi = cfg.phi if cfg.mode == "multi" else 0.0
+    accepted = {(r.t_start, r.t_end) for r in res.activity
+                if r.kind == "global"}
+    own = [a for a in attempts if a[0] == N]
+    out = []
+    for (_, t, h, eta), (_, t_next, h_next, _) in zip(own, own[1:]):
+        if (t, t + h) in accepted and h_next < T - t_next:
+            out.append((h, select_partition(eta, phi, cfg.beta)[2], h_next))
+    return out
+
+
+def test_predictive_step_size_only_cuts_a_rising_error():
+    """A rising eta pair gives the predictive formula, below the plain
+    rule's h_I; a falling pair gives h_I."""
+    cfg, q, h, h_prev = SolverConfig(), 2, 0.1, 0.08
+    eta_prev, eta = 0.3, 0.8
+    h_i = new_step_size(h, eta, q, cfg)
+    h_new = predictive_step_size(h, eta, h_prev, eta_prev, q, cfg)
+    assert h_new == h * (cfg.alpha * (h / h_prev) * eta ** (-1 / (q + 1))
+                         * (eta_prev / eta) ** (1 / (q + 1)))
+    assert h_new < h_i
+    assert predictive_step_size(h, eta_prev, h_prev, eta, q, cfg) == (
+        new_step_size(h, eta_prev, q, cfg))
+    # eta_prev is floored at 1e-2, and the cut at alpha_min.
+    floored = predictive_step_size(h, 0.5, h / 2, 1e-2, q, cfg)
+    assert cfg.alpha_min * h < floored < new_step_size(h, 0.5, q, cfg)
+    assert predictive_step_size(h, 0.5, h / 2, 1e-9, q, cfg) == floored
+    assert predictive_step_size(h, 0.9, 100 * h, 0.1, q, cfg) == (
+        h * cfg.alpha_min)
+
+
+@pytest.mark.parametrize("mode,phi", [("single", 0.1), ("multi", 0.01)],
+                         ids=["single", "cap-zero-multi"])
+def test_cap_zero_run_follows_the_error_trend(monkeypatch, mode, phi):
+    """With fast cap 0, the step after a run's first accepted step is
+    exactly `new_step_size`, and each later one `predictive_step_size`
+    from it and the accepted step before, which cuts h below the plain
+    rule somewhere in the run."""
+    attempts = record_attempts(monkeypatch)
+    cfg = SolverConfig(rtol=1e-4, atol=1e-4, mode=mode, phi=phi)
+    method = get_method("esdirk3")
+    prob = small_inverter()
+    res = integrate(prob, method, cfg)
+    steps = accepted_proposals(attempts, prob, res, cfg)
+    (h, eta, h_next), rest = steps[0], steps[1:]
+    assert res.activity[0].t_end == res.activity[0].t_start + h
+    assert h_next == new_step_size(h, eta, method.q, cfg)
+    cuts = 0
+    for (h_prev, eta_prev, _), (h, eta, h_next) in zip(steps, rest):
+        assert h_next == predictive_step_size(h, eta, h_prev, eta_prev,
+                                              method.q, cfg)
+        cuts += h_next < new_step_size(h, eta, method.q, cfg)
+    assert len(rest) > 50 and cuts >= 5
+
+
+def test_multirate_global_level_keeps_the_plain_rule(monkeypatch):
+    """With a nonzero fast cap, every global proposal is `new_step_size`,
+    also where the error trend would have cut it."""
+    attempts = record_attempts(monkeypatch)
+    cfg = SolverConfig(rtol=1e-4, atol=1e-4, mode="multi", phi=0.1)
+    method = get_method("esdirk3")
+    prob = small_inverter()
+    res = integrate(prob, method, cfg)
+    assert res.stats.accepted_fast > 0
+    steps = accepted_proposals(attempts, prob, res, cfg)
+    trend_cuts = 0
+    for (h_prev, eta_prev, _), (h, eta, h_next) in zip(steps, steps[1:]):
+        h_i = new_step_size(h, eta, method.q, cfg)
+        assert h_next == h_i
+        trend_cuts += predictive_step_size(
+            h, eta, h_prev, eta_prev, method.q, cfg) < h_i
+    assert len(steps) > 30 and trend_cuts >= 2
+
+
+def test_fast_sub_run_starts_without_the_alpha_min_floor(monkeypatch):
+    """A sub-run's first step is h_n min(alpha_max, alpha eta_f^(-1/(q+1))),
+    below alpha_min h_n when eta_f is large."""
+    attempts = record_attempts(monkeypatch)
+    starts = []
+    orig = adapt.multirate_step
+
+    def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
+            eta_f, *args, **kw):
+        first = len(attempts)
+        out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
+                   fast, eta_f, *args, **kw)
+        starts.append((h_n, eta_f, attempts[first][2]))
+        return out
+
+    monkeypatch.setattr(adapt, "multirate_step", spy)
+    cfg = SolverConfig(rtol=1e-4, atol=1e-4, mode="multi", phi=0.1)
+    method = get_method("esdirk3")
+    integrate(small_inverter(), method, cfg)
+    for h_n, eta_f, h_first in starts:
+        assert h_first == h_n * min(
+            cfg.alpha_max, cfg.alpha * eta_f ** (-1.0 / (method.q + 1)))
+    assert any(h_first < cfg.alpha_min * h_n for h_n, _, h_first in starts)
 
 
 def test_fast_subproblem_interpolates_slow_columns_once_per_time():
@@ -652,7 +784,7 @@ def test_single_rate_is_multirate_with_fast_cap_zero(name, with_grid):
     """phi * N < 1 leaves no fast slot: MR must reproduce SR bitwise."""
     prob = bench.make_burgers(bench.BurgersParams(N=60, t_span=(0.0, 2.0)))
     grid = np.linspace(0.0, 2.0, 41) if with_grid else None
-    cfg = SolverConfig(rtol=1e-4, atol=1e-4, phi=0.01, t_eval=grid)
+    cfg = SolverConfig(rtol=1e-4, atol=1e-4, phi=0.01, h0=0.5, t_eval=grid)
     sr = integrate(prob, get_method(name), cfg)
     mr = integrate(prob, get_method(name), replace(cfg, mode="multi"))
     np.testing.assert_array_equal(sr.t, mr.t)

@@ -29,9 +29,11 @@ differs, and reports the largest
 ``y_out`` deviation in each run's weighted error norm,
 max |a - b| / (rtol |a| + atol).  For each run whose counters differ it
 prints every counter that moved as before -> after, then the sums of
-those runs' counters per mode, so a change that is not bitwise shows
-the work it moved.  It exits with 1 when a digest differs, a run is
-missing, or a deviation exceeds ``Y_OUT_TOL``.
+those runs' counters per mode and the global and fast rejection rates of
+those sums, so a change that is not bitwise shows the work it moved and
+a controller change its effect on rejections in one line.  It exits
+with 1 when a digest differs, a run is missing, or a deviation exceeds
+``Y_OUT_TOL``.
 
 The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
@@ -273,6 +275,14 @@ def _moves(before: dict, after: dict) -> str:
                      if before.get(k) != after.get(k)) or "none"
 
 
+def _rejection_rate(stats: dict, level: str) -> str:
+    """Rejected share of a level's attempts ("global" or "fast")."""
+    rejected = (stats.get(f"rejected_{level}_error", 0)
+                + stats.get(f"rejected_{level}_convergence", 0))
+    attempts = stats.get(f"accepted_{level}", 0) + rejected
+    return f"{rejected / attempts:.1%}" if attempts else "none attempted"
+
+
 def counter_moves(ra: dict, rb: dict, totals: dict):
     """Print the counters of one run that moved and add them to
     ``totals[mode]``; files written without counter values print
@@ -306,6 +316,10 @@ def cmd_compare(a: Path, b: Path) -> int:
     for mode, (before, after) in sorted(totals.items()):
         print(f"counters of the moved {mode} runs, summed: "
               + _moves(before, after))
+        print(f"rejection rates of the moved {mode} runs: " + ", ".join(
+            f"{level} {_rejection_rate(before, level)} -> "
+            f"{_rejection_rate(after, level)}"
+            for level in ("global", "fast")))
     sa, sb = fa["stability"]["cells"], fb["stability"]["cells"]
     cells = sorted(set(sa) | set(sb))
     moved = [c for c in cells if sa.get(c) != sb.get(c)]
