@@ -178,17 +178,21 @@ def select_partition(eta: np.ndarray, phi: float, beta: float):
     or rejected whole).  ``fast`` is the ascending index array of the
     top-m candidates that actually violate beta, empty unless the step
     goes multirate.  A non-finite quotient raises ConvergenceFailure, so
-    the step is halved like any other failed step.
+    the step is halved like any other failed step.  With m = 0 the test
+    is the maximum itself: quotients are nonnegative or NaN, and the
+    maximum of such numbers is finite exactly when every one is.
     """
     eta = np.asarray(eta, dtype=float)
-    if not np.isfinite(eta).all():
-        raise ConvergenceFailure("non-finite error estimate")
     N = len(eta)
     m = math.floor(phi * N)
     if m == 0:
         eta_s = float(eta.max())
+        if not math.isfinite(eta_s):
+            raise ConvergenceFailure("non-finite error estimate")
         return ("reject" if eta_s > beta else "accept",
                 np.array([], dtype=int), eta_s, 0.0)
+    if not np.isfinite(eta).all():
+        raise ConvergenceFailure("non-finite error estimate")
     order = np.argsort(-eta, kind="stable")
     top = order[:m]
     rest = order[m:]
@@ -331,24 +335,21 @@ class _OutputSampler:
         self.filled = i0
 
     def window(self, t0, h):
-        """Grid rows [lo, hi) that the step [t0, t0 + h] fills."""
-        lo = int(np.searchsorted(self.t_eval, t0, side="right"))
-        hi = int(np.searchsorted(self.t_eval, t0 + h, side="right"))
+        """Grid rows (lo, hi), the range [lo, hi), that the step
+        [t0, t0 + h] fills; a step computes it once, before its commit."""
+        lo = int(self.t_eval.searchsorted(t0, side="right"))
+        hi = int(self.t_eval.searchsorted(t0 + h, side="right"))
         return min(lo, self.filled), hi   # close round-off gaps
 
-    def rows(self, t0, h):
-        """Grid times of the rows [lo, hi) of `window`, or None if none."""
-        lo, hi = self.window(t0, h)
-        return self.t_eval[lo:hi] if hi > lo else None
-
-    def commit_step(self, t0, h, interp, fast=None, y_fast=None):
+    def commit_step(self, window, t0, h, interp, fast=None, y_fast=None):
         """Fill the step's grid rows from one evaluation of ``interp``.
 
-        ``interp(tau, out)`` writes the rows of the taus of the window,
-        clamped to [0, 1], into ``out`` (see `interp.slow_interpolant`);
-        ``y_fast`` then overwrites the ``fast`` columns of those rows.
+        ``window`` is the step's `window` (t0, h).  ``interp(tau, out)``
+        writes the rows of the taus of the window, clamped to [0, 1], into
+        ``out`` (see `interp.slow_interpolant`); ``y_fast`` then overwrites
+        the ``fast`` columns of those rows.
         """
-        lo, hi = self.window(t0, h)
+        lo, hi = window
         if hi > lo:
             tau = (self.t_eval[lo:hi] - t0) / h
             np.minimum(np.maximum(tau, 0.0, out=tau), 1.0, out=tau)
@@ -427,7 +428,11 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     failed sub-run are kept, its activity is not.
     """
     sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
-    t_eval = None if sampler is None else sampler.rows(t_n, h_n)
+    t_eval = None
+    if sampler is not None:
+        window = lo, hi = sampler.window(t_n, h_n)
+        if hi > lo:
+            t_eval = sampler.t_eval[lo:hi]
     h0 = h_n * min(config.alpha_max,
                    config.alpha * eta_f ** (-1.0 / (method.q + 1)))
     sub_cfg = replace(config, mode="single", t_eval=t_eval, h0=h0)
@@ -441,8 +446,8 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
         step_index=step_index, t_start=r.t_start, t_end=r.t_end,
         kind="fast", active_indices=fast) for r in res.activity)
     if t_eval is not None:
-        sampler.commit_step(t_n, h_n, make_interp(slice(None)), fast,
-                            res.y_out)
+        sampler.commit_step(window, t_n, h_n, make_interp(slice(None)),
+                            fast, res.y_out)
     u_next = u_tentative.copy()
     u_next[fast] = res.y[-1]
     return u_next
@@ -569,9 +574,12 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         if decision == "accept":
             u_next = u_tent
             # Only a step that holds grid rows pays for an interpolant.
-            if sampler is not None and sampler.rows(t, h) is not None:
-                sampler.commit_step(t, h, _make_interpolant(
-                    problem, method, cfg, u, u_tent, t, h, K)(slice(None)))
+            if sampler is not None:
+                window = lo, hi = sampler.window(t, h)
+                if hi > lo:
+                    sampler.commit_step(window, t, h, _make_interpolant(
+                        problem, method, cfg, u, u_tent, t, h, K)(
+                            slice(None)))
         stats.accepted_global += 1
         activity.append(ActivityRecord(
             step_index=stats.accepted_global, t_start=t, t_end=t + h,

@@ -10,6 +10,13 @@ in one vector expression that writes the subset's values compactly, in
 index order, and place the couplings of their restricted Jacobians from
 adjacent positions of that subset; heating uses `OdeProblem`'s full-RHS
 fallback, which is cheaper than classifying the index set on every call.
+The inverter chain classifies it once per index set instead: its two
+restricted hooks share a one-entry plan, keyed on the bytes of the index
+array, that holds ``idx - 1``, whether index 0 (which reads the input) is
+in the set, and the diagonal and coupling positions of the restricted
+Jacobian.  A fast sub-run passes one index array for its whole span, so
+each sub-run builds the plan once; keying on the bytes, not the array,
+keeps it right for an array that changes in place between calls.
 """
 
 from __future__ import annotations
@@ -87,12 +94,26 @@ def make_inverter_chain(
         out[0] = U_op - y[0] - G * inverter_g(u, y[0], U_tau)
         out[1:] = U_op - y[1:] - G * inverter_g(y[:-1], y[1:], U_tau)
 
+    # The restricted hooks' plan for the last index set seen (see the
+    # module docstring): (index bytes, idx - 1, whether idx holds 0,
+    # diagonal positions, coupling columns a, coupling rows a + 1).
+    plan = [None]
+
+    def _plan(indices):
+        idx = np.asarray(indices, dtype=np.intp)
+        key = idx.tobytes()
+        if plan[0] is None or plan[0][0] != key:
+            # Ascending indices: index 0, which reads the input, can only
+            # come first, and stage idx[a + 1] reads idx[a] when adjacent.
+            adj = np.flatnonzero(idx[1:] == idx[:-1] + 1)
+            plan[0] = (key, idx - 1, bool(idx[0] == 0),
+                       np.arange(len(idx)), adj, adj + 1)
+        return idx, plan[0]
+
     def rhs_restricted(y, t, indices, out):
-        # Ascending indices: index 0, which reads the input, can only come
-        # first.
-        idx = np.asarray(indices)
-        ycur, yprev = y[idx], y[idx - 1]
-        if idx[0] == 0:
+        idx, (_, prev, has0, *_) = _plan(indices)
+        ycur, yprev = y[idx], y[prev]
+        if has0:
             yprev[0] = u_in(t)
         np.subtract(U_op - ycur, G * inverter_g(yprev, ycur, U_tau),
                     out=out)
@@ -119,19 +140,17 @@ def make_inverter_chain(
         return sp.dia_array((band, [0, -1]), shape=(N, N))
 
     def jacobian_restricted(y, t, indices):
-        idx = np.asarray(indices, dtype=int)
+        idx, (_, prev, has0, diag, adj, below) = _plan(indices)
         k = len(idx)
         J = np.zeros((k, k))
-        yprev = y[idx - 1]
-        yprev[idx == 0] = u_in(t)
+        yprev = y[prev]
+        if has0:
+            yprev[0] = u_in(t)
         gy, gz = _dg(yprev, y[idx])
-        diag = np.arange(k)
         J[diag, diag] = -1.0 - G * gz
-        # Ascending indices: stage idx[a + 1] reads idx[a] when adjacent.
-        adj = np.flatnonzero(idx[1:] == idx[:-1] + 1)
         # 0.0 - x, not -x: a zero coupling is +0.0, as in the full
         # Jacobian, whose sparse form drops it.
-        J[adj + 1, adj] = 0.0 - G * gy[adj + 1]
+        J[below, adj] = 0.0 - G * gy[below]
         return J
 
     def dependency(i):

@@ -37,14 +37,15 @@ direction is then a single LAPACK back-substitution:
 - any other J: SuperLU (``splu``) once, its ``solve`` per solve.
 
 A non-finite iteration matrix or a zero pivot raises ConvergenceFailure
-when it is factored (for ``dgtsv``, when it is solved); a non-finite
-solution raises it after every solve.  It is the one exception of a
-failed step, so ``solve_stage`` passes it on unchanged, and that solve
-check is the only finiteness check of a Newton direction.
-``solve_stage`` checks the RHS and the residual through the norms it
-computes anyway: the weighted norm of each iterate (a non-finite RHS at
-the start fails there) and the 2-norm of each line-search trial (a
-non-finite trial fails the decrease test).
+when it is factored (for ``dgtsv``, when it is solved).  It is the one
+exception of a failed step, so ``solve_stage`` passes it on unchanged.
+``solve_stage`` checks every quantity through the norms it computes
+anyway: the weighted norm of each iterate's residual (a non-finite RHS
+at the start fails there), the weighted norm of each Newton direction (a
+non-finite one, the mark of a singular matrix that SuperLU factored or
+of an overflow in the solve, raises ConvergenceFailure; an exact test
+tells it from a finite direction whose norm overflows) and the 2-norm of
+each line-search trial (a non-finite trial fails the decrease test).
 
 A `JacobianCache` carries the run's `adapt.SolverConfig`, the one owner
 of its settings, and counts its own Jacobian evaluations and linear
@@ -326,8 +327,8 @@ class JacobianCache:
     solves with one h a_ii reuse it.  ``_band = (kl, ku, Jb)`` keeps the
     bandwidths and the band storage of a sparse J (see `_band_storage`)
     for every h a_ii that J is factored with.  ``refresh``, the one writer
-    of J in a run, drops both.  Each ``solve`` checks that its result is
-    finite.
+    of J in a run, drops both.  ``solve`` returns the solution as the
+    backend gives it, finite or not: `solve_stage` checks its direction.
     """
 
     problem: object
@@ -364,9 +365,7 @@ class JacobianCache:
         self._fac = None
         self._band = None
 
-    def _factor(self, h_gamma: float):
-        if self._fac is not None and self._fac[2] == h_gamma:
-            return
+    def _factor(self, h_gamma: float) -> tuple:
         J = self.J
         n = J.shape[0]
         if sp.issparse(J):
@@ -383,7 +382,7 @@ class JacobianCache:
                 sp.identity(n, format="csc") - h_gamma * sp.csc_matrix(J))
         else:
             fac = _dense_factor(np.eye(n) - h_gamma * np.asarray(J))
-        self._fac = (*fac, h_gamma)
+        return (*fac, h_gamma)
 
     def work_vectors(self, n: int) -> tuple:
         """Four length-n vectors that `solve_stage` overwrites before use."""
@@ -393,13 +392,10 @@ class JacobianCache:
 
     def solve(self, h_gamma: float, rhs: np.ndarray) -> np.ndarray:
         self.solves += 1
-        self._factor(h_gamma)
-        x = self._fac[1](rhs)
-        # SuperLU of a singular matrix, or a non-finite right-hand side,
-        # shows only here; every backend raises the same error for it.
-        if not np.isfinite(x).all():
-            raise ConvergenceFailure("singular iteration matrix")
-        return x
+        fac = self._fac
+        if fac is None or fac[2] != h_gamma:
+            fac = self._fac = self._factor(h_gamma)
+        return fac[1](rhs)
 
 
 def solve_stage(problem, t: float, h: float, a_ii: float,
@@ -434,15 +430,18 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
     search has to damp the step or when the weighted residual stalls
     (reduction factor above 0.9 three times in a row), up to
     ``MAX_REFRESHES`` times per solve.  The step cap, an exhausted line
-    search, a non-finite evaluation, and a singular iteration matrix or
-    non-finite direction from `JacobianCache.solve` raise
-    ConvergenceFailure.
+    search, a non-finite evaluation or direction, and a singular
+    iteration matrix raise ConvergenceFailure.
 
     Each quantity is checked for finiteness once, where it is read:
 
     - the weighted norm of every iterate's residual; at the start a
       non-finite RHS makes it non-finite and is reported as such;
-    - each Newton direction, inside `JacobianCache.solve`;
+    - the weighted norm of each Newton direction: a non-finite direction
+      makes it non-finite and raises "singular iteration matrix", as
+      that is what SuperLU leaves of a singular matrix; only then is the
+      direction itself tested, so a finite direction whose norm
+      overflows goes on to the line search;
     - each line-search trial through its residual 2-norm: a NaN or Inf
       fails the decrease test, so the search damps the step, and an
       accepted trial is finite.
@@ -462,7 +461,8 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
         """Weighted max norm of x with the weights ``w`` of the iterate."""
         np.abs(x, out=q)
         np.divide(q, w, out=q)
-        return float(q.max())
+        # The ufunc's own reduce, without ndarray.max's Python wrapper.
+        return float(np.maximum.reduce(q))
 
     r = residual(U, f)
     eta = max(cache.eta, _UROUND) ** 0.8
@@ -496,23 +496,27 @@ def solve_stage(problem, t: float, h: float, a_ii: float,
             raise ConvergenceFailure(
                 f"stage solve did not converge in {steps} Newton steps")
         prev_norm = norm
-        dU = cache.solve(h_gamma, -r)
+        # The solve of r itself is minus the Newton step dU_k, bit for bit,
+        # so the iterate moves by subtracting it.
+        dU = cache.solve(h_gamma, r)
         steps += 1
         step = wnorm(dU)
+        if not math.isfinite(step) and not np.isfinite(dU).all():
+            raise ConvergenceFailure("singular iteration matrix")
         if prev_step is not None:
             theta = step / prev_step
             eta = theta / (1.0 - theta) if theta < 1.0 else math.inf
         prev_step = max(step, _UROUND)
         if eta * step <= KAPPA and step <= 1.0:
             cache.eta = eta
-            return U + dU
+            return U - dU
         # Backtracking line search on the residual 2-norm.  An undamped
         # accepted trial reuses its RHS evaluation for the next iteration.
         if n0 is None:
             n0 = math.sqrt(r.dot(r))
         lam = 1.0
         while lam >= LAM_MIN:
-            Ut = U + dU if lam == 1.0 else U + lam * dU
+            Ut = U - dU if lam == 1.0 else U - lam * dU
             rt = residual(Ut, ft)
             nt = math.sqrt(rt.dot(rt))
             if nt < (1.0 - 1e-4 * lam) * n0:

@@ -78,6 +78,15 @@ class OdeProblem:
             object.__setattr__(self, "rhs_restricted", _restricted)
 
 
+def _finite(x: np.ndarray) -> bool:
+    """Whether every entry of the 1-D array x is finite.
+
+    Its squared 2-norm is finite when every entry is, and NaN or Inf when
+    one is not or when it overflows; only then are the entries tested.
+    """
+    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
+
+
 def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
             method: ButcherTableau, cache: JacobianCache | None = None):
     """One step of the method from (t_n, u_n) with step size h.
@@ -96,32 +105,35 @@ def rk_step(problem: OdeProblem, u_n: np.ndarray, t_n: float, h: float,
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    A, b, c, s = method.A, method.b, method.c, method.s
-    K = np.empty((s, problem.N))
+    # Coefficients as Python floats: the same products and sums as on
+    # numpy scalars, without a numpy scalar per read.
+    A, c = method.A.tolist(), method.c.tolist()
+    K = np.empty((len(c), problem.N))
     if not method.is_explicit:
         if cache is None:
             raise ValueError("implicit method requires a JacobianCache")
         if cache.J is None:
             cache.refresh(u_n, t_n)
-    for k in range(s):
+    for k, (row, Kk) in enumerate(zip(A, K)):
         base = u_n.copy()
         for j in range(k):
-            if A[k, j] != 0.0:
-                base += (h * A[k, j]) * K[j]
+            if row[j] != 0.0:
+                base += (h * row[j]) * K[j]
         t_k = t_n + c[k] * h
-        if A[k, k] == 0.0:
-            problem.rhs(base, t_k, K[k])
+        a_kk = row[k]
+        if a_kk == 0.0:
+            problem.rhs(base, t_k, Kk)
         else:
-            U = newton.solve_stage(problem, t_k, h, A[k, k], base, cache,
+            U = newton.solve_stage(problem, t_k, h, a_kk, base, cache,
                                    K[k - 1] if k else None)
             # Recover K from the stage relation; equal to f(U_k, t_k) up
             # to the Newton error and free of an extra RHS call.
-            K[k] = (U - base) / (h * A[k, k])
-        if not np.isfinite(K[k]).all():
+            np.divide(U - base, h * a_kk, out=Kk)
+        if not _finite(Kk):
             raise ConvergenceFailure(
                 f"non-finite derivative at stage {k + 1}")
-    u_next = u_n + h * (b @ K)
-    if not np.isfinite(u_next).all():
+    u_next = u_n + h * (method.b @ K)
+    if not _finite(u_next):
         raise ConvergenceFailure("non-finite state after step")
     u_hat = None
     if method.b_hat is not None:

@@ -165,9 +165,16 @@ def test_select_partition_tie_break_ascending_index():
     assert np.array_equal(fast2, [0, 1])
 
 
-def test_select_partition_rejects_nonfinite():
+@pytest.mark.parametrize("where", [0, 1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("phi", [0.1, 0.5], ids=["cap-0", "cap-1"])
+def test_select_partition_rejects_nonfinite(phi, bad, where):
+    """A NaN or +Inf quotient anywhere fails the step, on the cap-0 path
+    (floor(phi N) = 0 for N = 2 and phi = 0.1) and on the cap > 0 one."""
+    eta = np.array([1.0, 0.5])
+    eta[where] = bad
     with pytest.raises(ConvergenceFailure, match="non-finite error"):
-        select_partition(np.array([1.0, np.nan]), phi=0.5, beta=1.0)
+        select_partition(eta, phi=phi, beta=1.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -907,8 +914,10 @@ def test_output_sampler_unit():
     s = adapt._OutputSampler(np.array([0.0, 0.5, 1.0, 1.5, 2.0]), 1,
                              0.0, np.array([7.0]))
     assert s.filled == 1  # t = 0 pinned to the initial state
-    s.commit_step(0.0, 1.0, batched(lambda tau: np.array([10.0 * tau])))
-    s.commit_step(1.0, 0.6, batched(lambda tau: np.array([100.0 + tau])))
+    s.commit_step(s.window(0.0, 1.0), 0.0, 1.0,
+                  batched(lambda tau: np.array([10.0 * tau])))
+    s.commit_step(s.window(1.0, 0.6), 1.0, 0.6,
+                  batched(lambda tau: np.array([100.0 + tau])))
     t, y = s.finish(np.array([-1.0]))
     np.testing.assert_allclose(
         y[:, 0], [7.0, 5.0, 10.0, 100.0 + 0.5 / 0.6, -1.0])
@@ -919,7 +928,8 @@ def test_output_sampler_fast_overlay_unit():
                              np.zeros(2))
     assert s.window(0.0, 1.0) == (0, 2)
     # The fast sub-run's samples on the step's rows fill column 1.
-    s.commit_step(0.0, 1.0, batched(lambda tau: np.array([tau, tau])),
+    s.commit_step((0, 2), 0.0, 1.0,
+                  batched(lambda tau: np.array([tau, tau])),
                   np.array([1]), np.array([[0.25], [42.0]]))
     _, y = s.finish(np.zeros(2))
     np.testing.assert_allclose(y[0], [0.25, 0.25])
@@ -948,7 +958,8 @@ def test_output_sampler_batched_commit_matches_rows(name):
     fast = np.array([3, 17, 18])
     hi = int(np.searchsorted(grid, t0 + h, side="right"))
     y_fast = np.full((hi - lo, len(fast)), -5.0)
-    s.commit_step(t0, h, make(slice(None)), fast, y_fast)
+    assert s.window(t0, h) == (lo, hi)
+    s.commit_step((lo, hi), t0, h, make(slice(None)), fast, y_fast)
     assert s.filled == hi
     assert s.y[:lo].tobytes() == before.tobytes()
     interp = make(slice(None))
@@ -974,11 +985,11 @@ def test_output_sampler_clamps_tau_and_closes_round_off_gap():
     # Row 1 (t = 0.05) lies before the step: the sampler was left behind
     # by round-off, so the step fills it with tau clamped to 0.
     assert s.window(0.1, 0.2) == (1, 3)
-    s.commit_step(0.1, 0.2, interp)
+    s.commit_step((1, 3), 0.1, 0.2, interp)
     np.testing.assert_array_equal(taus[-1], [0.0, 1.0])
     np.testing.assert_array_equal(s.y[:3, 0], [0.0, 0.0, 1.0])
     assert s.filled == 3
-    s.commit_step(0.3, 0.2, interp)
+    s.commit_step(s.window(0.3, 0.2), 0.3, 0.2, interp)
     assert s.filled == 5
 
 

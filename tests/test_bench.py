@@ -141,34 +141,47 @@ def test_burgers_restricted_and_jacobian():
     np.testing.assert_allclose(Jr, J[np.ix_(idx, idx)], atol=1e-12)
 
 
-@pytest.mark.parametrize("make, params, indices", [
-    (make_inverter_chain, InverterChainParams(N=30), [0, 1, 7, 8, 29]),
-    (make_inverter_chain, InverterChainParams(N=30), [3, 4, 17]),
-    (make_inverter_chain, InverterChainParams(N=30), [0]),
-    (make_burgers, BurgersParams(N=40), [0, 1, 2, 20, 38, 39]),
-    (make_burgers, BurgersParams(N=40), [0]),
-    (make_burgers, BurgersParams(N=40), [39]),
-    (make_burgers, BurgersParams(N=40), [5, 6, 30]),
-    (make_heating, HeatingParams(N=6), [0, 2, 7, 9, 13]),
+@pytest.mark.parametrize("make, params, sets", [
+    (make_inverter_chain, InverterChainParams(N=30), [[0, 1, 7, 8, 29]]),
+    (make_inverter_chain, InverterChainParams(N=30), [[3, 4, 17]]),
+    (make_inverter_chain, InverterChainParams(N=30), [[0]]),
+    # One problem, called with two index arrays in turn, then with the
+    # second changed in place: a new coupling, then index 0 dropped.
+    (make_inverter_chain, InverterChainParams(N=30),
+     [[0, 1, 7, 8, 29], [3, 4, 17], [0, 1, 7, 8, 29], [0, 1, 7, 9, 29],
+      [1, 2, 3, 4, 5], [3, 4, 17], [1, 2, 3, 4, 5]]),
+    (make_burgers, BurgersParams(N=40), [[0, 1, 2, 20, 38, 39]]),
+    (make_burgers, BurgersParams(N=40), [[0]]),
+    (make_burgers, BurgersParams(N=40), [[39]]),
+    (make_burgers, BurgersParams(N=40), [[5, 6, 30]]),
+    (make_heating, HeatingParams(N=6), [[0, 2, 7, 9, 13]]),
 ], ids=["inverter-with-0", "inverter-without-0", "inverter-only-0",
-        "burgers-both-boundaries", "burgers-left", "burgers-right",
-        "burgers-interior", "heating-fallback"])
-def test_restricted_rhs_writes_compact_values_bitwise(make, params, indices):
+        "inverter-alternating-and-in-place", "burgers-both-boundaries",
+        "burgers-left", "burgers-right", "burgers-interior",
+        "heating-fallback"])
+def test_restricted_rhs_writes_compact_values_bitwise(make, params, sets):
     """rhs_restricted writes exactly len(indices) values, in index order,
-    bitwise equal to the full RHS at those indices."""
+    bitwise equal to the full RHS at those indices, for each index set of
+    ``sets`` in turn on one problem.  A set as long as the last one is
+    written into the last one's array in place."""
     prob = make(params)
     rng = np.random.default_rng(8)
     y = prob.y0 * (1.0 + 0.1 * rng.standard_normal(prob.N)) + 0.05
-    idx = np.array(indices)
     # At t = 12 the inverter's input is on its plateau; heating's switches
     # are under way at 8.5 h.
     t = 8.5 * 3600.0 if prob.name == "heating" else 12.0
     full = np.empty(prob.N)
     prob.rhs(y, t, full)
-    guard = np.full(len(idx) + 2, np.nan)
-    prob.rhs_restricted(y, t, idx, guard[1:-1])
-    assert np.isnan(guard[0]) and np.isnan(guard[-1])
-    assert guard[1:-1].tobytes() == full[idx].tobytes()
+    idx = None
+    for indices in sets:
+        if idx is not None and len(idx) == len(indices):
+            idx[:] = indices
+        else:
+            idx = np.array(indices)
+        guard = np.full(len(idx) + 2, np.nan)
+        prob.rhs_restricted(y, t, idx, guard[1:-1])
+        assert np.isnan(guard[0]) and np.isnan(guard[-1])
+        assert guard[1:-1].tobytes() == full[idx].tobytes(), indices
 
 
 @pytest.mark.parametrize("make, params", [
@@ -187,13 +200,25 @@ def test_restricted_jacobian_bitwise_equals_full_block(make, params):
     for _ in range(30):
         k = int(rng.integers(1, n + 1))
         sets.append(np.sort(rng.choice(n, size=k, replace=False)))
-    for idx in sets:
+
+    def check(idx):
         y = rng.uniform(0.0, 5.0, n)
         t = float(rng.uniform(0.0, 25.0))
         Jr = prob.jacobian_restricted(y, t, idx)
         ref = prob.jacobian(y, t).toarray()[np.ix_(idx, idx)]
         assert Jr.shape == ref.shape
         assert Jr.tobytes() == ref.tobytes(), idx
+
+    for idx in sets:
+        check(idx)
+    # Two index arrays in turn, one of them changed in place between
+    # calls: couplings appear and vanish, and index 0 comes and goes.
+    idx, other = np.array([0, 1, 2, 5]), np.array([3, 4, n - 1])
+    for new in ([0, 1, 3, 5], [1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 2, 5]):
+        check(other)
+        check(idx)
+        idx[:] = new
+        check(idx)
 
 
 def test_burgers_rhs_against_stencil():

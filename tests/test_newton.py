@@ -778,6 +778,25 @@ def test_solve_stage_nonfinite_linear_solve_fails():
         solve_stage(prob, 0.0, 1.0, 1.0, np.ones(1), cache)
 
 
+def test_solve_stage_finite_direction_with_overflowing_norm_is_not_singular():
+    """A finite Newton direction whose weighted norm overflows goes on to
+    the line search; only a non-finite direction is reported as singular.
+
+    U = f(U) with f(y) = J y + c, J = 1 - 2**-20 and h a_ii = 1, from
+    base = 0: the direction is c 2**20 = 2**930, finite, but its norm
+    2**930 / atol = 2**1030 overflows.  Every value is a power of two or
+    a short sum of them, so the one step lands on the root exactly."""
+    J, c = 1.0 - 2.0**-20, 2.0**910
+
+    def rhs(y, t, out):
+        out[0] = J * y[0] + c
+    prob = _scalar_problem(rhs, J)
+    cache = JacobianCache(prob, SolverConfig(rtol=0.0, atol=2.0**-100))
+    cache.refresh(np.zeros(1), 0.0)
+    U = solve_stage(prob, 0.0, 1.0, 1.0, np.zeros(1), cache)
+    assert U[0] == 2.0**930 and cache.solves == 1
+
+
 def test_solve_stage_rejects_explicit_stage():
     prob, _ = tridiag_problem(2)
     with pytest.raises(ValueError):
