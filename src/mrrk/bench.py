@@ -4,19 +4,22 @@ Each factory returns an `OdeProblem` with vectorized RHS, analytic
 Jacobians, restricted Jacobians and per-component dependency sets.  The
 banded Jacobians of the inverter chain and Burgers are filled straight
 into a `scipy.sparse.dia_array`, whose band the stage solver reads
-directly, with no CSR in between; heating's is dense.  The inverter
-chain and Burgers also evaluate the RHS over an ascending index subset,
-in one vector expression that writes the subset's values compactly, in
-index order, and place the couplings of their restricted Jacobians from
-adjacent positions of that subset; heating uses `OdeProblem`'s full-RHS
-fallback, which is cheaper than classifying the index set on every call.
-The inverter chain classifies it once per index set instead: its two
-restricted hooks share a one-entry plan, keyed on the bytes of the index
-array, that holds ``idx - 1``, whether index 0 (which reads the input) is
-in the set, and the diagonal and coupling positions of the restricted
-Jacobian.  A fast sub-run passes one index array for its whole span, so
-each sub-run builds the plan once; keying on the bytes, not the array,
-keeps it right for an array that changes in place between calls.
+directly, with no CSR in between; heating's is dense.  The inverter chain
+and Burgers also evaluate the RHS over an ascending index subset, writing
+the subset's values compactly, in index order, and place the couplings of
+their restricted Jacobians from adjacent positions of that subset; heating
+uses `OdeProblem`'s full-RHS fallback, which is cheaper than classifying
+the index set on every call.  Burgers does so in one vector expression.
+The inverter chain's fast sets hold a few stages, where numpy's per-call
+cost outweighs the arithmetic, so its two restricted hooks read the
+subset's states as Python floats and loop over them, with the full RHS's
+operations in the same order, so every value and Jacobian entry is the
+full one's bit for bit.  They share a one-entry plan, keyed on the bytes
+of the index array, that holds ``idx - 1``, whether index 0 (which reads
+the input) is in the set, and which positions couple to the one before.
+A fast sub-run passes one index array for its whole span, so each sub-run
+builds the plan once; keying on the bytes, not the array, keeps it right
+for an array that changes in place between calls.
 """
 
 from __future__ import annotations
@@ -95,28 +98,38 @@ def make_inverter_chain(
         out[1:] = U_op - y[1:] - G * inverter_g(y[:-1], y[1:], U_tau)
 
     # The restricted hooks' plan for the last index set seen (see the
-    # module docstring): (index bytes, idx - 1, whether idx holds 0,
-    # diagonal positions, coupling columns a, coupling rows a + 1).
+    # module docstring): (index bytes, idx - 1, whether idx holds 0, and
+    # per position after the first whether it couples to the one before).
     plan = [None]
 
-    def _plan(indices):
+    def _restricted(y, t, indices):
+        """The set's stage values as Python floats, the two max terms of
+        g(y_prev, y_cur) per stage, and the plan's coupling flags."""
         idx = np.asarray(indices, dtype=np.intp)
         key = idx.tobytes()
         if plan[0] is None or plan[0][0] != key:
             # Ascending indices: index 0, which reads the input, can only
             # come first, and stage idx[a + 1] reads idx[a] when adjacent.
-            adj = np.flatnonzero(idx[1:] == idx[:-1] + 1)
             plan[0] = (key, idx - 1, bool(idx[0] == 0),
-                       np.arange(len(idx)), adj, adj + 1)
-        return idx, plan[0]
+                       (idx[1:] == idx[:-1] + 1).tolist())
+        _, prev, has0, coupled = plan[0]
+        ycur, yprev = y[idx].tolist(), y[prev].tolist()
+        if has0:
+            yprev[0] = float(u_in(t))
+        terms = []
+        for c, p in zip(ycur, yprev):
+            a = p - U_tau
+            b = p - c - U_tau
+            # max(x, 0.0) without the call: it keeps a NaN x, and x when
+            # x == 0.0, as np.maximum does, so the hooks' values are the
+            # full RHS's and Jacobian's bit for bit.
+            terms.append((0.0 if a < 0.0 else a, 0.0 if b < 0.0 else b))
+        return ycur, terms, coupled
 
     def rhs_restricted(y, t, indices, out):
-        idx, (_, prev, has0, *_) = _plan(indices)
-        ycur, yprev = y[idx], y[prev]
-        if has0:
-            yprev[0] = u_in(t)
-        np.subtract(U_op - ycur, G * inverter_g(yprev, ycur, U_tau),
-                    out=out)
+        ycur, terms, _ = _restricted(y, t, indices)
+        out[:] = [U_op - c - G * (a * a - b * b)
+                  for c, (a, b) in zip(ycur, terms)]
 
     def _dg(yprev, ycur):
         # Partial derivatives of g(y_prev, y_cur).
@@ -140,17 +153,15 @@ def make_inverter_chain(
         return sp.dia_array((band, [0, -1]), shape=(N, N))
 
     def jacobian_restricted(y, t, indices):
-        idx, (_, prev, has0, diag, adj, below) = _plan(indices)
-        k = len(idx)
+        _, terms, coupled = _restricted(y, t, indices)
+        k = len(terms)
         J = np.zeros((k, k))
-        yprev = y[prev]
-        if has0:
-            yprev[0] = u_in(t)
-        gy, gz = _dg(yprev, y[idx])
-        J[diag, diag] = -1.0 - G * gz
-        # 0.0 - x, not -x: a zero coupling is +0.0, as in the full
-        # Jacobian, whose sparse form drops it.
-        J[below, adj] = 0.0 - G * gy[below]
+        flat = J.reshape(-1)
+        flat[::k + 1] = [-1.0 - G * (2.0 * b) for _, b in terms]
+        # The couplings J[i, i - 1].  0.0 - x, not -x: a zero coupling is
+        # +0.0, as in the full Jacobian, whose sparse form drops it.
+        flat[k::k + 1] = [0.0 - G * (2.0 * a - 2.0 * b) if on else 0.0
+                          for (a, b), on in zip(terms[1:], coupled)]
         return J
 
     def dependency(i):

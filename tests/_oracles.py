@@ -103,3 +103,30 @@ def random_stable_matrix(rng, n):
     shift = max(np.real(np.linalg.eigvals(L)).max(), 0.0) + rng.uniform(0.2,
                                                                         1.0)
     return L - shift * np.eye(n)
+
+
+def inverter_restricted(params, y, t, idx):
+    """Restricted RHS and Jacobian of the inverter chain as numpy vector
+    expressions over the index set ``idx``: (rhs values, dense block).
+
+    These are the formulas the package's restricted hooks used before they
+    looped on Python floats, kept to show that the loops compute the same
+    bits.  ``u`` is the input voltage at ``t``.
+    """
+    from mrrk.bench import _input_fn
+    U_op, U_tau, G = params.U_op, params.U_tau, params.Gamma
+    idx = np.asarray(idx)
+    ycur, yprev = y[idx], y[idx - 1]
+    if idx[0] == 0:
+        yprev[0] = _input_fn(params)(t)
+    a = np.maximum(yprev - U_tau, 0.0)
+    b = np.maximum(yprev - ycur - U_tau, 0.0)
+    rhs = np.subtract(U_op - ycur, G * (a * a - b * b))
+    gy, gz = 2.0 * a - 2.0 * b, 2.0 * b
+    k = len(idx)
+    J = np.zeros((k, k))
+    diag = np.arange(k)
+    J[diag, diag] = -1.0 - G * gz
+    below = np.flatnonzero(idx[1:] == idx[:-1] + 1) + 1
+    J[below, below - 1] = 0.0 - G * gy[below]
+    return rhs, J

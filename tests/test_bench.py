@@ -8,6 +8,8 @@ from mrrk.bench import (BurgersParams, HeatingParams, InverterChainParams,
                         smooth_step)
 from mrrk.newton import fd_jacobian
 
+from _oracles import inverter_restricted
+
 
 def dense_jac(problem, y, t):
     J = problem.jacobian(y, t)
@@ -219,6 +221,53 @@ def test_restricted_jacobian_bitwise_equals_full_block(make, params):
         check(idx)
         idx[:] = new
         check(idx)
+
+
+def _special_states(p, rng, count=8):
+    """Seeded inverter states with NaN, +-inf, -0.0, stages at U_tau and
+    neighbour pairs whose difference is U_tau, where max(x, 0.0) sees a
+    NaN or a zero."""
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, p.U_tau]
+    states = []
+    for _ in range(count):
+        y = rng.uniform(-1.0, 6.0, p.N)
+        hit = rng.choice(p.N, size=p.N // 10, replace=False)
+        y[hit] = rng.choice(specials, size=len(hit))
+        i = rng.choice(np.arange(1, p.N), size=p.N // 20, replace=False)
+        y[i] = y[i - 1] - p.U_tau
+        states.append(y)
+    return states
+
+
+@pytest.mark.parametrize("indices", [
+    [0], [1], [999], [0, 1, 2, 3, 4], [0, 2, 4, 6], [0, 1, 5, 6, 7, 40],
+    [3, 4, 17, 18, 500, 998, 999], list(range(100, 150)),
+    list(range(0, 1000, 20))],
+    ids=["only-0", "singleton", "last", "run-from-0", "non-adjacent-with-0",
+         "runs-with-0", "runs-without-0", "50-run", "50-non-adjacent"])
+def test_inverter_scalar_hooks_equal_vector_oracle_bitwise(indices):
+    """The restricted inverter hooks, which loop on Python floats, equal
+    the numpy vector formulas of `_oracles.inverter_restricted`, the full
+    RHS's entries and the full Jacobian's dense block bit for bit, +0.0
+    couplings and NaNs included.  The 50-entry sets are phi N for phi =
+    0.05 on the benchmark's 1000-stage chain."""
+    p = InverterChainParams(N=1000)
+    prob = make_inverter_chain(p)
+    idx = np.array(indices)
+    rng = np.random.default_rng(26)
+    for y in _special_states(p, rng):
+        # Before, on and after the input ramp, and at a breakpoint.
+        for t in (2.0, 7.5, 10.0, 12.0):
+            with np.errstate(invalid="ignore"):
+                ref_rhs, ref_jac = inverter_restricted(p, y, t, idx)
+                full = np.empty(p.N)
+                prob.rhs(y, t, full)
+                block = prob.jacobian(y, t).toarray()[np.ix_(idx, idx)]
+            out = np.empty(len(idx))
+            prob.rhs_restricted(y, t, idx, out)
+            J = prob.jacobian_restricted(y, t, idx)
+            assert out.tobytes() == ref_rhs.tobytes() == full[idx].tobytes()
+            assert J.tobytes() == ref_jac.tobytes() == block.tobytes()
 
 
 def test_burgers_rhs_against_stencil():
