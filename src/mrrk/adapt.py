@@ -235,19 +235,21 @@ def _has_dense_output(method) -> bool:
     return method.dense is not None and method.b_hat is not None
 
 
-def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
+def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
-    Returns a function cols -> (tau -> values at cols), built by
-    `interp.slow_interpolant`; a slice of all columns reads the step's
-    arrays without a copy.  Without a configured kind, methods with
-    continuous output and an embedded pair use it and others cubic
-    Hermite (`integrate` rejects the dense kind for the others).  A method
-    without an embedded pair accepts the two half steps of step doubling,
-    while its stage derivatives ``K`` come from the single full step, so
-    its continuous output would not end at ``u_next``.  Only the Hermite
-    kind evaluates the endpoint derivatives (one fresh RHS call for the
-    right endpoint, one for the left unless the first stage holds it).
+    Returns `interp.slow_interpolant`'s pair (make, coeffs): make is a
+    function cols -> (tau -> values at cols), the product form, where a
+    slice of all columns reads the step's arrays without a copy; coeffs
+    gives the columns' power-basis coefficients in tau.  Without a
+    configured kind, methods with continuous output and an embedded pair
+    use it and others cubic Hermite (`integrate` rejects the dense kind
+    for the others).  A method without an embedded pair accepts the two
+    half steps of step doubling, while its stage derivatives ``K`` come
+    from the single full step, so its continuous output would not end at
+    ``u_next``.  Only the Hermite kind evaluates the endpoint derivatives
+    (one fresh RHS call for the right endpoint, one for the left unless
+    the first stage holds it).
     """
     kind = cfg.interp
     if kind is None:
@@ -265,33 +267,48 @@ def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
                             method.dense)
 
 
-def _fast_subproblem(problem, fast, u_n, t_n, h, make_interp):
+def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
+    """The product form of `_step_interpolant` alone, which a step without
+    a fast phase commits to the output sampler; `perfbench/tracing.py`
+    counts its evaluations under this name."""
+    return _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h,
+                             K)[0]
+
+
+def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
     """Restricted problem over the fast indices.
 
     The full-state buffer carries interpolated slow values at the needed
     columns (the structural closure of the fast rows) and the solver's
     fast iterate; RHS and Jacobian evaluation delegate to the parent
     problem's restricted entry points, which write the fast values
-    straight into the sub-problem's output.  The slow columns are
-    interpolated once per distinct ``t``: every Newton iterate of a stage
-    shares its stage time, and the next step-start Jacobian often reuses
-    it.
+    straight into the sub-problem's output.  ``coeffs`` is the step
+    interpolant's power-basis builder (`interp.slow_interpolant`): its
+    coefficients for the slow columns are formed once, as Python floats,
+    and each column is evaluated at tau = (t - t_n)/h by one Horner
+    recurrence from the highest power down, so at t = t_n it is u_n
+    exactly.  The slow columns are evaluated once per distinct ``t``:
+    every Newton iterate of a stage shares its stage time, and the next
+    step-start Jacobian often reuses it.
     """
     fast = np.asarray(fast, dtype=int)
     closure = set()
     for i in fast:
         closure.update(problem.dependency(int(i)))
     closure.difference_update(fast.tolist())
-    cols = np.array(sorted(closure), dtype=int)
-    interp = make_interp(cols) if len(cols) else None
+    cols = sorted(closure)
+    polys = [(j, c[0], c[1:])
+             for j, c in zip(cols, coeffs(np.array(cols, dtype=int)))]
     buf = u_n.copy()
-    tau, row = np.empty(1), np.empty((1, len(cols)))
     filled_t = [None]           # time of the slow values held in buf
 
     def fill(yf, t):
-        if interp is not None and t != filled_t[0]:
-            tau[0] = (t - t_n) / h
-            buf[cols] = interp(tau, row)[0]
+        if t != filled_t[0]:
+            tau = (t - t_n) / h
+            for j, v, rest in polys:
+                for c in rest:
+                    v = v * tau + c
+                buf[j] = v
             filled_t[0] = t
         buf[fast] = yf
 
@@ -401,7 +418,7 @@ def _initial_step(problem, cfg, method):
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
-                   fast: np.ndarray, eta_f: float, make_interp,
+                   fast: np.ndarray, eta_f: float, make_interp, coeffs,
                    stats: StepStats, activity: list, step_index: int,
                    sampler: _OutputSampler | None = None):
     """Re-integrate the fast components of one accepted global interval.
@@ -420,6 +437,10 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     fast phase takes at most that many sub-steps.  The sub-run's global
     counters are added to the fast counters of ``stats`` and its steps to
     ``activity`` as ``"fast"`` records of global step ``step_index``.
+    ``make_interp`` and ``coeffs`` are the global step's slow-value
+    interpolant in its two forms (`_step_interpolant`): the sub-problem
+    evaluates its slow columns from the coefficients, and the output
+    sampler reads the product form.
     When the step holds rows of a ``sampler``, the sub-run samples them
     and the step is committed to it; otherwise the sub-run has no output
     grid.  Returns
@@ -427,7 +448,7 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     fails (the caller then rejects the global step); counters of the
     failed sub-run are kept, its activity is not.
     """
-    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, make_interp)
+    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, coeffs)
     t_eval = None
     if sampler is not None:
         window = lo, hi = sampler.window(t_n, h_n)
@@ -553,12 +574,12 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             decision, fast, eta_s, eta_f = select_partition(
                 eta, phi, cfg.beta)
             if decision == "go_multirate":
-                make_interp = _make_interpolant(problem, method, cfg, u,
-                                                u_tent, t, h, K)
+                make_interp, coeffs = _step_interpolant(
+                    problem, method, cfg, u, u_tent, t, h, K)
                 u_next = multirate_step(
                     problem, method, cfg, u, t, h, u_tent, fast, eta_f,
-                    make_interp, stats, activity, stats.accepted_global + 1,
-                    sampler)
+                    make_interp, coeffs, stats, activity,
+                    stats.accepted_global + 1, sampler)
         except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1
             h *= 0.5

@@ -319,13 +319,13 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     checked = []
 
     def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
-            eta_f, make_interp, stats, activity, step_index, *args, **kw):
+            eta_f, make_interp, coeffs, stats, activity, step_index, *args,
+            **kw):
         before, n_act = asdict(stats), len(activity)
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   fast, eta_f, make_interp, stats, activity,
+                   fast, eta_f, make_interp, coeffs, stats, activity,
                    step_index, *args, **kw)
-        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n,
-                                     make_interp)
+        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, coeffs)
         h0 = h_n * min(config.alpha_max,
                        config.alpha * eta_f ** (-1.0 / (method.q + 1)))
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
@@ -486,37 +486,86 @@ def test_fast_sub_run_starts_without_the_alpha_min_floor(monkeypatch):
     assert any(h_first < cfg.alpha_min * h_n for h_n, _, h_first in starts)
 
 
-def test_fast_subproblem_interpolates_slow_columns_once_per_time():
-    """Each RHS or Jacobian call equals a fresh sub-problem's evaluation at
-    its t, while the slow columns are interpolated only when t changes."""
+def _fast_subproblem_case(kind):
+    """A 20-stage chain's fast set [0, 5, 6, 12], whose slow closure
+    columns are 4 and 11, and one step's interpolant of ``kind`` from
+    seeded data: (problem, fast, u_n, t_n, h, make, coeffs, scale), where
+    ``scale`` is the absolute size of the kind's data per column."""
     problem = bench.make_inverter_chain(bench.InverterChainParams(N=20))
+    m = get_method("esdirk3")
     rng = np.random.default_rng(5)
     u_n, u_next = rng.uniform(0.0, 5.0, 20), rng.uniform(0.0, 5.0, 20)
+    f_n, f_next = rng.normal(0.0, 50.0, (2, 20))
+    K = rng.normal(0.0, 50.0, (m.s, 20))
     t_n, h = 9.0, 0.5                     # inside the input ramp
-    fast = np.array([0, 5, 6, 12])
-    make = slow_interpolant(LINEAR, u_n, u_next, h)
-    taus = []
+    make, coeffs = slow_interpolant(kind, u_n, u_next, h, f_n, f_next, K,
+                                    m.dense)
+    scale = {"linear": np.abs(u_n) + np.abs(u_next),
+             "hermite": (np.abs(u_n) + np.abs(u_next)
+                         + h * (np.abs(f_n) + np.abs(f_next))),
+             "dense": (np.abs(u_n) + h * np.abs(m.dense.B_star).sum(axis=1)
+                       @ np.abs(K))}[kind.kind]
+    return (problem, np.array([0, 5, 6, 12]), u_n, t_n, h, make, coeffs,
+            scale)
 
-    def counting_make(cols):
-        interp = make(cols)
 
-        def counted(tau, out=None):
-            taus.extend(tau.tolist())
-            return interp(tau, out)
-        return counted
+@pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE],
+                         ids=lambda k: k.kind)
+def test_fast_subproblem_fills_slow_columns_by_horner(kind):
+    """The slow columns the restricted RHS reads are the step
+    interpolant's product-form row at tau = (t - t_n)/h within the fill's
+    round-off tolerance, 8 eps times the absolute size of the kind's data
+    (|u_n| + |u_next| for linear, plus h |f_n| + h |f_next| for Hermite,
+    |u_n| + h sum_k sum_j |B*_kj| |K_k| for dense), and u_n exactly at
+    t = t_n."""
+    problem, fast, u_n, t_n, h, make, coeffs, scale = _fast_subproblem_case(
+        kind)
+    states = []
 
-    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, counting_make)
-    t1, t2 = 9.1, 9.35
-    for t in (t1, t1, t2, t1):
+    def rhs_restricted(y, t, indices, out):
+        states.append(y.copy())
+        problem.rhs_restricted(y, t, indices, out)
+
+    sub = adapt._fast_subproblem(
+        replace(problem, rhs_restricted=rhs_restricted), fast, u_n, t_n, h,
+        coeffs)
+    cols = np.array([4, 11])
+    interp = make(cols)
+    rng = np.random.default_rng(6)
+    out = np.empty(len(fast))
+    eps = np.finfo(float).eps
+    for t in (t_n, *(t_n + h * rng.uniform(0.0, 1.0, 20)), t_n + h):
+        sub.rhs(rng.uniform(0.0, 5.0, len(fast)), t, out)
+        slow = states[-1][cols]
+        if t == t_n:
+            assert slow.tobytes() == u_n[cols].tobytes()
+        row = interp(np.array([(t - t_n) / h]))[0]
+        assert np.all(np.abs(slow - row) <= 8.0 * eps * scale[cols]), t
+
+
+def test_fast_subproblem_forms_slow_coefficients_once():
+    """A sub-problem forms its slow columns' coefficients once, for its
+    closure columns only, and each RHS or Jacobian call equals a fresh
+    sub-problem's evaluation at its t, whichever t came before."""
+    problem, fast, u_n, t_n, h, _, coeffs, _ = _fast_subproblem_case(DENSE)
+    formed = []
+
+    def counting(cols):
+        formed.append(cols.tolist())
+        return coeffs(cols)
+
+    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, counting)
+    rng = np.random.default_rng(7)
+    for t in (9.1, 9.1, 9.35, 9.1, t_n):
         yf = rng.uniform(0.0, 5.0, len(fast))
         out, ref = np.empty(len(fast)), np.empty(len(fast))
         sub.rhs(yf, t, out)
-        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, make)
+        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, coeffs)
         fresh.rhs(yf, t, ref)
-        np.testing.assert_array_equal(out, ref)
-        np.testing.assert_array_equal(sub.jacobian(yf, t),
-                                      fresh.jacobian(yf, t))
-    assert taus == [(t - t_n) / h for t in (t1, t2, t1)]
+        assert out.tobytes() == ref.tobytes()
+        assert (sub.jacobian(yf, t).tobytes()
+                == fresh.jacobian(yf, t).tobytes())
+    assert formed == [[4, 11]]
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])

@@ -29,7 +29,7 @@ def linear_problem(L):
 def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
               dense=None):
     """The data form at each tau of a scalar or 1-D array, all columns."""
-    make = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
+    make, _ = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
     return make(slice(None))(np.atleast_1d(tau))
 
 

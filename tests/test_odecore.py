@@ -137,8 +137,8 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     u1, _, K = rk_step(prob, u0, 0.0, 0.2, m,
                        JacobianCache(prob, tight_newton))
 
-    dense_eval = slow_interpolant(DENSE, u0, None, 0.2, K=K,
-                                  dense=m.dense)(slice(None))
+    make, _ = slow_interpolant(DENSE, u0, None, 0.2, K=K, dense=m.dense)
+    dense_eval = make(slice(None))
     np.testing.assert_allclose(dense_eval(np.array([0.0]))[0], u0,
                                atol=1e-14)
     np.testing.assert_allclose(dense_eval(np.array([1.0]))[0], u1,
