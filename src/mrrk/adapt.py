@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .interp import DENSE, HERMITE, InterpolatorKind, slow_interpolant
+from .interp import (DENSE, HERMITE, InterpolatorKind, power_rows,
+                     slow_interpolant)
 from .newton import STRATEGIES, ConvergenceFailure, JacobianCache
 from .odecore import (OdeProblem, error_quotients, new_step_size,
                       predictive_step_size, rk_step)
@@ -238,16 +240,15 @@ def _has_dense_output(method) -> bool:
 def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
 
-    Returns `interp.slow_interpolant`'s pair (make, coeffs): make is a
-    function cols -> (tau -> values at cols), the product form, where a
-    slice of all columns reads the step's arrays without a copy; coeffs
-    gives the columns' power-basis coefficients in tau.  Without a
-    configured kind, methods with continuous output and an embedded pair
-    use it and others cubic Hermite (`integrate` rejects the dense kind
-    for the others).  A method without an embedded pair accepts the two
-    half steps of step doubling, while its stage derivatives ``K`` come
-    from the single full step, so its continuous output would not end at
-    ``u_next``.  Only the Hermite kind evaluates the endpoint derivatives
+    Returns `interp.slow_interpolant`'s builder ``coeffs``, which gives the
+    power-basis coefficients in tau of the columns it is asked for; a
+    slice of all columns reads the step's arrays without an index copy.
+    Without a configured kind, methods with continuous output and an
+    embedded pair use it and others cubic Hermite (`integrate` rejects the
+    dense kind for the others).  A method without an embedded pair accepts
+    the two half steps of step doubling, while its stage derivatives ``K``
+    come from the single full step, so its continuous output would not end
+    at ``u_next``.  Only the Hermite kind evaluates the endpoint derivatives
     (one fresh RHS call for the right endpoint, one for the left unless
     the first stage holds it).
     """
@@ -267,12 +268,13 @@ def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
                             method.dense)
 
 
-def _make_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
-    """The product form of `_step_interpolant` alone, which a step without
-    a fast phase commits to the output sampler; `perfbench/tracing.py`
-    counts its evaluations under this name."""
-    return _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h,
-                             K)[0]
+def _make_interpolant(coeffs):
+    """The row evaluator cols -> (tau, out=None) -> rows of a step's
+    coefficient builder ``coeffs`` (`_step_interpolant`), by
+    `interp.power_rows`.  Both commit sites of the output sampler build
+    it here; `perfbench/tracing.py` counts its evaluations under this
+    name."""
+    return lambda cols: partial(power_rows, coeffs(cols))
 
 
 def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
@@ -283,8 +285,8 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
     fast iterate; RHS and Jacobian evaluation delegate to the parent
     problem's restricted entry points, which write the fast values
     straight into the sub-problem's output.  ``coeffs`` is the step
-    interpolant's power-basis builder (`interp.slow_interpolant`): its
-    coefficients for the slow columns are formed once, as Python floats,
+    interpolant's builder (`interp.slow_interpolant`): its coefficients
+    for the slow columns are formed once and turned into Python floats,
     and each column is evaluated at tau = (t - t_n)/h by one Horner
     recurrence from the highest power down, so at t = t_n it is u_n
     exactly.  The slow columns are evaluated once per distinct ``t``:
@@ -297,8 +299,8 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
         closure.update(problem.dependency(int(i)))
     closure.difference_update(fast.tolist())
     cols = sorted(closure)
-    polys = [(j, c[0], c[1:])
-             for j, c in zip(cols, coeffs(np.array(cols, dtype=int)))]
+    polys = [(j, c[0], c[1:]) for j, c in
+             zip(cols, coeffs(np.array(cols, dtype=int)).T.tolist())]
     buf = u_n.copy()
     filled_t = [None]           # time of the slow values held in buf
 
@@ -363,7 +365,8 @@ class _OutputSampler:
 
         ``window`` is the step's `window` (t0, h).  ``interp(tau, out)``
         writes the rows of the taus of the window, clamped to [0, 1], into
-        ``out`` (see `interp.slow_interpolant`); ``y_fast`` then overwrites
+        ``out``: the step's row evaluator (`_make_interpolant`), one
+        product per tau (`interp.power_rows`); ``y_fast`` then overwrites
         the ``fast`` columns of those rows.
         """
         lo, hi = window
@@ -418,7 +421,7 @@ def _initial_step(problem, cfg, method):
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
-                   fast: np.ndarray, eta_f: float, make_interp, coeffs,
+                   fast: np.ndarray, eta_f: float, coeffs,
                    stats: StepStats, activity: list, step_index: int,
                    sampler: _OutputSampler | None = None):
     """Re-integrate the fast components of one accepted global interval.
@@ -437,13 +440,12 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     fast phase takes at most that many sub-steps.  The sub-run's global
     counters are added to the fast counters of ``stats`` and its steps to
     ``activity`` as ``"fast"`` records of global step ``step_index``.
-    ``make_interp`` and ``coeffs`` are the global step's slow-value
-    interpolant in its two forms (`_step_interpolant`): the sub-problem
-    evaluates its slow columns from the coefficients, and the output
-    sampler reads the product form.
-    When the step holds rows of a ``sampler``, the sub-run samples them
-    and the step is committed to it; otherwise the sub-run has no output
-    grid.  Returns
+    ``coeffs`` is the global step's slow-value interpolant
+    (`_step_interpolant`): the sub-problem evaluates its slow columns from
+    it by Horner.  When the step holds rows of a ``sampler``, the sub-run
+    samples them and the step is committed to it, its slow columns by
+    `_make_interpolant`'s rows of the same coefficients; otherwise the
+    sub-run has no output grid.  Returns
     the combined state, or raises ConvergenceFailure when the sub-run
     fails (the caller then rejects the global step); counters of the
     failed sub-run are kept, its activity is not.
@@ -467,8 +469,9 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
         step_index=step_index, t_start=r.t_start, t_end=r.t_end,
         kind="fast", active_indices=fast) for r in res.activity)
     if t_eval is not None:
-        sampler.commit_step(window, t_n, h_n, make_interp(slice(None)),
-                            fast, res.y_out)
+        sampler.commit_step(window, t_n, h_n,
+                            _make_interpolant(coeffs)(slice(None)), fast,
+                            res.y_out)
     u_next = u_tentative.copy()
     u_next[fast] = res.y[-1]
     return u_next
@@ -574,12 +577,12 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             decision, fast, eta_s, eta_f = select_partition(
                 eta, phi, cfg.beta)
             if decision == "go_multirate":
-                make_interp, coeffs = _step_interpolant(
+                coeffs = _step_interpolant(
                     problem, method, cfg, u, u_tent, t, h, K)
                 u_next = multirate_step(
                     problem, method, cfg, u, t, h, u_tent, fast, eta_f,
-                    make_interp, coeffs, stats, activity,
-                    stats.accepted_global + 1, sampler)
+                    coeffs, stats, activity, stats.accepted_global + 1,
+                    sampler)
         except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1
             h *= 0.5
@@ -599,8 +602,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 window = lo, hi = sampler.window(t, h)
                 if hi > lo:
                     sampler.commit_step(window, t, h, _make_interpolant(
-                        problem, method, cfg, u, u_tent, t, h, K)(
-                            slice(None)))
+                        _step_interpolant(problem, method, cfg, u, u_tent,
+                                          t, h, K))(slice(None)))
         stats.accepted_global += 1
         activity.append(ActivityRecord(
             step_index=stats.accepted_global, t_start=t, t_end=t + h,

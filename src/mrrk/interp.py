@@ -2,10 +2,12 @@
 
 `slow_interpolant` is the data form: it consumes the vectors produced by
 an actual step (endpoint states, endpoint derivatives, or stage
-derivatives) and is what the adaptive controller and its output sampler
-use.  On y' = Ly the same kinds are the matrices Q(tau) acting on u_n,
-which `_linops` builds for the multi-rate amplification matrix; the two
-agree to round-off by construction.
+derivatives) and gives the power-basis coefficients in tau of chosen
+columns, the one form the adaptive controller reads.  A fast sub-problem
+evaluates them by Horner on Python floats, and the output sampler by
+`power_rows`, the one evaluator over an array of tau.  On y' = Ly the same
+kinds are the matrices Q(tau) acting on u_n, which `_linops` builds for
+the multi-rate amplification matrix; the two agree to round-off.
 """
 
 from __future__ import annotations
@@ -41,112 +43,73 @@ HERMITE = InterpolatorKind("hermite")
 DENSE = InterpolatorKind("dense")
 
 
-def _hermite_rows(tau, h, data, out=None):
-    """Hermite rows of an array of tau, each computed as for one tau.
+def power_rows(C, tau, out=None):
+    """Rows of power-basis coefficients at each tau of a 1-D array.
 
-    The coefficients of each tau are computed with Python floats, squares
-    included (Python's ``**`` and numpy's array square may differ in the
-    last bit), then the four terms are accumulated into ``out`` in a fixed
-    order, so a row does not depend on the other taus of the array.
+    ``C`` is a (p + 1, n) array of `slow_interpolant`'s coefficients,
+    highest power first; the result is the (m, n) array of
+    sum_j C[j] tau**(p - j), written into ``out`` when one is given, and
+    tau is not checked.  The power row [tau**p, ..., tau, 1] of each tau is
+    formed by repeated multiplication, and each row is its own
+    (1, p + 1) @ (p + 1, n) product (one (m, p + 1) @ (p + 1, n) product
+    would sum in another order), so a row is the same bits alone or in any
+    array, and tau = 0 gives the constant row C[-1] exactly.
     """
-    tl = tau.tolist()
-    s0 = np.array([(1.0 - t) ** 2 for t in tl])[:, None]
-    s1 = np.array([t**2 for t in tl])[:, None]
-    tau = tau[:, None]
-    coeffs = ((1.0 + 2.0 * tau) * s0, (3.0 - 2.0 * tau) * s1,
-              h * tau * s0, h * (tau - 1.0) * s1)
-    out = np.multiply(coeffs[0], data[0], out=out)
-    term = np.empty_like(out)
-    for c, v in zip(coeffs[1:], data[1:]):
-        out += np.multiply(c, v, out=term)
+    powers = np.empty((len(tau), 1, len(C)))
+    powers[:, 0, -1] = 1.0
+    for j in range(len(C) - 2, -1, -1):
+        np.multiply(powers[:, 0, j + 1], tau, out=powers[:, 0, j])
+    if out is None:
+        out = np.empty((len(tau), C.shape[1]))
+    np.matmul(powers, C, out=out[:, None])
     return out
 
 
 def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
                      f_next=None, K=None, dense=None):
-    """Data-form interpolant of one step [t_n, t_n + h] as two builders.
+    """Data-form interpolant of one step [t_n, t_n + h] as its
+    power-basis coefficients in tau = (t - t_n)/h.
 
-    Returns (make, coeffs).  ``make(cols)`` gives ``interp(tau, out=None)``,
-    the product form: the values at t_n + tau*h restricted to ``cols`` (an
-    index array or a slice) for a 1-D array of m taus, as an
-    (m, len(cols)) array written into ``out`` when one is given; tau is not
-    checked.  ``coeffs(cols)``, for an index array, gives the power-basis
-    form: one list of Python floats per column, the coefficients of the
-    column's polynomial in tau from the highest power down to the constant
-    term u_n[col], for a Horner recurrence v = v*tau + c over the list.
+    Returns ``coeffs(cols)``: for ``cols`` an index array or a slice, the
+    (p + 1, len(cols)) float array whose column j holds the coefficients of
+    column cols[j]'s polynomial in tau, from the highest power down to the
+    constant term u_n[cols[j]].  A fast sub-problem evaluates them by
+    Horner on Python floats and the output sampler by `power_rows`.
     ``linear`` reads the endpoint states, ``hermite`` also the endpoint
     derivatives ``f_n``/``f_next``, and ``dense`` the stage derivatives
     ``K`` with the method's continuous-output coefficients ``dense``.
 
-    Each row of the product form is computed as if its tau came alone, so
-    a row is the same bits in any array: ``linear`` and ``hermite``
-    broadcast their tau coefficients over the rows, and ``dense`` makes one
-    ``weights`` call and one stack of (1, s) @ (s, n) products with the
-    stage derivatives.  The dense kind reads ``K[:, cols]`` column-major,
-    which copies K for a slice.  The power-basis coefficients are
-    h (B*^T K[:, cols]), summed over the stages in order on Python floats,
-    and u_n for ``dense``; u_next - u_n and u_n for ``linear``; and the
-    textbook cubic expansion of the Hermite basis for ``hermite``.  The two
-    forms agree to round-off, not bitwise.
+    Every entry is formed elementwise in a fixed order, so it does not
+    depend on the other columns: u_next - u_n and u_n for ``linear``; the
+    textbook cubic expansion of the Hermite basis for ``hermite``; and for
+    ``dense`` h (B*^T K[:, cols]), accumulated stage by stage from 0.0
+    (not by a BLAS kernel, whose order and fused multiply-adds vary between
+    builds), then u_n.
     """
     if kind.kind == "dense":
-        def make(cols):
-            # Column-major, as K[:, cols] of an index array already is: the
-            # product w @ Kc sums the stages in another order for a
-            # row-major Kc, so every column set reads K the same way.
-            Kc = np.asfortranarray(K[:, cols])
-            u0 = u_n[cols]
-
-            def interp(tau, out=None):
-                if out is None:
-                    out = np.empty((len(tau), Kc.shape[1]))
-                np.matmul(dense.weights(tau)[:, None], Kc, out=out[:, None])
-                out *= h
-                out += u0
-                return out
-            return interp
-
-        def coeffs(cols):
-            # Summed on Python floats in stage order, not by a BLAS kernel,
-            # whose order and fused multiply-adds vary between builds.
-            # B_star[:, j] weighs tau**(j + 1); highest power first.
-            Bt = dense.B_star.T.tolist()[::-1]
-            out = []
-            for kc, a in zip(K[:, cols].T.tolist(), u_n[cols].tolist()):
-                col = []
-                for row in Bt:
-                    v = 0.0
-                    for b, k in zip(row, kc):
-                        v += b * k
-                    col.append(h * v)
-                out.append(col + [a])
-            return out
-    elif kind.kind == "linear":
-        def make(cols):
-            a, bb = u_n[cols], u_next[cols]
-
-            def interp(tau, out=None):
-                tau = tau[:, None]
-                out = np.multiply(1.0 - tau, a, out=out)
-                out += tau * bb
-                return out
-            return interp
+        # Each stage's weights of tau**p down to tau as a column:
+        # B_star[:, j] weighs tau**(j + 1).
+        weights = dense.B_star[:, ::-1, None]
+        p = weights.shape[1]
 
         def coeffs(cols):
             a = u_n[cols]
-            return np.column_stack((u_next[cols] - a, a)).tolist()
+            C = np.zeros((p + 1, len(a)))
+            for term in weights * K[:, cols][:, None]:
+                C[:p] += term
+            C[:p] *= h
+            C[p] = a
+            return C
+    elif kind.kind == "linear":
+        def coeffs(cols):
+            a = u_n[cols]
+            return np.vstack((u_next[cols] - a, a))
     else:
-        def make(cols):
-            data = (u_n[cols], u_next[cols], f_n[cols], f_next[cols])
-            return lambda tau, out=None: _hermite_rows(tau, h, data, out)
-
         def coeffs(cols):
             # (1 + 2t)(1 - t)^2 a + (3 - 2t)t^2 b + ht(1 - t)^2 fa
             # + h(t - 1)t^2 fb, expanded in powers of t.
             a, b = u_n[cols], u_next[cols]
             ha, hb = h * f_n[cols], h * f_next[cols]
-            return np.column_stack((2.0 * (a - b) + (ha + hb),
-                                    3.0 * (b - a) - (2.0 * ha + hb), ha,
-                                    a)).tolist()
-    return make, coeffs
-
+            return np.vstack((2.0 * (a - b) + (ha + hb),
+                              3.0 * (b - a) - (2.0 * ha + hb), ha, a))
+    return coeffs

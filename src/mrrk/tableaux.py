@@ -35,9 +35,9 @@ class DenseOutputCoeffs:
 
     ``B_star[i, j]`` is the coefficient of tau**(j+1) in b*_i(tau); there is
     no constant term, so every b*_i(0) = 0 and the interpolant reproduces
-    u_n at the left endpoint.  `weights` is the one evaluation of b*: the
-    data-form interpolant, which the output sampler reads, and the
-    stability kernels of `_linops` both call it.
+    u_n at the left endpoint.  The data-form interpolant
+    (`interp.slow_interpolant`) reads ``B_star`` itself; `weights`, the
+    evaluation of b*, serves the stability kernels of `_linops`.
     """
 
     B_star: np.ndarray  # shape (s, p*), p* the degree in tau

@@ -55,3 +55,20 @@ def counting_problem(problem):
 @pytest.fixture
 def tight_newton():
     return SolverConfig(newton_max_iters=50, rtol=1e-12, atol=1e-12)
+
+
+def interp_round_off(kind, u_n, u_next=None, h=None, f_n=None, f_next=None,
+                     K=None, dense=None):
+    """Per-column round-off bound of a slow interpolant's values: 8 eps
+    times the absolute size of the kind's data, |u_n| + |u_next| for
+    linear, plus h |f_n| + h |f_next| for Hermite, and
+    |u_n| + h sum_k sum_j |B*_kj| |K_k| for dense."""
+    if kind.kind == "linear":
+        scale = np.abs(u_n) + np.abs(u_next)
+    elif kind.kind == "hermite":
+        scale = (np.abs(u_n) + np.abs(u_next)
+                 + h * (np.abs(f_n) + np.abs(f_next)))
+    else:
+        scale = (np.abs(u_n)
+                 + h * np.abs(dense.B_star).sum(axis=1) @ np.abs(K))
+    return 8.0 * np.finfo(float).eps * scale

@@ -11,12 +11,14 @@ import mrrk.adapt as adapt
 from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
-from mrrk.interp import DENSE, HERMITE, LINEAR, slow_interpolant
+from mrrk.interp import (DENSE, HERMITE, LINEAR, power_rows,
+                         slow_interpolant)
 from mrrk.newton import ConvergenceFailure
 from mrrk.odecore import OdeProblem, new_step_size, predictive_step_size
 from mrrk.tableaux import get_method
 
-from conftest import counting_problem, make_linear_problem
+from conftest import (counting_problem, interp_round_off,
+                      make_linear_problem)
 
 
 def stiff_pair_problem(t_span=(0.0, 2.0)):
@@ -319,12 +321,11 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     checked = []
 
     def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
-            eta_f, make_interp, coeffs, stats, activity, step_index, *args,
-            **kw):
+            eta_f, coeffs, stats, activity, step_index, *args, **kw):
         before, n_act = asdict(stats), len(activity)
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   fast, eta_f, make_interp, coeffs, stats, activity,
-                   step_index, *args, **kw)
+                   fast, eta_f, coeffs, stats, activity, step_index, *args,
+                   **kw)
         sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, coeffs)
         h0 = h_n * min(config.alpha_max,
                        config.alpha * eta_f ** (-1.0 / (method.q + 1)))
@@ -489,8 +490,8 @@ def test_fast_sub_run_starts_without_the_alpha_min_floor(monkeypatch):
 def _fast_subproblem_case(kind):
     """A 20-stage chain's fast set [0, 5, 6, 12], whose slow closure
     columns are 4 and 11, and one step's interpolant of ``kind`` from
-    seeded data: (problem, fast, u_n, t_n, h, make, coeffs, scale), where
-    ``scale`` is the absolute size of the kind's data per column."""
+    seeded data: (problem, fast, u_n, t_n, h, coeffs, bound), where
+    ``bound`` is the kind's round-off bound per column."""
     problem = bench.make_inverter_chain(bench.InverterChainParams(N=20))
     m = get_method("esdirk3")
     rng = np.random.default_rng(5)
@@ -498,28 +499,19 @@ def _fast_subproblem_case(kind):
     f_n, f_next = rng.normal(0.0, 50.0, (2, 20))
     K = rng.normal(0.0, 50.0, (m.s, 20))
     t_n, h = 9.0, 0.5                     # inside the input ramp
-    make, coeffs = slow_interpolant(kind, u_n, u_next, h, f_n, f_next, K,
-                                    m.dense)
-    scale = {"linear": np.abs(u_n) + np.abs(u_next),
-             "hermite": (np.abs(u_n) + np.abs(u_next)
-                         + h * (np.abs(f_n) + np.abs(f_next))),
-             "dense": (np.abs(u_n) + h * np.abs(m.dense.B_star).sum(axis=1)
-                       @ np.abs(K))}[kind.kind]
-    return (problem, np.array([0, 5, 6, 12]), u_n, t_n, h, make, coeffs,
-            scale)
+    data = (u_n, u_next, h, f_n, f_next, K, m.dense)
+    return (problem, np.array([0, 5, 6, 12]), u_n, t_n, h,
+            slow_interpolant(kind, *data), interp_round_off(kind, *data))
 
 
 @pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE],
                          ids=lambda k: k.kind)
 def test_fast_subproblem_fills_slow_columns_by_horner(kind):
-    """The slow columns the restricted RHS reads are the step
-    interpolant's product-form row at tau = (t - t_n)/h within the fill's
-    round-off tolerance, 8 eps times the absolute size of the kind's data
-    (|u_n| + |u_next| for linear, plus h |f_n| + h |f_next| for Hermite,
-    |u_n| + h sum_k sum_j |B*_kj| |K_k| for dense), and u_n exactly at
+    """The slow columns the restricted RHS reads are the output sampler's
+    row of the same coefficients at tau = (t - t_n)/h within the kind's
+    round-off bound (`conftest.interp_round_off`), and u_n exactly at
     t = t_n."""
-    problem, fast, u_n, t_n, h, make, coeffs, scale = _fast_subproblem_case(
-        kind)
+    problem, fast, u_n, t_n, h, coeffs, bound = _fast_subproblem_case(kind)
     states = []
 
     def rhs_restricted(y, t, indices, out):
@@ -530,24 +522,23 @@ def test_fast_subproblem_fills_slow_columns_by_horner(kind):
         replace(problem, rhs_restricted=rhs_restricted), fast, u_n, t_n, h,
         coeffs)
     cols = np.array([4, 11])
-    interp = make(cols)
+    C = coeffs(cols)
     rng = np.random.default_rng(6)
     out = np.empty(len(fast))
-    eps = np.finfo(float).eps
     for t in (t_n, *(t_n + h * rng.uniform(0.0, 1.0, 20)), t_n + h):
         sub.rhs(rng.uniform(0.0, 5.0, len(fast)), t, out)
         slow = states[-1][cols]
         if t == t_n:
             assert slow.tobytes() == u_n[cols].tobytes()
-        row = interp(np.array([(t - t_n) / h]))[0]
-        assert np.all(np.abs(slow - row) <= 8.0 * eps * scale[cols]), t
+        row = power_rows(C, np.array([(t - t_n) / h]))[0]
+        assert np.all(np.abs(slow - row) <= bound[cols]), t
 
 
 def test_fast_subproblem_forms_slow_coefficients_once():
     """A sub-problem forms its slow columns' coefficients once, for its
     closure columns only, and each RHS or Jacobian call equals a fresh
     sub-problem's evaluation at its t, whichever t came before."""
-    problem, fast, u_n, t_n, h, _, coeffs, _ = _fast_subproblem_case(DENSE)
+    problem, fast, u_n, t_n, h, coeffs, _ = _fast_subproblem_case(DENSE)
     formed = []
 
     def counting(cols):
@@ -588,7 +579,7 @@ def test_linear_output_costs_no_rhs_calls(mode):
 @pytest.mark.parametrize("name", ["erk4", "erk4-owren", "esdirk3",
                                   "esdirk4"])
 def test_interpolant_ends_at_accepted_state(name):
-    """Every kind `integrate` lets `_make_interpolant` use ends at the
+    """Every kind `integrate` lets `_step_interpolant` use ends at the
     accepted state: interp(1) equals u_next within 1e-9 in the weighted
     norm, also for a method that accepts the two half steps of step
     doubling.  The dense kind needs continuous output and an embedded
@@ -605,9 +596,10 @@ def test_interpolant_ends_at_accepted_state(name):
     if adapt._has_dense_output(m):
         kinds += (DENSE,)
     for kind in kinds:
-        make = adapt._make_interpolant(prob, m, replace(cfg, interp=kind),
-                                       u, u_next, t, h, K)
-        end = make(slice(None))(np.array([1.0]))[0]
+        coeffs = adapt._step_interpolant(
+            prob, m, replace(cfg, interp=kind), u, u_next, t, h, K)
+        interp = adapt._make_interpolant(coeffs)(slice(None))
+        end = interp(np.array([1.0]))[0]
         gap = np.abs(end - u_next) / (cfg.rtol * np.abs(u_next) + cfg.atol)
         assert gap.max() <= 1e-9, kind
 
@@ -862,6 +854,12 @@ def test_single_rate_is_multirate_with_fast_cap_zero(name, with_grid):
         assert sr.stats.rejected_global_error > 0
 
 
+def small_chain():
+    """A 20-stage chain over [0, 6.5], into its input ramp."""
+    return bench.make_inverter_chain(
+        bench.InverterChainParams(N=20, t_span=(0.0, 6.5)))
+
+
 def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
     """The benchmark's outside-in tracer still sees every adapt layer."""
     monkeypatch.syspath_prepend(
@@ -878,11 +876,22 @@ def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
                  "odecore.rk_step.fast", "odecore.rk_step.global",
                  "interp.slow_value", "adapt._OutputSampler.commit_step"):
         assert calls[name] > 0, name
+    # Every commit evaluates its rows once, multirate steps' included: the
+    # inverter's steps with a fast phase hold grid rows.
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        res = integrate(small_chain(), get_method("esdirk3"),
+                        SolverConfig(rtol=1e-6, atol=1e-6, mode="multi",
+                                     phi=0.2,
+                                     t_eval=np.linspace(0.0, 6.5, 651)))
+    assert res.stats.accepted_fast > 0
+    calls = {name: v[0] for name, v in tracer.layer_totals().items()}
+    assert (calls["interp.slow_value"]
+            == calls["adapt._OutputSampler.commit_step"] > 0)
     # The benchmark problems' own callables, wrapped by `wrap_problem`
     # under the field names that `run.py --trace 1` reports.
     for prob in (
-            bench.make_inverter_chain(
-                bench.InverterChainParams(N=20, t_span=(0.0, 6.5))),
+            small_chain(),
             bench.make_burgers(bench.BurgersParams(N=100,
                                                    t_span=(0.0, 2.0))),
             bench.make_heating(bench.HeatingParams(N=5,
@@ -987,8 +996,9 @@ def test_output_sampler_fast_overlay_unit():
 
 @pytest.mark.parametrize("name", ["esdirk3", "erk4"])
 def test_output_sampler_batched_commit_matches_rows(name):
-    """One commit equals row-by-row evaluation of the step's interpolant;
-    rows up to t0 stay as they were and fast columns take ``y_fast``."""
+    """One commit equals row-by-row evaluation of the step's interpolant
+    bit for bit; rows up to t0 stay as they were and fast columns take
+    ``y_fast``."""
     prob = bench.make_burgers(bench.BurgersParams(N=40, t_span=(0.0, 1.0)))
     m = get_method(name)
     cache = None
@@ -997,8 +1007,8 @@ def test_output_sampler_batched_commit_matches_rows(name):
     t0, h = 0.3, 0.25
     u0 = prob.y0
     u1, _, K = adapt.rk_step(prob, u0, t0, h, m, cache)
-    make = adapt._make_interpolant(prob, m, SolverConfig(), u0, u1, t0, h,
-                                   K)
+    make = adapt._make_interpolant(adapt._step_interpolant(
+        prob, m, SolverConfig(), u0, u1, t0, h, K))
     grid = np.linspace(0.0, 1.0, 101)
     s = adapt._OutputSampler(grid, prob.N, 0.0, u0)
     s.filled = lo = int(np.searchsorted(grid, t0, side="right"))
@@ -1012,12 +1022,65 @@ def test_output_sampler_batched_commit_matches_rows(name):
     assert s.filled == hi
     assert s.y[:lo].tobytes() == before.tobytes()
     interp = make(slice(None))
-    ref = np.array([interp(np.array([(t - t0) / h]))[0]
+    # The commit clamps tau to [0, 1]: here the last row's is 1 + 2**-52.
+    ref = np.array([interp(np.array([min((t - t0) / h, 1.0)]))[0]
                     for t in grid[lo:hi]])
     ref[:, fast] = y_fast
-    np.testing.assert_allclose(s.y[lo:hi], ref, rtol=1e-14,
-                               atol=1e-14 * np.abs(ref).max())
-    assert s.y[lo:hi, fast].tobytes() == y_fast.tobytes()
+    assert s.y[lo:hi].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE],
+                         ids=lambda k: k.kind)
+def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
+                                                         kind):
+    """In the multirate steps that hold grid rows, the sampler's values of
+    the slow columns a fast sub-problem reads equal the sub-problem's
+    Horner fill at the same t, within the kind's round-off bound: the two
+    evaluate the same coefficients."""
+    base = small_chain()
+    filled = []
+
+    def rhs_restricted(y, t, indices, out):
+        filled.append(y.copy())
+        base.rhs_restricted(y, t, indices, out)
+    steps = {}
+    step_interpolant = adapt._step_interpolant
+
+    def spy(problem, method, cfg, u_n, u_next, t_n, h, K):
+        coeffs = step_interpolant(problem, method, cfg, u_n, u_next, t_n, h,
+                                  K)
+        steps[t_n, t_n + h] = (u_n, u_next, h, K, coeffs)
+        return coeffs
+    monkeypatch.setattr(adapt, "_step_interpolant", spy)
+    m = get_method("esdirk3")
+    grid = np.linspace(0.0, 6.5, 651)
+    res = integrate(base, m, SolverConfig(rtol=1e-6, atol=1e-6, mode="multi",
+                                          phi=0.2, interp=kind,
+                                          t_eval=grid))
+    glob = {r.step_index: (r.t_start, r.t_end) for r in res.activity
+            if r.kind == "global"}
+    fast_sets = {r.step_index: r.active_indices for r in res.activity
+                 if r.kind == "fast"}
+    prob = replace(base, rhs_restricted=rhs_restricted)
+    checked = 0
+    for index, fast in fast_sets.items():
+        t_n, t_end = glob[index]
+        u_n, u_next, h, K, coeffs = steps[t_n, t_end]
+        f_n, f_next = np.empty(base.N), np.empty(base.N)
+        base.rhs(u_n, t_n, f_n)
+        base.rhs(u_next, t_n + h, f_next)
+        bound = interp_round_off(kind, u_n, u_next, h, f_n, f_next, K,
+                                 m.dense)
+        cols = sorted(set().union(*(base.dependency(int(i)) for i in fast))
+                      - set(fast.tolist()))
+        sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, coeffs)
+        out = np.empty(len(fast))
+        for row in np.nonzero((grid > t_n) & (grid < t_end))[0]:
+            sub.rhs(u_n[fast], grid[row], out)
+            gap = np.abs(filled[-1][cols] - res.y_out[row, cols])
+            assert np.all(gap <= bound[cols]), (index, row)
+            checked += 1
+    assert checked > 20
 
 
 def test_output_sampler_clamps_tau_and_closes_round_off_gap():

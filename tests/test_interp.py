@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrrk import _linops
-from mrrk.adapt import SolverConfig, _make_interpolant
+from mrrk.adapt import SolverConfig, _make_interpolant, _step_interpolant
 from mrrk.interp import (DENSE, HERMITE, LINEAR, InterpolatorKind,
-                         slow_interpolant)
+                         power_rows, slow_interpolant)
 from mrrk.newton import JacobianCache
 from mrrk.odecore import OdeProblem, rk_step
 from mrrk.tableaux import get_method
 
 from _oracles import interp_Q, random_stable_matrix, single_rate_R
+from conftest import interp_round_off
 
 
 def linear_problem(L):
@@ -29,8 +30,16 @@ def linear_problem(L):
 def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
               dense=None):
     """The data form at each tau of a scalar or 1-D array, all columns."""
-    make, _ = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
-    return make(slice(None))(np.atleast_1d(tau))
+    coeffs = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
+    return power_rows(coeffs(slice(None)), np.atleast_1d(tau))
+
+
+def controller_interp(prob, m, kind, u0, u1, t0, h, K, cols):
+    """The controller's row evaluator of ``kind`` at ``cols``, as the
+    output sampler gets it."""
+    coeffs = _step_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
+                               t0, h, K)
+    return _make_interpolant(coeffs)(cols)
 
 
 def operator(kind, L, h, m, tau):
@@ -48,14 +57,15 @@ def test_kind_validation():
 
 
 def test_endpoint_identities_data_form():
+    """tau = 0 gives u_n bit for bit, and tau = 1 gives u_next within the
+    kind's round-off bound."""
     rng = np.random.default_rng(0)
     u0, u1 = rng.normal(size=3), rng.normal(size=3)
     f0, f1 = rng.normal(size=3), rng.normal(size=3)
     for kind, kw in ((LINEAR, {}), (HERMITE, dict(f_n=f0, f_next=f1, h=0.3))):
-        np.testing.assert_allclose(
-            data_rows(kind, u0, u1, 0.0, **kw)[0], u0, atol=1e-15)
-        np.testing.assert_allclose(
-            data_rows(kind, u0, u1, 1.0, **kw)[0], u1, atol=1e-15)
+        assert data_rows(kind, u0, u1, 0.0, **kw)[0].tobytes() == u0.tobytes()
+        gap = np.abs(data_rows(kind, u0, u1, 1.0, **kw)[0] - u1)
+        assert np.all(gap <= interp_round_off(kind, u0, u1, **kw)), kind
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -94,9 +104,10 @@ def test_operator_endpoint_identities(name):
 def test_duality_data_vs_operator(seed, tau, name):
     """On y' = Ly the data form applied to a real step equals the operator
     form applied to u_n, for every kind, to round-off.  The controller's
-    column-restricted slow interpolant is the data form of the same kind:
-    bitwise for the linear and hermite kinds, and for dense up to the
-    summation order of w @ K, which the column layout may change."""
+    slow interpolant is the data form of the same kind: bit for bit over
+    all columns, and within the kind's round-off bound when restricted to
+    some (the coefficients are formed elementwise, but the row product
+    sums a narrower matrix with another kernel)."""
     rng = np.random.default_rng(seed)
     L = random_stable_matrix(rng, 3)
     h = rng.uniform(0.05, 0.4)
@@ -108,22 +119,47 @@ def test_duality_data_vs_operator(seed, tau, name):
     u1, _, K = rk_step(prob, u0, 0.0, h, m, cache)
     f0, f1 = L @ u0, L @ u1
     cols = np.array([0, 2])
-    data = {}
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
-        data[kind] = v = data_rows(kind, u0, u1, tau, **kw)[0]
+        v = data_rows(kind, u0, u1, tau, **kw)[0]
         Q = operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
-    for kind in data:
-        make = _make_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
-                                 0.0, h, K)
-        row = make(cols)(np.array([tau]))[0]
-        if kind is DENSE:
-            np.testing.assert_allclose(row, data[kind][cols], rtol=0,
-                                       atol=1e-14)
-        else:
-            np.testing.assert_array_equal(row, data[kind][cols])
+        one_tau = np.array([tau])
+        whole = controller_interp(prob, m, kind, u0, u1, 0.0, h, K,
+                                  slice(None))(one_tau)[0]
+        assert whole.tobytes() == v.tobytes(), kind
+        row = controller_interp(prob, m, kind, u0, u1, 0.0, h, K,
+                                cols)(one_tau)
+        bound = interp_round_off(kind, u0, u1, **kw)[cols]
+        assert np.all(np.abs(row[0] - v[cols]) <= bound), kind
+
+
+@pytest.mark.parametrize("name", ["erk4-owren", "esdirk3", "esdirk4"])
+def test_dense_coefficients_are_the_stage_sums_on_python_floats(name):
+    """The dense coefficients of each column are h times the sum over the
+    stages, in stage order from 0.0, of b*_k K_k on Python floats, highest
+    power first, then u_n, bit for bit for an index array and a slice: the
+    fast fill of a multirate step reads them, and MR runs are bitwise only
+    if their arithmetic stays fixed.  Zero and negative-zero products
+    included."""
+    m = get_method(name)
+    rng = np.random.default_rng(11)
+    u0, K, h = rng.normal(size=9), rng.normal(size=(m.s, 9)), 0.07
+    K[:, 0] = 0.0
+    K[1, 1] = -0.0
+    coeffs = slow_interpolant(DENSE, u0, None, h, K=K, dense=m.dense)
+    for cols in (np.array([0, 1, 4, 8]), slice(None)):
+        ref = []
+        for j in np.arange(9)[cols]:
+            col = []
+            for row in m.dense.B_star.T.tolist()[::-1]:
+                v = 0.0
+                for b, k in zip(row, K[:, j].tolist()):
+                    v += b * k
+                col.append(h * v)
+            ref.append(col + [u0[j]])
+        assert coeffs(cols).tobytes() == np.array(ref).T.tobytes()
 
 
 def test_array_tau_rows():
@@ -138,8 +174,10 @@ def test_array_tau_rows():
 def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
     """An array of tau gives the scalar rows from one evaluation, also
     into ``out`` through the controller's interpolant of that kind, bit
-    for bit for all three kinds.  A scalar tau is the one-row
-    formula, bit for bit."""
+    for bit for all three kinds, and within the kind's round-off bound
+    when the interpolant is restricted to some columns.  A scalar tau's
+    row is the textbook formula of its kind within that bound, and u_n
+    bit for bit at tau = 0."""
     from mrrk import bench
     prob = bench.make_burgers(bench.BurgersParams(N=30, t_span=(0.0, 1.0)))
     m = get_method(name)
@@ -157,22 +195,24 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
                             + (3.0 - 2.0 * t) * t**2 * u1
                             + h * t * (1.0 - t) ** 2 * f0
                             + h * (t - 1.0) * t**2 * f1),
-        # The interpolant reads K column-major (see slow_interpolant).
-        DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0]
-                                   @ np.asfortranarray(K)),
+        DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0] @ K),
     }
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
         rows = np.array(
             [data_rows(kind, u0, u1, t, **kw)[0] for t in taus])
+        bound = interp_round_off(kind, u0, u1, **kw)
         for t, row in zip(taus, rows):
-            assert row.tobytes() == scalar[kind](float(t)).tobytes(), kind
-        cols = np.array([2, 3, 17])
-        interp = _make_interpolant(prob, m, SolverConfig(interp=kind), u0,
-                                   u1, 0.2, h, K)(cols)
-        out = np.full((len(taus), len(cols)), np.nan)
-        interp(taus, out)
+            assert np.all(np.abs(row - scalar[kind](float(t))) <= bound), kind
+        assert rows[0].tobytes() == u0.tobytes(), kind
+        out = np.full(rows.shape, np.nan)
+        controller_interp(prob, m, kind, u0, u1, 0.2, h, K,
+                          slice(None))(taus, out)
         batch = data_rows(kind, u0, u1, taus, **kw)
         assert batch.tobytes() == rows.tobytes(), kind
-        assert out.tobytes() == rows[:, cols].tobytes(), kind
+        assert out.tobytes() == rows.tobytes(), kind
+        cols = np.array([2, 3, 17])
+        part = controller_interp(prob, m, kind, u0, u1, 0.2, h, K,
+                                 cols)(taus)
+        assert np.all(np.abs(part - rows[:, cols]) <= bound[cols]), kind

@@ -25,9 +25,10 @@ earlier commit, run the same script once with each commit's ``src`` on
 
 ``compare`` lists each run whose digests differ with the parts that
 differ, each stability cell that differs and each CLI artifact that
-differs, and reports the largest
-``y_out`` deviation in each run's weighted error norm,
-max |a - b| / (rtol |a| + atol).  For each run whose counters differ it
+differs.  It measures each run's ``y_out`` deviation in the run's
+weighted error norm, max |a - b| / (rtol |a| + atol), lists each run
+whose deviation exceeds ``Y_OUT_TOL`` with its value, and reports the
+largest.  For each run whose counters differ it
 prints every counter that moved as before -> after, then the sums of
 those runs' counters per mode and the global and fast rejection rates of
 those sums, so a change that is not bitwise shows the work it moved and
@@ -347,6 +348,8 @@ def cmd_compare(a: Path, b: Path) -> int:
             continue
         w = da[name]["rtol"] * np.abs(u) + da[name]["atol"]
         dev = float(np.max(np.abs(u - v) / w)) if u.size else 0.0
+        if not dev <= Y_OUT_TOL:
+            print(f"{name}: weighted y_out deviation {dev:.3g}")
         if not dev <= worst:
             worst, worst_name = dev, name
     print(f"{len(set(da) & set(db))} runs in both files, {bad} mismatched "
