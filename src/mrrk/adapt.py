@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -269,12 +268,28 @@ def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
 
 
 def _make_interpolant(coeffs):
-    """The row evaluator cols -> (tau, out=None) -> rows of a step's
-    coefficient builder ``coeffs`` (`_step_interpolant`), by
-    `interp.power_rows`.  Both commit sites of the output sampler build
-    it here; `perfbench/tracing.py` counts its evaluations under this
-    name."""
-    return lambda cols: partial(power_rows, coeffs(cols))
+    """The row evaluator cols -> (tau, out=None) -> rows at ``cols`` of a
+    step's coefficient builder ``coeffs`` (`_step_interpolant`), by
+    `interp.power_rows`.  The coefficients are built when the rows are
+    evaluated, and a restricted evaluator selects its columns from the
+    rows of all columns, so a column's bits do not depend on which others
+    are asked for (the row product of a narrower matrix may take another
+    kernel).  Both commit sites of the output sampler build it here, over
+    all columns; `perfbench/tracing.py` counts its evaluations, the
+    coefficient build included, under this name."""
+    def make(cols):
+        whole = isinstance(cols, slice) and cols == slice(None)
+
+        def rows(tau, out=None):
+            C = coeffs(slice(None))
+            if whole:
+                return power_rows(C, tau, out)
+            if out is None:
+                return power_rows(C, tau)[:, cols]
+            out[...] = power_rows(C, tau)[:, cols]
+            return out
+        return rows
+    return make
 
 
 def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):

@@ -94,9 +94,11 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
 
         def coeffs(cols):
             a = u_n[cols]
-            C = np.zeros((p + 1, len(a)))
-            for term in weights * K[:, cols][:, None]:
-                C[:p] += term
+            C = np.empty((p + 1, len(a)))
+            # A reduction over the outer (stage) axis adds whole rows in
+            # stage order; numpy sums pairwise only along the inner axis.
+            np.add.reduce(weights * K[:, cols][:, None], axis=0,
+                          out=C[:p], initial=0.0)
             C[:p] *= h
             C[p] = a
             return C
