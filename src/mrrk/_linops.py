@@ -6,14 +6,16 @@ through one call keeps parameter scans fast without any explicit
 parallelism.  `stability` wraps these kernels with single-model
 signatures.
 
-Every slow-variable interpolant is, on y' = Ly, a fixed combination
+Every slow-variable interpolant is, on y' = Ly, a matrix polynomial
 
-    Q(tau) = sum_m phi_m(tau) Y_m
+    Q(tau) = sum_j tau**(p - j) C_j
 
-of a few basis matrices Y_m, built once from the stage operators, with
-scalar polynomial weights phi_m(tau) (see `_interp_basis`).  Q for many
-tau is therefore one contraction, and so is any product X Q(tau): form
-X Y_m once, then contract with the weights.
+acting on u_n.  `_interp_coeffs` gets the coefficient matrices C_j from
+`interp.slow_interpolant` itself, the data form the integrator reads,
+applied to the step's operators in place of its vectors, so the analysed
+interpolant is the integrated one.  Q for many tau is then one
+contraction with the power rows of `interp.tau_powers`, and so is any
+product X Q(tau): form X C_j once, then contract.
 
 `multirate_matrix` uses that to stack the M fast sub-steps of one
 multi-rate step.  Within sub-step l the fast stages depend on u_n only
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .interp import (InterpolatorKind, power_rows, slow_interpolant,
+                     tau_powers)
 from .tableaux import ButcherTableau
 
 
@@ -102,45 +106,31 @@ def rk_matrix(L: np.ndarray, h: np.ndarray, tab: ButcherTableau,
     return _eye_like(L) + h[:, None, None] * incr
 
 
-def _interp_basis(kind: str, L: np.ndarray, hh: np.ndarray, lr: np.ndarray,
-                  R: np.ndarray) -> np.ndarray:
-    """Basis matrices Y (K, B, n, n) with Q(tau) = sum_m phi_m(tau) Y_m.
+def _interp_coeffs(kind: str, tab: ButcherTableau, L: np.ndarray,
+                   hh: np.ndarray, lr: np.ndarray,
+                   R: np.ndarray) -> np.ndarray:
+    """Coefficient matrices C (p + 1, B, n, n), highest power first, with
+    Q(tau) = sum_j tau**(p - j) C_j.
 
-    ``lr`` are the stage products L R^(i) and ``R`` = R(hL) the
-    single-step matrix of the step; ``hh`` is h shaped (B, 1, 1).  The
-    bases, in the order `_interp_weights` expects:
-
-    * ``linear``:  (I, R)
-    * ``hermite``: (I, R, hL, hLR)
-    * ``dense``:   (I, hLR^(1), ..., hLR^(s))
-
-    Callers get the weights first, which rejects an unknown ``kind``.
+    Every kind is linear in u_n, so `interp.slow_interpolant`, given each
+    matrix entry as a column, returns them: u_n = I and u_next = R = R(hL),
+    for ``hermite`` f_n = hL and f_next = hLR, and for ``dense`` the stage
+    products K = hLR^(i) of ``lr`` = L R^(i).  The operators already carry
+    h (``hh`` is h shaped (B, 1, 1)), so the data form's h is 1.0, whose
+    product is exact.
     """
-    I = _eye_like(L)
-    if kind == "dense":
-        return np.concatenate([I[None], hh * lr])
-    if kind == "linear":
-        return np.stack([I, R])
-    return np.stack([I, R, hh * L, hh * (L @ R)])
-
-
-def _interp_weights(kind: str, tab: ButcherTableau,
-                    taus: np.ndarray) -> np.ndarray:
-    """Weights phi_m(tau), shape (T, K), matching `_interp_basis`."""
-    if kind == "dense":
-        if tab.dense is None:
-            raise ValueError(
-                f"method {tab.name!r} has no dense-output coefficients")
-        W = tab.dense.weights(taus)                        # (T, s)
-        return np.concatenate([np.ones((len(taus), 1)), W], axis=1)
-    if kind == "linear":
-        return np.stack([1.0 - taus, taus], axis=1)
+    if kind == "dense" and tab.dense is None:
+        raise ValueError(
+            f"method {tab.name!r} has no dense-output coefficients")
+    f_n = f_next = K = None
     if kind == "hermite":
-        return np.stack([(1.0 + 2.0 * taus) * (1.0 - taus) ** 2,
-                         (3.0 - 2.0 * taus) * taus**2,
-                         taus * (1.0 - taus) ** 2,
-                         (taus - 1.0) * taus**2], axis=1)
-    raise ValueError(f"unknown interpolation kind {kind!r}")
+        f_n, f_next = (hh * L).ravel(), (hh * (L @ R)).ravel()
+    elif kind == "dense":
+        K = (hh * lr).reshape(tab.s, -1)
+    C = slow_interpolant(InterpolatorKind(kind), _eye_like(L).ravel(),
+                         R.ravel(), 1.0, f_n, f_next, K,
+                         tab.dense)(slice(None))
+    return C.reshape((len(C),) + L.shape)
 
 
 def interp_matrices(kind: str, L: np.ndarray, h: np.ndarray,
@@ -148,9 +138,9 @@ def interp_matrices(kind: str, L: np.ndarray, h: np.ndarray,
     """Interpolation operators Q(tau) for a stack of tau values.
 
     The operator form of `interp.slow_interpolant`: on y' = Ly,
-    Q(tau) u_n is the data form's value at t_n + tau*h.  The stability
-    path contracts `_interp_basis` and `_interp_weights` itself; tests
-    check this evaluator against the brute-force oracle, and
+    Q(tau) u_n is the data form's value at t_n + tau*h.  It evaluates
+    `_interp_coeffs` by `interp.power_rows`, the output sampler's
+    evaluator; tests check it against the brute-force oracle, and
     `perfbench/tracing.py` patches it by name.
 
     Returns shape (T, B, n, n) where T = len(taus).  Kinds:
@@ -163,10 +153,11 @@ def interp_matrices(kind: str, L: np.ndarray, h: np.ndarray,
       Q(tau) = I + h sum_i b*_i(tau) L R^(i)
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    W = _interp_weights(kind, tab, taus)
     lr = stage_products(L, h, tab)
-    Y = _interp_basis(kind, L, h[:, None, None], lr, rk_matrix(L, h, tab, lr))
-    return (W @ Y.reshape(len(Y), -1)).reshape((len(taus),) + L.shape)
+    C = _interp_coeffs(kind, tab, L, h[:, None, None], lr,
+                       rk_matrix(L, h, tab, lr))
+    rows = power_rows(C.reshape(len(C), -1), taus)
+    return rows.reshape((len(taus),) + L.shape)
 
 
 def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
@@ -183,7 +174,8 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     is a sub-step's response to its own starting fast values, written as
     the map E_f = [0 | I_d] of u_n; it yields the fast single-rate matrix
     C_ff.  Block l + 1 is sub-step l's response to u_n through the
-    interpolated slow values L_fs Q(tau)[:ns].  Raises
+    interpolated slow values L_fs Q(tau)[:ns], the power rows of the stage
+    times contracted with L_fs C_j[:ns] of `_interp_coeffs`.  Raises
     ``np.linalg.LinAlgError`` naming the stage when a fast stage factor
     I - h_f a_kk L_ff is singular.
     """
@@ -200,13 +192,14 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
 
     # Slow coupling of stage k: V[k] holds, in block l + 1, L_fs Q(tau)[:ns]
     # at the stage time tau = (l + c_k) / M, contracted straight from the
-    # basis products L_fs Y_m[:ns]; block 0 gets zero weights.
+    # coefficient products L_fs C_j[:ns]; block 0 gets zero weights.
+    C = _interp_coeffs(kind, tab, L, h_s[:, None, None], lr, R)
+    p1 = len(C)
     taus = (np.arange(M)[:, None] + c[None, :]) / M              # (M, s)
-    phi = _interp_weights(kind, tab, taus.ravel()).reshape(M, s, -1)
-    W = np.zeros((s, 1, 1, M + 1, phi.shape[-1]))
-    W[:, 0, 0, 1:] = phi.transpose(1, 0, 2)
-    Y = _interp_basis(kind, L, h_s[:, None, None], lr, R)
-    G = (L_fs @ Y[:, :, :ns, :]).transpose(1, 2, 0, 3)          # (B,d,K,n)
+    W = np.zeros((s, 1, 1, M + 1, p1))
+    W[:, 0, 0, 1:] = tau_powers(taus.ravel(), p1 - 1).reshape(
+        M, s, p1).transpose(1, 0, 2)
+    G = (L_fs @ C[:, :, :ns, :]).transpose(1, 2, 0, 3)       # (B,d,p+1,n)
     V = (W @ G).reshape(s, B, d, (M + 1) * n)
 
     # Stage values X_k = (I - h_f a_kk L_ff)^{-1} (E + h_f (sum_{j<k}

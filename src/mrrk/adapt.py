@@ -103,6 +103,11 @@ class SolverConfig:
         if self.jacobian_strategy not in STRATEGIES:
             raise ValueError(
                 f"jacobian_strategy must be one of {STRATEGIES}")
+        if not (self.interp is None
+                or isinstance(self.interp, InterpolatorKind)):
+            raise ValueError(
+                f"interp must be None or an InterpolatorKind, got "
+                f"{self.interp!r}")
         if self.t_eval is not None:
             t = np.asarray(self.t_eval, dtype=float)
             # A non-decreasing grid holds no NaN and lies between its ends,

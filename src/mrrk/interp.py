@@ -5,9 +5,11 @@ an actual step (endpoint states, endpoint derivatives, or stage
 derivatives) and gives the power-basis coefficients in tau of chosen
 columns, the one form the adaptive controller reads.  A fast sub-problem
 evaluates them by Horner on Python floats, and the output sampler by
-`power_rows`, the one evaluator over an array of tau.  On y' = Ly the same
-kinds are the matrices Q(tau) acting on u_n, which `_linops` builds for
-the multi-rate amplification matrix; the two agree to round-off.
+`power_rows`, the one evaluator over an array of tau.  On y' = Ly every
+kind is linear in u_n, so the same code, applied to the step's operators
+in place of its vectors, gives the power-basis coefficient matrices of
+Q(tau) acting on u_n, from which `_linops` builds the multi-rate
+amplification matrix.
 """
 
 from __future__ import annotations
@@ -43,24 +45,30 @@ HERMITE = InterpolatorKind("hermite")
 DENSE = InterpolatorKind("dense")
 
 
+def tau_powers(tau, p):
+    """The (m, p + 1) power rows [tau**p, ..., tau, 1] of a 1-D array tau,
+    formed by repeated multiplication; tau is not checked."""
+    powers = np.empty((len(tau), p + 1))
+    powers[:, -1] = 1.0
+    for j in range(p - 1, -1, -1):
+        np.multiply(powers[:, j + 1], tau, out=powers[:, j])
+    return powers
+
+
 def power_rows(C, tau, out=None):
     """Rows of power-basis coefficients at each tau of a 1-D array.
 
     ``C`` is a (p + 1, n) array of `slow_interpolant`'s coefficients,
     highest power first; the result is the (m, n) array of
     sum_j C[j] tau**(p - j), written into ``out`` when one is given, and
-    tau is not checked.  The power row [tau**p, ..., tau, 1] of each tau is
-    formed by repeated multiplication, and each row is its own
+    tau is not checked.  Each `tau_powers` row is its own
     (1, p + 1) @ (p + 1, n) product (one (m, p + 1) @ (p + 1, n) product
     would sum in another order), so a row is the same bits alone or in any
     array, and tau = 0 gives the constant row C[-1] exactly.
     """
-    powers = np.empty((len(tau), 1, len(C)))
-    powers[:, 0, -1] = 1.0
-    for j in range(len(C) - 2, -1, -1):
-        np.multiply(powers[:, 0, j + 1], tau, out=powers[:, 0, j])
     if out is None:
         out = np.empty((len(tau), C.shape[1]))
+    powers = tau_powers(tau, len(C) - 1).reshape(len(tau), 1, len(C))
     np.matmul(powers, C, out=out[:, None])
     return out
 
@@ -77,7 +85,8 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
     Horner on Python floats and the output sampler by `power_rows`.
     ``linear`` reads the endpoint states, ``hermite`` also the endpoint
     derivatives ``f_n``/``f_next``, and ``dense`` the stage derivatives
-    ``K`` with the method's continuous-output coefficients ``dense``.
+    ``K`` with the method's continuous-output coefficients ``dense``, the
+    (s, p) array B* of `tableaux.ButcherTableau.dense`.
 
     Every entry is formed elementwise in a fixed order, so it does not
     depend on the other columns: u_next - u_n and u_n for ``linear``; the
@@ -88,8 +97,8 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
     """
     if kind.kind == "dense":
         # Each stage's weights of tau**p down to tau as a column:
-        # B_star[:, j] weighs tau**(j + 1).
-        weights = dense.B_star[:, ::-1, None]
+        # B*[:, j] weighs tau**(j + 1).
+        weights = dense[:, ::-1, None]
         p = weights.shape[1]
 
         def coeffs(cols):

@@ -7,6 +7,11 @@ associated continuous output (dense output) interpolant
     u(t_n + tau*h) = u_n + h * sum_i b*_i(tau) * K_i,
     b*_i(tau) = sum_j B*[i, j] * tau**(j+1).
 
+B* is kept as the plain array ``ButcherTableau.dense``.  It has no
+constant term, so every b*_i(0) = 0 and the interpolant reproduces u_n at
+the left endpoint.  `interp.slow_interpolant` is its one evaluator, for
+the integrator and for the stability analysis alike.
+
 Coefficients are evaluated in exact rational or closed-form arithmetic at
 module import and stored as doubles, which avoids transcription errors on
 the long rational coefficients of the ESDIRK methods.
@@ -15,51 +20,17 @@ the long rational coefficients of the ESDIRK methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "ButcherTableau",
-    "DenseOutputCoeffs",
     "MethodNotFound",
     "get_method",
     "method_names",
 ]
-
-
-@dataclass(frozen=True)
-class DenseOutputCoeffs:
-    """Continuous output coefficients b*_{ij} for tau-polynomials.
-
-    ``B_star[i, j]`` is the coefficient of tau**(j+1) in b*_i(tau); there is
-    no constant term, so every b*_i(0) = 0 and the interpolant reproduces
-    u_n at the left endpoint.  The data-form interpolant
-    (`interp.slow_interpolant`) reads ``B_star`` itself; `weights`, the
-    evaluation of b*, serves the stability kernels of `_linops`.
-    """
-
-    B_star: np.ndarray  # shape (s, p*), p* the degree in tau
-    # The exponents 1..p* of the tau powers, built once.
-    _exponents: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_exponents",
-                           np.arange(1, self.B_star.shape[1] + 1))
-
-    def weights(self, tau):
-        """Evaluate the stage weight vector b*(tau).
-
-        ``tau`` may be a scalar or an array; the result has shape
-        ``tau.shape + (s,)``.  Each tau is its own (1, p) @ (p, s) product,
-        so the weights of a tau are the same bits whether it comes alone
-        or in an array (one (m, p) @ (p, s) product would sum in another
-        order).
-        """
-        tau = np.asarray(tau, dtype=float)
-        powers = tau[..., None, None] ** self._exponents
-        return (powers @ self.B_star.T)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -72,7 +43,8 @@ class ButcherTableau:
     kind: str              # "explicit" | "dirk" | "esdirk"
     b_hat: np.ndarray | None = None
     p_hat: int | None = None
-    dense: DenseOutputCoeffs | None = None
+    # B*, shape (s, p*), p* the degree in tau; None without dense output.
+    dense: np.ndarray | None = None
 
     @property
     def s(self) -> int:
@@ -150,7 +122,7 @@ def _make_owren() -> ButcherTableau:
         ["0", "-1522125/762944", "982125/190736", "-624375/217984"],
         ["0", "165/131", "-461/131", "296/131"],
     ]
-    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
+    dense = _frac_matrix(B_rows)
     # Endpoint weights in exact arithmetic; the continuous extension at
     # tau = 1 is the discrete fourth-order method.
     b = np.array([
@@ -197,7 +169,7 @@ def _make_esdirk3() -> ButcherTableau:
         ["-4782987747279/4575882152666", "22547150295437/9402010570133",
          "-8621837051676/9402290144509"],
     ]
-    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
+    dense = _frac_matrix(B_rows)
     b_hat = _embedded_weights(A, b, c, p_hat=2)
     return ButcherTableau("esdirk3", A, b, c, p=3, kind="esdirk",
                           b_hat=b_hat, p_hat=2, dense=dense)
@@ -257,7 +229,7 @@ def _make_esdirk4() -> ButcherTableau:
         ["27308879169709/13030500014233", "-84229392543950/6077740599399",
          "1102028547503824/51424476870755", "-63602213973224/6753880425717"],
     ]
-    dense = DenseOutputCoeffs(B_star=_frac_matrix(B_rows))
+    dense = _frac_matrix(B_rows)
     b_hat = _embedded_weights(A, b, c, p_hat=3)
     return ButcherTableau("esdirk4", A, b, c, p=4, kind="esdirk",
                           b_hat=b_hat, p_hat=3, dense=dense)

@@ -31,6 +31,18 @@ def single_rate_R(L, h, method):
     return eye + h * sum(bi * (L @ Ri) for bi, Ri in zip(method.b, R))
 
 
+def dense_weights(method, tau):
+    """Continuous-output weights b*_i(tau) = sum_j B*[i, j] tau**(j+1) of
+    every stage i, as a length-s array."""
+    w = []
+    for row in method.dense:
+        acc = 0.0
+        for j, bij in enumerate(row):
+            acc += bij * tau ** (j + 1)
+        w.append(acc)
+    return np.array(w)
+
+
 def interp_Q(L, h, method, kind, tau):
     """Interpolation operator Q(tau) mapping u_n to the value inside the
     step, for the three interpolator kinds."""
@@ -45,7 +57,7 @@ def interp_Q(L, h, method, kind, tau):
                 + h * (tau - 1.0) * tau ** 2 * (L @ Rh))
     if kind == "dense":
         R = stage_ops(L, h, method.A)
-        w = method.dense.weights(np.array([tau]))[0]
+        w = dense_weights(method, tau)
         return eye + h * sum(wi * (L @ Ri) for wi, Ri in zip(w, R))
     raise ValueError(kind)
 

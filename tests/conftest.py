@@ -70,5 +70,5 @@ def interp_round_off(kind, u_n, u_next=None, h=None, f_n=None, f_next=None,
                  + h * (np.abs(f_n) + np.abs(f_next)))
     else:
         scale = (np.abs(u_n)
-                 + h * np.abs(dense.B_star).sum(axis=1) @ np.abs(K))
+                 + h * np.abs(dense).sum(axis=1) @ np.abs(K))
     return 8.0 * np.finfo(float).eps * scale

@@ -45,6 +45,7 @@ def test_solver_config_validation():
                          ("h_min", -1.0), ("h_min", np.nan),
                          ("newton_max_iters", 0),
                          ("jacobian_strategy", "JacC"),
+                         ("interp", "dense"), ("interp", 3),
                          ("alpha", np.nan), ("alpha", -1.0), ("alpha", 0.0),
                          ("beta", np.inf), ("beta", np.nan),
                          ("newton_max_iters", 2.5), ("max_steps", 1.5),

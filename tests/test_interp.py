@@ -10,7 +10,8 @@ from mrrk.newton import JacobianCache
 from mrrk.odecore import OdeProblem, rk_step
 from mrrk.tableaux import get_method
 
-from _oracles import interp_Q, random_stable_matrix, single_rate_R
+from _oracles import (dense_weights, interp_Q, random_stable_matrix,
+                      single_rate_R)
 from conftest import interp_round_off
 
 
@@ -146,13 +147,13 @@ def test_dense_coefficients_are_the_stage_sums_on_python_floats(name):
     K[1, 1] = -0.0
     # Every product of the highest power is -0.0, so only a sum started
     # from 0.0 gives +0.0 there.
-    K[:, 4] = np.copysign(0.0, -m.dense.B_star[:, -1])
+    K[:, 4] = np.copysign(0.0, -m.dense[:, -1])
     coeffs = slow_interpolant(DENSE, u0, None, h, K=K, dense=m.dense)
     for cols in (np.array([0, 1, 4, 8]), slice(None)):
         ref = []
         for j in np.arange(9)[cols]:
             col = []
-            for row in m.dense.B_star.T.tolist()[::-1]:
+            for row in m.dense.T.tolist()[::-1]:
                 v = 0.0
                 for b, k in zip(row, K[:, j].tolist()):
                     v += b * k
@@ -193,7 +194,7 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
                             + (3.0 - 2.0 * t) * t**2 * u1
                             + h * t * (1.0 - t) ** 2 * f0
                             + h * (t - 1.0) * t**2 * f1),
-        DENSE: lambda t: u0 + h * (m.dense.weights(np.array([t]))[0] @ K),
+        DENSE: lambda t: u0 + h * (dense_weights(m, t) @ K),
     }
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),

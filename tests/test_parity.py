@@ -13,14 +13,15 @@ parity = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(parity)
 
 
-def write_side(path, y_out):
+def write_side(path, y_out, stability=None):
     """A digest file at ``path`` whose runs all have the same digests,
-    with the runs' ``y_out`` beside it."""
+    with the runs' ``y_out`` beside it, and the stability part
+    ``stability`` (one fixed cell by default)."""
     run = {**dict.fromkeys(parity.PARTS, "0" * 64), "rtol": 1e-3,
            "atol": 1e-6, "mode": "multi", "stats": {"accepted_global": 3}}
     path.write_text(json.dumps({
         "runs": {name: run for name in y_out},
-        "stability": {"cells": {"c": "d"}, "digest": "d"},
+        "stability": stability or {"cells": {"c": "d"}, "digest": "d"},
         "cli": {"solve": {"exit code": "0"}}}))
     np.savez_compressed(path.with_suffix(".npz"), **y_out)
 
@@ -61,3 +62,33 @@ def test_compare_passes_runs_within_the_y_out_tolerance(tmp_path, capsys):
     assert code == 0
     assert out.count("weighted y_out deviation") == 1   # the summary line
     assert "0 mismatched" in out
+
+
+def test_compare_reports_moved_stability_entries_and_radii(tmp_path,
+                                                          capsys):
+    """A moved stability cell is listed with its entry change or, when its
+    entry is equal, with its largest relative radius deviation; the
+    summary counts the changed entries and gives the largest deviation of
+    the others.  A moved cell fails the comparison."""
+    rho = [0.5, 0.9, 1.2]
+    cells = {"entry": ["12", "a"], "radii": ["7", "b"], "same": ["3", "c"]}
+    before = {"cells": cells, "digest": "x",
+              "radii": dict.fromkeys(cells, rho)}
+    after = {"cells": {**cells, "entry": ["13", "d"], "radii": ["7", "e"]},
+             "digest": "y",
+             "radii": {**before["radii"], "entry": [0.5, 0.9, 1.3],
+                       "radii": [0.5, 0.9 * (1 + 3e-11), 1.2]}}
+    base = np.zeros((1, 1))
+    write_side(tmp_path / "A.json", {"a": base}, before)
+    write_side(tmp_path / "B.json", {"a": base}, after)
+    code = parity.main(["compare", str(tmp_path / "A.json"),
+                        str(tmp_path / "B.json")])
+    lines = capsys.readouterr().out.splitlines()
+    moved = [line for line in lines if line.startswith("stability cell")]
+    assert moved[0] == "stability cell entry: entry 12 -> 13"
+    assert moved[1] == ("stability cell radii: largest relative radius "
+                        "deviation 3e-11")
+    assert len(moved) == 2
+    assert ("stability: 1 of 3 cells identical, 1 entries changed; largest "
+            "relative radius deviation of the others 3e-11") in lines
+    assert code == 1

@@ -17,18 +17,20 @@ into its own temporary directory, and ``run`` digests its exit code and
 each file it wrote, whole except ``stats.json``, which is digested
 without ``wall_time``; the names of the digested files record which
 files an invocation wrote, none for an error exit.  It writes the
-digests, with each cell's entry and radii digest, to OUT.json and the
-runs' dense output ``y_out`` to OUT.npz beside it.  OUT.json also keeps
-each run's mode and its counter values.  To check a change against an
-earlier commit, run the same script once with each commit's ``src`` on
-``PYTHONPATH`` and compare the two files.
+digests, with each cell's entry and radii digest and, beside them, its
+radii, to OUT.json and the runs' dense output ``y_out`` to OUT.npz beside
+it.  OUT.json also keeps each run's mode and its counter values.  To
+check a change against an earlier commit, run the same script once with
+each commit's ``src`` on ``PYTHONPATH`` and compare the two files.
 
 ``compare`` lists each run whose digests differ with the parts that
-differ, each stability cell that differs and each CLI artifact that
-differs.  It measures each run's ``y_out`` deviation in the run's
-weighted error norm, max |a - b| / (rtol |a| + atol), lists each run
-whose deviation exceeds ``Y_OUT_TOL`` with its value, and reports the
-largest.  For each run whose counters differ it
+differ, and each stability cell that differs: with its entry change, or,
+when its entry is equal, with its largest relative radius deviation; it
+sums up the count of changed entries and the largest such deviation.  It
+lists each CLI artifact that differs.  It measures each run's ``y_out``
+deviation in the run's weighted error norm, max |a - b| / (rtol |a| +
+atol), lists each run whose deviation exceeds ``Y_OUT_TOL`` with its
+value, and reports the largest.  For each run whose counters differ it
 prints every counter that moved as before -> after, then the sums of
 those runs' counters per mode and the global and fast rejection rates of
 those sums, so a change that is not bitwise shows the work it moved and
@@ -202,19 +204,21 @@ def digests(t, y, activity, stats, failed=False) -> dict:
 
 
 def stability_part() -> dict:
-    """Each table cell's entry and radii digest, and one digest of all."""
+    """Each table cell's entry and radii digest, one digest of all, and
+    each cell's radii."""
     from mrrk import stability
     sys.path.append(str(ROOT))
     from perfbench.cases import stability_cells
     grid = np.arange(1.0, 101.0)
-    cells, total = {}, hashlib.sha256()
+    cells, radii, total = {}, {}, hashlib.sha256()
     for c in stability_cells():
         entry = stability.table_entry(c.model, c.method, c.interp, c.M)
         rho = stability.rho_curve(c.model, c.method, c.interp, c.M, grid)
         cells[repr(c.id)] = cell = [repr(entry),
                                     hashlib.sha256(rho.tobytes()).hexdigest()]
+        radii[repr(c.id)] = rho.tolist()
         total.update(repr((c.id, cell)).encode())
-    return {"digest": total.hexdigest(), "cells": cells}
+    return {"digest": total.hexdigest(), "cells": cells, "radii": radii}
 
 
 def cli_part() -> dict:
@@ -284,6 +288,12 @@ def _rejection_rate(stats: dict, level: str) -> str:
     return f"{rejected / attempts:.1%}" if attempts else "none attempted"
 
 
+def _radius_deviation(before: list, after: list) -> float:
+    """Largest |after - before| / before over a cell's radii."""
+    u = np.array(before)
+    return float(np.max(np.abs(np.array(after) - u) / u))
+
+
 def counter_moves(ra: dict, rb: dict, totals: dict):
     """Print the counters of one run that moved and add them to
     ``totals[mode]``; files written without counter values print
@@ -322,12 +332,25 @@ def cmd_compare(a: Path, b: Path) -> int:
             f"{_rejection_rate(after, level)}"
             for level in ("global", "fast")))
     sa, sb = fa["stability"]["cells"], fb["stability"]["cells"]
+    ra, rb = (f["stability"].get("radii", {}) for f in (fa, fb))
     cells = sorted(set(sa) | set(sb))
     moved = [c for c in cells if sa.get(c) != sb.get(c)]
+    entries, worst_rho = 0, 0.0
     for c in moved:
-        print(f"stability cell {c}: {sa.get(c)} != {sb.get(c)}")
+        ea, eb = sa.get(c, [None])[0], sb.get(c, [None])[0]
+        if ea != eb:
+            entries += 1
+            print(f"stability cell {c}: entry {ea} -> {eb}")
+        elif c in ra and c in rb:
+            dev = _radius_deviation(ra[c], rb[c])
+            worst_rho = max(worst_rho, dev)
+            print(f"stability cell {c}: largest relative radius deviation "
+                  f"{dev:.3g}")
+        else:
+            print(f"stability cell {c}: {sa.get(c)} != {sb.get(c)}")
     print(f"stability: {len(cells) - len(moved)} of {len(cells)} cells "
-          "identical")
+          f"identical, {entries} entries changed; largest relative radius "
+          f"deviation of the others {worst_rho:.3g}")
     if fa["stability"]["digest"] != fb["stability"]["digest"]:
         bad += 1
     ca, cb = fa["cli"], fb["cli"]
