@@ -17,18 +17,23 @@ interpolant is the integrated one.  Q for many tau is then one
 contraction with the power rows of `interp.tau_powers`, and so is any
 product X Q(tau): form X C_j once, then contract.
 
-`multirate_matrix` uses that to stack the M fast sub-steps of one
+`multirate_matrix` uses that to collapse the M fast sub-steps of one
 multi-rate step.  Within sub-step l the fast stages depend on u_n only
-through that sub-step's interpolated slow values; the coupling between
-sub-steps is carried entirely by powers of the fast single-rate matrix
-C_ff.  So the stage recurrence runs once on arrays that hold all M
-sub-steps side by side, and the constant ESDIRK stage factor is inverted
-once per distinct diagonal coefficient.  The number of numpy calls per
-step is fixed, apart from the log2(M) doublings that build the powers of
-C_ff.
+through that sub-step's interpolated slow values, and shifting Q's power
+basis writes those as a polynomial of degree p in the sub-step start
+l / M.  So the stage recurrence runs once on arrays of p + 2 column
+blocks, the responses to the fast start and to each power, whatever M
+is, and the constant ESDIRK stage factor is inverted once per distinct
+diagonal coefficient.  The coupling between sub-steps is carried by
+powers of the fast single-rate matrix C_ff, and the M responses are
+summed by one product with the power rows of the sub-step starts.  The
+number of numpy calls per step is fixed, apart from the log2(M)
+doublings that build the powers of C_ff.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -169,13 +174,15 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     the slow components are frozen at the tentative global step and
     interpolated by Q.  Shapes: L (B, n, n), h_s (B,); returns (B, n, n).
 
-    The fast stages of all M sub-steps are computed together, as maps of
-    u_n held in (B, d, (M + 1) n) arrays of M + 1 column blocks.  Block 0
-    is a sub-step's response to its own starting fast values, written as
-    the map E_f = [0 | I_d] of u_n; it yields the fast single-rate matrix
-    C_ff.  Block l + 1 is sub-step l's response to u_n through the
-    interpolated slow values L_fs Q(tau)[:ns], the power rows of the stage
-    times contracted with L_fs C_j[:ns] of `_interp_coeffs`.  Raises
+    With x_l = l / M the start of sub-step l, the slow input of its stage
+    k, L_fs Q(x_l + c_k / M)[:ns], is a polynomial of degree p in x_l:
+    sum_a x_l**(p - a) G_ka, Q's power basis shifted by c_k / M.  So one
+    sub-step's fast stages are computed as maps of u_n held in
+    (B, d, (p + 2) n) arrays of p + 2 column blocks, whatever M is.
+    Block 0 is the response to the sub-step's own starting fast values,
+    written as the map E_f = [0 | I_d] of u_n; it yields the fast
+    single-rate matrix C_ff.  Block a + 1 is the response D_a to G_ka,
+    which sub-step l weighs by x_l**(p - a).  Raises
     ``np.linalg.LinAlgError`` naming the stage when a fast stage factor
     I - h_f a_kk L_ff is singular.
     """
@@ -190,17 +197,18 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     lr = stage_products(L, h_s, tab)
     R = rk_matrix(L, h_s, tab, lr)
 
-    # Slow coupling of stage k: V[k] holds, in block l + 1, L_fs Q(tau)[:ns]
-    # at the stage time tau = (l + c_k) / M, contracted straight from the
-    # coefficient products L_fs C_j[:ns]; block 0 gets zero weights.
+    # Slow coupling of stage k: V[k] holds G_ka in block a + 1, the
+    # binomial shift of tau**(p - j) = (x + c_k/M)**(p - j) contracted
+    # with the coefficient products L_fs C_j[:ns] of `_interp_coeffs`;
+    # block 0 gets zero weights.
     C = _interp_coeffs(kind, tab, L, h_s[:, None, None], lr, R)
-    p1 = len(C)
-    taus = (np.arange(M)[:, None] + c[None, :]) / M              # (M, s)
-    W = np.zeros((s, 1, 1, M + 1, p1))
-    W[:, 0, 0, 1:] = tau_powers(taus.ravel(), p1 - 1).reshape(
-        M, s, p1).transpose(1, 0, 2)
+    p = len(C) - 1
+    a, j = np.tril_indices(p + 1)
+    binom = [math.comb(p - jj, aa - jj) for aa, jj in zip(a, j)]
+    W = np.zeros((s, 1, 1, p + 2, p + 1))
+    W[:, 0, 0, a + 1, j] = binom * (c[:, None] / M)**(a - j)
     G = (L_fs @ C[:, :, :ns, :]).transpose(1, 2, 0, 3)       # (B,d,p+1,n)
-    V = (W @ G).reshape(s, B, d, (M + 1) * n)
+    V = (W @ G).reshape(s, B, d, (p + 2) * n)
 
     # Stage values X_k = (I - h_f a_kk L_ff)^{-1} (E + h_f (sum_{j<k}
     # a_kj K_j + a_kk V_k)) and derivatives K_k = L_ff X_k + V_k, where E
@@ -221,21 +229,25 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     incr = (b @ K_flat).reshape(K[0].shape)
 
     # u_f after M sub-steps: C_ff^M u_f + h_f sum_m C_ff^m D_(M-1-m) u_n,
-    # with C_ff^0 ... C_ff^M as column blocks of one (B, d, (M + 1) d)
-    # array, built by repeated doubling.
+    # with D_l = sum_a x_l**(p - a) D_a, so the sum is h_f sum_a P_a D_a,
+    # P_a = sum_m x_(M-1-m)**(p - a) C_ff^m.  C_ff^0 ... C_ff^(M-1) are
+    # the first M column blocks of one array, built by repeated doubling,
+    # and C_ff^M = C_ff^(M-1) C_ff.
     C_ff = np.eye(d) + hf * incr[:, :, ns:n]
     pw = np.broadcast_to(np.eye(d), (B, d, d))
-    while pw.shape[-1] <= M * d:
+    while pw.shape[-1] < M * d:
         top = pw[:, :, -d:] @ C_ff                   # C_ff^m, m blocks held
         pw = np.concatenate([pw, top @ pw], axis=-1)
-    D = incr[:, :, n:].reshape(B, d, M, n)[:, :, ::-1]    # D_(M-1-m)
-    S = hf * (pw[:, :, :M * d]
-              @ D.transpose(0, 2, 1, 3).reshape(B, M * d, n))
+    x = tau_powers((M - 1 - np.arange(M)) / M, p)             # (M, p + 1)
+    P = (x.T @ pw[:, :, :M * d].reshape(B, d, M, d)).reshape(
+        B, d, (p + 1) * d)
+    D = incr[:, :, n:].reshape(B, d, p + 1, n).transpose(0, 2, 1, 3)
+    S = hf * (P @ D.reshape(B, (p + 1) * d, n))
 
     out = np.empty((B, n, n))
     out[:, :ns, :] = R[:, :ns, :]
     out[:, ns:, :ns] = S[:, :, :ns]
-    out[:, ns:, ns:] = pw[:, :, M * d:(M + 1) * d] + S[:, :, ns:]
+    out[:, ns:, ns:] = pw[:, :, (M - 1) * d:M * d] @ C_ff + S[:, :, ns:]
     return out
 
 

@@ -8,7 +8,8 @@ Three subcommands write CSV/JSON artifacts into an output directory:
                (the run's work counters).
 ``stability``  scans the multi-rate amplification matrix over a C grid
                and emits scan.csv (all spectral radii) and table.csv
-               (the max-C matrix with ">= Cmax" sentinels).
+               (the max-C matrix, a cell stable on the whole integer
+               grid 1..floor(Cmax) reading ">= floor(Cmax)").
 ``accuracy``   sweeps C for a fixed linear model and emits errors.csv
                comparing single-rate and multi-rate propagator errors.
 

@@ -144,13 +144,14 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
     """Spectral radius of the multi-rate step at each normalized step C.
 
     The whole grid is pushed through `_linops.multirate_matrix` as one
-    batch.  That kernel also stacks the M fast sub-steps, so the number
-    of array operations per call does not depend on the grid length and
-    grows with M only as log2(M): the fast stage factor is inverted once,
-    the slow coupling L_fs Q(tau) comes from one contraction over every
-    stage time, and the sub-steps are chained by powers of the fast
-    single-rate matrix, built by repeated doubling.  Raises ValueError
-    unless M is an integer >= 1.
+    batch, so the number of array operations per call does not depend on
+    the grid length.  Nor does the fast stage recurrence depend on M: the
+    fast stage factor is inverted once, and the stages run on p + 2
+    column blocks, p the interpolant's degree, because the slow coupling
+    L_fs Q(tau) of sub-step l is a polynomial in its start l / M.  Only
+    the powers of the fast single-rate matrix that chain the sub-steps
+    grow with M, as log2(M) doublings; one product with them sums the M
+    sub-step responses.  Raises ValueError unless M is an integer >= 1.
     """
     _check_count("M", M)
     C_grid = np.asarray(C_grid, dtype=float)
@@ -171,18 +172,19 @@ def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
     """Integer-grid scan of one M and its `table_entry`, from one scan.
 
     Returns ``(C_grid, rho, entry)``: the grid 1..floor(C_max), the
-    spectral radii on it and the table entry.  The first boundary lies in
-    (C_i - 1, C_i] for the first unstable integer C_i.  Its ceiling is
-    C_i unless it sits within 1e-6 above C_i - 1, which one probe at
-    C_i - 1 + 1e-6 decides; that probe is the only C value added to the
-    grid.  Raises ValueError unless M is an integer >= 1 and C_max is
-    finite and >= 1.
+    spectral radii on it and the table entry.  A cell stable on the whole
+    grid reads ">= floor(C_max)", the last C it checked.  Otherwise the
+    first boundary lies in (C_i - 1, C_i] for the first unstable integer
+    C_i.  Its ceiling is C_i unless it sits within 1e-6 above C_i - 1,
+    which one probe at C_i - 1 + 1e-6 decides; that probe is the only C
+    value added to the grid.  Raises ValueError unless M is an integer
+    >= 1 and C_max is finite and >= 1.
     """
     C_grid = _integer_grid(C_max)
     rho = rho_curve(model, method, interp, M, C_grid)
     unstable = np.nonzero(rho > 1.0 + RHO_TOL)[0]
     if len(unstable) == 0:
-        return C_grid, rho, f">= {C_max:g}"
+        return C_grid, rho, f">= {int(C_grid[-1])}"
     C_i = int(C_grid[unstable[0]])
     probe = rho_curve(model, method, interp, M, np.array([C_i - 1 + 1e-6]))
     return C_grid, rho, C_i - 1 if probe[0] > 1.0 + RHO_TOL else C_i
@@ -195,10 +197,11 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
     The published tables round the first loss-of-stability boundary up to
     the next integer (boundaries that sit on an integer within 1e-6 are
     kept as that integer).  A C is unstable when its spectral radius
-    exceeds 1 + ``RHO_TOL``.  Returns the sentinel ">= {C_max}" when the
-    scheme stays stable on the whole integer grid.  This is the third
-    value `scan_cell` returns; raises ValueError unless M is an integer
-    >= 1 and C_max is finite and >= 1.
+    exceeds 1 + ``RHO_TOL``.  Returns the sentinel ">= {floor(C_max)}",
+    naming the last C scanned, when the scheme stays stable on the whole
+    integer grid 1..floor(C_max).  This is the third value `scan_cell`
+    returns; raises ValueError unless M is an integer >= 1 and C_max is
+    finite and >= 1.
     """
     return scan_cell(model, method, interp, M, C_max)[2]
 

@@ -33,3 +33,46 @@ def test_summary_of_alternated_pairs():
 def test_alternate_needs_six_pairs():
     with pytest.raises(SystemExit):
         pairs.main(["alternate", "a", "b", "--pairs", "5"])
+
+
+def test_stability_measure_names_the_sweep_and_its_columns(monkeypatch):
+    """The stability mode reports wall_s, the sweep, and one wall_s per
+    column M of the tables, which add up to it; its counters are the
+    cells' entries.  table_entry and the speed probe are faked, so no
+    sweep runs."""
+    monkeypatch.syspath_prepend(str(pairs.PERFBENCH))
+    import cases
+    import speed
+
+    from mrrk import stability
+    monkeypatch.setattr(speed, "probe", lambda: speed.REFERENCE_PROBE_S)
+    monkeypatch.setattr(stability, "table_entry",
+                        lambda model, method, interp, M: M)
+    got = pairs.measure_stability(rounds=2)
+    m = got["metrics"]
+    assert set(m) == {"wall_s"} | {f"M{M}.wall_s" for M in cases.M_COLS}
+    assert m["wall_s"] == pytest.approx(sum(v for k, v in m.items()
+                                            if k != "wall_s"))
+    cells = cases.stability_cells()
+    assert len(got["counters"]) == len(cells) == 504
+    assert sorted(got["counters"].values()) == sorted(c.M for c in cells)
+
+
+def test_alternate_passes_the_workload_to_each_side(monkeypatch, capsys):
+    calls = []
+
+    def fake_side(src, workload, inputs, rounds):
+        calls.append((str(src), workload))
+        wall = 1.0 if str(src) == "parent" else 0.5
+        return {"metrics": {"wall_s": wall, "M2.wall_s": wall / 7},
+                "counters": {"2dof.1.0.5.2": 6}}
+
+    monkeypatch.setattr(pairs, "_run_side", fake_side)
+    assert pairs.main(["alternate", "parent", "change", "--workload",
+                       "stability", "--pairs", "6"]) == 0
+    assert {w for _, w in calls} == {"stability"} and len(calls) == 12
+    assert [s for s, _ in calls[:4]] == ["parent", "change", "change",
+                                         "parent"]
+    out = capsys.readouterr()
+    assert "wall_s parent 1.0000 change 0.5000" in out.err
+    assert "identical on both sides" in out.out

@@ -98,15 +98,20 @@ def test_single_rate_stability_function_scalar():
 @pytest.mark.parametrize("name,kind", [
     ("erk4", "hermite"), ("erk4", "linear"), ("erk4-owren", "dense"),
     ("esdirk3", "dense"), ("esdirk4", "dense")])
-@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 100])
 def test_multirate_R_matches_brute_force(name, kind, M):
+    """The matrix itself, at odd and large M and with one and two fast
+    components, for every kind: linear (degree 1), Hermite (3) and the
+    dense outputs."""
     m = get_method(name)
-    model = model_2dof(alpha=20.0, kappa=0.05)
-    h_s = 1.7 / model.Lam
-    R = multirate_R(model, h_s, M, m, InterpolatorKind(kind))
-    R_ref = _oracles.brute_force_multirate_R(model.L, model.d, h_s, M, m,
-                                             kind)
-    np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-11)
+    for model in (model_2dof(alpha=20.0, kappa=0.05),
+                  model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=10.0,
+                             beta_ratio=1.0, kappa=0.1)):
+        h_s = 1.7 / model.Lam
+        R = multirate_R(model, h_s, M, m, InterpolatorKind(kind))
+        R_ref = _oracles.brute_force_multirate_R(model.L, model.d, h_s, M,
+                                                 m, kind)
+        np.testing.assert_allclose(R, R_ref, rtol=0, atol=1e-11)
 
 
 def test_multirate_M1_vs_single_rate():
@@ -179,6 +184,20 @@ def test_bad_scan_inputs_raise_value_error(kw, match):
             rho_curve(model, m, IK_H, kw["M"], np.array([1.0]))
 
 
+def test_stable_sentinel_names_the_last_scanned_point():
+    """With a non-integer C_max the scan stops at floor(C_max), and so
+    does the sentinel: this cell is unstable at C = 2.9, between the last
+    scanned point and C_max."""
+    model = model_2dof(alpha=1.0, kappa=0.9e-5)
+    m = get_method("erk4")
+    C_grid, rho, entry = scan_cell(model, m, IK_H, 2, C_max=2.95)
+    assert C_grid.tolist() == [1.0, 2.0]
+    assert np.all(rho <= 1.0 + stability.RHO_TOL)
+    assert entry == ">= 2"
+    assert table_entry(model, m, IK_H, 2, C_max=2.95) == ">= 2"
+    assert rho_curve(model, m, IK_H, 2, np.array([2.9]))[0] > 1.1
+
+
 def test_table_entry_is_first_unstable_boundary():
     m = get_method("erk4")
     model = model_2dof(alpha=10.0, kappa=0.9e-2)
@@ -237,8 +256,9 @@ def test_propagator_errors_reject_non_positive_or_non_finite_C(C):
 @pytest.mark.parametrize("M", [32, 128])
 @pytest.mark.parametrize("case", ["esdirk4-dense-4dof", "erk4-hermite-2dof"])
 def test_rho_curve_matches_brute_force_at_table_scale(case, M):
-    """The stacked-sub-step kernel against the per-C columnwise oracle on
-    a batch of 14 step sizes, at the largest M of the published tables."""
+    """The kernel, its sub-steps summed in the power basis, against the
+    per-C columnwise oracle on a batch of 14 step sizes, at the largest M
+    of the published tables."""
     if case == "esdirk4-dense-4dof":
         model = model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=10.0,
                            beta_ratio=1.0, kappa=0.1)

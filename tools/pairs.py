@@ -1,19 +1,23 @@
-"""Alternating timings of two ``src`` trees on the benchmark's inverter inputs.
+"""Alternating timings of two ``src`` trees on the benchmark's workloads.
 
     python tools/pairs.py alternate PARENT_SRC CHANGE_SRC
-        [--inputs 44 45 46 47] [--pairs 10] [--rounds 1]
-    PYTHONPATH=SRC python tools/pairs.py measure [--inputs ...] [--rounds 1]
+        [--workload inverter|stability] [--inputs 44 45 46 47]
+        [--pairs 10] [--rounds 1]
+    PYTHONPATH=SRC python tools/pairs.py measure [--workload ...]
+        [--inputs ...] [--rounds 1]
 
 ``alternate`` runs ``measure`` once per side and pair, each in its own
 process with ``PYTHONPATH`` set to that side's tree: the parent first in
 even pairs, the change first in odd ones, so a slow spell of the host does
-not fall on one side only.  ``measure`` builds each input ``k`` as
-`perfbench/cases.py`'s ``inverter_case(k)`` (input ``k`` is sub-seed ``k``,
-so the benchmark's ``--seed 11`` runs inputs 44-47), runs one untimed MR
-integration of the first input to warm up, then integrates every input
-in SR and MR, ``--rounds`` times.  Each integration is timed between two
-machine-speed probes and scaled by them as the benchmark scales its
-samples (`perfbench/speed.py`); in MR, the time inside
+not fall on one side only.
+
+On the ``inverter`` workload (the default), ``measure`` builds each input
+``k`` as `perfbench/cases.py`'s ``inverter_case(k)`` (input ``k`` is
+sub-seed ``k``, so the benchmark's ``--seed 11`` runs inputs 44-47), runs
+one untimed MR integration of the first input to warm up, then integrates
+every input in SR and MR, ``--rounds`` times.  Each integration is timed
+between two machine-speed probes and scaled by them as the benchmark
+scales its samples (`perfbench/speed.py`); in MR, the time inside
 `adapt.multirate_step`, the fast phase, is timed and scaled too.  Per
 input it reports, as means over the rounds:
 
@@ -23,13 +27,26 @@ input it reports, as means over the rounds:
 - ``fast_to_sr``, the ratio of the two,
 
 and, over the inputs, the means of the walls and their ratio ``mr_sr``.
-It prints them as one JSON object, with each run's counters.
+Its counters are each run's `StepStats`.
 
+On the ``stability`` workload, ``measure`` sweeps the 504 cells of
+`perfbench/cases.py`'s ``stability_cells`` through
+`stability.table_entry` ``--rounds`` times, in the benchmark's shuffled
+order, after one untimed cell; ``--inputs`` is ignored.  As in
+`perfbench/run.py`, each cell is timed alone and scaled by the probes
+around it, a probe running at least every ``PROBE_EVERY_S``, and
+``wall_s``, the time of one sweep, is the sum over the cells of each
+cell's mean scaled time.  ``M<M>.wall_s`` is that sum over the cells of
+one column M of the tables.  Its counters are the cells' entries.
+
+Either prints the metrics as one JSON object, with the counters.
 ``alternate`` prints, per metric, the median of each side, the parent's
 interquartile range, the median of the paired ratios change/parent and
 the number of pairs in which the change reads lower, then whether the two
-sides made the same attempts.  BLAS runs on one thread, as in the
-benchmark.
+sides have the same counters.  As in the benchmark, BLAS runs on one
+thread and ``measure`` pins glibc's mmap threshold: left dynamic, it
+moves with the allocation history, and so does the cost of every array
+above it.
 """
 
 from __future__ import annotations
@@ -40,6 +57,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import ctypes  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
@@ -51,11 +69,18 @@ from pathlib import Path  # noqa: E402
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# Each workload and the metric its pairs' progress lines show.
+HEADLINE = {"inverter": "mr_wall_s", "stability": "wall_s"}
 DEFAULT_INPUTS = (44, 45, 46, 47)
 DEFAULT_PAIRS = 10
 # Fewer pairs than this cannot tell a gain of a few percent from the
 # host's noise.
 MIN_PAIRS = 6
+# glibc's M_MMAP_THRESHOLD, as perfbench/run.py sets it.
+MMAP_THRESHOLD = 128 * 1024
+# Longest stretch of stability cells between two speed probes, in
+# seconds, as in perfbench/run.py.
+PROBE_EVERY_S = 1.0
 
 
 def measure(inputs, rounds):
@@ -120,6 +145,45 @@ def measure(inputs, rounds):
     return {"metrics": metrics, "counters": counters}
 
 
+def measure_stability(rounds):
+    """Metrics and entries of ``rounds`` sweeps of the stability cells."""
+    sys.path.insert(0, str(PERFBENCH))
+    import numpy as np
+
+    import cases
+    from speed import SpeedLog
+
+    from mrrk import stability
+    cells = cases.stability_cells()
+    order = np.random.default_rng(0).permutation(len(cells))
+    first = cells[order[0]]
+    stability.table_entry(first.model, first.method, first.interp, first.M)
+    log = SpeedLog()
+    times = [[] for _ in cells]
+    counters = {}
+    t_probe = time.perf_counter()
+    for _ in range(rounds):
+        for c in order:
+            cell = cells[c]
+            t0 = time.perf_counter()
+            entry = stability.table_entry(cell.model, cell.method,
+                                          cell.interp, cell.M)
+            times[c].append((time.perf_counter() - t0, log.interval))
+            counters[".".join(map(str, cell.id))] = entry
+            if time.perf_counter() - t_probe > PROBE_EVERY_S:
+                gc.collect()
+                log.close()
+                t_probe = time.perf_counter()
+    log.close()
+    cell_s = [statistics.fmean(t * log.scale(j) for t, j in ts)
+              for ts in times]
+    metrics = {"wall_s": sum(cell_s)}
+    for M in cases.M_COLS:
+        metrics[f"M{M}.wall_s"] = sum(t for t, cell in zip(cell_s, cells)
+                                      if cell.M == M)
+    return {"metrics": metrics, "counters": counters}
+
+
 def _attempts_of(counters, level):
     """Attempts at ``level`` ("global" or "fast") from a counter dict."""
     return (counters[f"accepted_{level}"]
@@ -149,27 +213,28 @@ def summarize(pairs):
     return out
 
 
-def _run_side(src, inputs, rounds):
+def _run_side(src, workload, inputs, rounds):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     out = subprocess.run(
-        [sys.executable, __file__, "measure", "--rounds", str(rounds),
-         "--inputs", *map(str, inputs)],
+        [sys.executable, __file__, "measure", "--workload", workload,
+         "--rounds", str(rounds), "--inputs", *map(str, inputs)],
         env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
-def alternate(parent_src, change_src, inputs, pairs, rounds):
+def alternate(parent_src, change_src, workload, inputs, pairs, rounds):
+    headline = HEADLINE[workload]
     runs = []
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
             got[side] = _run_side(parent_src if side == "parent"
-                                  else change_src, inputs, rounds)
+                                  else change_src, workload, inputs, rounds)
         runs.append((got["parent"], got["change"]))
-        print(f"pair {i + 1}/{pairs}: mr_wall_s parent "
-              f"{got['parent']['metrics']['mr_wall_s']:.4f} change "
-              f"{got['change']['metrics']['mr_wall_s']:.4f}", file=sys.stderr)
+        print(f"pair {i + 1}/{pairs}: {headline} parent "
+              f"{got['parent']['metrics'][headline]:.4f} change "
+              f"{got['change']['metrics'][headline]:.4f}", file=sys.stderr)
     summary = summarize([(p["metrics"], c["metrics"]) for p, c in runs])
     print(f"{'metric':24} {'parent':>10} {'change':>10} {'parent IQR':>21} "
           f"{'ratio':>7} {'wins':>6}")
@@ -194,18 +259,25 @@ def main(argv=None) -> int:
     alt.add_argument("--pairs", type=int, default=DEFAULT_PAIRS)
     run = sub.add_parser("measure", help="time the mrrk on the import path")
     for p in (alt, run):
+        p.add_argument("--workload", choices=HEADLINE, default="inverter")
         p.add_argument("--inputs", type=int, nargs="+",
                        default=list(DEFAULT_INPUTS))
         p.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args(argv)
     if args.cmd == "measure":
-        print(json.dumps(measure(args.inputs, args.rounds)))
+        try:
+            ctypes.CDLL("libc.so.6").mallopt(-3, MMAP_THRESHOLD)
+        except (OSError, AttributeError):  # not glibc: it stays dynamic
+            pass
+        print(json.dumps(measure_stability(args.rounds)
+                         if args.workload == "stability"
+                         else measure(args.inputs, args.rounds)))
     else:
         if args.pairs < MIN_PAIRS or args.rounds < 1:
             ap.error(f"--pairs must be at least {MIN_PAIRS} and --rounds "
                      "at least 1")
-        alternate(args.parent_src, args.change_src, args.inputs,
-                  args.pairs, args.rounds)
+        alternate(args.parent_src, args.change_src, args.workload,
+                  args.inputs, args.pairs, args.rounds)
     return 0
 
 
