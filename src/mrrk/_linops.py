@@ -11,9 +11,9 @@ Every slow-variable interpolant is, on y' = Ly, a matrix polynomial
     Q(tau) = sum_j tau**(p - j) C_j
 
 acting on u_n.  `_interp_coeffs` gets the coefficient matrices C_j from
-`interp.slow_interpolant` itself, the data form the integrator reads,
-applied to the step's operators in place of its vectors, so the analysed
-interpolant is the integrated one.  Q for many tau is then one
+`interp.slow_interpolant` itself, the coefficient array the integrator
+builds once per step, applied to the step's operators in place of its
+vectors, so the analysed interpolant is the integrated one.  Q for many tau is then one
 contraction with the power rows of `interp.tau_powers`, and so is any
 product X Q(tau): form X C_j once, then contract.
 
@@ -118,7 +118,8 @@ def _interp_coeffs(kind: str, tab: ButcherTableau, L: np.ndarray,
     Q(tau) = sum_j tau**(p - j) C_j.
 
     Every kind is linear in u_n, so `interp.slow_interpolant`, given each
-    matrix entry as a column, returns them: u_n = I and u_next = R = R(hL),
+    matrix entry as a column, returns them as its (p + 1, B n n) array,
+    reshaped here: u_n = I and u_next = R = R(hL),
     for ``hermite`` f_n = hL and f_next = hLR, and for ``dense`` the stage
     products K = hLR^(i) of ``lr`` = L R^(i).  The operators already carry
     h (``hh`` is h shaped (B, 1, 1)), so the data form's h is 1.0, whose
@@ -133,8 +134,7 @@ def _interp_coeffs(kind: str, tab: ButcherTableau, L: np.ndarray,
     elif kind == "dense":
         K = (hh * lr).reshape(tab.s, -1)
     C = slow_interpolant(InterpolatorKind(kind), _eye_like(L).ravel(),
-                         R.ravel(), 1.0, f_n, f_next, K,
-                         tab.dense)(slice(None))
+                         R.ravel(), 1.0, f_n, f_next, K, tab.dense)
     return C.reshape((len(C),) + L.shape)
 
 

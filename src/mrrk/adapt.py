@@ -242,19 +242,18 @@ def _has_dense_output(method) -> bool:
 
 
 def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
-    """Slow-value interpolant over [t_n, t_n + h] restricted to columns.
-
-    Returns `interp.slow_interpolant`'s builder ``coeffs``, which gives the
-    power-basis coefficients in tau of the columns it is asked for; a
-    slice of all columns reads the step's arrays without an index copy.
-    Without a configured kind, methods with continuous output and an
-    embedded pair use it and others cubic Hermite (`integrate` rejects the
-    dense kind for the others).  A method without an embedded pair accepts
-    the two half steps of step doubling, while its stage derivatives ``K``
-    come from the single full step, so its continuous output would not end
-    at ``u_next``.  Only the Hermite kind evaluates the endpoint derivatives
-    (one fresh RHS call for the right endpoint, one for the left unless
-    the first stage holds it).
+    """Slow-value interpolant over [t_n, t_n + h] as the (p + 1, N) array
+    of `interp.slow_interpolant`'s power-basis coefficients in tau, every
+    column, highest power first; `integrate` calls it once per step that
+    goes multirate or holds grid rows.  Without a configured kind, methods
+    with continuous output and an embedded pair use it and others cubic
+    Hermite (`integrate` rejects the dense kind for the others).  A
+    method without an embedded pair accepts the two half steps of step
+    doubling, while its stage derivatives ``K`` come from the single full
+    step, so its continuous output would not end at ``u_next``.  Only the
+    Hermite kind evaluates the endpoint derivatives (one fresh RHS call
+    for the right endpoint, one for the left unless the first stage holds
+    it).
     """
     kind = cfg.interp
     if kind is None:
@@ -272,21 +271,20 @@ def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
                             method.dense)
 
 
-def _make_interpolant(coeffs):
+def _make_interpolant(C):
     """The row evaluator cols -> (tau, out=None) -> rows at ``cols`` of a
-    step's coefficient builder ``coeffs`` (`_step_interpolant`), by
-    `interp.power_rows`.  The coefficients are built when the rows are
-    evaluated, and a restricted evaluator selects its columns from the
-    rows of all columns, so a column's bits do not depend on which others
-    are asked for (the row product of a narrower matrix may take another
-    kernel).  Both commit sites of the output sampler build it here, over
-    all columns; `perfbench/tracing.py` counts its evaluations, the
-    coefficient build included, under this name."""
+    step's coefficient array ``C`` (`_step_interpolant`), by
+    `interp.power_rows`.  The coefficients are built before, once per
+    step; a restricted evaluator selects its columns from the rows of all
+    columns, so a column's bits do not depend on which others are asked
+    for (the row product of a narrower matrix may take another kernel).
+    The output sampler's one commit site builds it here, over all
+    columns; `perfbench/tracing.py` counts its evaluations, the products
+    alone, under this name."""
     def make(cols):
         whole = isinstance(cols, slice) and cols == slice(None)
 
         def rows(tau, out=None):
-            C = coeffs(slice(None))
             if whole:
                 return power_rows(C, tau, out)
             if out is None:
@@ -297,16 +295,16 @@ def _make_interpolant(coeffs):
     return make
 
 
-def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
+def _fast_subproblem(problem, fast, u_n, t_n, h, C):
     """Restricted problem over the fast indices.
 
     The full-state buffer carries interpolated slow values at the needed
     columns (the structural closure of the fast rows) and the solver's
     fast iterate; RHS and Jacobian evaluation delegate to the parent
     problem's restricted entry points, which write the fast values
-    straight into the sub-problem's output.  ``coeffs`` is the step
-    interpolant's builder (`interp.slow_interpolant`): its coefficients
-    for the slow columns are formed once and turned into Python floats,
+    straight into the sub-problem's output.  ``C`` is the step
+    interpolant's coefficient array (`_step_interpolant`): the columns of
+    the slow closure are selected once and turned into Python floats,
     and each column is evaluated at tau = (t - t_n)/h by one Horner
     recurrence from the highest power down, so at t = t_n it is u_n
     exactly.  The slow columns are evaluated once per distinct ``t``:
@@ -320,7 +318,7 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
     closure.difference_update(fast.tolist())
     cols = sorted(closure)
     polys = [(j, c[0], c[1:]) for j, c in
-             zip(cols, coeffs(np.array(cols, dtype=int)).T.tolist())]
+             zip(cols, C[:, cols].T.tolist())]
     buf = u_n.copy()
     filled_t = [None]           # time of the slow values held in buf
 
@@ -358,10 +356,11 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, coeffs):
 class _OutputSampler:
     """Incremental dense-output evaluation on a fixed time grid.
 
-    Each accepted global step is committed once with its interpolant, so
-    nothing step-local has to be retained for the rest of the run.  Grid
-    points in (t0, t0 + h] take the global interpolant; after a fast
-    phase, the fast columns of those rows take the fast sub-run's samples.
+    Each accepted global step with grid rows is committed once, after its
+    fast phase, so nothing step-local has to be retained for the rest of
+    the run.  Grid points in (t0, t0 + h] take the global interpolant;
+    after a fast phase, the fast columns of those rows take the fast
+    sub-run's samples.
     """
 
     def __init__(self, t_eval, n_state, t0, y0):
@@ -386,15 +385,15 @@ class _OutputSampler:
         ``window`` is the step's `window` (t0, h).  ``interp(tau, out)``
         writes the rows of the taus of the window, clamped to [0, 1], into
         ``out``: the step's row evaluator (`_make_interpolant`), one
-        product per tau (`interp.power_rows`); ``y_fast`` then overwrites
-        the ``fast`` columns of those rows.
+        product per tau (`interp.power_rows`); ``y_fast``, unless None,
+        then overwrites the ``fast`` columns of those rows.
         """
         lo, hi = window
         if hi > lo:
             tau = (self.t_eval[lo:hi] - t0) / h
             np.minimum(np.maximum(tau, 0.0, out=tau), 1.0, out=tau)
             interp(tau, self.y[lo:hi])
-        if fast is not None:
+        if y_fast is not None:
             self.y[lo:hi, fast] = y_fast
         self.filled = max(self.filled, hi)
 
@@ -441,9 +440,8 @@ def _initial_step(problem, cfg, method):
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
-                   fast: np.ndarray, eta_f: float, coeffs,
-                   stats: StepStats, activity: list, step_index: int,
-                   sampler: _OutputSampler | None = None):
+                   fast: np.ndarray, eta_f: float, C: np.ndarray,
+                   stats: StepStats, t_eval: np.ndarray | None = None):
     """Re-integrate the fast components of one accepted global interval.
 
     ``fast`` is the ascending index array of `select_partition`.  The slow
@@ -458,24 +456,16 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     quotient over the fast set only, so its fast cap is 0 and it follows
     the error trend (`integrate`), and it inherits ``max_steps``, so one
     fast phase takes at most that many sub-steps.  The sub-run's global
-    counters are added to the fast counters of ``stats`` and its steps to
-    ``activity`` as ``"fast"`` records of global step ``step_index``.
-    ``coeffs`` is the global step's slow-value interpolant
-    (`_step_interpolant`): the sub-problem evaluates its slow columns from
-    it by Horner.  When the step holds rows of a ``sampler``, the sub-run
-    samples them and the step is committed to it, its slow columns by
-    `_make_interpolant`'s rows of the same coefficients; otherwise the
-    sub-run has no output grid.  Returns
-    the combined state, or raises ConvergenceFailure when the sub-run
-    fails (the caller then rejects the global step); counters of the
-    failed sub-run are kept, its activity is not.
+    counters are added to the fast counters of ``stats``.  ``C`` is the
+    global step's slow-value coefficient array (`_step_interpolant`): the
+    sub-problem evaluates its slow columns from it by Horner.  ``t_eval``
+    is the sub-run's output grid, the step's grid times or None.  Returns
+    (u_next, res): the combined state and the sub-run's result, whose
+    activity and ``y_out`` the caller records and commits.  Raises
+    ConvergenceFailure when the sub-run fails (the caller then rejects
+    the global step); counters of the failed sub-run are kept.
     """
-    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, coeffs)
-    t_eval = None
-    if sampler is not None:
-        window = lo, hi = sampler.window(t_n, h_n)
-        if hi > lo:
-            t_eval = sampler.t_eval[lo:hi]
+    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, C)
     h0 = h_n * min(config.alpha_max,
                    config.alpha * eta_f ** (-1.0 / (method.q + 1)))
     sub_cfg = replace(config, mode="single", t_eval=t_eval, h0=h0)
@@ -485,16 +475,9 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
         _add_fast_counters(stats, exc.stats)
         raise ConvergenceFailure(f"fast phase: {exc}") from None
     _add_fast_counters(stats, res.stats)
-    activity.extend(ActivityRecord(
-        step_index=step_index, t_start=r.t_start, t_end=r.t_end,
-        kind="fast", active_indices=fast) for r in res.activity)
-    if t_eval is not None:
-        sampler.commit_step(window, t_n, h_n,
-                            _make_interpolant(coeffs)(slice(None)), fast,
-                            res.y_out)
     u_next = u_tentative.copy()
     u_next[fast] = res.y[-1]
-    return u_next
+    return u_next, res
 
 
 def _add_fast_counters(stats: StepStats, sub: StepStats):
@@ -531,6 +514,11 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     With a nonzero cap, eta_s is the largest quotient outside a top m
     that changes from step to step, so its trend means little, and every
     step takes `new_step_size`.
+
+    Each step that is not rejected is recorded at one site: one
+    coefficient build (`_step_interpolant`) if it goes multirate or holds
+    grid rows, its fast activity before its global record, and one commit
+    of its grid rows, the fast columns from the fast phase's samples.
     """
     cfg = config
     if cfg.interp == DENSE and not _has_dense_output(method):
@@ -596,13 +584,20 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 problem, u, t, h, method, cfg, cache)
             decision, fast, eta_s, eta_f = select_partition(
                 eta, phi, cfg.beta)
-            if decision == "go_multirate":
-                coeffs = _step_interpolant(
-                    problem, method, cfg, u, u_tent, t, h, K)
-                u_next = multirate_step(
-                    problem, method, cfg, u, t, h, u_tent, fast, eta_f,
-                    coeffs, stats, activity, stats.accepted_global + 1,
-                    sampler)
+            if decision != "reject":
+                lo, hi = (0, 0) if sampler is None else sampler.window(t, h)
+                t_eval = sampler.t_eval[lo:hi] if hi > lo else None
+                # Only a step that goes multirate or holds grid rows pays
+                # for an interpolant.
+                if decision == "go_multirate" or t_eval is not None:
+                    C = _step_interpolant(
+                        problem, method, cfg, u, u_tent, t, h, K)
+                u_next, y_fast = u_tent, None
+                if decision == "go_multirate":
+                    u_next, sub = multirate_step(
+                        problem, method, cfg, u, t, h, u_tent, fast, eta_f,
+                        C, stats, t_eval)
+                    y_fast = sub.y_out
         except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1
             h *= 0.5
@@ -615,19 +610,19 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
             if why := too_small(h):
                 raise failure(why)
             continue
-        if decision == "accept":
-            u_next = u_tent
-            # Only a step that holds grid rows pays for an interpolant.
-            if sampler is not None:
-                window = lo, hi = sampler.window(t, h)
-                if hi > lo:
-                    sampler.commit_step(window, t, h, _make_interpolant(
-                        _step_interpolant(problem, method, cfg, u, u_tent,
-                                          t, h, K))(slice(None)))
         stats.accepted_global += 1
+        if decision == "go_multirate":
+            activity.extend(ActivityRecord(
+                step_index=stats.accepted_global, t_start=r.t_start,
+                t_end=r.t_end, kind="fast", active_indices=fast)
+                for r in sub.activity)
         activity.append(ActivityRecord(
             step_index=stats.accepted_global, t_start=t, t_end=t + h,
             kind="global", active_indices=all_idx))
+        if t_eval is not None:
+            sampler.commit_step((lo, hi), t, h,
+                                _make_interpolant(C)(slice(None)), fast,
+                                y_fast)
         t, u = t + h, u_next
         ts.append(t)
         ys.append(u.copy())

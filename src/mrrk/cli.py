@@ -29,6 +29,8 @@ usage error (a bad command line, or any value the library rejects with
 ValueError, whose message it prints), 3 integration failure, 4 numeric
 error (`numpy.linalg.LinAlgError`).  The type decides: a ValueError from
 inside a ``solve`` run, a library fault, also exits 2 and writes nothing.
+A request too large for memory (a MemoryError) exits 2 with one line
+that says so.
 """
 
 from __future__ import annotations
@@ -435,6 +437,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"usage error: the request did not fit in memory{detail}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

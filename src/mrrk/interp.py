@@ -2,14 +2,14 @@
 
 `slow_interpolant` is the data form: it consumes the vectors produced by
 an actual step (endpoint states, endpoint derivatives, or stage
-derivatives) and gives the power-basis coefficients in tau of chosen
-columns, the one form the adaptive controller reads.  A fast sub-problem
-evaluates them by Horner on Python floats, and the output sampler by
-`power_rows`, the one evaluator over an array of tau.  On y' = Ly every
-kind is linear in u_n, so the same code, applied to the step's operators
-in place of its vectors, gives the power-basis coefficient matrices of
-Q(tau) acting on u_n, from which `_linops` builds the multi-rate
-amplification matrix.
+derivatives) and gives the (p + 1, n) array of power-basis coefficients
+in tau, the one form the adaptive controller reads, built once per step.
+A fast sub-problem evaluates the columns it reads by Horner on Python
+floats, and the output sampler all columns by `power_rows`, the one
+evaluator over an array of tau.  On y' = Ly every kind is linear in u_n,
+so the same code, applied to the step's operators in place of its
+vectors, gives the power-basis coefficient matrices of Q(tau) acting on
+u_n, from which `_linops` builds the multi-rate amplification matrix.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def tau_powers(tau, p):
 def power_rows(C, tau, out=None):
     """Rows of power-basis coefficients at each tau of a 1-D array.
 
-    ``C`` is a (p + 1, n) array of `slow_interpolant`'s coefficients,
-    highest power first; the result is the (m, n) array of
+    ``C`` is a (p + 1, n) coefficient array, highest power first, as
+    `slow_interpolant` returns it; the result is the (m, n) array of
     sum_j C[j] tau**(p - j), written into ``out`` when one is given, and
     tau is not checked.  Each `tau_powers` row is its own
     (1, p + 1) @ (p + 1, n) product (one (m, p + 1) @ (p + 1, n) product
@@ -78,49 +78,41 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
     """Data-form interpolant of one step [t_n, t_n + h] as its
     power-basis coefficients in tau = (t - t_n)/h.
 
-    Returns ``coeffs(cols)``: for ``cols`` an index array or a slice, the
-    (p + 1, len(cols)) float array whose column j holds the coefficients of
-    column cols[j]'s polynomial in tau, from the highest power down to the
-    constant term u_n[cols[j]].  A fast sub-problem evaluates them by
-    Horner on Python floats and the output sampler by `power_rows`.
-    ``linear`` reads the endpoint states, ``hermite`` also the endpoint
-    derivatives ``f_n``/``f_next``, and ``dense`` the stage derivatives
-    ``K`` with the method's continuous-output coefficients ``dense``, the
-    (s, p) array B* of `tableaux.ButcherTableau.dense`.
+    Returns the (p + 1, n) float array whose column j holds the
+    coefficients of column j's polynomial in tau, from the highest power
+    down to the constant term u_n[j].  A fast sub-problem evaluates its
+    slow columns by Horner on Python floats and the output sampler all
+    columns by `power_rows`.  ``linear`` reads the endpoint states,
+    ``hermite`` also the endpoint derivatives ``f_n``/``f_next``, and
+    ``dense`` the stage derivatives ``K`` with the method's
+    continuous-output coefficients ``dense``, the (s, p) array B* of
+    `tableaux.ButcherTableau.dense`.
 
     Every entry is formed elementwise in a fixed order, so it does not
-    depend on the other columns: u_next - u_n and u_n for ``linear``; the
-    textbook cubic expansion of the Hermite basis for ``hermite``; and for
-    ``dense`` h (B*^T K[:, cols]), accumulated stage by stage from 0.0
-    (not by a BLAS kernel, whose order and fused multiply-adds vary between
-    builds), then u_n.
+    depend on the other columns and ``C[:, cols]`` is what the same data
+    restricted to ``cols`` would give: u_next - u_n and u_n for
+    ``linear``; the textbook cubic expansion of the Hermite basis for
+    ``hermite``; and for ``dense`` h (B*^T K), accumulated stage by stage
+    from 0.0 (not by a BLAS kernel, whose order and fused multiply-adds
+    vary between builds), then u_n.
     """
     if kind.kind == "dense":
         # Each stage's weights of tau**p down to tau as a column:
         # B*[:, j] weighs tau**(j + 1).
         weights = dense[:, ::-1, None]
         p = weights.shape[1]
-
-        def coeffs(cols):
-            a = u_n[cols]
-            C = np.empty((p + 1, len(a)))
-            # A reduction over the outer (stage) axis adds whole rows in
-            # stage order; numpy sums pairwise only along the inner axis.
-            np.add.reduce(weights * K[:, cols][:, None], axis=0,
-                          out=C[:p], initial=0.0)
-            C[:p] *= h
-            C[p] = a
-            return C
-    elif kind.kind == "linear":
-        def coeffs(cols):
-            a = u_n[cols]
-            return np.vstack((u_next[cols] - a, a))
-    else:
-        def coeffs(cols):
-            # (1 + 2t)(1 - t)^2 a + (3 - 2t)t^2 b + ht(1 - t)^2 fa
-            # + h(t - 1)t^2 fb, expanded in powers of t.
-            a, b = u_n[cols], u_next[cols]
-            ha, hb = h * f_n[cols], h * f_next[cols]
-            return np.vstack((2.0 * (a - b) + (ha + hb),
-                              3.0 * (b - a) - (2.0 * ha + hb), ha, a))
-    return coeffs
+        C = np.empty((p + 1, len(u_n)))
+        # A reduction over the outer (stage) axis adds whole rows in stage
+        # order; numpy sums pairwise only along the inner axis.
+        np.add.reduce(weights * K[:, None], axis=0, out=C[:p], initial=0.0)
+        C[:p] *= h
+        C[p] = u_n
+        return C
+    if kind.kind == "linear":
+        return np.vstack((u_next - u_n, u_n))
+    # (1 + 2t)(1 - t)^2 a + (3 - 2t)t^2 b + ht(1 - t)^2 fa + h(t - 1)t^2 fb,
+    # expanded in powers of t.
+    a, b = u_n, u_next
+    ha, hb = h * f_n, h * f_next
+    return np.vstack((2.0 * (a - b) + (ha + hb),
+                      3.0 * (b - a) - (2.0 * ha + hb), ha, a))

@@ -300,7 +300,7 @@ def test_multirate_slow_components_bitwise(monkeypatch):
             *args, **kw):
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
                    fast, *args, **kw)
-        seen.append((u_tentative.copy(), fast, out.copy()))
+        seen.append((u_tentative.copy(), fast, out[0].copy()))
         return out
 
     monkeypatch.setattr(adapt, "multirate_step", spy)
@@ -316,22 +316,24 @@ def test_multirate_slow_components_bitwise(monkeypatch):
 @pytest.mark.parametrize("name", ["esdirk3", "erk4"])
 def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
         monkeypatch, name):
-    """multirate_step = integrate(fast sub-problem, mode="single", h0)."""
+    """multirate_step = integrate(fast sub-problem, mode="single", h0);
+    the run records the sub-run's steps as "fast" records of the global
+    step."""
     prob, _ = stiff_pair_problem()
     orig = adapt.multirate_step
     checked = []
 
     def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
-            eta_f, coeffs, stats, activity, step_index, *args, **kw):
-        before, n_act = asdict(stats), len(activity)
+            eta_f, C, stats, *args, **kw):
+        before = asdict(stats)
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   fast, eta_f, coeffs, stats, activity, step_index, *args,
-                   **kw)
-        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, coeffs)
+                   fast, eta_f, C, stats, *args, **kw)
+        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, C)
         h0 = h_n * min(config.alpha_max,
                        config.alpha * eta_f ** (-1.0 / (method.q + 1)))
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
-        np.testing.assert_array_equal(out[fast], ref.y[-1])
+        np.testing.assert_array_equal(out[0][fast], ref.y[-1])
+        np.testing.assert_array_equal(out[1].y, ref.y)
         after = asdict(stats)
         delta = {k: after[k] - before[k] for k in before if k != "wall_time"}
         assert delta == dict(
@@ -344,17 +346,22 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
             local_rhs_calls=ref.stats.global_rhs_calls,
             local_jacobians=ref.stats.global_jacobians,
             local_solves=ref.stats.global_solves)
-        recs = activity[n_act:]
-        assert [(r.step_index, r.t_start, r.t_end, r.kind) for r in recs] == [
-            (step_index, r.t_start, r.t_end, "fast") for r in ref.activity]
-        assert all(r.active_indices is fast for r in recs)
-        checked.append(step_index)
+        checked.append((t_n, fast, ref.activity))
         return out
 
     monkeypatch.setattr(adapt, "multirate_step", spy)
     cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5)
     res = integrate(prob, get_method(name), cfg)
     assert checked and res.stats.accepted_fast > 0
+    step_of = {r.t_start: r.step_index for r in res.activity
+               if r.kind == "global"}
+    for t_n, fast, ref_activity in checked:
+        step_index = step_of[t_n]
+        recs = [r for r in res.activity
+                if r.kind == "fast" and r.step_index == step_index]
+        assert [(r.step_index, r.t_start, r.t_end, r.kind) for r in recs] == [
+            (step_index, r.t_start, r.t_end, "fast") for r in ref_activity]
+        assert all(r.active_indices is fast for r in recs)
 
 
 def small_inverter():
@@ -491,7 +498,7 @@ def test_fast_sub_run_starts_without_the_alpha_min_floor(monkeypatch):
 def _fast_subproblem_case(kind):
     """A 20-stage chain's fast set [0, 5, 6, 12], whose slow closure
     columns are 4 and 11, and one step's interpolant of ``kind`` from
-    seeded data: (problem, fast, u_n, t_n, h, coeffs, bound), where
+    seeded data: (problem, fast, u_n, t_n, h, C, bound), where
     ``bound`` is the kind's round-off bound per column."""
     problem = bench.make_inverter_chain(bench.InverterChainParams(N=20))
     m = get_method("esdirk3")
@@ -512,7 +519,7 @@ def test_fast_subproblem_fills_slow_columns_by_horner(kind):
     row of the same coefficients at tau = (t - t_n)/h within the kind's
     round-off bound (`conftest.interp_round_off`), and u_n exactly at
     t = t_n."""
-    problem, fast, u_n, t_n, h, coeffs, bound = _fast_subproblem_case(kind)
+    problem, fast, u_n, t_n, h, C, bound = _fast_subproblem_case(kind)
     states = []
 
     def rhs_restricted(y, t, indices, out):
@@ -521,9 +528,8 @@ def test_fast_subproblem_fills_slow_columns_by_horner(kind):
 
     sub = adapt._fast_subproblem(
         replace(problem, rhs_restricted=rhs_restricted), fast, u_n, t_n, h,
-        coeffs)
+        C)
     cols = np.array([4, 11])
-    C = coeffs(cols)
     rng = np.random.default_rng(6)
     out = np.empty(len(fast))
     for t in (t_n, *(t_n + h * rng.uniform(0.0, 1.0, 20)), t_n + h):
@@ -531,33 +537,29 @@ def test_fast_subproblem_fills_slow_columns_by_horner(kind):
         slow = states[-1][cols]
         if t == t_n:
             assert slow.tobytes() == u_n[cols].tobytes()
-        row = power_rows(C, np.array([(t - t_n) / h]))[0]
+        row = power_rows(C[:, cols], np.array([(t - t_n) / h]))[0]
         assert np.all(np.abs(slow - row) <= bound[cols]), t
 
 
 def test_fast_subproblem_forms_slow_coefficients_once():
-    """A sub-problem forms its slow columns' coefficients once, for its
-    closure columns only, and each RHS or Jacobian call equals a fresh
-    sub-problem's evaluation at its t, whichever t came before."""
-    problem, fast, u_n, t_n, h, coeffs, _ = _fast_subproblem_case(DENSE)
-    formed = []
-
-    def counting(cols):
-        formed.append(cols.tolist())
-        return coeffs(cols)
-
-    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, counting)
+    """A sub-problem takes its slow columns' coefficients once, when it is
+    built: each RHS or Jacobian call equals a fresh sub-problem's
+    evaluation at its t, whichever t came before, though the coefficient
+    array it was built from has since been overwritten."""
+    problem, fast, u_n, t_n, h, C, _ = _fast_subproblem_case(DENSE)
+    given = C.copy()
+    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, given)
+    given[...] = np.nan
     rng = np.random.default_rng(7)
     for t in (9.1, 9.1, 9.35, 9.1, t_n):
         yf = rng.uniform(0.0, 5.0, len(fast))
         out, ref = np.empty(len(fast)), np.empty(len(fast))
         sub.rhs(yf, t, out)
-        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, coeffs)
+        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, C)
         fresh.rhs(yf, t, ref)
         assert out.tobytes() == ref.tobytes()
         assert (sub.jacobian(yf, t).tobytes()
                 == fresh.jacobian(yf, t).tobytes())
-    assert formed == [[4, 11]]
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])
@@ -597,9 +599,9 @@ def test_interpolant_ends_at_accepted_state(name):
     if adapt._has_dense_output(m):
         kinds += (DENSE,)
     for kind in kinds:
-        coeffs = adapt._step_interpolant(
+        C = adapt._step_interpolant(
             prob, m, replace(cfg, interp=kind), u, u_next, t, h, K)
-        interp = adapt._make_interpolant(coeffs)(slice(None))
+        interp = adapt._make_interpolant(C)(slice(None))
         end = interp(np.array([1.0]))[0]
         gap = np.abs(end - u_next) / (cfg.rtol * np.abs(u_next) + cfg.atol)
         assert gap.max() <= 1e-9, kind
@@ -1048,10 +1050,9 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
     step_interpolant = adapt._step_interpolant
 
     def spy(problem, method, cfg, u_n, u_next, t_n, h, K):
-        coeffs = step_interpolant(problem, method, cfg, u_n, u_next, t_n, h,
-                                  K)
-        steps[t_n, t_n + h] = (u_n, u_next, h, K, coeffs)
-        return coeffs
+        C = step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K)
+        steps[t_n, t_n + h] = (u_n, u_next, h, K, C)
+        return C
     monkeypatch.setattr(adapt, "_step_interpolant", spy)
     m = get_method("esdirk3")
     grid = np.linspace(0.0, 6.5, 651)
@@ -1066,7 +1067,7 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
     checked = 0
     for index, fast in fast_sets.items():
         t_n, t_end = glob[index]
-        u_n, u_next, h, K, coeffs = steps[t_n, t_end]
+        u_n, u_next, h, K, C = steps[t_n, t_end]
         f_n, f_next = np.empty(base.N), np.empty(base.N)
         base.rhs(u_n, t_n, f_n)
         base.rhs(u_next, t_n + h, f_next)
@@ -1074,7 +1075,7 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
                                  m.dense)
         cols = sorted(set().union(*(base.dependency(int(i)) for i in fast))
                       - set(fast.tolist()))
-        sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, coeffs)
+        sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, C)
         out = np.empty(len(fast))
         for row in np.nonzero((grid > t_n) & (grid < t_end))[0]:
             sub.rhs(u_n[fast], grid[row], out)
@@ -1082,6 +1083,45 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
             assert np.all(gap <= bound[cols]), (index, row)
             checked += 1
     assert checked > 20
+
+
+def test_multirate_step_never_commits_to_the_run_sampler(monkeypatch):
+    """A step's grid rows are committed by `integrate` after its fast
+    phase: no commit to an N-column sampler happens while `multirate_step`
+    runs, only the fast sub-runs' own commits, and every multirate step
+    holding grid rows is committed once with its fast columns."""
+    base = small_chain()
+    running = [False]
+    commits = []
+    multirate_step = adapt.multirate_step
+    commit_step = adapt._OutputSampler.commit_step
+
+    def spy_step(*args, **kw):
+        running[0] = True
+        try:
+            return multirate_step(*args, **kw)
+        finally:
+            running[0] = False
+
+    def spy_commit(sampler, window, t0, h, interp, fast=None, y_fast=None):
+        commits.append((running[0], sampler.y.shape[1], t0,
+                        y_fast is not None))
+        return commit_step(sampler, window, t0, h, interp, fast, y_fast)
+
+    monkeypatch.setattr(adapt, "multirate_step", spy_step)
+    monkeypatch.setattr(adapt._OutputSampler, "commit_step", spy_commit)
+    res = integrate(base, get_method("esdirk3"),
+                    SolverConfig(rtol=1e-6, atol=1e-6, mode="multi", phi=0.2,
+                                 t_eval=np.linspace(0.0, 6.5, 651)))
+    assert res.stats.accepted_fast > 0
+    assert all(width < base.N for inside, width, _, _ in commits if inside)
+    assert any(inside for inside, _, _, _ in commits)
+    glob = {r.step_index: r.t_start for r in res.activity
+            if r.kind == "global"}
+    mr_starts = {glob[r.step_index] for r in res.activity if r.kind == "fast"}
+    overlaid = [t0 for inside, width, t0, fast in commits
+                if not inside and width == base.N and fast]
+    assert sorted(overlaid) == sorted(mr_starts)
 
 
 def test_output_sampler_clamps_tau_and_closes_round_off_gap():

@@ -163,6 +163,27 @@ def test_value_error_inside_a_solve_run_exits_2(tmp_path, capsys,
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", ["stability", "solve"])
+def test_request_too_large_for_memory_exits_2(tmp_path, capsys, monkeypatch,
+                                              command):
+    """A MemoryError, such as a stability scan's integer C grid up to
+    --c-max 1e12, exits 2 with one usage-error line and no traceback; the
+    failing call is faked, so nothing large is allocated."""
+    def too_large(*args, **kw):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(cli, "scan_cell", too_large)
+    monkeypatch.setattr(cli, "integrate", too_large)
+    argv = {"stability": _STAB2 + ["--M", "2", "--c-max", "1e12"],
+            "solve": ["solve", "--problem", "constant", "--param", "N=2"]}
+    out = tmp_path / "out"
+    rc = main(argv[command] + ["--outdir", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == ("usage error: the request did not fit in memory "
+                   "(Unable to allocate 7.28 TiB for an array)\n")
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_stability_scan_and_table(tmp_path):
     out = tmp_path / "stab"
     rc = main(["stability", "--model", "2dof", "--method", "erk4",

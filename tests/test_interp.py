@@ -31,16 +31,16 @@ def linear_problem(L):
 def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
               dense=None):
     """The data form at each tau of a scalar or 1-D array, all columns."""
-    coeffs = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
-    return power_rows(coeffs(slice(None)), np.atleast_1d(tau))
+    C = slow_interpolant(kind, u0, u1, h, f_n, f_next, K, dense)
+    return power_rows(C, np.atleast_1d(tau))
 
 
 def controller_interp(prob, m, kind, u0, u1, t0, h, K, cols):
     """The controller's row evaluator of ``kind`` at ``cols``, as the
     output sampler gets it."""
-    coeffs = _step_interpolant(prob, m, SolverConfig(interp=kind), u0, u1,
-                               t0, h, K)
-    return _make_interpolant(coeffs)(cols)
+    C = _step_interpolant(prob, m, SolverConfig(interp=kind), u0, u1, t0, h,
+                          K)
+    return _make_interpolant(C)(cols)
 
 
 def operator(kind, L, h, m, tau):
@@ -136,9 +136,10 @@ def test_duality_data_vs_operator(seed, tau, name):
 def test_dense_coefficients_are_the_stage_sums_on_python_floats(name):
     """The dense coefficients of each column are h times the sum over the
     stages, in stage order from 0.0, of b*_k K_k on Python floats, highest
-    power first, then u_n, bit for bit for an index array and a slice: the
-    fast fill of a multirate step reads them, and MR runs are bitwise only
-    if their arithmetic stays fixed.  Zero and negative-zero products
+    power first, then u_n, bit for bit for an index array and a slice of
+    the columns, and for the interpolant of those columns' data alone:
+    the fast fill of a multirate step reads them, and MR runs are bitwise
+    only if their arithmetic stays fixed.  Zero and negative-zero products
     included."""
     m = get_method(name)
     rng = np.random.default_rng(11)
@@ -148,7 +149,7 @@ def test_dense_coefficients_are_the_stage_sums_on_python_floats(name):
     # Every product of the highest power is -0.0, so only a sum started
     # from 0.0 gives +0.0 there.
     K[:, 4] = np.copysign(0.0, -m.dense[:, -1])
-    coeffs = slow_interpolant(DENSE, u0, None, h, K=K, dense=m.dense)
+    C = slow_interpolant(DENSE, u0, None, h, K=K, dense=m.dense)
     for cols in (np.array([0, 1, 4, 8]), slice(None)):
         ref = []
         for j in np.arange(9)[cols]:
@@ -159,7 +160,10 @@ def test_dense_coefficients_are_the_stage_sums_on_python_floats(name):
                     v += b * k
                 col.append(h * v)
             ref.append(col + [u0[j]])
-        assert coeffs(cols).tobytes() == np.array(ref).T.tobytes()
+        ref = np.array(ref).T.tobytes()
+        assert C[:, cols].tobytes() == ref
+        assert slow_interpolant(DENSE, u0[cols], None, h, K=K[:, cols],
+                                dense=m.dense).tobytes() == ref
 
 
 def test_array_tau_rows():

@@ -137,8 +137,7 @@ def test_dense_eval_domain_and_endpoints(tight_newton):
     u1, _, K = rk_step(prob, u0, 0.0, 0.2, m,
                        JacobianCache(prob, tight_newton))
 
-    C = slow_interpolant(DENSE, u0, None, 0.2, K=K,
-                         dense=m.dense)(slice(None))
+    C = slow_interpolant(DENSE, u0, None, 0.2, K=K, dense=m.dense)
     assert power_rows(C, np.array([0.0]))[0].tobytes() == u0.tobytes()
     np.testing.assert_allclose(power_rows(C, np.array([1.0]))[0], u1,
                                atol=1e-12)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import time
 
 import pytest
 
@@ -76,3 +77,63 @@ def test_alternate_passes_the_workload_to_each_side(monkeypatch, capsys):
     out = capsys.readouterr()
     assert "wall_s parent 1.0000 change 0.5000" in out.err
     assert "identical on both sides" in out.out
+
+
+def test_inverter_measure_times_output_sampling_apart(monkeypatch):
+    """The inverter mode reports each input's output sampling, the time
+    inside the run's own commits, apart from the fast phase: a delay put
+    into every commit of the run's sampler lands in ``*_sampling_s``, and
+    sampling and fast phase add up to no more than the wall.  A 20-stage
+    chain with an output grid stands in for the benchmark's inputs and
+    the speed probe is faked, so no benchmark input runs."""
+    monkeypatch.syspath_prepend(str(pairs.PERFBENCH))
+    from dataclasses import replace
+
+    import numpy as np
+
+    import cases
+    import speed
+
+    from mrrk import adapt, bench
+    from mrrk.tableaux import get_method
+
+    def tiny_case(k):
+        problem = bench.make_inverter_chain(
+            bench.InverterChainParams(N=20, t_span=(0.0, 6.5)))
+        sr = adapt.SolverConfig(rtol=1e-6, atol=1e-6, phi=0.2,
+                                t_eval=np.linspace(0.0, 6.5, 651))
+        return cases.IntegratorCase("inverter", problem,
+                                    get_method("esdirk3"), sr,
+                                    replace(sr, mode="multi"), (), str(k))
+
+    delay = 2e-3
+    samplers, commits = [], []
+    commit_step = adapt._OutputSampler.commit_step
+
+    def slow_commit(sampler, *args, **kw):
+        if sampler.y.shape[1] == 20:
+            if sampler not in samplers:
+                samplers.append(sampler)
+                commits.append(0)
+            commits[samplers.index(sampler)] += 1
+            time.sleep(delay)
+        return commit_step(sampler, *args, **kw)
+
+    monkeypatch.setattr(cases, "inverter_case", tiny_case)
+    monkeypatch.setattr(speed, "probe", lambda: speed.REFERENCE_PROBE_S)
+    # measure wraps both; monkeypatch puts the originals back afterwards.
+    monkeypatch.setattr(adapt, "multirate_step", adapt.multirate_step)
+    monkeypatch.setattr(adapt._OutputSampler, "commit_step", slow_commit)
+    got = pairs.measure([3], rounds=1)
+    m, c = got["metrics"], got["counters"]
+    assert {"3.sr_sampling_s", "3.mr_sampling_s"} <= set(m)
+    # The samplers of the warm-up, the SR and the MR run, in that order.
+    assert len(commits) == 3
+    for mode, n in zip(("sr", "mr"), commits[1:]):
+        assert n > 0
+        assert m[f"3.{mode}_sampling_s"] >= n * delay
+        assert m[f"3.{mode}_sampling_s"] < m[f"3.{mode}_wall_s"]
+    assert c["3.mr"]["accepted_fast"] > 0
+    fast_s = 1e-6 * m["3.fast_attempt_us"] * pairs._attempts_of(c["3.mr"],
+                                                                "fast")
+    assert fast_s + m["3.mr_sampling_s"] <= m["3.mr_wall_s"]

@@ -17,11 +17,17 @@ sub-seed ``k``, so the benchmark's ``--seed 11`` runs inputs 44-47), runs
 one untimed MR integration of the first input to warm up, then integrates
 every input in SR and MR, ``--rounds`` times.  Each integration is timed
 between two machine-speed probes and scaled by them as the benchmark
-scales its samples (`perfbench/speed.py`); in MR, the time inside
-`adapt.multirate_step`, the fast phase, is timed and scaled too.  Per
-input it reports, as means over the rounds:
+scales its samples (`perfbench/speed.py`).  Two phases of each run are
+timed and scaled too: the fast phase, the time inside
+`adapt.multirate_step`, and output sampling, the time inside the run's
+own `adapt._OutputSampler.commit_step` calls.  `integrate` commits a
+step's rows after its fast phase, so the fast phase no longer holds the
+commits of multirate steps; a fast sub-run's commits to its own sampler
+stay fast-phase time, not sampling time.  Per input it reports, as means
+over the rounds:
 
 - ``sr_wall_s`` and ``mr_wall_s``, the probe-scaled wall of one run;
+- ``sr_sampling_s`` and ``mr_sampling_s``, the output sampling of one run;
 - ``sr_attempt_us``, SR wall over SR attempts (accepted and rejected);
 - ``fast_attempt_us``, the MR fast phase over MR fast attempts;
 - ``fast_to_sr``, the ratio of the two,
@@ -90,28 +96,38 @@ def measure(inputs, rounds):
     from speed import SpeedLog
 
     from mrrk import adapt
-    fast_s = [0.0]
-    multirate_step = adapt.multirate_step
+    phase_s = {"fast": 0.0, "sampling": 0.0}
+    timing = [False]
 
-    def timed_multirate_step(*args, **kw):
-        t0 = time.perf_counter()
-        try:
-            return multirate_step(*args, **kw)
-        finally:
-            fast_s[0] += time.perf_counter() - t0
+    def timed(fn, phase):
+        def wrapper(*args, **kw):
+            # A call inside a timed call is time of the outer call's phase.
+            if timing[0]:
+                return fn(*args, **kw)
+            timing[0] = True
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kw)
+            finally:
+                phase_s[phase] += time.perf_counter() - t0
+                timing[0] = False
+        return wrapper
 
-    adapt.multirate_step = timed_multirate_step
+    adapt.multirate_step = timed(adapt.multirate_step, "fast")
+    adapt._OutputSampler.commit_step = timed(
+        adapt._OutputSampler.commit_step, "sampling")
     built = {k: cases.inverter_case(k) for k in inputs}
     warm = built[inputs[0]]
     adapt.integrate(warm.problem, warm.method, warm.mr)
     log = SpeedLog()
-    samples = {k: {"sr": [], "mr": [], "fast": []} for k in inputs}
+    samples = {k: {"sr": [], "mr": [], "fast": [], "sr_sampling": [],
+                   "mr_sampling": []} for k in inputs}
     counters = {}
     for _ in range(rounds):
         for k, case in built.items():
             for mode in ("sr", "mr"):
                 gc.collect()
-                fast_s[0] = 0.0
+                phase_s.update(fast=0.0, sampling=0.0)
                 t0 = time.perf_counter()
                 res = adapt.integrate(case.problem, case.method,
                                       case.sr if mode == "sr" else case.mr)
@@ -120,8 +136,10 @@ def measure(inputs, rounds):
                 log.close()
                 scale = log.scale(interval)
                 samples[k][mode].append(took * scale)
+                samples[k][f"{mode}_sampling"].append(
+                    phase_s["sampling"] * scale)
                 if mode == "mr":
-                    samples[k]["fast"].append(fast_s[0] * scale)
+                    samples[k]["fast"].append(phase_s["fast"] * scale)
                 stats = asdict(res.stats)
                 stats.pop("wall_time")
                 counters[f"{k}.{mode}"] = stats
@@ -134,6 +152,8 @@ def measure(inputs, rounds):
         metrics.update({
             f"{k}.sr_wall_s": mean(samples[k]["sr"]),
             f"{k}.mr_wall_s": mean(samples[k]["mr"]),
+            f"{k}.sr_sampling_s": mean(samples[k]["sr_sampling"]),
+            f"{k}.mr_sampling_s": mean(samples[k]["mr_sampling"]),
             f"{k}.sr_attempt_us": 1e6 * sr_attempt,
             f"{k}.fast_attempt_us": 1e6 * fast_attempt,
             f"{k}.fast_to_sr": fast_attempt / sr_attempt,
