@@ -13,18 +13,19 @@ Every slow-variable interpolant is, on y' = Ly, a matrix polynomial
 acting on u_n.  `_interp_coeffs` gets the coefficient matrices C_j from
 `interp.slow_interpolant` itself, the coefficient array the integrator
 builds once per step, applied to the step's operators in place of its
-vectors, so the analysed interpolant is the integrated one.  Q for many tau is then one
-contraction with the power rows of `interp.tau_powers`, and so is any
-product X Q(tau): form X C_j once, then contract.
+vectors, so the analysed interpolant is the integrated one.  Q for many
+tau is then one contraction with the power rows of `interp.tau_powers`,
+and so is any product X Q(tau): form X C_j once, then contract.
 
 `multirate_matrix` uses that to collapse the M fast sub-steps of one
 multi-rate step.  Within sub-step l the fast stages depend on u_n only
 through that sub-step's interpolated slow values, and shifting Q's power
 basis writes those as a polynomial of degree p in the sub-step start
-l / M.  So the stage recurrence runs once on arrays of p + 2 column
-blocks, the responses to the fast start and to each power, whatever M
-is, and the constant ESDIRK stage factor is inverted once per distinct
-diagonal coefficient.  The coupling between sub-steps is carried by
+l / M.  One DIRK stage recurrence, `_stages`, serves both systems: it
+forms the full system's stage products (`stage_products`, from which R
+and Q come) and, forced by the slow values, the fast sub-step, once on
+arrays of p + 2 column blocks, the responses to the fast start and to
+each power, whatever M is.  The coupling between sub-steps is carried by
 powers of the fast single-rate matrix C_ff, and the M responses are
 summed by one product with the power rows of the sub-step starts.  The
 number of numpy calls per step is fixed, apart from the log2(M)
@@ -47,59 +48,60 @@ def _eye_like(L):
     return np.broadcast_to(np.eye(n), L.shape)
 
 
-def _stage_inverses(L: np.ndarray, hh: np.ndarray, A: np.ndarray,
-                    what: str) -> dict[int, np.ndarray]:
-    """(I - h a_kk L)^{-1} for every implicit stage k, keyed by k.
+def _stages(L: np.ndarray, hh: np.ndarray, A: np.ndarray, K: np.ndarray,
+            E, what: str) -> np.ndarray:
+    """The DIRK stage recurrence of y' = Ly + v, in place on K.
 
-    The matrix is inverted once per distinct a_kk, so the constant
-    diagonal of an ESDIRK method costs one inversion.  A singular factor
-    raises ``np.linalg.LinAlgError`` naming the first stage that uses it.
+    K, shape (s, B, r, c), holds each stage's forcing V_k on entry and the
+    stage derivatives K_k = L X_k + V_k on return, with
+
+        X_k = (I - h a_kk L)^{-1} (E + h (sum_{j<k} a_kj K_j + a_kk V_k)),
+
+    where E, the stage start, is I in the columns of the slice ``E`` and
+    zero elsewhere.  K_k overwrites V_k, which only stage k reads.  ``hh``
+    is h shaped (B, 1, 1).  Explicit stages (a_kk = 0) skip the inverse;
+    I - h a_kk L is inverted once per distinct a_kk, at its first stage,
+    and a singular one raises ``np.linalg.LinAlgError`` naming the stage.
     """
     I = _eye_like(L)
-    by_coef: dict[float, np.ndarray] = {}
-    out = {}
+    inv: dict[float, np.ndarray] = {}
+    K_flat = K.reshape(len(A), -1)                # a view: rows are stages
     for k in range(len(A)):
         akk = A[k, k]
-        if akk == 0.0:
-            continue
-        if akk not in by_coef:
-            try:
-                by_coef[akk] = np.linalg.inv(I - (hh * akk) * L)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"singular {what} factor at stage {k + 1}") from exc
-        out[k] = by_coef[akk]
-    return out
+        acc = (A[k, :k] @ K_flat[:k]).reshape(K[k].shape)
+        if akk != 0.0:
+            acc += akk * K[k]
+        acc *= hh
+        acc[..., E] += I
+        if akk != 0.0:
+            if akk not in inv:
+                try:
+                    inv[akk] = np.linalg.inv(I - (hh * akk) * L)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(
+                        f"singular {what} factor at stage {k + 1}") from exc
+            acc = inv[akk] @ acc
+        K[k] += L @ acc
+    return K
 
 
 def stage_products(L: np.ndarray, h: np.ndarray,
                    tab: ButcherTableau) -> np.ndarray:
     """Stage products L R^(i), shape (s, B, n, n), for y' = Ly.
 
-    The stage operators follow, stage by stage,
+    The unforced case of `_stages` on the full system: the stage
+    operators follow, stage by stage,
 
         R^(k) = (I - h a_kk L)^{-1} (I + h sum_{j<k} a_kj L R^(j)),
 
-    with a_kk = 0 handled without the inverse (explicit stages and the
-    first stage of an ESDIRK method).  Only the products L R^(k) are
-    returned, because every downstream formula consumes them rather than
-    R^(k) itself.
+    and only the products L R^(k) are returned, because every downstream
+    formula consumes them rather than R^(k) itself.
 
     Raises ``np.linalg.LinAlgError`` with the stage index when a stage
     factor is singular.
     """
-    A = tab.A
-    hh = h[:, None, None]
-    I = _eye_like(L)
-    inv = _stage_inverses(L, hh, A, "stage")
-    LR = np.empty((tab.s,) + L.shape)
-    LR_flat = LR.reshape(tab.s, -1)               # a view: rows are stages
-    for k in range(tab.s):
-        acc = I + hh * (A[k, :k] @ LR_flat[:k]).reshape(L.shape)
-        if k in inv:
-            acc = inv[k] @ acc
-        np.matmul(L, acc, out=LR[k])
-    return LR
+    return _stages(L, h[:, None, None], tab.A,
+                   np.zeros((tab.s,) + L.shape), slice(None), "stage")
 
 
 def rk_matrix(L: np.ndarray, h: np.ndarray, tab: ButcherTableau,
@@ -182,7 +184,9 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     Block 0 is the response to the sub-step's own starting fast values,
     written as the map E_f = [0 | I_d] of u_n; it yields the fast
     single-rate matrix C_ff.  Block a + 1 is the response D_a to G_ka,
-    which sub-step l weighs by x_l**(p - a).  Raises
+    which sub-step l weighs by x_l**(p - a).  The fast stages run through
+    `_stages`, the recurrence of `stage_products`, forced by the G_ka and
+    started from E_f.  Raises
     ``np.linalg.LinAlgError`` naming the stage when a fast stage factor
     I - h_f a_kk L_ff is singular.
     """
@@ -210,23 +214,9 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     G = (L_fs @ C[:, :, :ns, :]).transpose(1, 2, 0, 3)       # (B,d,p+1,n)
     V = (W @ G).reshape(s, B, d, (p + 2) * n)
 
-    # Stage values X_k = (I - h_f a_kk L_ff)^{-1} (E + h_f (sum_{j<k}
-    # a_kj K_j + a_kk V_k)) and derivatives K_k = L_ff X_k + V_k, where E
-    # is E_f in block 0 and zero elsewhere.  V_k is last read by stage k,
-    # so K_k overwrites it in place.
-    inv = _stage_inverses(L_ff, hf, A, "fast stage")
-    K = V
-    K_flat = K.reshape(s, -1)                     # a view: rows are stages
-    for k in range(s):
-        acc = (A[k, :k] @ K_flat[:k]).reshape(K[k].shape)
-        if A[k, k] != 0.0:
-            acc += A[k, k] * K[k]
-        acc *= hf
-        acc[:, :, ns:n] += np.eye(d)
-        if k in inv:
-            acc = inv[k] @ acc
-        K[k] += L_ff @ acc
-    incr = (b @ K_flat).reshape(K[0].shape)
+    # The fast stages, forced by V and started from E_f in block 0.
+    K = _stages(L_ff, hf, A, V, slice(ns, n), "fast stage")
+    incr = (b @ K.reshape(s, -1)).reshape(K[0].shape)
 
     # u_f after M sub-steps: C_ff^M u_f + h_f sum_m C_ff^m D_(M-1-m) u_n,
     # with D_l = sum_a x_l**(p - a) D_a, so the sum is h_f sum_a P_a D_a,

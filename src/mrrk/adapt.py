@@ -84,12 +84,11 @@ class SolverConfig:
             raise ValueError("h0 must be finite and positive")
         if not (math.isfinite(self.h_min) and self.h_min >= 0):
             raise ValueError("h_min must be finite and nonnegative")
-        if not (isinstance(self.newton_max_iters, (int, np.integer))
-                and self.newton_max_iters >= 1):
-            raise ValueError("newton_max_iters must be an integer >= 1")
-        if not (isinstance(self.max_steps, (int, np.integer))
-                and self.max_steps >= 1):
-            raise ValueError("max_steps must be an integer >= 1")
+        for name in ("newton_max_iters", "max_steps"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
         if not 0 < self.alpha_min < 1 < self.alpha_max:
@@ -272,25 +271,17 @@ def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
 
 
 def _make_interpolant(C):
-    """The row evaluator cols -> (tau, out=None) -> rows at ``cols`` of a
-    step's coefficient array ``C`` (`_step_interpolant`), by
+    """The row evaluator cols -> (tau, out=None) -> rows of a step's
+    coefficient array ``C`` (`_step_interpolant`) at every column, by
     `interp.power_rows`.  The coefficients are built before, once per
-    step; a restricted evaluator selects its columns from the rows of all
-    columns, so a column's bits do not depend on which others are asked
-    for (the row product of a narrower matrix may take another kernel).
-    The output sampler's one commit site builds it here, over all
-    columns; `perfbench/tracing.py` counts its evaluations, the products
-    alone, under this name."""
+    step.  Every caller asks for all columns, so ``cols`` (``slice(None)``)
+    is not read: it stays only for the make(cols) -> rows(tau, out) shape
+    that `perfbench/tracing.py` wraps, counting the evaluations, the
+    products alone, under this name.  The output sampler's one commit
+    site builds it here."""
     def make(cols):
-        whole = isinstance(cols, slice) and cols == slice(None)
-
         def rows(tau, out=None):
-            if whole:
-                return power_rows(C, tau, out)
-            if out is None:
-                return power_rows(C, tau)[:, cols]
-            out[...] = power_rows(C, tau)[:, cols]
-            return out
+            return power_rows(C, tau, out)
         return rows
     return make
 

@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("solve", help="integrate a benchmark problem")
+    ps = sub.add_parser("solve", allow_abbrev=False,
+                        help="integrate a benchmark problem")
     ps.add_argument("--problem", required=True, choices=list(_PROBLEMS))
     ps.add_argument("--param", action="append", type=_override,
                     metavar="NAME=VALUE",
@@ -364,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--outdir", default=".")
     ps.set_defaults(func=cmd_solve)
 
-    pt = sub.add_parser("stability", help="multi-rate stability scan")
+    pt = sub.add_parser("stability", allow_abbrev=False,
+                        help="multi-rate stability scan")
     pt.add_argument("--model", required=True, choices=("2dof", "4dof"))
     pt.add_argument("--method", default="erk4", choices=method_names())
     pt.add_argument("--interp", choices=KINDS, default="hermite")
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--outdir", default=".")
     pt.set_defaults(func=cmd_stability)
 
-    pa = sub.add_parser("accuracy",
+    pa = sub.add_parser("accuracy", allow_abbrev=False,
                         help="single- vs multi-rate propagator error sweep")
     pa.add_argument("--method", default="erk4", choices=method_names())
     pa.add_argument("--interp", choices=KINDS, default="hermite")

@@ -57,7 +57,8 @@ class OdeProblem:
     name: str = "custom"
 
     def __post_init__(self):
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+        if (isinstance(self.N, bool)
+                or not isinstance(self.N, (int, np.integer)) or self.N < 1):
             raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):

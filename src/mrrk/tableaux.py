@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class ButcherTableau:
     b: np.ndarray          # (s,)
     c: np.ndarray          # (s,)
     p: int
-    kind: str              # "explicit" | "dirk" | "esdirk"
     b_hat: np.ndarray | None = None
     p_hat: int | None = None
     # B*, shape (s, p*), p* the degree in tau; None without dense output.
@@ -62,13 +62,15 @@ class ButcherTableau:
             return self.p
         return min(self.p, self.p_hat)
 
-    @property
+    # Read from A, once: `rk_step` asks on every call.
+    @cached_property
     def is_explicit(self) -> bool:
-        return self.kind == "explicit"
+        """No stage is implicit: A has no nonzero diagonal entry."""
+        return not np.diag(self.A).any()
 
-    @property
+    @cached_property
     def explicit_first_stage(self) -> bool:
-        return self.kind in ("explicit", "esdirk")
+        return bool(self.A[0, 0] == 0.0)
 
 
 class MethodNotFound(KeyError):
@@ -94,7 +96,7 @@ def _make_erk4() -> ButcherTableau:
     ])
     b = np.array([1 / 6, 2 / 6, 2 / 6, 1 / 6])
     c = np.array([0.0, 0.5, 0.5, 1.0])
-    return ButcherTableau("erk4", A, b, c, p=4, kind="explicit")
+    return ButcherTableau("erk4", A, b, c, p=4)
 
 
 # ----------------------------------------------------------------------------
@@ -130,8 +132,7 @@ def _make_owren() -> ButcherTableau:
     ])
     c = np.array([float(Fraction(x)) for x in
                   ["0", "1/6", "11/37", "11/17", "13/15", "1"]])
-    return ButcherTableau("erk4-owren", A, b, c, p=4, kind="explicit",
-                          dense=dense)
+    return ButcherTableau("erk4-owren", A, b, c, p=4, dense=dense)
 
 
 # ----------------------------------------------------------------------------
@@ -171,8 +172,8 @@ def _make_esdirk3() -> ButcherTableau:
     ]
     dense = _frac_matrix(B_rows)
     b_hat = _embedded_weights(A, b, c, p_hat=2)
-    return ButcherTableau("esdirk3", A, b, c, p=3, kind="esdirk",
-                          b_hat=b_hat, p_hat=2, dense=dense)
+    return ButcherTableau("esdirk3", A, b, c, p=3, b_hat=b_hat, p_hat=2,
+                          dense=dense)
 
 
 # ----------------------------------------------------------------------------
@@ -231,8 +232,8 @@ def _make_esdirk4() -> ButcherTableau:
     ]
     dense = _frac_matrix(B_rows)
     b_hat = _embedded_weights(A, b, c, p_hat=3)
-    return ButcherTableau("esdirk4", A, b, c, p=4, kind="esdirk",
-                          b_hat=b_hat, p_hat=3, dense=dense)
+    return ButcherTableau("esdirk4", A, b, c, p=4, b_hat=b_hat, p_hat=3,
+                          dense=dense)
 
 
 def _embedded_weights(A, b, c, p_hat):

@@ -50,6 +50,7 @@ def test_solver_config_validation():
                          ("beta", np.inf), ("beta", np.nan),
                          ("newton_max_iters", 2.5), ("max_steps", 1.5),
                          ("max_steps", 0), ("max_steps", -1),
+                         ("newton_max_iters", True), ("max_steps", True),
                          ("t_eval", np.array([1.0, 0.0])),
                          ("t_eval", np.array([0.0, np.nan])),
                          ("t_eval", np.zeros((2, 2)))]:

@@ -548,6 +548,33 @@ def test_bad_config_values_and_params_are_usage_errors(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+# In solve, --out is also a prefix of --output-dt, so its unique prefix
+# of --outdir is --outd.
+@pytest.mark.parametrize("argv,flag", [
+    (_SOLVE, "outd"),
+    (_STAB + ["--kappa", "0.1", "--M", "2"], "out"),
+    (["accuracy", "--C", "0.1"], "out"),
+], ids=["solve", "stability", "accuracy"])
+@pytest.mark.parametrize("from_config", [False, True],
+                         ids=["flag", "config"])
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                            argv, flag, from_config):
+    """A unique prefix of ``--outdir`` is refused, as a flag and as a
+    config-file key, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out")
+    if from_config:
+        (tmp_path / "cfg.json").write_text(json.dumps({flag: out}))
+        argv = ["--config", "cfg.json"] + argv
+    else:
+        argv = argv + [f"--{flag}", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"--{flag}" in err
+    assert [p.name for p in tmp_path.iterdir()] == (
+        ["cfg.json"] if from_config else [])
+
+
 def _outputs(tmp_path, name, argv, config=None):
     pre = []
     if config is not None:

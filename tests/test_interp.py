@@ -35,12 +35,12 @@ def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
     return power_rows(C, np.atleast_1d(tau))
 
 
-def controller_interp(prob, m, kind, u0, u1, t0, h, K, cols):
-    """The controller's row evaluator of ``kind`` at ``cols``, as the
-    output sampler gets it."""
+def controller_interp(prob, m, kind, u0, u1, t0, h, K):
+    """The controller's row evaluator of ``kind``, as the output sampler
+    gets it."""
     C = _step_interpolant(prob, m, SolverConfig(interp=kind), u0, u1, t0, h,
                           K)
-    return _make_interpolant(C)(cols)
+    return _make_interpolant(C)(slice(None))
 
 
 def operator(kind, L, h, m, tau):
@@ -104,8 +104,7 @@ def test_operator_endpoint_identities(name):
 def test_duality_data_vs_operator(seed, tau, name):
     """On y' = Ly the data form applied to a real step equals the operator
     form applied to u_n, for every kind, to round-off.  The controller's
-    slow interpolant is the data form of the same kind, bit for bit over
-    all columns and restricted to some."""
+    slow interpolant is the data form of the same kind, bit for bit."""
     rng = np.random.default_rng(seed)
     L = random_stable_matrix(rng, 3)
     h = rng.uniform(0.05, 0.4)
@@ -116,7 +115,6 @@ def test_duality_data_vs_operator(seed, tau, name):
         prob, SolverConfig(newton_max_iters=50, rtol=1e-12, atol=1e-12))
     u1, _, K = rk_step(prob, u0, 0.0, h, m, cache)
     f0, f1 = L @ u0, L @ u1
-    cols = np.array([0, 2])
     for kind, kw in ((LINEAR, {}),
                      (HERMITE, dict(f_n=f0, f_next=f1, h=h)),
                      (DENSE, dict(K=K, dense=m.dense, h=h))):
@@ -124,12 +122,8 @@ def test_duality_data_vs_operator(seed, tau, name):
         Q = operator(kind, L, h, m, tau)
         np.testing.assert_allclose(v, Q @ u0, atol=5e-10)
         one_tau = np.array([tau])
-        whole = controller_interp(prob, m, kind, u0, u1, 0.0, h, K,
-                                  slice(None))(one_tau)[0]
-        assert whole.tobytes() == v.tobytes(), kind
-        row = controller_interp(prob, m, kind, u0, u1, 0.0, h, K,
-                                cols)(one_tau)[0]
-        assert row.tobytes() == v[cols].tobytes(), kind
+        whole = controller_interp(prob, m, kind, u0, u1, 0.0, h, K)(one_tau)
+        assert whole[0].tobytes() == v.tobytes(), kind
 
 
 @pytest.mark.parametrize("name", ["erk4-owren", "esdirk3", "esdirk4"])
@@ -177,8 +171,8 @@ def test_array_tau_rows():
 @pytest.mark.parametrize("name", ["esdirk3", "esdirk4", "erk4-owren"])
 def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
     """An array of tau gives the scalar rows from one evaluation, also
-    into ``out`` through the controller's interpolant of that kind, over
-    all columns and restricted to some, bit for bit for all three kinds.
+    into ``out`` through the controller's interpolant of that kind, bit
+    for bit for all three kinds.
     A scalar tau's row is the textbook formula of its kind within the
     kind's round-off bound, and u_n bit for bit at tau = 0."""
     from mrrk import bench
@@ -210,15 +204,7 @@ def test_array_tau_is_one_evaluation_matching_scalar_rows(name):
             assert np.all(np.abs(row - scalar[kind](float(t))) <= bound), kind
         assert rows[0].tobytes() == u0.tobytes(), kind
         out = np.full(rows.shape, np.nan)
-        controller_interp(prob, m, kind, u0, u1, 0.2, h, K,
-                          slice(None))(taus, out)
+        controller_interp(prob, m, kind, u0, u1, 0.2, h, K)(taus, out)
         batch = data_rows(kind, u0, u1, taus, **kw)
         assert batch.tobytes() == rows.tobytes(), kind
         assert out.tobytes() == rows.tobytes(), kind
-        cols = np.array([2, 3, 17])
-        out = np.full((len(taus), len(cols)), np.nan)
-        controller_interp(prob, m, kind, u0, u1, 0.2, h, K, cols)(taus, out)
-        assert out.tobytes() == rows[:, cols].tobytes(), kind
-        part = controller_interp(prob, m, kind, u0, u1, 0.2, h, K,
-                                 cols)(taus)
-        assert part.tobytes() == rows[:, cols].tobytes(), kind

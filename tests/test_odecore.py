@@ -19,7 +19,7 @@ def test_problem_shape_validation():
     with pytest.raises(ValueError):
         OdeProblem(N=3, rhs=lambda y, t, out: None, t_span=(0, 1),
                    y0=np.zeros(2), dependency=lambda i: (i,))
-    for n in (0, -1, 2.0):
+    for n in (0, -1, 2.0, True):
         with pytest.raises(ValueError, match="N must be an integer >= 1"):
             OdeProblem(N=n, rhs=lambda y, t, out: None, t_span=(0, 1),
                        y0=np.zeros(max(int(n), 0)),

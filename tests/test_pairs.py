@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import sys
 import time
 
 import pytest
@@ -121,10 +122,13 @@ def test_inverter_measure_times_output_sampling_apart(monkeypatch):
 
     monkeypatch.setattr(cases, "inverter_case", tiny_case)
     monkeypatch.setattr(speed, "probe", lambda: speed.REFERENCE_PROBE_S)
-    # measure wraps both; monkeypatch puts the originals back afterwards.
-    monkeypatch.setattr(adapt, "multirate_step", adapt.multirate_step)
+    multirate_step = adapt.multirate_step
     monkeypatch.setattr(adapt._OutputSampler, "commit_step", slow_commit)
     got = pairs.measure([3], rounds=1)
+    # measure removes its wrappers and adds perfbench/ to the path once.
+    assert adapt.multirate_step is multirate_step
+    assert adapt._OutputSampler.commit_step is slow_commit
+    assert sys.path.count(str(pairs.PERFBENCH)) == 1
     m, c = got["metrics"], got["counters"]
     assert {"3.sr_sampling_s", "3.mr_sampling_s"} <= set(m)
     # The samplers of the warm-up, the SR and the MR run, in that order.

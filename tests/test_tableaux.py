@@ -64,11 +64,12 @@ def test_structural_properties():
     owren = get_method("erk4-owren")
     assert owren.is_explicit and owren.s == 6 and owren.dense is not None
     for m in (erk4, owren):
+        assert m.explicit_first_stage
         assert np.all(np.triu(m.A) == 0.0)          # strictly lower
     es3 = get_method("esdirk3")
     es4 = get_method("esdirk4")
     for m in (es3, es4):
-        assert m.kind == "esdirk"
+        assert not m.is_explicit
         assert m.explicit_first_stage and m.A[0, 0] == 0.0
         assert np.all(np.triu(m.A, 1) == 0.0)       # lower triangular
         diag = np.diag(m.A)[1:]

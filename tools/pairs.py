@@ -89,9 +89,18 @@ MMAP_THRESHOLD = 128 * 1024
 PROBE_EVERY_S = 1.0
 
 
+def _import_perfbench():
+    """Put ``perfbench/`` on the import path, once."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+
+
 def measure(inputs, rounds):
-    """Metrics and counters of ``rounds`` SR and MR runs of each input."""
-    sys.path.insert(0, str(PERFBENCH))
+    """Metrics and counters of ``rounds`` SR and MR runs of each input.
+
+    The timing wrappers it puts on `adapt` are removed when it returns.
+    """
+    _import_perfbench()
     import cases
     from speed import SpeedLog
 
@@ -113,36 +122,39 @@ def measure(inputs, rounds):
                 timing[0] = False
         return wrapper
 
-    adapt.multirate_step = timed(adapt.multirate_step, "fast")
-    adapt._OutputSampler.commit_step = timed(
-        adapt._OutputSampler.commit_step, "sampling")
-    built = {k: cases.inverter_case(k) for k in inputs}
-    warm = built[inputs[0]]
-    adapt.integrate(warm.problem, warm.method, warm.mr)
-    log = SpeedLog()
-    samples = {k: {"sr": [], "mr": [], "fast": [], "sr_sampling": [],
-                   "mr_sampling": []} for k in inputs}
-    counters = {}
-    for _ in range(rounds):
-        for k, case in built.items():
-            for mode in ("sr", "mr"):
-                gc.collect()
-                phase_s.update(fast=0.0, sampling=0.0)
-                t0 = time.perf_counter()
-                res = adapt.integrate(case.problem, case.method,
-                                      case.sr if mode == "sr" else case.mr)
-                took = time.perf_counter() - t0
-                interval = log.interval
-                log.close()
-                scale = log.scale(interval)
-                samples[k][mode].append(took * scale)
-                samples[k][f"{mode}_sampling"].append(
-                    phase_s["sampling"] * scale)
-                if mode == "mr":
-                    samples[k]["fast"].append(phase_s["fast"] * scale)
-                stats = asdict(res.stats)
-                stats.pop("wall_time")
-                counters[f"{k}.{mode}"] = stats
+    originals = adapt.multirate_step, adapt._OutputSampler.commit_step
+    adapt.multirate_step = timed(originals[0], "fast")
+    adapt._OutputSampler.commit_step = timed(originals[1], "sampling")
+    try:
+        built = {k: cases.inverter_case(k) for k in inputs}
+        warm = built[inputs[0]]
+        adapt.integrate(warm.problem, warm.method, warm.mr)
+        log = SpeedLog()
+        samples = {k: {"sr": [], "mr": [], "fast": [], "sr_sampling": [],
+                       "mr_sampling": []} for k in inputs}
+        counters = {}
+        for _ in range(rounds):
+            for k, case in built.items():
+                for mode in ("sr", "mr"):
+                    gc.collect()
+                    phase_s.update(fast=0.0, sampling=0.0)
+                    t0 = time.perf_counter()
+                    cfg = case.sr if mode == "sr" else case.mr
+                    res = adapt.integrate(case.problem, case.method, cfg)
+                    took = time.perf_counter() - t0
+                    interval = log.interval
+                    log.close()
+                    scale = log.scale(interval)
+                    samples[k][mode].append(took * scale)
+                    samples[k][f"{mode}_sampling"].append(
+                        phase_s["sampling"] * scale)
+                    if mode == "mr":
+                        samples[k]["fast"].append(phase_s["fast"] * scale)
+                    stats = asdict(res.stats)
+                    stats.pop("wall_time")
+                    counters[f"{k}.{mode}"] = stats
+    finally:
+        adapt.multirate_step, adapt._OutputSampler.commit_step = originals
     metrics = {}
     mean = statistics.fmean
     for k in inputs:
@@ -167,7 +179,7 @@ def measure(inputs, rounds):
 
 def measure_stability(rounds):
     """Metrics and entries of ``rounds`` sweeps of the stability cells."""
-    sys.path.insert(0, str(PERFBENCH))
+    _import_perfbench()
     import numpy as np
 
     import cases
