@@ -22,8 +22,8 @@ import numpy as np
 from .interp import (DENSE, HERMITE, InterpolatorKind, power_rows,
                      slow_interpolant)
 from .newton import STRATEGIES, ConvergenceFailure, JacobianCache
-from .odecore import (OdeProblem, error_quotients, new_step_size,
-                      predictive_step_size, rk_step)
+from .odecore import (OdeProblem, check_count, check_real, error_quotients,
+                      new_step_size, predictive_step_size, rk_step)
 from .tableaux import ButcherTableau
 
 # Names of the integration modes: the fast cap is 0 in "single".
@@ -55,7 +55,8 @@ class SolverConfig:
     valid values: the stage solves read it through their `JacobianCache`,
     and the CLI's solver flags default to its fields.  Tolerances, step
     bounds, the step budget and controller settings are validated here, so
-    a bad value raises ValueError at construction, not inside the run.
+    a bad value raises ValueError at construction, not inside the run;
+    ``interp``, a kind name, becomes an `interp.InterpolatorKind`.
     """
 
     rtol: float = 1e-6
@@ -75,38 +76,28 @@ class SolverConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.rtol) and self.rtol >= 0):
-            raise ValueError("rtol must be finite and nonnegative")
-        if not (math.isfinite(self.atol) and self.atol > 0):
-            raise ValueError("atol must be finite and positive")
-        if self.h0 is not None and not (math.isfinite(self.h0)
-                                        and self.h0 > 0):
-            raise ValueError("h0 must be finite and positive")
-        if not (math.isfinite(self.h_min) and self.h_min >= 0):
-            raise ValueError("h_min must be finite and nonnegative")
-        for name in ("newton_max_iters", "max_steps"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and positive")
+        check_real("rtol", self.rtol, positive=False)
+        check_real("atol", self.atol)
+        if self.h0 is not None:
+            check_real("h0", self.h0)
+        check_real("h_min", self.h_min, positive=False)
+        check_count("newton_max_iters", self.newton_max_iters)
+        check_count("max_steps", self.max_steps)
+        check_real("alpha", self.alpha)
+        check_real("beta", self.beta)
         if not 0 < self.alpha_min < 1 < self.alpha_max:
             raise ValueError("require 0 < alpha_min < 1 < alpha_max")
         if not 0 < self.phi < 1:
-            raise ValueError("phi must lie in (0, 1)")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be finite and positive")
+            raise ValueError(f"phi must lie in (0, 1), got {self.phi!r}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise ValueError(
+                f"mode must be one of {MODES}, got {self.mode!r}")
         if self.jacobian_strategy not in STRATEGIES:
             raise ValueError(
-                f"jacobian_strategy must be one of {STRATEGIES}")
-        if not (self.interp is None
-                or isinstance(self.interp, InterpolatorKind)):
-            raise ValueError(
-                f"interp must be None or an InterpolatorKind, got "
-                f"{self.interp!r}")
+                f"jacobian_strategy must be one of {tuple(STRATEGIES)}, "
+                f"got {self.jacobian_strategy!r}")
+        if self.interp is not None:
+            object.__setattr__(self, "interp", InterpolatorKind(self.interp))
         if self.t_eval is not None:
             t = np.asarray(self.t_eval, dtype=float)
             # A non-decreasing grid holds no NaN and lies between its ends,
@@ -235,30 +226,17 @@ def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
     return u_next, eta, K
 
 
-def _has_dense_output(method) -> bool:
-    """Whether the method's continuous output can serve as slow values."""
-    return method.dense is not None and method.b_hat is not None
-
-
-def _step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K):
+def _step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K):
     """Slow-value interpolant over [t_n, t_n + h] as the (p + 1, N) array
     of `interp.slow_interpolant`'s power-basis coefficients in tau, every
     column, highest power first; `integrate` calls it once per step that
-    goes multirate or holds grid rows.  Without a configured kind, methods
-    with continuous output and an embedded pair use it and others cubic
-    Hermite (`integrate` rejects the dense kind for the others).  A
-    method without an embedded pair accepts the two half steps of step
-    doubling, while its stage derivatives ``K`` come from the single full
-    step, so its continuous output would not end at ``u_next``.  Only the
+    goes multirate or holds grid rows, with the run's ``kind``.  Only the
     Hermite kind evaluates the endpoint derivatives (one fresh RHS call
     for the right endpoint, one for the left unless the first stage holds
     it).
     """
-    kind = cfg.interp
-    if kind is None:
-        kind = DENSE if _has_dense_output(method) else HERMITE
     f_n = f_next = None
-    if kind.kind == "hermite":
+    if kind == HERMITE:
         if method.explicit_first_stage:
             f_n = K[0]
         else:
@@ -487,13 +465,16 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
 
     ``config.mode == "multi"`` lets up to floor(phi * N) components be
     re-integrated with fast sub-steps; ``"single"`` runs the same loop
-    with a fast cap of 0.  Raises ValueError when ``config.interp`` is
-    the dense kind and the method has no continuous output or no embedded
-    pair, and when a point of ``config.t_eval`` lies outside the span by
-    more than round-off, 1e-9 * max(1, |t0|, |T|): a grid that np.arange
-    fills over the span can end past T by about its length times ulp(T).
-    A rejection that leaves h below the floating-point spacing of t ends
-    the run.
+    with a fast cap of 0.  The run's slow-value kind is ``config.interp``
+    or, without one, the method's continuous output when it has one and
+    an embedded pair (step doubling accepts two half steps, which the
+    full step's continuous output does not end at), else cubic Hermite.
+    Raises ValueError when ``config.interp`` is the dense kind and the
+    method has no continuous output or no embedded pair, and when a point
+    of ``config.t_eval`` lies outside the span by more than round-off,
+    1e-9 * max(1, |t0|, |T|): a grid that np.arange fills over the span
+    can end past T by about its length times ulp(T).  A rejection that
+    leaves h below the floating-point spacing of t ends the run.
 
     Each rejection sizes the retry by `new_step_size`.  After an accepted
     step the next step size depends on the run's fast cap
@@ -512,7 +493,9 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
     of its grid rows, the fast columns from the fast phase's samples.
     """
     cfg = config
-    if cfg.interp == DENSE and not _has_dense_output(method):
+    has_dense = method.dense is not None and method.b_hat is not None
+    kind = cfg.interp or (DENSE if has_dense else HERMITE)
+    if kind == DENSE and not has_dense:
         raise ValueError(
             f"method {method.name!r} has no dense output with an embedded "
             "pair, which interp 'dense' needs")
@@ -582,7 +565,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 # for an interpolant.
                 if decision == "go_multirate" or t_eval is not None:
                     C = _step_interpolant(
-                        problem, method, cfg, u, u_tent, t, h, K)
+                        problem, method, kind, u, u_tent, t, h, K)
                 u_next, y_fast = u_tent, None
                 if decision == "go_multirate":
                     u_next, sub = multirate_step(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .odecore import OdeProblem
+from .odecore import OdeProblem, check_count, check_real
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,11 @@ from .odecore import OdeProblem
 
 @dataclass(frozen=True)
 class InverterChainParams:
-    """Chain of N inverters driven by a piecewise-linear input pulse."""
+    """Chain of N inverters driven by a piecewise-linear input pulse.
+
+    Construction raises ValueError unless N is an integer >= 1, U_op is
+    finite and U_op > U_tau > 0, and Gamma is finite and positive.
+    """
 
     N: int = 1000
     U_op: float = 5.0
@@ -52,10 +56,11 @@ class InverterChainParams:
     t_span: tuple = (0.0, 200.0)
 
     def __post_init__(self):
+        check_count("N", self.N)
+        check_real("U_op", self.U_op)
         if not self.U_op > self.U_tau > 0:
             raise ValueError("require U_op > U_tau > 0")
-        if self.Gamma <= 0:
-            raise ValueError("Gamma must be positive")
+        check_real("Gamma", self.Gamma)
 
 
 def inverter_g(y, z, U_tau):
@@ -181,7 +186,11 @@ def make_inverter_chain(
 
 @dataclass(frozen=True)
 class BurgersParams:
-    """Centered finite differences on [0, L_dom] with frozen boundaries."""
+    """Centered finite differences on [0, L_dom] with frozen boundaries.
+
+    Construction raises ValueError unless N is an integer >= 3, nu is
+    finite and nonnegative, and L_dom is finite and positive.
+    """
 
     N: int = 1000
     nu: float = 1e-2
@@ -189,10 +198,11 @@ class BurgersParams:
     t_span: tuple = (0.0, 5.0)
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("viscosity must be nonnegative")
         if self.N < 3:
             raise ValueError("need at least 3 grid nodes")
+        check_count("N", self.N)
+        check_real("nu", self.nu, positive=False)
+        check_real("L_dom", self.L_dom)
 
 
 def burgers_initial(params: BurgersParams) -> np.ndarray:
@@ -290,7 +300,11 @@ def _smooth_sat_deriv(x, x_min, x_max):
 
 @dataclass(frozen=True)
 class HeatingParams:
-    """Central heating supply serving N independently controlled units."""
+    """Central heating supply serving N independently controlled units.
+
+    Construction raises ValueError unless N is an integer >= 1, every
+    float field is finite, and t_h and step_width are positive.
+    """
 
     N: int = 100
     K_ps: float = 0.2
@@ -308,6 +322,13 @@ class HeatingParams:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("need at least one unit")
+        check_count("N", self.N)
+        for name in ("K_ps", "T_h", "T_l", "T_s0", "G_hn", "G_u", "K_pu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_real("t_h", self.t_h)
+        check_real("step_width", self.step_width)
 
     @property
     def Q_max(self) -> float:

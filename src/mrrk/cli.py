@@ -52,7 +52,7 @@ import numpy as np  # noqa: E402
 
 from . import bench
 from .adapt import MODES, IntegrationFailure, SolverConfig, integrate
-from .interp import KINDS, InterpolatorKind
+from .interp import KINDS
 from .newton import STRATEGIES
 from .odecore import OdeProblem
 from .stability import (RHO_TOL, model_2dof, model_4dof, propagator_errors,
@@ -174,8 +174,6 @@ def _solver_config(args, t_eval: np.ndarray) -> SolverConfig:
     given = {f.name: getattr(args, f.name)
              for f in dataclasses.fields(SolverConfig)
              if f.name != "t_eval" and getattr(args, f.name) is not None}
-    if "interp" in given:
-        given["interp"] = InterpolatorKind(given["interp"])
     return SolverConfig(t_eval=t_eval, **given)
 
 
@@ -263,7 +261,6 @@ def _make_model(args, kappa: float):
 
 
 def cmd_stability(args) -> int:
-    kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     models = [_make_model(args, k) for k in args.kappa]
     # scan.csv's gamma1, omega1, alpha and beta; 2dof has only alpha.
@@ -276,11 +273,11 @@ def cmd_stability(args) -> int:
     for kappa, model in zip(args.kappa, models):
         entries = []
         for M in args.M:
-            C_grid, rho, entry = scan_cell(model, method, kind, M,
+            C_grid, rho, entry = scan_cell(model, method, args.interp, M,
                                            C_max=args.c_max)
             entries.append(entry)
-            scan.extend([args.model, method.name, kind.kind, *params, kappa,
-                         M, C, r, r <= 1.0 + RHO_TOL]
+            scan.extend([args.model, method.name, args.interp, *params,
+                         kappa, M, C, r, r <= 1.0 + RHO_TOL]
                         for C, r in zip(C_grid.tolist(), rho.tolist()))
         table.append([kappa] + entries)
 
@@ -299,10 +296,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_accuracy(args) -> int:
-    kind = InterpolatorKind(args.interp)
     method = get_method(args.method)
     model = _make_model(args, args.kappa)
-    rows = [[C, *propagator_errors(model, method, kind, args.M, C,
+    rows = [[C, *propagator_errors(model, method, args.interp, args.M, C,
                                    args.steps)]
             for C in args.C]
     os.makedirs(args.outdir, exist_ok=True)

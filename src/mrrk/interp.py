@@ -14,16 +14,14 @@ u_n, from which `_linops` builds the multi-rate amplification matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 KINDS = ("linear", "hermite", "dense")
 
 
-@dataclass(frozen=True)
-class InterpolatorKind:
-    """Selected interpolation scheme for slow variables.
+class InterpolatorKind(str):
+    """Selected interpolation scheme for slow variables: its name, one of
+    `KINDS`, checked on construction, so a kind equals its name.
 
     ``linear`` needs the two endpoint states; ``hermite`` additionally
     needs the endpoint derivatives; ``dense`` needs the stage derivative
@@ -31,13 +29,14 @@ class InterpolatorKind:
     coefficients.
     """
 
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
+    def __new__(cls, kind):
+        if kind not in KINDS:
             raise ValueError(
-                f"unknown interpolation kind {self.kind!r}; "
+                f"unknown interpolation kind {kind!r}; "
                 f"expected one of {KINDS}")
+        return super().__new__(cls, kind)
 
 
 LINEAR = InterpolatorKind("linear")
@@ -96,7 +95,7 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
     from 0.0 (not by a BLAS kernel, whose order and fused multiply-adds
     vary between builds), then u_n.
     """
-    if kind.kind == "dense":
+    if kind == DENSE:
         # Each stage's weights of tau**p down to tau as a column:
         # B*[:, j] weighs tau**(j + 1).
         weights = dense[:, ::-1, None]
@@ -108,7 +107,7 @@ def slow_interpolant(kind: InterpolatorKind, u_n, u_next, h, f_n=None,
         C[:p] *= h
         C[p] = u_n
         return C
-    if kind.kind == "linear":
+    if kind == LINEAR:
         return np.vstack((u_next - u_n, u_n))
     # (1 + 2t)(1 - t)^2 a + (3 - 2t)t^2 b + ht(1 - t)^2 fa + h(t - 1)t^2 fb,
     # expanded in powers of t.

@@ -2,12 +2,12 @@
 
 Each implicit stage is one nonlinear system U = base + h a_ii f(U, t),
 solved by simplified Newton with the iteration matrix I - h a_ii J.  The
-Jacobian J lives in a cache whose lifecycle is controlled by one of two
-strategies: reuse with a refresh every ``JACA_REFRESH_PERIOD`` global
-steps (JacA), or a fresh evaluation at the start of every global step
-(JacB).  Either way a stage solve may also refresh J, up to
-``MAX_REFRESHES`` times, when its line search damps or its residual
-stalls.
+Jacobian J lives in a cache whose lifecycle is set by one of two
+strategies, each a refresh period in global steps (`STRATEGIES`): reuse
+with a refresh every 10 global steps (JacA), or a fresh evaluation at the
+start of every global step (JacB).  Either way a stage solve may also
+refresh J, up to ``MAX_REFRESHES`` times, when its line search damps or
+its residual stalls.
 
 A stage solve stops on the convergence rate of its Newton steps (Hairer
 & Wanner, *Solving ODEs II*, Sec. IV.8): with theta_k the ratio of two
@@ -62,8 +62,10 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-# Names of the Jacobian strategies, which `adapt.SolverConfig` validates.
-STRATEGIES = ("JacA", "JacB")
+# Jacobian strategy -> its refresh period in global steps: J is
+# re-evaluated at the start of a global step once it is that many steps
+# old.  `adapt.SolverConfig` validates the names.
+STRATEGIES = {"JacA": 10, "JacB": 1}
 # Residual tolerance of a stage solve in the weighted norm of the step
 # tolerances, so the algebraic error stays well below the error estimate.
 RESIDUAL_TOL_FACTOR = 0.01
@@ -74,8 +76,6 @@ KAPPA = 0.05
 _UROUND = np.finfo(float).eps
 DENSE_FACTOR_LIMIT = 512
 BANDED_LIMIT = 4
-# JacA re-evaluates J once it is this many global steps old.
-JACA_REFRESH_PERIOD = 10
 # Jacobian refreshes one stage solve may spend on stalls and damped steps.
 MAX_REFRESHES = 5
 # Smallest line-search damping factor tried before the search fails.
@@ -309,7 +309,7 @@ class JacobianCache:
     """Jacobian plus factorization of I - h a_ii J, with reuse policy.
 
     ``config`` is the run's `adapt.SolverConfig`: its
-    ``jacobian_strategy`` sets the step-start policy, and `solve_stage`
+    ``jacobian_strategy`` sets the refresh period, and `solve_stage`
     reads its tolerances and ``newton_max_iters``.  ``evals`` counts
     Jacobian evaluations, finite-difference ones included, and ``solves``
     the linear solves; the driver reads both as its counters when a run
@@ -344,13 +344,12 @@ class JacobianCache:
     _work: tuple | None = field(default=None, repr=False)
 
     def begin_global_step(self, y: np.ndarray, t: float):
-        """Apply the strategy's step-start policy."""
-        if self.config.jacobian_strategy == "JacB":
+        """Count the step; refresh J if there is none or it has reached
+        the strategy's refresh period."""
+        self.age += 1
+        if (self.J is None
+                or self.age >= STRATEGIES[self.config.jacobian_strategy]):
             self.refresh(y, t)
-        else:
-            self.age += 1
-            if self.J is None or self.age >= JACA_REFRESH_PERIOD:
-                self.refresh(y, t)
 
     def refresh(self, y: np.ndarray, t: float):
         p = self.problem

@@ -4,7 +4,8 @@ An `OdeProblem` bundles the RHS, optional restricted evaluation over an
 index subset, Jacobian access, and structural dependency information.
 `rk_step` runs one explicit or DIRK step and returns the new state, the
 embedded lower-order state (when the method has one), and the stage
-derivatives for dense output.
+derivatives for dense output.  `check_count` and `check_real` are the
+one check of each rule that settings and parameters obey.
 """
 
 from __future__ import annotations
@@ -21,8 +22,25 @@ from .tableaux import ButcherTableau
 
 __all__ = [
     "OdeProblem", "rk_step", "error_quotients", "new_step_size",
-    "predictive_step_size", "ConvergenceFailure",
+    "predictive_step_size", "ConvergenceFailure", "check_count",
+    "check_real",
 ]
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = True) -> None:
+    """Raise ValueError unless ``value`` is finite and positive or, with
+    ``positive=False``, finite and nonnegative."""
+    if not (math.isfinite(value) and (value > 0 if positive
+                                      else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +75,7 @@ class OdeProblem:
     name: str = "custom"
 
     def __post_init__(self):
-        if (isinstance(self.N, bool)
-                or not isinstance(self.N, (int, np.integer)) or self.N < 1):
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        check_count("N", self.N)
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise ValueError(

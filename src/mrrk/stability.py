@@ -9,7 +9,9 @@ exact evolution matrix exp(Lt).
 Two canonical model problems are provided: a two-variable system with one
 fast variable whose time-scale separation is controlled by a ratio alpha
 and a coupling kappa, and a four-variable two-mass oscillator chain with
-two fast variables.
+two fast variables.  ``interp`` names the slow-value interpolation kind
+(`interp.KINDS`), as a string or an `interp.InterpolatorKind`; an unknown
+name raises ValueError.
 """
 
 from __future__ import annotations
@@ -22,18 +24,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import _linops
-from .interp import InterpolatorKind
+from .odecore import check_count, check_real
 from .tableaux import ButcherTableau
 
 # A step counts as stable while its spectral radius is <= 1 + RHO_TOL.
 RHO_TOL = 1e-8
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class PartitionedLinearModel:
         # reduction would add half the cost of building the model.
         if not all(map(math.isfinite, L.ravel().tolist())):
             raise ValueError("L must be finite")
-        _check_count("d", self.d)
+        check_count("d", self.d)
         if self.d > L.shape[0]:
             raise ValueError("fast dimension d must be in [1, N]")
         object.__setattr__(self, "L", L)
@@ -121,8 +116,7 @@ def single_rate_R(L: np.ndarray, h: float,
 
 
 def multirate_R(model: PartitionedLinearModel, h_s: float, M: int,
-                method: ButcherTableau,
-                interp: InterpolatorKind) -> np.ndarray:
+                method: ButcherTableau, interp: str) -> np.ndarray:
     """Amplification matrix R_mr of one multi-rate step on the model.
 
     R_mr maps u_n to u_{n+1}.  The slow components take one step of size
@@ -132,14 +126,14 @@ def multirate_R(model: PartitionedLinearModel, h_s: float, M: int,
     C_ff being the fast-block single-rate matrix at h_f = h_s / M.
     Raises ValueError unless M is an integer >= 1.
     """
-    _check_count("M", M)
+    check_count("M", M)
     h = np.array([float(h_s)])
     return _linops.multirate_matrix(
-        model.L[None], model.d, h, M, method, interp.kind)[0]
+        model.L[None], model.d, h, M, method, interp)[0]
 
 
 def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
-              interp: InterpolatorKind, M: int,
+              interp: str, M: int,
               C_grid: np.ndarray) -> np.ndarray:
     """Spectral radius of the multi-rate step at each normalized step C.
 
@@ -153,11 +147,11 @@ def rho_curve(model: PartitionedLinearModel, method: ButcherTableau,
     grow with M, as log2(M) doublings; one product with them sums the M
     sub-step responses.  Raises ValueError unless M is an integer >= 1.
     """
-    _check_count("M", M)
+    check_count("M", M)
     C_grid = np.asarray(C_grid, dtype=float)
     h = C_grid / model.Lam
     Lb = np.broadcast_to(model.L, (len(C_grid),) + model.L.shape)
-    R = _linops.multirate_matrix(Lb, model.d, h, M, method, interp.kind)
+    R = _linops.multirate_matrix(Lb, model.d, h, M, method, interp)
     return _linops.spectral_radii(R)
 
 
@@ -168,7 +162,7 @@ def _integer_grid(C_max: float) -> np.ndarray:
 
 
 def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
-              interp: InterpolatorKind, M: int, C_max: float = 100.0):
+              interp: str, M: int, C_max: float = 100.0):
     """Integer-grid scan of one M and its `table_entry`, from one scan.
 
     Returns ``(C_grid, rho, entry)``: the grid 1..floor(C_max), the
@@ -191,7 +185,7 @@ def scan_cell(model: PartitionedLinearModel, method: ButcherTableau,
 
 
 def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
-                interp: InterpolatorKind, M: int, C_max: float = 100.0):
+                interp: str, M: int, C_max: float = 100.0):
     """Integer max-C table entry: ceiling of the first stability boundary.
 
     The published tables round the first loss-of-stability boundary up to
@@ -207,7 +201,7 @@ def table_entry(model: PartitionedLinearModel, method: ButcherTableau,
 
 
 def propagator_errors(model: PartitionedLinearModel, method: ButcherTableau,
-                      interp: InterpolatorKind, M: int, C: float,
+                      interp: str, M: int, C: float,
                       steps: int) -> tuple[float, float]:
     """Relative operator-norm errors of the single- and multi-rate
     propagators over ``steps`` global steps of h_s = C / Lam.
@@ -215,12 +209,11 @@ def propagator_errors(model: PartitionedLinearModel, method: ButcherTableau,
     Returns ``(single, multi)``: ||A^steps - E||_2 / ||E||_2 for the
     single-rate matrix R(h_s L) and for the multi-rate matrix, both
     against one E = exp(L t), t = steps * h_s.  Raises ValueError unless
-    M and steps are integers >= 1 and C is finite and > 0.
+    M and steps are integers >= 1 and C is finite and positive.
     """
-    _check_count("M", M)
-    _check_count("steps", steps)
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and > 0, got {C!r}")
+    check_count("M", M)
+    check_count("steps", steps)
+    check_real("C", C)
     h_s = C / model.Lam
     exact = expm(model.L * (steps * h_s))
 

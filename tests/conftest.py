@@ -63,9 +63,9 @@ def interp_round_off(kind, u_n, u_next=None, h=None, f_n=None, f_next=None,
     times the absolute size of the kind's data, |u_n| + |u_next| for
     linear, plus h |f_n| + h |f_next| for Hermite, and
     |u_n| + h sum_k sum_j |B*_kj| |K_k| for dense."""
-    if kind.kind == "linear":
+    if kind == "linear":
         scale = np.abs(u_n) + np.abs(u_next)
-    elif kind.kind == "hermite":
+    elif kind == "hermite":
         scale = (np.abs(u_n) + np.abs(u_next)
                  + h * (np.abs(f_n) + np.abs(f_next)))
     else:

@@ -11,8 +11,8 @@ import mrrk.adapt as adapt
 from mrrk import bench
 from mrrk.adapt import (IntegrationFailure, SolverConfig, integrate,
                         select_partition)
-from mrrk.interp import (DENSE, HERMITE, LINEAR, power_rows,
-                         slow_interpolant)
+from mrrk.interp import (DENSE, HERMITE, LINEAR, InterpolatorKind,
+                         power_rows, slow_interpolant)
 from mrrk.newton import ConvergenceFailure
 from mrrk.odecore import OdeProblem, new_step_size, predictive_step_size
 from mrrk.tableaux import get_method
@@ -45,7 +45,7 @@ def test_solver_config_validation():
                          ("h_min", -1.0), ("h_min", np.nan),
                          ("newton_max_iters", 0),
                          ("jacobian_strategy", "JacC"),
-                         ("interp", "dense"), ("interp", 3),
+                         ("interp", 3), ("interp", "cubic"),
                          ("alpha", np.nan), ("alpha", -1.0), ("alpha", 0.0),
                          ("beta", np.inf), ("beta", np.nan),
                          ("newton_max_iters", 2.5), ("max_steps", 1.5),
@@ -56,6 +56,9 @@ def test_solver_config_validation():
                          ("t_eval", np.zeros((2, 2)))]:
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value})
+    # A kind name becomes its kind, as OdeProblem's y0 becomes an array.
+    cfg = SolverConfig(interp="dense")
+    assert cfg.interp == DENSE and type(cfg.interp) is InterpolatorKind
     # Fast sub-runs pass the (possibly empty) slice of the output grid.
     SolverConfig(t_eval=np.array([]))
     SolverConfig(t_eval=np.array([0.0, 0.5, 0.5, 1.0]))
@@ -514,7 +517,7 @@ def _fast_subproblem_case(kind):
 
 
 @pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE],
-                         ids=lambda k: k.kind)
+                         ids=str)
 def test_fast_subproblem_fills_slow_columns_by_horner(kind):
     """The slow columns the restricted RHS reads are the output sampler's
     row of the same coefficients at tau = (t - t_n)/h within the kind's
@@ -596,12 +599,11 @@ def test_interpolant_ends_at_accepted_state(name):
     if cache is not None:
         cache.begin_global_step(u, t)
     u_next, _, K = adapt._attempt_step(prob, u, t, h, m, cfg, cache)
-    kinds = (None, LINEAR, HERMITE)
-    if adapt._has_dense_output(m):
+    kinds = (LINEAR, HERMITE)
+    if m.dense is not None and m.b_hat is not None:
         kinds += (DENSE,)
     for kind in kinds:
-        C = adapt._step_interpolant(
-            prob, m, replace(cfg, interp=kind), u, u_next, t, h, K)
+        C = adapt._step_interpolant(prob, m, kind, u, u_next, t, h, K)
         interp = adapt._make_interpolant(C)(slice(None))
         end = interp(np.array([1.0]))[0]
         gap = np.abs(end - u_next) / (cfg.rtol * np.abs(u_next) + cfg.atol)
@@ -1012,7 +1014,8 @@ def test_output_sampler_batched_commit_matches_rows(name):
     u0 = prob.y0
     u1, _, K = adapt.rk_step(prob, u0, t0, h, m, cache)
     make = adapt._make_interpolant(adapt._step_interpolant(
-        prob, m, SolverConfig(), u0, u1, t0, h, K))
+        prob, m, DENSE if m.dense is not None and m.b_hat is not None
+        else HERMITE, u0, u1, t0, h, K))
     grid = np.linspace(0.0, 1.0, 101)
     s = adapt._OutputSampler(grid, prob.N, 0.0, u0)
     s.filled = lo = int(np.searchsorted(grid, t0, side="right"))
@@ -1034,7 +1037,7 @@ def test_output_sampler_batched_commit_matches_rows(name):
 
 
 @pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE],
-                         ids=lambda k: k.kind)
+                         ids=str)
 def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
                                                          kind):
     """In the multirate steps that hold grid rows, the sampler's values of
@@ -1050,8 +1053,8 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
     steps = {}
     step_interpolant = adapt._step_interpolant
 
-    def spy(problem, method, cfg, u_n, u_next, t_n, h, K):
-        C = step_interpolant(problem, method, cfg, u_n, u_next, t_n, h, K)
+    def spy(problem, method, kind, u_n, u_next, t_n, h, K):
+        C = step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K)
         steps[t_n, t_n + h] = (u_n, u_next, h, K, C)
         return C
     monkeypatch.setattr(adapt, "_step_interpolant", spy)

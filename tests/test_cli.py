@@ -716,6 +716,54 @@ def test_problem_parameters_reach_the_rhs(name, field, value):
     assert not np.array_equal(f_default, f_changed)
 
 
+# Problem size and span of the bad-parameter sweep, per problem.
+_TINY = {"inverter": {"N": 10, "t_span": [0, 0.5]},
+         "burgers": {"N": 10, "t_span": [0, 0.01]},
+         "heating": {"N": 2, "t_span": [0, 10]}}
+_BAD = [(name, f.name, value) for name, (cls, _) in cli._PROBLEMS.items()
+        for f in dataclasses.fields(cls) if f.type in ("int", "float")
+        for value in ("0", "-1", "NaN", "Infinity")]
+
+
+@pytest.mark.parametrize("name,field,value", _BAD,
+                         ids=[f"{n}-{f}={v}" for n, f, v in _BAD])
+def test_bad_problem_parameter_never_raises(tmp_path, capsys, name, field,
+                                            value):
+    """Every numeric parameter at 0, -1, NaN and inf, on a tiny run, ends
+    in an exit code (0, 2 or 3), never in an exception; a usage error is
+    one line."""
+    argv = ["solve", "--problem", name, "--output-dt", "0.1"]
+    for key, default in _TINY[name].items():
+        if key != field:
+            argv += ["--param", f"{key}={json.dumps(default)}"]
+    argv += ["--param", f"{field}={value}", "--outdir", str(tmp_path)]
+    with np.errstate(all="ignore"):
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name,param", [
+    ("burgers", "L_dom=0"), ("heating", "t_h=0"), ("burgers", "L_dom=-5"),
+    ("heating", "step_width=0"), ("inverter", "Gamma=NaN")])
+def test_bad_problem_parameter_fails_at_construction(tmp_path, capsys, name,
+                                                      param):
+    """A zero or negative length, a zero time constant or transition
+    width and a NaN gain exit 2 with one usage-error line, before any
+    run: they used to raise ZeroDivisionError, run on, or fail only
+    after the run."""
+    rc = main(["solve", "--problem", name, "--param", "N=10", "--param",
+               param, "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    field = param.partition("=")[0]
+    assert err.startswith(f"usage error: {field} must be finite and ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_merge_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mrrk import _linops
 from mrrk.adapt import SolverConfig, _make_interpolant, _step_interpolant
-from mrrk.interp import (DENSE, HERMITE, LINEAR, InterpolatorKind,
+from mrrk.interp import (DENSE, HERMITE, KINDS, LINEAR, InterpolatorKind,
                          power_rows, slow_interpolant)
 from mrrk.newton import JacobianCache
 from mrrk.odecore import OdeProblem, rk_step
@@ -38,23 +38,27 @@ def data_rows(kind, u0, u1, tau, h=None, f_n=None, f_next=None, K=None,
 def controller_interp(prob, m, kind, u0, u1, t0, h, K):
     """The controller's row evaluator of ``kind``, as the output sampler
     gets it."""
-    C = _step_interpolant(prob, m, SolverConfig(interp=kind), u0, u1, t0, h,
-                          K)
+    C = _step_interpolant(prob, m, kind, u0, u1, t0, h, K)
     return _make_interpolant(C)(slice(None))
 
 
 def operator(kind, L, h, m, tau):
     """Q(tau) of one step of size h on y' = Ly, from the operator form."""
-    return _linops.interp_matrices(kind.kind, L[None], np.array([h]), m,
+    return _linops.interp_matrices(kind, L[None], np.array([h]), m,
                                    np.array([tau]))[0, 0]
 
 
 def test_kind_validation():
-    with pytest.raises(ValueError):
-        InterpolatorKind("cubic")
-    assert LINEAR.kind == "linear"
-    assert HERMITE.kind == "hermite"
-    assert DENSE.kind == "dense"
+    """A kind is its name: it equals that string, and an unknown name (or
+    a value that is not a name) raises ValueError."""
+    for value in ("cubic", "", 3, None):
+        with pytest.raises(ValueError, match="unknown interpolation kind"):
+            InterpolatorKind(value)
+    assert (LINEAR, HERMITE, DENSE) == KINDS
+    for name in KINDS:
+        kind = InterpolatorKind(name)
+        assert kind == name and isinstance(kind, str)
+        assert InterpolatorKind(kind) == kind
 
 
 def test_endpoint_identities_data_form():

@@ -187,7 +187,7 @@ def test_factorization_reused_for_same_h_gamma():
 
 
 def test_strategy_step_start_policies(monkeypatch):
-    monkeypatch.setattr(newton, "JACA_REFRESH_PERIOD", 3)
+    monkeypatch.setitem(newton.STRATEGIES, "JacA", 3)
     prob, _ = tridiag_problem(4)
     y = np.ones(4)
     jb = JacobianCache(prob, SolverConfig(jacobian_strategy="JacB"))

@@ -249,7 +249,7 @@ def test_propagator_errors_reject_non_positive_or_non_finite_C(C):
     """Unchecked, C = nan would reach a LinAlgError, C = -1 a backward
     propagator and C = 0 a pair of zero errors."""
     model = model_2dof(alpha=10.0, kappa=0.01)
-    with pytest.raises(ValueError, match="C must be finite and > 0"):
+    with pytest.raises(ValueError, match="C must be finite and positive"):
         propagator_errors(model, get_method("erk4"), IK_H, 4, C, 10)
 
 
@@ -296,3 +296,31 @@ def test_scan_cell_matches_scan_records_and_table_entry():
     assert rho.tobytes() == rho_curve(model, m, IK_H, 4, grid).tobytes()
     assert entry == table_entry(model, m, IK_H, 4, C_max=30.0)
     assert scan_cell(model, m, IK_H, 4, C_max=5.0)[2] == ">= 5"
+
+
+@pytest.mark.parametrize("name,kind", [("erk4", "hermite"),
+                                       ("erk4", "linear"),
+                                       ("esdirk4", "dense")])
+def test_kind_string_gives_the_bits_of_its_kind(name, kind):
+    """A kind given by its name gives the same bits as its
+    `InterpolatorKind` in `table_entry`, `rho_curve` and `multirate_R`."""
+    m, ik = get_method(name), InterpolatorKind(kind)
+    model = model_2dof(alpha=10.0, kappa=0.1)
+    grid = np.arange(1.0, 13.0)
+    assert table_entry(model, m, kind, 2) == table_entry(model, m, ik, 2)
+    assert (rho_curve(model, m, kind, 4, grid).tobytes()
+            == rho_curve(model, m, ik, 4, grid).tobytes())
+    h_s = 0.5 / model.Lam
+    assert (multirate_R(model, h_s, 3, m, kind).tobytes()
+            == multirate_R(model, h_s, 3, m, ik).tobytes())
+
+
+@pytest.mark.parametrize("call", ["table_entry", "rho_curve", "multirate_R"])
+def test_unknown_kind_string_raises_value_error(call):
+    model = model_2dof(alpha=10.0, kappa=0.1)
+    m = get_method("erk4")
+    args = {"table_entry": (model, m, "cubic", 2),
+            "rho_curve": (model, m, "cubic", 2, np.array([1.0])),
+            "multirate_R": (model, 0.1, 2, m, "cubic")}[call]
+    with pytest.raises(ValueError, match="unknown interpolation kind"):
+        getattr(stability, call)(*args)

@@ -16,7 +16,9 @@ comes the CLI part: each invocation of `CLI_RUNS` runs ``mrrk.cli.main``
 into its own temporary directory, and ``run`` digests its exit code and
 each file it wrote, whole except ``stats.json``, which is digested
 without ``wall_time``; the names of the digested files record which
-files an invocation wrote, none for an error exit.  It writes the
+files an invocation wrote, none for an error exit.  Each CSV file has a
+second digest, of its fields with every number rounded to
+``ROUND_DIGITS`` significant digits.  It writes the
 digests, with each cell's entry and radii digest and, beside them, its
 radii, to OUT.json and the runs' dense output ``y_out`` to OUT.npz beside
 it.  OUT.json also keeps each run's mode and its counter values.  To
@@ -34,9 +36,17 @@ value, and reports the largest.  For each run whose counters differ it
 prints every counter that moved as before -> after, then the sums of
 those runs' counters per mode and the global and fast rejection rates of
 those sums, so a change that is not bitwise shows the work it moved and
-a controller change its effect on rejections in one line.  It exits
-with 1 when a digest differs, a run is missing, or a deviation exceeds
-``Y_OUT_TOL``.
+a controller change its effect on rejections in one line.  Its last line
+is the verdict, also its exit code:
+
+- ``identical`` (0): no run is missing, every digest is equal and no
+  ``y_out`` deviation exceeds ``Y_OUT_TOL``;
+- ``round-off`` (3): no run is missing, every trajectory, activity and
+  counter digest, table entry and CLI exit code and ``stats.json`` is
+  equal, the weighted ``y_out`` deviations and relative radius
+  deviations are at most ``ROUND_OFF_TOL``, and each CLI file that
+  differs has an equal rounded digest;
+- ``changed`` (1): anything else.
 
 The set has 49 runs: four seeded 1000-stage inverter chains, a
 400-point Burgers and a 20-unit heating system over [0, 10 h], in SR and
@@ -58,6 +68,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -72,8 +83,15 @@ import numpy as np  # noqa: E402
 # `perfbench.cases`.
 ROOT = Path(__file__).resolve().parents[1]
 
-# Largest weighted y_out deviation that `compare` passes.
+# Largest weighted y_out deviation that `compare` calls identical.
 Y_OUT_TOL = 1e-12
+# Largest weighted y_out deviation and relative radius deviation that
+# `compare` calls round-off.
+ROUND_OFF_TOL = 1e-9
+# Significant digits of the numbers in a CLI file's rounded digest.
+ROUND_DIGITS = 9
+# Exit code of each `compare` verdict.
+VERDICTS = {"identical": 0, "round-off": 3, "changed": 1}
 
 INVERTER_SEEDS = (11, 21, 31, 41)
 # (method, Jacobian strategy, with an output grid) per problem; each runs
@@ -221,25 +239,45 @@ def stability_part() -> dict:
     return {"digest": total.hexdigest(), "cells": cells, "radii": radii}
 
 
-def cli_part() -> dict:
-    """Per `CLI_RUNS` invocation: its exit code and each file's digest."""
+def _round(field: str) -> str:
+    """A CSV field, rounded to ``ROUND_DIGITS`` significant digits when it
+    is a number (-0 as 0)."""
+    try:
+        return format(float(field) + 0.0, f".{ROUND_DIGITS}g")
+    except ValueError:
+        return field
+
+
+def rounded_digest(data: bytes) -> str:
+    """sha256 of a CSV file's fields, every number `_round`-ed."""
+    rows = [[_round(f) for f in row]
+            for row in csv.reader(io.StringIO(data.decode()))]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def cli_part() -> tuple[dict, dict]:
+    """Per `CLI_RUNS` invocation: its exit code and each file's digest,
+    and each CSV file's `rounded_digest`."""
     from mrrk.cli import main
-    part = {}
+    part, rounded = {}, {}
     for name, argv in CLI_RUNS:
         with tempfile.TemporaryDirectory() as outdir:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--outdir", outdir])
             files = {"exit code": str(code)}
+            rounded[name] = {}
             for path in sorted(Path(outdir).iterdir()):
                 data = path.read_bytes()
                 if path.name == "stats.json":
                     stats = json.loads(data)
                     stats.pop("wall_time")
                     data = json.dumps(stats, sort_keys=True).encode()
+                elif path.suffix == ".csv":
+                    rounded[name][path.name] = rounded_digest(data)
                 files[path.name] = hashlib.sha256(data).hexdigest()
         part[name] = files
-    return part
+    return part, rounded
 
 
 def cmd_run(out: Path) -> int:
@@ -263,11 +301,12 @@ def cmd_run(out: Path) -> int:
     stab = stability_part()
     print(f"stability: {len(stab['cells'])} cells "
           f"digest={stab['digest'][:16]}", flush=True)
-    cli = cli_part()
+    cli, cli_rounded = cli_part()
     for name, files in cli.items():
         print(f"cli {name}:", *(f"{f}={d[:16]}" for f, d in files.items()),
               flush=True)
-    out.write_text(json.dumps({"runs": runs, "stability": stab, "cli": cli},
+    out.write_text(json.dumps({"runs": runs, "stability": stab, "cli": cli,
+                               "cli_rounded": cli_rounded},
                               indent=1) + "\n")
     np.savez_compressed(out.with_suffix(".npz"), **y_out)
     return 0
@@ -312,16 +351,19 @@ def cmd_compare(a: Path, b: Path) -> int:
     da, db = fa["runs"], fb["runs"]
     ya, yb = np.load(a.with_suffix(".npz")), np.load(b.with_suffix(".npz"))
     bad = 0
+    changed = False             # a difference that is not round-off
     totals = {}
     for name in sorted(set(da) | set(db)):
         if name not in da or name not in db:
             print(f"{name}: missing from {a if name not in da else b}")
             bad += 1
+            changed = True
             continue
         moved = [part for part in PARTS if da[name][part] != db[name][part]]
         if moved:
             print(f"{name}: {', '.join(moved)} differ")
             bad += 1
+            changed = True
         if "counters" in moved:
             counter_moves(da[name], db[name], totals)
     for mode, (before, after) in sorted(totals.items()):
@@ -340,25 +382,34 @@ def cmd_compare(a: Path, b: Path) -> int:
         ea, eb = sa.get(c, [None])[0], sb.get(c, [None])[0]
         if ea != eb:
             entries += 1
+            changed = True
             print(f"stability cell {c}: entry {ea} -> {eb}")
         elif c in ra and c in rb:
             dev = _radius_deviation(ra[c], rb[c])
             worst_rho = max(worst_rho, dev)
+            changed |= not dev <= ROUND_OFF_TOL
             print(f"stability cell {c}: largest relative radius deviation "
                   f"{dev:.3g}")
         else:
+            changed = True
             print(f"stability cell {c}: {sa.get(c)} != {sb.get(c)}")
     print(f"stability: {len(cells) - len(moved)} of {len(cells)} cells "
           f"identical, {entries} entries changed; largest relative radius "
           f"deviation of the others {worst_rho:.3g}")
     if fa["stability"]["digest"] != fb["stability"]["digest"]:
         bad += 1
+        changed |= not moved
     ca, cb = fa["cli"], fb["cli"]
+    rda, rdb = fa.get("cli_rounded", {}), fb.get("cli_rounded", {})
     artifacts = sorted({(n, f) for c in (ca, cb) for n in c for f in c[n]})
     moved = [(n, f) for n, f in artifacts
              if ca.get(n, {}).get(f) != cb.get(n, {}).get(f)]
     for n, f in moved:
-        print(f"cli {n}: {f} differs")
+        rounded = rda.get(n, {}).get(f)
+        round_off = rounded is not None and rounded == rdb.get(n, {}).get(f)
+        changed |= not round_off
+        print(f"cli {n}: {f} differs"
+              + (" in rounding only" if round_off else ""))
     print(f"cli: {len(artifacts) - len(moved)} of {len(artifacts)} "
           "artifacts identical")
     bad += len(moved)
@@ -368,11 +419,13 @@ def cmd_compare(a: Path, b: Path) -> int:
         if u.shape != v.shape:
             print(f"{name}: y_out shapes differ, {u.shape} != {v.shape}")
             bad += 1
+            changed = True
             continue
         w = da[name]["rtol"] * np.abs(u) + da[name]["atol"]
         dev = float(np.max(np.abs(u - v) / w)) if u.size else 0.0
         if not dev <= Y_OUT_TOL:
             print(f"{name}: weighted y_out deviation {dev:.3g}")
+        changed |= not dev <= ROUND_OFF_TOL
         if not dev <= worst:
             worst, worst_name = dev, name
     print(f"{len(set(da) & set(db))} runs in both files, {bad} mismatched "
@@ -380,7 +433,12 @@ def cmd_compare(a: Path, b: Path) -> int:
           "one); "
           f"largest weighted y_out deviation {worst:.3g}"
           + (f" ({worst_name})" if worst_name else ""))
-    return 1 if bad or not worst <= Y_OUT_TOL else 0
+    if not bad and worst <= Y_OUT_TOL:
+        verdict = "identical"
+    else:
+        verdict = "changed" if changed else "round-off"
+    print(f"verdict: {verdict}")
+    return VERDICTS[verdict]
 
 
 def main(argv=None) -> int:
