@@ -29,23 +29,28 @@ each power, whatever M is.  The coupling between sub-steps is carried by
 powers of the fast single-rate matrix C_ff, and the M responses are
 summed by one product with the power rows of the sub-step starts.  The
 number of numpy calls per step is fixed, apart from the log2(M)
-doublings that build the powers of C_ff.
+doublings that build the powers of C_ff.  The constants that depend on
+the method's nodes, the interpolant's degree and M alone, the stages'
+binomial-shift weights and the power rows of the sub-step starts, are
+built once per (c, p, M) and kept, read-only, in a small bounded memo
+(`_substep_weights`), so the cells of one table row share them.
+
+`spectral_radii` computes a 2 x 2 matrix's radius in closed form from
+its trace and discriminant, and any other size's from LAPACK's
+eigenvalues; 2 x 2 matrices whose closed form would overflow or
+underflow, or that hold a non-finite entry, go to LAPACK as well.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .interp import (InterpolatorKind, power_rows, slow_interpolant,
                      tau_powers)
 from .tableaux import ButcherTableau
-
-
-def _eye_like(L):
-    n = L.shape[-1]
-    return np.broadcast_to(np.eye(n), L.shape)
 
 
 def _stages(L: np.ndarray, hh: np.ndarray, A: np.ndarray, K: np.ndarray,
@@ -63,7 +68,7 @@ def _stages(L: np.ndarray, hh: np.ndarray, A: np.ndarray, K: np.ndarray,
     I - h a_kk L is inverted once per distinct a_kk, at its first stage,
     and a singular one raises ``np.linalg.LinAlgError`` naming the stage.
     """
-    I = _eye_like(L)
+    I = np.eye(L.shape[-1])                     # broadcast over the stack
     inv: dict[float, np.ndarray] = {}
     K_flat = K.reshape(len(A), -1)                # a view: rows are stages
     for k in range(len(A)):
@@ -110,7 +115,7 @@ def rk_matrix(L: np.ndarray, h: np.ndarray, tab: ButcherTableau,
     if lr is None:
         lr = stage_products(L, h, tab)
     incr = (tab.b @ lr.reshape(tab.s, -1)).reshape(L.shape)
-    return _eye_like(L) + h[:, None, None] * incr
+    return np.eye(L.shape[-1]) + h[:, None, None] * incr
 
 
 def _interp_coeffs(kind: str, tab: ButcherTableau, L: np.ndarray,
@@ -135,8 +140,9 @@ def _interp_coeffs(kind: str, tab: ButcherTableau, L: np.ndarray,
         f_n, f_next = (hh * L).ravel(), (hh * (L @ R)).ravel()
     elif kind == "dense":
         K = (hh * lr).reshape(tab.s, -1)
-    C = slow_interpolant(InterpolatorKind(kind), _eye_like(L).ravel(),
-                         R.ravel(), 1.0, f_n, f_next, K, tab.dense)
+    I = np.broadcast_to(np.eye(L.shape[-1]), L.shape).ravel()   # a copy
+    C = slow_interpolant(InterpolatorKind(kind), I, R.ravel(), 1.0, f_n,
+                         f_next, K, tab.dense)
     return C.reshape((len(C),) + L.shape)
 
 
@@ -165,6 +171,28 @@ def interp_matrices(kind: str, L: np.ndarray, h: np.ndarray,
                        rk_matrix(L, h, tab, lr))
     rows = power_rows(C.reshape(len(C), -1), taus)
     return rows.reshape((len(taus),) + L.shape)
+
+
+@lru_cache(maxsize=64)
+def _substep_weights(c: tuple, p: int, M: int):
+    """The constants of `multirate_matrix` that depend on the method's
+    nodes ``c``, the interpolant's degree p and M alone, built once per
+    key and returned read-only, since every caller shares them:
+
+    * W, shape (s, 1, 1, p + 2, p + 1): the binomial shift of
+      tau**(p - j) = (x + c_k/M)**(p - j) into the weight of x**(p - a),
+      held in block a + 1; block 0 gets zero weights;
+    * x, shape (M, p + 1): the `tau_powers` rows of the sub-step starts
+      x_(M-1-m) = (M - 1 - m)/M, m = 0 ... M - 1.
+    """
+    c = np.array(c)
+    a, j = np.tril_indices(p + 1)
+    binom = [math.comb(p - jj, aa - jj) for aa, jj in zip(a, j)]
+    W = np.zeros((len(c), 1, 1, p + 2, p + 1))
+    W[:, 0, 0, a + 1, j] = binom * (c[:, None] / M)**(a - j)
+    x = tau_powers((M - 1 - np.arange(M)) / M, p)
+    W.flags.writeable = x.flags.writeable = False
+    return W, x
 
 
 def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
@@ -202,15 +230,11 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     R = rk_matrix(L, h_s, tab, lr)
 
     # Slow coupling of stage k: V[k] holds G_ka in block a + 1, the
-    # binomial shift of tau**(p - j) = (x + c_k/M)**(p - j) contracted
-    # with the coefficient products L_fs C_j[:ns] of `_interp_coeffs`;
-    # block 0 gets zero weights.
+    # weights W contracted with the coefficient products L_fs C_j[:ns] of
+    # `_interp_coeffs`.
     C = _interp_coeffs(kind, tab, L, h_s[:, None, None], lr, R)
     p = len(C) - 1
-    a, j = np.tril_indices(p + 1)
-    binom = [math.comb(p - jj, aa - jj) for aa, jj in zip(a, j)]
-    W = np.zeros((s, 1, 1, p + 2, p + 1))
-    W[:, 0, 0, a + 1, j] = binom * (c[:, None] / M)**(a - j)
+    W, x = _substep_weights(tuple(c.tolist()), p, M)
     G = (L_fs @ C[:, :, :ns, :]).transpose(1, 2, 0, 3)       # (B,d,p+1,n)
     V = (W @ G).reshape(s, B, d, (p + 2) * n)
 
@@ -228,7 +252,6 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     while pw.shape[-1] < M * d:
         top = pw[:, :, -d:] @ C_ff                   # C_ff^m, m blocks held
         pw = np.concatenate([pw, top @ pw], axis=-1)
-    x = tau_powers((M - 1 - np.arange(M)) / M, p)             # (M, p + 1)
     P = (x.T @ pw[:, :, :M * d].reshape(B, d, M, d)).reshape(
         B, d, (p + 1) * d)
     D = incr[:, :, n:].reshape(B, d, p + 1, n).transpose(0, 2, 1, 3)
@@ -241,6 +264,35 @@ def multirate_matrix(L: np.ndarray, d: int, h_s: np.ndarray, M: int,
     return out
 
 
+# Below this radius rho**2 is subnormal, so q*q or b*c of the 2 x 2
+# closed form may have lost bits to underflow.
+_RHO_MIN = 2.0**-511
+
+
 def spectral_radii(R: np.ndarray) -> np.ndarray:
-    """Spectral radius of each matrix in a (B, n, n) stack."""
-    return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+    """Spectral radius of each matrix in a (B, n, n) stack.
+
+    For n = 2 it is the closed form of the eigenvalues half +- sqrt(disc)
+    of [[a, b], [c, d]], with half = (a + d)/2, q = (a - d)/2 and
+    disc = q**2 + bc (which, unlike half**2 - det, does not cancel):
+    |half| + sqrt(disc) for a real pair and, for a complex pair,
+    hypot(half, sqrt(-disc)), the modulus whose square is det.  Any other
+    n takes LAPACK's eigenvalues.  A 2 x 2 matrix whose closed-form radius
+    is not finite, because an entry is not or q*q or b*c overflowed, or
+    is at most 2**-511 (``_RHO_MIN``) is handed to LAPACK too, so a
+    non-finite entry raises ``np.linalg.LinAlgError`` in either case.
+    """
+    if R.shape[-1] != 2:
+        return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+    a, b, c, d = R[..., 0, 0], R[..., 0, 1], R[..., 1, 0], R[..., 1, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * (a + d)
+        q = 0.5 * (a - d)
+        disc = q * q + b * c
+        root = np.sqrt(np.abs(disc))
+        rho = np.where(disc >= 0.0, np.abs(half) + root,
+                       np.hypot(half, root))
+    redo = ~(np.isfinite(rho) & (rho > _RHO_MIN))
+    if redo.any():
+        rho[redo] = np.max(np.abs(np.linalg.eigvals(R[redo])), axis=-1)
+    return rho

@@ -303,7 +303,9 @@ class HeatingParams:
     """Central heating supply serving N independently controlled units.
 
     Construction raises ValueError unless N is an integer >= 1, every
-    float field is finite, and t_h and step_width are positive.
+    float field is finite, G_hn, t_h and step_width are positive, and
+    T_s0 > T_h, so that the supply's saturation range (0, Q_max] is not
+    empty or reversed.
     """
 
     N: int = 100
@@ -323,10 +325,13 @@ class HeatingParams:
         if self.N < 1:
             raise ValueError("need at least one unit")
         check_count("N", self.N)
-        for name in ("K_ps", "T_h", "T_l", "T_s0", "G_hn", "G_u", "K_pu"):
+        for name in ("K_ps", "T_h", "T_l", "T_s0", "G_u", "K_pu"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        check_real("G_hn", self.G_hn)
+        if not self.T_s0 > self.T_h:
+            raise ValueError("require T_s0 > T_h")
         check_real("t_h", self.t_h)
         check_real("step_width", self.step_width)
 

@@ -12,6 +12,13 @@ and a coupling kappa, and a four-variable two-mass oscillator chain with
 two fast variables.  ``interp`` names the slow-value interpolation kind
 (`interp.KINDS`), as a string or an `interp.InterpolatorKind`; an unknown
 name raises ValueError.
+
+The radius of the two-variable model's 2 x 2 step matrices comes from
+the closed form of their eigenvalues, that of the four-variable model's
+4 x 4 matrices from LAPACK (`_linops.spectral_radii`); a step matrix with
+a non-finite entry raises ``np.linalg.LinAlgError`` either way.  The
+sub-step weights that depend on the method, the interpolant's degree and
+M alone are built once per key and kept (`_linops._substep_weights`).
 """
 
 from __future__ import annotations

@@ -745,21 +745,32 @@ def test_bad_problem_parameter_never_raises(tmp_path, capsys, name, field,
         assert err.startswith("usage error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name,param", [
-    ("burgers", "L_dom=0"), ("heating", "t_h=0"), ("burgers", "L_dom=-5"),
-    ("heating", "step_width=0"), ("inverter", "Gamma=NaN")])
+_AT_CONSTRUCTION = [
+    ("burgers", "L_dom=0", None), ("heating", "t_h=0", None),
+    ("burgers", "L_dom=-5", None), ("heating", "step_width=0", None),
+    ("inverter", "Gamma=NaN", None), ("heating", "G_hn=0", None),
+    ("heating", "G_hn=-1", None),
+    ("heating", "T_s0=293.15", "require T_s0 > T_h"),
+    ("heating", "T_h=350", "require T_s0 > T_h")]
+
+
+@pytest.mark.parametrize("name,param,message", _AT_CONSTRUCTION,
+                         ids=[f"{n}-{p}" for n, p, _ in _AT_CONSTRUCTION])
 def test_bad_problem_parameter_fails_at_construction(tmp_path, capsys, name,
-                                                      param):
+                                                      param, message):
     """A zero or negative length, a zero time constant or transition
-    width and a NaN gain exit 2 with one usage-error line, before any
-    run: they used to raise ZeroDivisionError, run on, or fail only
-    after the run."""
+    width, a NaN gain, a heating supply conductance G_hn <= 0 and a supply
+    start temperature T_s0 at or below T_h exit 2 with one usage-error
+    line, before any run: they used to raise ZeroDivisionError, run on, or
+    fail only after the run (G_hn = 0 divided by Q_max = 0 in
+    `smooth_sat`, and G_hn < 0 or T_s0 < T_h reversed its range)."""
     rc = main(["solve", "--problem", name, "--param", "N=10", "--param",
                param, "--outdir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
     field = param.partition("=")[0]
-    assert err.startswith(f"usage error: {field} must be finite and ")
+    assert err.startswith(
+        f"usage error: {message or f'{field} must be finite and '}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 

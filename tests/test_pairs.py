@@ -38,10 +38,10 @@ def test_alternate_needs_six_pairs():
 
 
 def test_stability_measure_names_the_sweep_and_its_columns(monkeypatch):
-    """The stability mode reports wall_s, the sweep, and one wall_s per
-    column M of the tables, which add up to it; its counters are the
-    cells' entries.  table_entry and the speed probe are faked, so no
-    sweep runs."""
+    """The stability mode reports wall_s, the sweep, one wall_s per column
+    M of the tables and one per table, each set adding up to it; its
+    counters are the cells' entries.  table_entry and the speed probe are
+    faked, so no sweep runs."""
     monkeypatch.syspath_prepend(str(pairs.PERFBENCH))
     import cases
     import speed
@@ -52,9 +52,14 @@ def test_stability_measure_names_the_sweep_and_its_columns(monkeypatch):
                         lambda model, method, interp, M: M)
     got = pairs.measure_stability(rounds=2)
     m = got["metrics"]
-    assert set(m) == {"wall_s"} | {f"M{M}.wall_s" for M in cases.M_COLS}
-    assert m["wall_s"] == pytest.approx(sum(v for k, v in m.items()
-                                            if k != "wall_s"))
+    columns = {f"M{M}.wall_s" for M in cases.M_COLS}
+    tables = {"2dof-erk4.wall_s", "2dof.wall_s", "4dof.wall_s"}
+    assert set(m) == {"wall_s"} | columns | tables
+    for part in (columns, tables):
+        assert m["wall_s"] == pytest.approx(sum(m[k] for k in part))
+    # Each table holds 168 of the 504 cells, so none is empty or all.
+    for k in tables:
+        assert 0.0 < m[k] < m["wall_s"]
     cells = cases.stability_cells()
     assert len(got["counters"]) == len(cells) == 504
     assert sorted(got["counters"].values()) == sorted(c.M for c in cells)

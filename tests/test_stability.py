@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mrrk import stability
+from mrrk import _linops, stability
 from mrrk.stability import (PartitionedLinearModel, model_2dof, model_4dof,
                             multirate_R, propagator_errors, rho_curve,
                             scan_cell, single_rate_R, table_entry)
@@ -324,3 +326,105 @@ def test_unknown_kind_string_raises_value_error(call):
             "multirate_R": (model, 0.1, 2, m, "cubic")}[call]
     with pytest.raises(ValueError, match="unknown interpolation kind"):
         getattr(stability, call)(*args)
+
+
+def _eig_radii(R):
+    return np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+
+
+def _similar(rng, D):
+    """A stack S D S^-1, S a random rotation times diag(1, g), g in
+    [1/2, 2], so that S has condition number at most 2."""
+    phi = rng.uniform(0.0, 2.0 * np.pi, len(D))
+    g = 2.0 ** rng.uniform(-1.0, 1.0, len(D))
+    S = np.stack([np.cos(phi), -g * np.sin(phi), np.sin(phi),
+                  g * np.cos(phi)], axis=-1).reshape(-1, 2, 2)
+    return S @ D @ np.linalg.inv(S)
+
+
+def test_closed_form_2x2_radii_equal_eigvals():
+    """The 2 x 2 closed form against LAPACK on seeded random stacks, real
+    distinct and complex pairs, diagonal matrices and entries scaled by
+    1e+-150, to 1e-12 relative; a Jordan block (a double root) to
+    sqrt(eps), the sensitivity that both forms have there."""
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(-3.0, 3.0, (500, 2))
+    re, im = rng.uniform(-2.0, 2.0, (2, 500))
+    stacks = {
+        "random": rng.standard_normal((20000, 2, 2)),
+        "real": _similar(rng, lam[:, :, None] * np.eye(2)),
+        "complex": _similar(rng, re[:, None, None] * np.eye(2)
+                            + im[:, None, None] * np.array([[0.0, -1.0],
+                                                            [1.0, 0.0]])),
+        "diagonal": lam[:, :, None] * np.eye(2),
+    }
+    for scale in (1e150, 1e-150):
+        stacks[f"x{scale:g}"] = scale * stacks["random"][:2000]
+    for name, R in stacks.items():
+        np.testing.assert_allclose(_linops.spectral_radii(R), _eig_radii(R),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    jordan = np.array([[[-0.7, 1.0], [0.0, -0.7]], [[2.0, 0.0], [5.0, 2.0]]])
+    np.testing.assert_allclose(_linops.spectral_radii(jordan), [0.7, 2.0],
+                               rtol=np.sqrt(np.finfo(float).eps))
+    assert not _linops.spectral_radii(np.zeros((3, 2, 2))).any()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-170])
+def test_closed_form_2x2_radii_at_extreme_scales(scale):
+    """Where q*q or b*c would overflow or underflow, the radius is still
+    LAPACK's, finite and without a warning: a rotation-like pair at
+    1e-170 has radius 1e-170, not the 0 of its underflowed products."""
+    rng = np.random.default_rng(12)
+    R = scale * np.concatenate([rng.standard_normal((50, 2, 2)),
+                                [[[0.0, 1.0], [-1.0, 0.0]]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _linops.spectral_radii(R)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, _eig_radii(R), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_stack_raises_as_eigvals_does(n, bad):
+    R = np.tile(np.eye(n), (5, 1, 1))
+    R[3, 0, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^Array must not contain infs or NaNs$"):
+        _linops.spectral_radii(R)
+
+
+def test_rho_curve_at_an_overflowing_step_raises():
+    """At C = 1e300 the step matrix holds infs and NaNs, and the scan
+    raises rather than read a NaN radius as stable."""
+    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+        rho_curve(model_2dof(10, 0.1), get_method("erk4"), IK_H, 2,
+                  np.array([1e300, 3.0]))
+
+
+def test_substep_weights_are_read_only():
+    W, x = _linops._substep_weights((0.0, 0.5, 1.0), 3, 4)
+    for arr in (W, x):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["linear", "hermite", "dense"])
+@pytest.mark.parametrize("M", [1, 2, 5, 64, 128])
+def test_multirate_matrix_with_kept_weights_equals_a_fresh_build(
+        monkeypatch, kind, M):
+    """The kernel with its weights taken from the memo, on a second call,
+    gives the bits of the kernel with weights built afresh."""
+    m = get_method("esdirk4")
+    for model in (model_2dof(alpha=20.0, kappa=0.05),
+                  model_4dof(omega1=1.0, gamma1=0.01, alpha_ratio=10.0,
+                             beta_ratio=1.0, kappa=0.1)):
+        h = np.linspace(0.5, 60.0, 9) / model.Lam
+        L = np.broadcast_to(model.L, (len(h),) + model.L.shape)
+        args = (L, model.d, h, M, m, InterpolatorKind(kind))
+        _linops.multirate_matrix(*args)
+        kept = _linops.multirate_matrix(*args)
+        with monkeypatch.context() as mp:
+            mp.setattr(_linops, "_substep_weights", _oracles.substep_weights)
+            fresh = _linops.multirate_matrix(*args)
+        assert kept.tobytes() == fresh.tobytes()

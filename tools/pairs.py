@@ -43,7 +43,9 @@ order, after one untimed cell; ``--inputs`` is ignored.  As in
 around it, a probe running at least every ``PROBE_EVERY_S``, and
 ``wall_s``, the time of one sweep, is the sum over the cells of each
 cell's mean scaled time.  ``M<M>.wall_s`` is that sum over the cells of
-one column M of the tables.  Its counters are the cells' entries.
+one column M of the tables, and ``<table>.wall_s`` over the cells of one
+table: ``2dof-erk4`` and ``2dof``, whose models are 2 x 2, and ``4dof``.
+Its counters are the cells' entries.
 
 Either prints the metrics as one JSON object, with the counters.
 ``alternate`` prints, per metric, the median of each side, the parent's
@@ -213,6 +215,9 @@ def measure_stability(rounds):
     for M in cases.M_COLS:
         metrics[f"M{M}.wall_s"] = sum(t for t, cell in zip(cell_s, cells)
                                       if cell.M == M)
+    for table in dict.fromkeys(cell.table for cell in cells):
+        metrics[f"{table}.wall_s"] = sum(t for t, cell in zip(cell_s, cells)
+                                         if cell.table == table)
     return {"metrics": metrics, "counters": counters}
 
 
