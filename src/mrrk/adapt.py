@@ -226,17 +226,14 @@ def _attempt_step(problem, u_n, t_n, h, method, cfg, cache):
     return u_next, eta, K
 
 
-def _step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K,
-                      cols=slice(None)):
-    """Slow-value interpolant over [t_n, t_n + h] as the (p + 1, len(cols))
-    array of `interp.slow_interpolant`'s power-basis coefficients in tau,
-    highest power first, of the columns ``cols``, by default all N;
-    `integrate` calls it once per step that goes multirate or holds grid
-    rows, with the run's ``kind``.  Every entry is formed elementwise, so
-    the columns ``cols`` alone are the bits of those columns of the full
-    array.  Only the Hermite kind evaluates the endpoint derivatives (one
-    fresh RHS call for the right endpoint, one for the left unless the
-    first stage holds it), over the full state.
+def _step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K):
+    """Slow-value interpolant over [t_n, t_n + h] as the (p + 1, N) array
+    of `interp.slow_interpolant`'s power-basis coefficients in tau, every
+    column, highest power first; `integrate` calls it once per step that
+    goes multirate or holds grid rows, with the run's ``kind``.  Only the
+    Hermite kind evaluates the endpoint derivatives (one fresh RHS call
+    for the right endpoint, one for the left unless the first stage holds
+    it).
     """
     f_n = f_next = None
     if kind == HERMITE:
@@ -247,9 +244,8 @@ def _step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K,
             problem.rhs(u_n, t_n, f_n)
         f_next = np.empty_like(u_n)
         problem.rhs(u_next, t_n + h, f_next)
-        f_n, f_next = f_n[cols], f_next[cols]
-    return slow_interpolant(kind, u_n[cols], u_next[cols], h, f_n, f_next,
-                            K[:, cols], method.dense)
+    return slow_interpolant(kind, u_n, u_next, h, f_n, f_next, K,
+                            method.dense)
 
 
 def _make_interpolant(C):
@@ -268,34 +264,30 @@ def _make_interpolant(C):
     return make
 
 
-def _slow_closure(problem, fast):
-    """The ascending columns outside ``fast`` that the fast rows depend
-    on (the structural closure of the fast rows): the slow values a fast
-    sub-problem reads."""
+def _fast_subproblem(problem, fast, u_n, t_n, h, C):
+    """Restricted problem over the fast indices.
+
+    The full-state buffer carries interpolated slow values at the needed
+    columns (the structural closure of the fast rows) and the solver's
+    fast iterate; RHS and Jacobian evaluation delegate to the parent
+    problem's restricted entry points, which write the fast values
+    straight into the sub-problem's output.  ``C`` is the step
+    interpolant's coefficient array (`_step_interpolant`): the columns of
+    the slow closure are selected once and turned into Python floats,
+    and each column is evaluated at tau = (t - t_n)/h by one Horner
+    recurrence from the highest power down, so at t = t_n it is u_n
+    exactly.  The slow columns are evaluated once per distinct ``t``:
+    every Newton iterate of a stage shares its stage time, and the next
+    step-start Jacobian often reuses it.
+    """
+    fast = np.asarray(fast, dtype=int)
     closure = set()
     for i in fast:
         closure.update(problem.dependency(int(i)))
     closure.difference_update(fast.tolist())
-    return sorted(closure)
-
-
-def _fast_subproblem(problem, fast, u_n, t_n, h, cols, C):
-    """Restricted problem over the fast indices.
-
-    The full-state buffer carries interpolated slow values at the needed
-    columns ``cols`` (`_slow_closure`) and the solver's fast iterate; RHS
-    and Jacobian evaluation delegate to the parent problem's restricted
-    entry points, which write the fast values straight into the
-    sub-problem's output.  ``C`` holds the step interpolant's coefficients
-    of those columns (`_step_interpolant`), shape (p + 1, len(cols)): they
-    are turned into Python floats once, and each column is evaluated at
-    tau = (t - t_n)/h by one Horner recurrence from the highest power
-    down, so at t = t_n it is u_n exactly.  The slow columns are evaluated
-    once per distinct ``t``: every Newton iterate of a stage shares its
-    stage time, and the next step-start Jacobian often reuses it.
-    """
-    fast = np.asarray(fast, dtype=int)
-    polys = [(j, c[0], c[1:]) for j, c in zip(cols, C.T.tolist())]
+    cols = sorted(closure)
+    polys = [(j, c[0], c[1:]) for j, c in
+             zip(cols, C[:, cols].T.tolist())]
     buf = u_n.copy()
     filled_t = [None]           # time of the slow values held in buf
 
@@ -417,9 +409,8 @@ def _initial_step(problem, cfg, method):
 def multirate_step(problem: OdeProblem, method: ButcherTableau,
                    config: SolverConfig, u_n: np.ndarray, t_n: float,
                    h_n: float, u_tentative: np.ndarray,
-                   fast: np.ndarray, eta_f: float, cols: list[int],
-                   C: np.ndarray, stats: StepStats,
-                   t_eval: np.ndarray | None = None):
+                   fast: np.ndarray, eta_f: float, C: np.ndarray,
+                   stats: StepStats, t_eval: np.ndarray | None = None):
     """Re-integrate the fast components of one accepted global interval.
 
     ``fast`` is the ascending index array of `select_partition`.  The slow
@@ -434,17 +425,16 @@ def multirate_step(problem: OdeProblem, method: ButcherTableau,
     quotient over the fast set only, so its fast cap is 0 and it follows
     the error trend (`integrate`), and it inherits ``max_steps``, so one
     fast phase takes at most that many sub-steps.  The sub-run's global
-    counters are added to the fast counters of ``stats``.  ``cols`` is
-    the slow closure of ``fast`` (`_slow_closure`) and ``C`` the global
-    step's slow-value coefficients of those columns (`_step_interpolant`):
-    the sub-problem evaluates its slow columns from them by Horner.
-    ``t_eval`` is the sub-run's output grid, the step's grid times or
-    None.  Returns (u_next, res): the combined state and the sub-run's
-    result, whose activity and ``y_out`` the caller records and commits.
-    Raises ConvergenceFailure when the sub-run fails (the caller then
-    rejects the global step); counters of the failed sub-run are kept.
+    counters are added to the fast counters of ``stats``.  ``C`` is the
+    global step's slow-value coefficient array (`_step_interpolant`): the
+    sub-problem evaluates its slow columns from it by Horner.  ``t_eval``
+    is the sub-run's output grid, the step's grid times or None.  Returns
+    (u_next, res): the combined state and the sub-run's result, whose
+    activity and ``y_out`` the caller records and commits.  Raises
+    ConvergenceFailure when the sub-run fails (the caller then rejects
+    the global step); counters of the failed sub-run are kept.
     """
-    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, cols, C)
+    sub = _fast_subproblem(problem, fast, u_n, t_n, h_n, C)
     h0 = h_n * min(config.alpha_max,
                    config.alpha * eta_f ** (-1.0 / (method.q + 1)))
     sub_cfg = replace(config, mode="single", t_eval=t_eval, h0=h0)
@@ -499,10 +489,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
 
     Each step that is not rejected is recorded at one site: one
     coefficient build (`_step_interpolant`) if it goes multirate or holds
-    grid rows, over every column if it holds grid rows and else over the
-    fast set's slow closure alone, its fast activity before its global
-    record, and one commit of its grid rows, the fast columns from the
-    fast phase's samples.
+    grid rows, its fast activity before its global record, and one commit
+    of its grid rows, the fast columns from the fast phase's samples.
     """
     cfg = config
     has_dense = method.dense is not None and method.b_hat is not None
@@ -574,20 +562,15 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 lo, hi = (0, 0) if sampler is None else sampler.window(t, h)
                 t_eval = sampler.t_eval[lo:hi] if hi > lo else None
                 # Only a step that goes multirate or holds grid rows pays
-                # for an interpolant, and one without grid rows only for
-                # the columns the fast fill reads.
-                if t_eval is not None:
+                # for an interpolant.
+                if decision == "go_multirate" or t_eval is not None:
                     C = _step_interpolant(
                         problem, method, kind, u, u_tent, t, h, K)
                 u_next, y_fast = u_tent, None
                 if decision == "go_multirate":
-                    cols = _slow_closure(problem, fast)
-                    C_slow = (C[:, cols] if t_eval is not None else
-                              _step_interpolant(problem, method, kind, u,
-                                                u_tent, t, h, K, cols))
                     u_next, sub = multirate_step(
                         problem, method, cfg, u, t, h, u_tent, fast, eta_f,
-                        cols, C_slow, stats, t_eval)
+                        C, stats, t_eval)
                     y_fast = sub.y_out
         except ConvergenceFailure as exc:
             stats.rejected_global_convergence += 1

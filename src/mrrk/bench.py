@@ -331,7 +331,8 @@ class HeatingParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         check_real("G_hn", self.G_hn)
         if not self.T_s0 > self.T_h:
-            raise ValueError("require T_s0 > T_h")
+            raise ValueError(f"require T_s0 > T_h, got T_s0={self.T_s0!r}, "
+                             f"T_h={self.T_h!r}")
         check_real("t_h", self.t_h)
         check_real("step_width", self.step_width)
 

@@ -5,8 +5,6 @@ matrices, deliberately avoiding the batched operator assembly in the
 package, so agreement between the two is meaningful.
 """
 
-import math
-
 import numpy as np
 
 
@@ -109,21 +107,6 @@ def brute_force_multirate_R(L, d, h_s, M, method, kind):
             uf = uf + h_f * incr
         cols.append(np.concatenate([us1, uf]))
     return np.array(cols).T
-
-
-def substep_weights(c, p, M):
-    """The sub-step constants (W, x) of `_linops.multirate_matrix`, built
-    afresh on every call as the kernel built them before it kept them per
-    (c, p, M): W (s, 1, 1, p + 2, p + 1) holds C(p - j, a - j)
-    (c_k/M)**(a - j) at [k, 0, 0, a + 1, j] for j <= a, and x (M, p + 1)
-    the power rows of the sub-step starts (M - 1 - m)/M."""
-    from mrrk.interp import tau_powers
-    a, j = np.tril_indices(p + 1)
-    binom = [math.comb(p - jj, aa - jj) for aa, jj in zip(a, j)]
-    W = np.zeros((len(c), 1, 1, p + 2, p + 1))
-    W[:, 0, 0, a + 1, j] = binom * (np.asarray(c)[:, None] / M)**(a - j)
-    x = tau_powers((M - 1 - np.arange(M)) / M, p)
-    return W, x
 
 
 def random_stable_matrix(rng, n):

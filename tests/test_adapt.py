@@ -328,11 +328,11 @@ def test_fast_phase_is_single_rate_integrate_on_fast_subproblem(
     checked = []
 
     def spy(problem, method, config, u_n, t_n, h_n, u_tentative, fast,
-            eta_f, cols, C, stats, *args, **kw):
+            eta_f, C, stats, *args, **kw):
         before = asdict(stats)
         out = orig(problem, method, config, u_n, t_n, h_n, u_tentative,
-                   fast, eta_f, cols, C, stats, *args, **kw)
-        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, cols, C)
+                   fast, eta_f, C, stats, *args, **kw)
+        sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h_n, C)
         h0 = h_n * min(config.alpha_max,
                        config.alpha * eta_f ** (-1.0 / (method.q + 1)))
         ref = integrate(sub, method, replace(config, mode="single", h0=h0))
@@ -530,11 +530,10 @@ def test_fast_subproblem_fills_slow_columns_by_horner(kind):
         states.append(y.copy())
         problem.rhs_restricted(y, t, indices, out)
 
-    cols = adapt._slow_closure(problem, fast)
-    assert cols == [4, 11]
     sub = adapt._fast_subproblem(
         replace(problem, rhs_restricted=rhs_restricted), fast, u_n, t_n, h,
-        cols, C[:, cols])
+        C)
+    cols = np.array([4, 11])
     rng = np.random.default_rng(6)
     out = np.empty(len(fast))
     for t in (t_n, *(t_n + h * rng.uniform(0.0, 1.0, 20)), t_n + h):
@@ -552,17 +551,15 @@ def test_fast_subproblem_forms_slow_coefficients_once():
     evaluation at its t, whichever t came before, though the coefficient
     array it was built from has since been overwritten."""
     problem, fast, u_n, t_n, h, C, _ = _fast_subproblem_case(DENSE)
-    cols = adapt._slow_closure(problem, fast)
-    given = C[:, cols]
-    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, cols, given)
+    given = C.copy()
+    sub = adapt._fast_subproblem(problem, fast, u_n, t_n, h, given)
     given[...] = np.nan
     rng = np.random.default_rng(7)
     for t in (9.1, 9.1, 9.35, 9.1, t_n):
         yf = rng.uniform(0.0, 5.0, len(fast))
         out, ref = np.empty(len(fast)), np.empty(len(fast))
         sub.rhs(yf, t, out)
-        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, cols,
-                                       C[:, cols])
+        fresh = adapt._fast_subproblem(problem, fast, u_n, t_n, h, C)
         fresh.rhs(yf, t, ref)
         assert out.tobytes() == ref.tobytes()
         assert (sub.jacobian(yf, t).tobytes()
@@ -1056,11 +1053,9 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
     steps = {}
     step_interpolant = adapt._step_interpolant
 
-    def spy(problem, method, kind, u_n, u_next, t_n, h, K, *cols):
-        C = step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K,
-                             *cols)
-        if not cols:                    # a step with grid rows: all columns
-            steps[t_n, t_n + h] = (u_n, u_next, h, K, C)
+    def spy(problem, method, kind, u_n, u_next, t_n, h, K):
+        C = step_interpolant(problem, method, kind, u_n, u_next, t_n, h, K)
+        steps[t_n, t_n + h] = (u_n, u_next, h, K, C)
         return C
     monkeypatch.setattr(adapt, "_step_interpolant", spy)
     m = get_method("esdirk3")
@@ -1076,8 +1071,6 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
     checked = 0
     for index, fast in fast_sets.items():
         t_n, t_end = glob[index]
-        if (t_n, t_end) not in steps:
-            continue
         u_n, u_next, h, K, C = steps[t_n, t_end]
         f_n, f_next = np.empty(base.N), np.empty(base.N)
         base.rhs(u_n, t_n, f_n)
@@ -1086,8 +1079,7 @@ def test_output_sampler_slow_columns_match_the_fast_fill(monkeypatch,
                                  m.dense)
         cols = sorted(set().union(*(base.dependency(int(i)) for i in fast))
                       - set(fast.tolist()))
-        sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, cols,
-                                     C[:, cols])
+        sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, C)
         out = np.empty(len(fast))
         for row in np.nonzero((grid > t_n) & (grid < t_end))[0]:
             sub.rhs(u_n[fast], grid[row], out)
@@ -1188,41 +1180,3 @@ def test_dia_jacobian_runs_equal_csr_runs(make, mode):
                 == (b.step_index, b.t_start, b.t_end, b.kind))
         assert a.active_indices.tobytes() == b.active_indices.tobytes()
     np.testing.assert_allclose(dia.y_out, csr.y_out, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind", [LINEAR, HERMITE, DENSE], ids=str)
-def test_step_without_grid_rows_builds_only_the_slow_closure(monkeypatch,
-                                                             kind):
-    """A multirate step without grid rows builds the coefficients of its
-    fast set's slow closure alone, and the run has the bits of one whose
-    builds are `interp.slow_interpolant` over all N columns, the endpoint
-    derivatives evaluated afresh, then sliced."""
-    base, _ = stiff_pair_problem()
-    m = get_method("esdirk3")
-    cfg = SolverConfig(rtol=1e-6, atol=1e-8, mode="multi", phi=0.5,
-                       interp=kind)
-    step_interpolant = adapt._step_interpolant
-    widths = []
-
-    def spy(*args):
-        C = step_interpolant(*args)
-        widths.append(C.shape[1])
-        return C
-
-    monkeypatch.setattr(adapt, "_step_interpolant", spy)
-    res = integrate(base, m, cfg)
-    assert res.stats.accepted_fast > 0
-    assert widths and max(widths) < base.N
-
-    def full_then_slice(problem, method, kind, u_n, u_next, t_n, h, K,
-                        cols=slice(None)):
-        f_n, f_next = np.empty(base.N), np.empty(base.N)
-        base.rhs(u_n, t_n, f_n)
-        base.rhs(u_next, t_n + h, f_next)
-        return slow_interpolant(kind, u_n, u_next, h, f_n, f_next, K,
-                                method.dense)[:, cols]
-
-    monkeypatch.setattr(adapt, "_step_interpolant", full_then_slice)
-    ref = integrate(base, m, cfg)
-    assert res.t.tobytes() == ref.t.tobytes()
-    assert res.y.tobytes() == ref.y.tobytes()

@@ -750,8 +750,9 @@ _AT_CONSTRUCTION = [
     ("burgers", "L_dom=-5", None), ("heating", "step_width=0", None),
     ("inverter", "Gamma=NaN", None), ("heating", "G_hn=0", None),
     ("heating", "G_hn=-1", None),
-    ("heating", "T_s0=293.15", "require T_s0 > T_h"),
-    ("heating", "T_h=350", "require T_s0 > T_h")]
+    ("heating", "T_s0=293.15",
+     "require T_s0 > T_h, got T_s0=293.15, T_h=293.15"),
+    ("heating", "T_h=350", "require T_s0 > T_h, got T_s0=343.15, T_h=350")]
 
 
 @pytest.mark.parametrize("name,param,message", _AT_CONSTRUCTION,
