@@ -41,7 +41,7 @@ from .odecore import OdeProblem, check_count, check_real
 class InverterChainParams:
     """Chain of N inverters driven by a piecewise-linear input pulse.
 
-    Construction raises ValueError unless N is an integer >= 1, U_op is
+    Construction raises ValueError unless N is an integer >= 2, U_op is
     finite and U_op > U_tau > 0, and Gamma is finite and positive.
     """
 
@@ -57,6 +57,8 @@ class InverterChainParams:
 
     def __post_init__(self):
         check_count("N", self.N)
+        if self.N < 2:
+            raise ValueError("chain needs at least 2 inverters")
         check_real("U_op", self.U_op)
         if not self.U_op > self.U_tau > 0:
             raise ValueError("require U_op > U_tau > 0")
@@ -92,8 +94,6 @@ def make_inverter_chain(
     if params is None:
         params = InverterChainParams()
     p = params
-    if p.N < 2:
-        raise ValueError("chain needs at least 2 inverters")
     N, U_op, U_tau, G = p.N, p.U_op, p.U_tau, p.Gamma
     u_in = _input_fn(p)
 

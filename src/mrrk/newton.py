@@ -23,22 +23,25 @@ direction is then a single LAPACK back-substitution:
 
 - dense J with n <= DENSE_FACTOR_LIMIT: ``dgetrf`` once, ``dgetrs`` per
   solve;
-- sparse J with kl + ku <= BANDED_LIMIT: ``dgbtrf`` once, ``dgbtrs`` per
-  solve, except for two kinds of band.  A lower band (ku = 0) where no
-  subdiagonal entry beats its diagonal in absolute value, so that partial
-  pivoting swaps no rows, stores ``dgbtrf``'s multipliers once; each
-  solve is one unit-lower ``dtbtrs`` sweep and a division by the
-  diagonal, bitwise equal to ``dgbtrs``.  The inverter chain's
-  lower-bidiagonal I - h a_ii J is such a band.  A tridiagonal J calls
+- sparse J with kl + ku <= BANDED_LIMIT, in LAPACK band storage: a
+  triangular band (kl = 0 or ku = 0) has its diagonal checked once and
+  each solve is one ``dtbtrs`` substitution, without pivoting, which a
+  triangular matrix does not need (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, Sec. 8.1).  Upper and diagonal bands solve
+  bitwise as ``dgbtrs`` would, whose kl = 0 sweep is the same; lower
+  bands, the inverter chain's lower-bidiagonal I - h a_ii J among them,
+  agree with ``dgbtrs`` only to round-off.  A tridiagonal J calls
   ``dgtsv`` on the stored band per solve, as ``scipy.linalg.solve_banded``
-  does.  The band of a DIA J (``scipy.sparse.dia_array``) is read
-  directly from its diagonals, that of any other sparse format through
-  one ``tocoo()``; kl and ku come from the nonzero pattern either way;
+  does, and any other band ``dgbtrf`` once and ``dgbtrs`` per solve.  The
+  band of a DIA J (``scipy.sparse.dia_array``) is read directly from its
+  diagonals, that of any other sparse format through one ``tocoo()``; kl
+  and ku come from the nonzero pattern either way;
 - any other J: SuperLU (``splu``) once, its ``solve`` per solve.
 
-A non-finite iteration matrix or a zero pivot raises ConvergenceFailure
-when it is factored (for ``dgtsv``, when it is solved).  It is the one
-exception of a failed step, so ``solve_stage`` passes it on unchanged.
+A non-finite iteration matrix or a zero pivot (for a triangular band, a
+zero diagonal entry) raises ConvergenceFailure when it is factored (for
+``dgtsv``, when it is solved).  It is the one exception of a failed
+step, so ``solve_stage`` passes it on unchanged.
 ``solve_stage`` checks every quantity through the norms it computes
 anyway: the weighted norm of each iterate's residual (a non-finite RHS
 at the start fails there), the weighted norm of each Newton direction (a
@@ -154,64 +157,39 @@ def _dense_factor(A: np.ndarray):
     return "dense", lambda b: lapack.dgetrs(lu, piv, b)[0]
 
 
-def _pivot_free(ab: np.ndarray) -> bool:
-    """Whether ``dgbtrf`` keeps every diagonal pivot of the lower band ab.
+def _triangular_solver(ab: np.ndarray, ku: int):
+    """Solver of a triangular band ab (kl = 0 or ku = 0, row ku the
+    diagonal): one ``dtbtrs`` substitution per right-hand side.
 
-    ``ab`` is a band with ku = 0 whose row 0 is the diagonal.  Partial
-    pivoting swaps rows only where a subdiagonal entry beats its diagonal
-    in absolute value (``IDAMAX`` takes the first of equal maxima).  With
-    ku = 0 and no swap, elimination updates no later column, so each
-    pivot test sees the entries tested here.  A zero diagonal is left to
-    ``dgbtrf``, which pivots or reports a singular matrix.
+    Substitution without pivoting is backward stable (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, Sec. 8.1), so the band needs no
+    LU.  A zero on the diagonal raises ConvergenceFailure here, once,
+    naming its position.  The band is kept Fortran-ordered, as a C-ordered
+    band costs f2py a copy per call.
     """
-    d = ab[0]
-    return bool(d.all() and (np.abs(ab[1:]) <= np.abs(d)).all())
-
-
-def _unit_lower_solver(ab: np.ndarray, kl: int):
-    """Solver of a pivot-free lower band, bitwise equal to ``dgbtrs``.
-
-    ``dgbtrf`` would store the multipliers ``sub * (1.0 / d)`` below an
-    unchanged diagonal d and kl rows of zero fill-in above it.  So one
-    unit-lower ``dtbtrs`` sweep over the multipliers, whose axpy updates
-    are those of ``dgbtrs``'s ``dger`` calls, and a division by d give
-    ``dgbtrs``'s result.  Only when that result has a zero entry does the
-    upper sweep over the fill-in run as well, for the sign of the zero.
-    The bands are Fortran-ordered, as a C-ordered band costs f2py a copy
-    per call.
-    """
-    d = ab[0]
-    n = d.shape[0]
-    L = np.empty((kl + 1, n), order="F")
-    L[0] = 1.0
-    np.multiply(ab[1:], 1.0 / d, out=L[1:])
-
-    def solve(b):
-        y = lapack.dtbtrs(L, b, uplo="L", diag="U")[0]
-        if np.count_nonzero(y) == n:
-            return y / d
-        # dgbtrs's U sweep adds -x_i * 0.0 from the zero fill-in, which
-        # can turn a -0.0 entry into +0.0; repeat that sweep exactly.
-        U = np.zeros((kl + 1, n), order="F")
-        U[kl] = d
-        return lapack.dtbtrs(U, y, uplo="U")[0]
-    return solve
+    zero = np.flatnonzero(ab[ku] == 0.0)
+    if zero.size:
+        raise ConvergenceFailure("singular iteration matrix "
+                                 f"(zero pivot {zero[0] + 1} on the diagonal)")
+    T = np.asfortranarray(ab)
+    uplo = "L" if ku == 0 else "U"
+    return lambda b: lapack.dtbtrs(T, b, uplo=uplo)[0]
 
 
 def _banded_factor(Jb: np.ndarray, kl: int, ku: int, h_gamma: float):
     """Factor I - h_gamma J from the band storage ``Jb`` of J.
 
     ``0.0 - x`` rather than ``-x`` gives +0.0 where h_gamma J is zero, so
-    the band equals that of the sparse I - h_gamma J bit for bit.  A lower
-    band that partial pivoting leaves alone skips ``dgbtrf``
-    (`_unit_lower_solver`); a tridiagonal one is solved by ``dgtsv``; any
-    other goes through ``dgbtrf``/``dgbtrs``.
+    the band equals that of the sparse I - h_gamma J bit for bit.  A
+    triangular band (kl = 0 or ku = 0) is solved by substitution
+    (`_triangular_solver`); a tridiagonal one by ``dgtsv``; any other goes
+    through ``dgbtrf``/``dgbtrs``.
     """
     ab = 0.0 - h_gamma * Jb
     ab[ku] = 1.0 - h_gamma * Jb[ku]
     _require_finite(ab)
-    if ku == 0 and _pivot_free(ab):
-        return "banded", _unit_lower_solver(ab, kl)
+    if kl == 0 or ku == 0:
+        return "banded", _triangular_solver(ab, ku)
     if kl == ku == 1:
         du, d, dl = ab[0, 1:], ab[1], ab[2, :-1]
 

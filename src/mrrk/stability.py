@@ -78,10 +78,10 @@ def model_2dof(alpha: float, kappa: float) -> PartitionedLinearModel:
     time-scale ratio and kappa the coupling strength.  trace L = -(1 +
     alpha) < 0 and det L = alpha (1 + kappa), so both eigenvalues have
     negative real part exactly when kappa > -1; kappa must lie in
-    (-1, 1), the upper bound being the range of the published tables.
+    (-1, 1), the upper bound being the range of the published tables, and
+    alpha must be finite and positive.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_real("alpha", alpha)
     if not -1 < kappa < 1:
         raise ValueError("kappa must lie in (-1, 1)")
     L = np.array([[-1.0, 1.0], [-kappa * alpha, -alpha]])
@@ -94,14 +94,14 @@ def model_4dof(omega1: float, gamma1: float, alpha_ratio: float,
 
     omega1 is the slow natural frequency, gamma1 the slow damping,
     alpha_ratio the fast/slow frequency ratio, beta_ratio the damping
-    ratio, and kappa the spring-coupling strength.
+    ratio, and kappa the spring-coupling strength.  omega1, alpha_ratio
+    and beta_ratio must be finite and positive, gamma1 finite and
+    nonnegative, and kappa must lie in [0, 1].
     """
-    if omega1 <= 0:
-        raise ValueError("omega1 must be positive")
-    if gamma1 < 0:
-        raise ValueError("gamma1 must be nonnegative")
-    if alpha_ratio <= 0 or beta_ratio <= 0:
-        raise ValueError("alpha_ratio and beta_ratio must be positive")
+    check_real("omega1", omega1)
+    check_real("gamma1", gamma1, positive=False)
+    check_real("alpha_ratio", alpha_ratio)
+    check_real("beta_ratio", beta_ratio)
     if not 0 <= kappa <= 1:
         raise ValueError("kappa must lie in [0, 1]")
     a2 = alpha_ratio**2

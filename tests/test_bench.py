@@ -49,6 +49,16 @@ def test_inverter_params_validation():
         InverterChainParams(Gamma=0.0)
 
 
+def test_inverter_params_need_two_inverters():
+    """A one-inverter chain fails at construction, not only in the
+    factory; a non-count N keeps the count check's message."""
+    with pytest.raises(ValueError, match="chain needs at least 2 inverters"):
+        InverterChainParams(N=1)
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
+        InverterChainParams(N=0)
+    assert InverterChainParams(N=2).N == 2
+
+
 def test_inverter_g_values():
     assert inverter_g(np.array([0.5]), np.array([0.0]), 1.0)[0] == 0.0
     assert inverter_g(np.array([2.0]), np.array([5.0]), 1.0)[0] == 1.0

@@ -306,6 +306,17 @@ def test_bad_stability_and_accuracy_settings(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_alpha_is_named(tmp_path, capsys):
+    """The usage error names the model parameter, not the matrix built
+    from it."""
+    rc = main(["stability", "--model", "2dof", "--alpha", "nan", "--kappa",
+               "0.1", "--M", "1", "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith("usage error: alpha must be finite and positive, "
+                          "got nan")
+
+
 @pytest.mark.parametrize("argv", [
     _STAB2 + ["--M", "2", "--c-max", "5"],
     ["accuracy", "--C", "0.1"],

@@ -236,7 +236,11 @@ def scipy_banded_solve(J, kl, ku, hg, b):
     return solve_banded((kl, ku), ab, b)
 
 
-@pytest.mark.parametrize("kl, ku", [(1, 0), (0, 1), (1, 1), (2, 2)])
+# Upper and diagonal bands too: ``dgbtrs`` with kl = 0 is the ``dtbsv``
+# sweep of their triangular solve.
+@pytest.mark.parametrize("kl, ku", [(0, 0), (0, 1), (0, 2),
+                                    (0, newton.BANDED_LIMIT), (1, 1),
+                                    (2, 2)])
 def test_banded_backend_bitwise_equals_solve_banded(kl, ku):
     rng = np.random.default_rng(10 * kl + ku)
     for _ in range(40):
@@ -383,102 +387,87 @@ def dtbtrs_calls(monkeypatch):
     return calls
 
 
-def raw_band_solves(J, hg, rhs):
-    """``dgbtrf`` of I - hg J from its band storage, ``dgbtrs`` per rhs.
+@pytest.fixture
+def band_lu_calls(monkeypatch):
+    """The names of the ``dgbtrf``/``dgbtrs`` calls made during a test."""
+    calls = []
+    for name in ("dgbtrf", "dgbtrs"):
+        real = getattr(lapack, name)
 
-    Returns the solutions and whether partial pivoting swapped any rows.
-    """
-    kl, ku, Jb = newton._band_storage(J)
-    ab = 0.0 - hg * Jb
-    ab[ku] = 1.0 - hg * Jb[ku]
-    lu = np.zeros((2 * kl + ku + 1, ab.shape[1]))
-    lu[kl:] = ab
-    lu, piv, info = lapack.dgbtrf(lu, kl, ku)
-    assert info == 0
-    swapped = bool((piv != np.arange(len(piv))).any())
-    return [lapack.dgbtrs(lu, kl, ku, b, piv)[0] for b in rhs], swapped
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, spy)
+    return calls
 
 
-def assert_cache_solves_bitwise(J, hg, rhs):
-    """The cache's solves equal raw ``dgbtrf``/``dgbtrs`` bit for bit."""
-    refs, swapped = raw_band_solves(J, hg, rhs)
-    cache = JacobianCache(None, SolverConfig())
-    cache.J = J
-    for b, ref in zip(rhs, refs):
-        x = cache.solve(hg, b)
-        assert cache._fac[0] == "banded"
-        assert x.tobytes() == ref.tobytes()
-    return swapped
+def componentwise_backward_error(A, x, b):
+    """max_i |b - A x|_i / (|A| |x| + |b|)_i (Oettli and Prager), the
+    residual taken in extended precision."""
+    Ae, xe, be = (np.asarray(v, dtype=np.longdouble) for v in (A, x, b))
+    r = np.abs(be - Ae @ xe)
+    scale = np.abs(Ae) @ np.abs(xe) + np.abs(be)
+    return float(np.max(r / scale))
 
 
-def signed_zero_rhs(rng, n):
-    """Normal right-hand sides, and ones whose leading entries are signed
-    zeros, so that those entries of the solution are zeros as well."""
-    rhs = [rng.normal(size=n) for _ in range(3)]
-    for _ in range(3):
-        b = rng.normal(size=n)
-        m = int(rng.integers(1, n + 1))
-        b[:m] = np.where(rng.random(m) < 0.5, -0.0, 0.0)
-        rhs.append(b)
-    return rhs
+TRIANGULAR_BANDS = ([(kl, 0) for kl in range(1, newton.BANDED_LIMIT + 1)]
+                    + [(0, ku) for ku in range(1, newton.BANDED_LIMIT + 1)])
 
 
-@pytest.mark.parametrize("kl", range(newton.BANDED_LIMIT + 1))
-def test_pivot_free_lower_band_bitwise_equals_dgbtrs(kl, dtbtrs_calls):
-    rng = np.random.default_rng(20 + kl)
-    for _ in range(30):
-        n = int(rng.integers(kl + 1, 80))
+@pytest.mark.parametrize("kl, ku", TRIANGULAR_BANDS)
+def test_triangular_band_is_one_dtbtrs_per_solve(kl, ku, dtbtrs_calls,
+                                                 band_lu_calls):
+    """Each solve of a triangular band is one ``dtbtrs`` substitution of
+    the right triangle, with no LU, even where an off-diagonal entry beats
+    its diagonal by 50x (where partial pivoting would swap rows), and its
+    componentwise backward error is at most (kl + ku + 2) eps against the
+    dense I - hg J."""
+    rng = np.random.default_rng(30 + 10 * kl + ku)
+    solves = 0
+    for trial in range(30):
+        n = int(rng.integers(kl + ku + 2, 80))
         hg = float(rng.uniform(0.05, 3.0))
-        # 1 - hg J_jj >= 1 on the diagonal, |hg J_ij| < 1 below it.
-        diags = [-rng.uniform(0.0, 5.0, n)] + [
-            rng.uniform(-0.99, 0.99, n - k) / hg for k in range(1, kl + 1)]
-        J = sp.diags(diags, [-k for k in range(kl + 1)], format="csr")
-        _, _, Jb = newton._band_storage(J)
-        ab = 0.0 - hg * Jb
-        ab[0] = 1.0 - hg * Jb[0]
-        assert newton._pivot_free(ab)
-        assert not assert_cache_solves_bitwise(
-            J, hg, signed_zero_rhs(rng, n))
-    # Every solve took the triangular sweep, and solutions with a zero
-    # entry the upper sweep over the fill-in as well.
-    assert dtbtrs_calls.count("L") == 30 * 6
-    assert 0 < dtbtrs_calls.count("U") <= 30 * 3
-
-
-def test_pivot_tie_takes_triangular_branch(dtbtrs_calls):
-    n = 7
-    rng = np.random.default_rng(13)
-    # With hg = 1 the diagonal of I - J is 2 and every subdiagonal entry
-    # is +-2: a tie, on which IDAMAX keeps the diagonal.
-    J = sp.diags([-np.ones(n), np.where(rng.random(n - 1) < 0.5, 2.0, -2.0)],
-                 [0, -1], format="csr")
-    assert not assert_cache_solves_bitwise(J, 1.0, signed_zero_rhs(rng, n))
-    assert dtbtrs_calls.count("L") == 6
-
-
-def test_lower_band_that_pivots_keeps_dgbtrf(dtbtrs_calls):
-    n = 9
-    rng = np.random.default_rng(14)
-    for kl in (1, 3):
-        diags = [-rng.uniform(0.0, 1.0, n)] + [
-            rng.uniform(-0.5, 0.5, n - k) for k in range(1, kl + 1)]
-        # One entry below the diagonal outgrows its diagonal entry.
-        diags[kl][2] = 50.0
-        J = sp.diags(diags, [-k for k in range(kl + 1)], format="csr")
-        assert assert_cache_solves_bitwise(J, 0.5, signed_zero_rhs(rng, n))
-    assert dtbtrs_calls == []
+        J = random_banded(rng, n, kl, ku).tolil()
+        if trial % 2:
+            # Entry (i, j) off the diagonal, 50 times the diagonal entry
+            # of column j in I - hg J.
+            k = int(rng.integers(1, kl + ku + 1))
+            j = int(rng.integers(0, n - k))
+            i, j = (j + k, j) if kl else (j, j + k)
+            J[i, j] = 50.0 * (1.0 - hg * J[j, j]) / hg
+        J = J.tocsr()
+        A = np.eye(n) - hg * J.toarray()
+        cache = JacobianCache(None, SolverConfig())
+        cache.J = J
+        for _ in range(3):
+            b = rng.normal(size=n)
+            x = cache.solve(hg, b)
+            solves += 1
+            assert cache._fac[0] == "banded" and x.shape == b.shape
+            assert (componentwise_backward_error(A, x, b)
+                    <= (kl + ku + 2) * np.finfo(float).eps)
+    assert dtbtrs_calls == ["L" if ku == 0 else "U"] * solves
+    assert band_lu_calls == []
 
 
 def test_lower_band_with_zero_diagonal_raises(dtbtrs_calls):
+    """A zero diagonal entry of a lower or an upper band I - hg J fails
+    when the band is factored, naming its 1-based position, before any
+    substitution."""
     n = 6
     diag = np.full(n, -1.0)
-    sub = np.full(n - 1, 0.25)
-    # With hg = 1, I - J has a zero diagonal entry, and nothing below it.
-    diag[3], sub[3] = 1.0, 0.0
-    cache = JacobianCache(None, SolverConfig())
-    cache.J = sp.diags([diag, sub], [0, -1], format="csr")
-    with pytest.raises(ConvergenceFailure, match="zero pivot 4 in dgbtrf"):
-        cache.solve(1.0, np.ones(n))
+    off = np.full(n - 1, 0.25)
+    # With hg = 1, I - J has a zero diagonal entry, and the off-diagonal
+    # entry next to it is zero too.
+    diag[3], off[3] = 1.0, 0.0
+    for offset, band in ((-1, (1, 0)), (1, (0, 1))):
+        cache = JacobianCache(None, SolverConfig())
+        cache.J = sp.diags([diag, off], [0, offset], format="csr")
+        assert newton._band_storage(cache.J)[:2] == band
+        with pytest.raises(ConvergenceFailure,
+                           match="singular iteration matrix "
+                                 r"\(zero pivot 4 on the diagonal\)"):
+            cache.solve(1.0, np.ones(n))
     assert dtbtrs_calls == []
 
 
@@ -496,35 +485,16 @@ def inverter_run(mode):
 def test_inverter_jacobian_reaches_triangular_branch(dtbtrs_calls,
                                                      monkeypatch):
     bands = []
-    real = newton._unit_lower_solver
+    real = newton._triangular_solver
 
-    def spy(ab, kl):
-        bands.append(kl)
-        return real(ab, kl)
-    monkeypatch.setattr(newton, "_unit_lower_solver", spy)
+    def spy(ab, ku):
+        bands.append((ab.shape[0] - 1 - ku, ku))
+        return real(ab, ku)
+    monkeypatch.setattr(newton, "_triangular_solver", spy)
     res = inverter_run("single")
     # The chain's lower-bidiagonal I - h a_ii J, once the input moves it.
-    assert 1 in bands and dtbtrs_calls.count("L") > res.stats.accepted_global
-
-
-@pytest.mark.parametrize("mode", ["single", "multi"])
-def test_inverter_runs_bitwise_without_triangular_branch(mode, monkeypatch,
-                                                          dtbtrs_calls):
-    on = inverter_run(mode)
-    assert dtbtrs_calls
-    monkeypatch.setattr(newton, "_pivot_free", lambda ab: False)
-    calls = len(dtbtrs_calls)
-    off = inverter_run(mode)
-    assert len(dtbtrs_calls) == calls
-    for name in ("t", "y", "y_out"):
-        assert getattr(on, name).tobytes() == getattr(off, name).tobytes()
-    def records(res):
-        return [(a.step_index, a.t_start, a.t_end, a.kind,
-                 a.active_indices.tolist()) for a in res.activity]
-    assert records(on) == records(off)
-    for s in (on.stats, off.stats):
-        s.wall_time = 0.0
-    assert on.stats == off.stats
+    assert (1, 0) in bands and dtbtrs_calls.count("L") > \
+        res.stats.accepted_global
 
 
 # I - 1.0 J is exactly singular for each J below: the zero matrix, a lower

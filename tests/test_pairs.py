@@ -77,11 +77,40 @@ def test_alternate_passes_the_workload_to_each_side(monkeypatch, capsys):
     monkeypatch.setattr(pairs, "_run_side", fake_side)
     assert pairs.main(["alternate", "parent", "change", "--workload",
                        "stability", "--pairs", "6"]) == 0
-    assert {w for _, w in calls} == {"stability"} and len(calls) == 12
-    assert [s for s, _ in calls[:4]] == ["parent", "change", "change",
-                                         "parent"]
+    # One warm-up pair, then six recorded ones in alternating order.
+    assert {w for _, w in calls} == {"stability"} and len(calls) == 14
+    assert [s for s, _ in calls[:6]] == ["parent", "change", "parent",
+                                         "change", "change", "parent"]
     out = capsys.readouterr()
     assert "wall_s parent 1.0000 change 0.5000" in out.err
+    assert "identical on both sides" in out.out
+
+
+def test_warm_up_pair_reaches_no_median_and_no_win(monkeypatch, capsys):
+    """The first pair of processes runs unrecorded: outliers it returns
+    (a parent 100x slow, a change 100x fast) move no median, quartile or
+    win count, and its counters are not compared."""
+    calls = []
+
+    def fake_side(src, workload, inputs, rounds):
+        calls.append(str(src))
+        warm = len(calls) <= 2
+        wall = 1.0 if str(src) == "parent" else 1.1
+        if warm:
+            wall = 100.0 if str(src) == "parent" else 0.01
+        return {"metrics": {"mr_wall_s": wall},
+                "counters": {"44.mr": {"warm": warm}}}
+
+    monkeypatch.setattr(pairs, "_run_side", fake_side)
+    s = pairs.alternate("parent", "change", "inverter", [44], 6, 1)
+    assert len(calls) == 14
+    m = s["mr_wall_s"]
+    assert m["parent"] == 1.0 and m["change"] == 1.1
+    assert m["parent_iqr"] == (1.0, 1.0)
+    assert m["ratio"] == pytest.approx(1.1)
+    assert m["wins"] == 0 and m["pairs"] == 6
+    out = capsys.readouterr()
+    assert "100.0000" not in out.err and "0.0100" not in out.err
     assert "identical on both sides" in out.out
 
 

@@ -52,6 +52,30 @@ def test_model_validation():
                    beta_ratio=1.0, kappa=1e-3)
 
 
+@pytest.mark.parametrize("model, name, bad", [
+    (model_2dof, "alpha", np.nan),
+    (model_2dof, "alpha", 0.0),
+    (model_4dof, "omega1", np.inf),
+    (model_4dof, "omega1", -1.0),
+    (model_4dof, "gamma1", np.nan),
+    (model_4dof, "gamma1", -0.01),
+    (model_4dof, "alpha_ratio", np.inf),
+    (model_4dof, "beta_ratio", np.nan),
+    (model_4dof, "beta_ratio", 0.0),
+])
+def test_model_parameter_errors_name_the_parameter(model, name, bad):
+    """A bad model parameter is named in the error, not reported later as
+    a non-finite L."""
+    params = ({"alpha": 10.0, "kappa": 0.1} if model is model_2dof else
+              {"omega1": 1.0, "gamma1": 0.01, "alpha_ratio": 50.0,
+               "beta_ratio": 1.0, "kappa": 1e-3})
+    params[name] = bad
+    sign = "nonnegative" if name == "gamma1" else "positive"
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be finite and {sign}, got"):
+        model(**params)
+
+
 @pytest.mark.parametrize("d", [1.5, True, 0, 3],
                          ids=["d1.5", "dtrue", "d0", "dN+1"])
 def test_fast_dimension_must_be_a_count_up_to_N(d):

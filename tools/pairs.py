@@ -9,7 +9,10 @@
 ``alternate`` runs ``measure`` once per side and pair, each in its own
 process with ``PYTHONPATH`` set to that side's tree: the parent first in
 even pairs, the change first in odd ones, so a slow spell of the host does
-not fall on one side only.
+not fall on one side only.  One warm-up pair, parent then change, runs
+before them and is not recorded: the first processes of a run can read
+the host slower than the rest (one 10-pair run read the change within
+0.4% in its first pair and 16-37% lower in the other nine).
 
 On the ``inverter`` workload (the default), ``measure`` builds each input
 ``k`` as `perfbench/cases.py`'s ``inverter_case(k)`` (input ``k`` is
@@ -261,6 +264,8 @@ def _run_side(src, workload, inputs, rounds):
 
 def alternate(parent_src, change_src, workload, inputs, pairs, rounds):
     headline = HEADLINE[workload]
+    for src in (parent_src, change_src):
+        _run_side(src, workload, inputs, rounds)
     runs = []
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
