@@ -122,7 +122,7 @@ class StepStats:
     evaluations and the linear solves of the run's own cache, likewise.
     ``local_*`` sum these three over the fast sub-runs, failed ones
     included; each RHS call of a sub-run is one call of the problem's
-    ``rhs_restricted`` over the fast indices.
+    ``rhs_restricted`` over the fast indices, or else of its ``rhs``.
     """
 
     accepted_global: int = 0
@@ -271,14 +271,16 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, C):
     columns (the structural closure of the fast rows) and the solver's
     fast iterate; RHS and Jacobian evaluation delegate to the parent
     problem's restricted entry points, which write the fast values
-    straight into the sub-problem's output.  ``C`` is the step
-    interpolant's coefficient array (`_step_interpolant`): the columns of
-    the slow closure are selected once and turned into Python floats,
-    and each column is evaluated at tau = (t - t_n)/h by one Horner
-    recurrence from the highest power down, so at t = t_n it is u_n
-    exactly.  The slow columns are evaluated once per distinct ``t``:
-    every Newton iterate of a stage shares its stage time, and the next
-    step-start Jacobian often reuses it.
+    straight into the sub-problem's output.  Without ``rhs_restricted`` it
+    takes them from the full ``rhs``, evaluated into one buffer per
+    sub-problem; without ``jacobian_restricted`` its sub-run differentiates
+    by finite differences.  ``C`` is the step interpolant's coefficient
+    array (`_step_interpolant`): the columns of the slow closure are
+    selected once and turned into Python floats, and each column is
+    evaluated at tau = (t - t_n)/h by one Horner recurrence from the highest
+    power down, so at t = t_n it is u_n exactly.  The slow columns are
+    evaluated once per distinct ``t``: every Newton iterate of a stage
+    shares its stage time, and the next step-start Jacobian often reuses it.
     """
     fast = np.asarray(fast, dtype=int)
     closure = set()
@@ -301,9 +303,15 @@ def _fast_subproblem(problem, fast, u_n, t_n, h, C):
             filled_t[0] = t
         buf[fast] = yf
 
+    restricted = problem.rhs_restricted
+    if restricted is None:
+        def restricted(y, t, indices, out, full=np.empty(problem.N)):
+            problem.rhs(y, t, full)
+            full.take(indices, out=out)
+
     def rhs(yf, t, out):
         fill(yf, t)
-        problem.rhs_restricted(buf, t, fast, out)
+        restricted(buf, t, fast, out)
 
     jac = None
     if problem.jacobian_restricted is not None:
@@ -513,7 +521,8 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
         stats.global_rhs_calls += 1
         rhs(y, t, out)
 
-    problem = replace(problem, rhs=counted_rhs)
+    # The fast phase takes the caller's problem: its calls are local work.
+    given, problem = problem, replace(problem, rhs=counted_rhs)
     t, u = t0, problem.y0.copy()
     h = _initial_step(problem, cfg, method)
     activity = []
@@ -569,7 +578,7 @@ def integrate(problem: OdeProblem, method: ButcherTableau,
                 u_next, y_fast = u_tent, None
                 if decision == "go_multirate":
                     u_next, sub = multirate_step(
-                        problem, method, cfg, u, t, h, u_tent, fast, eta_f,
+                        given, method, cfg, u, t, h, u_tent, fast, eta_f,
                         C, stats, t_eval)
                     y_fast = sub.y_out
         except ConvergenceFailure as exc:

@@ -8,8 +8,9 @@ directly, with no CSR in between; heating's is dense.  The inverter chain
 and Burgers also evaluate the RHS over an ascending index subset, writing
 the subset's values compactly, in index order, and place the couplings of
 their restricted Jacobians from adjacent positions of that subset; heating
-uses `OdeProblem`'s full-RHS fallback, which is cheaper than classifying
-the index set on every call.  Burgers does so in one vector expression.
+has none, so its fast phase takes entries of the full RHS, which is
+cheaper than classifying the index set on every call.  Burgers does so in
+one vector expression.
 The inverter chain's fast sets hold a few stages, where numpy's per-call
 cost outweighs the arithmetic, so its two restricted hooks read the
 subset's states as Python floats and loop over them, with the full RHS's
@@ -56,9 +57,7 @@ class InverterChainParams:
     t_span: tuple = (0.0, 200.0)
 
     def __post_init__(self):
-        check_count("N", self.N)
-        if self.N < 2:
-            raise ValueError("chain needs at least 2 inverters")
+        check_count("N", self.N, minimum=2)
         check_real("U_op", self.U_op)
         if not self.U_op > self.U_tau > 0:
             raise ValueError("require U_op > U_tau > 0")
@@ -198,9 +197,7 @@ class BurgersParams:
     t_span: tuple = (0.0, 5.0)
 
     def __post_init__(self):
-        if self.N < 3:
-            raise ValueError("need at least 3 grid nodes")
-        check_count("N", self.N)
+        check_count("N", self.N, minimum=3)
         check_real("nu", self.nu, positive=False)
         check_real("L_dom", self.L_dom)
 
@@ -322,8 +319,6 @@ class HeatingParams:
     step_width: float = 1.0          # seconds; set-point transition width
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("need at least one unit")
         check_count("N", self.N)
         for name in ("K_ps", "T_h", "T_l", "T_s0", "G_u", "K_pu"):
             value = getattr(self, name)

@@ -27,11 +27,12 @@ __all__ = [
 ]
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is a (non-bool) int >= minimum."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def check_real(name: str, value, positive: bool = True) -> None:
@@ -51,17 +52,18 @@ class OdeProblem:
     t, indices, out)`` evaluates only the components in ``indices``, an
     ascending, non-empty index array, and writes their ``len(indices)``
     values into ``out`` in that order, reading only the state entries
-    their formulas need; without one, the full RHS is evaluated and the
-    entries taken from it.  ``dependency(i)`` returns the
-    state indices component i's RHS reads, a superset of the structural
-    nonzeros of Jacobian row i.  ``jacobian(y, t)`` returns a dense array
-    or a scipy sparse matrix; the stage solver reads the band of a DIA one
+    their formulas need.  ``dependency(i)`` returns the state indices
+    component i's RHS reads, a superset of the structural nonzeros of
+    Jacobian row i.  ``jacobian(y, t)`` returns a dense array or a scipy
+    sparse matrix; the stage solver reads the band of a DIA one
     (``scipy.sparse.dia_array``) directly from its diagonals, so a banded
     Jacobian is cheapest in that form.  ``jacobian_restricted(y, t,
     indices)`` returns the square sub-Jacobian over ``indices``, which are
-    ascending and non-empty as for ``rhs_restricted``.  Jacobian
-    callables may be None, in which case solvers fall back to colored
-    finite differences.
+    ascending and non-empty as for ``rhs_restricted``.  Without
+    ``jacobian``, solvers differentiate by colored finite differences.
+    A problem, and every `dataclasses.replace` copy, holds only the
+    callables it is given: `adapt._fast_subproblem` decides what a
+    missing restricted hook means.
     """
 
     N: int
@@ -87,12 +89,6 @@ class OdeProblem:
         if not np.isfinite(y0).all():
             raise ValueError("y0 must be finite")
         object.__setattr__(self, "y0", y0)
-        if self.rhs_restricted is None:
-            def _restricted(y, t, indices, out, _rhs=self.rhs, _n=self.N):
-                full = np.empty(_n)
-                _rhs(y, t, full)
-                full.take(indices, out=out)
-            object.__setattr__(self, "rhs_restricted", _restricted)
 
 
 def _finite(x: np.ndarray) -> bool:

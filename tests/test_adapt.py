@@ -566,6 +566,93 @@ def test_fast_subproblem_forms_slow_coefficients_once():
                 == fresh.jacobian(yf, t).tobytes())
 
 
+@pytest.mark.parametrize("n, fast, seed", [
+    (6, [0, 2, 7, 9, 13], 8),
+    (12, [0, 1, 5, 13, 17, 25], 4),
+], ids=["heating-6", "heating-12"])
+def test_fast_subproblem_without_hook_takes_full_rhs_entries(n, fast, seed):
+    """Heating has no ``rhs_restricted``, so its fast sub-problem takes
+    entries of the full RHS: at t = t_n, each call writes exactly
+    len(fast) values, bitwise the full RHS's at ``fast`` of u_n with the
+    fast iterate in place, call after call on one sub-problem."""
+    prob = bench.make_heating(bench.HeatingParams(N=n))
+    assert prob.rhs_restricted is None
+    rng = np.random.default_rng(seed)
+    u_n = prob.y0 * (1.0 + 0.1 * rng.standard_normal(prob.N)) + 0.05
+    u_n[1:n + 1] = rng.uniform(0.0, 200.0, n)
+    t_n, h = 8.5 * 3600.0, 60.0       # the switches are under way
+    fast = np.array(fast)
+    C = slow_interpolant(LINEAR, u_n, u_n + 1.0, h)
+    sub = adapt._fast_subproblem(prob, fast, u_n, t_n, h, C)
+    for _ in range(3):
+        y = u_n.copy()
+        y[fast] += rng.normal(scale=1.0, size=len(fast))
+        full = np.empty(prob.N)
+        prob.rhs(y, t_n, full)
+        guard = np.full(len(fast) + 2, np.nan)
+        sub.rhs(y[fast], t_n, guard[1:-1])
+        assert np.isnan(guard[0]) and np.isnan(guard[-1])
+        assert guard[1:-1].tobytes() == full[fast].tobytes()
+
+
+def forced_relaxations(c):
+    """20 decoupled relaxations y_i' = -D_i (y_i - c sin t), D_i from 1 to
+    1e4, with a Jacobian but no restricted hooks: the stiffest ones go
+    multirate."""
+    D = np.logspace(0.0, 4.0, 20)
+
+    def rhs(y, t, out):
+        np.multiply(-D, y - c * np.sin(t), out=out)
+    return OdeProblem(N=20, rhs=rhs, t_span=(0.0, 3.0), y0=np.zeros(20),
+                      dependency=lambda i: (i,),
+                      jacobian=lambda y, t: np.diag(-D), name="relax")
+
+
+RELAX_MR = SolverConfig(rtol=1e-6, atol=1e-6, mode="multi", phi=0.2,
+                        t_eval=np.linspace(0.0, 3.0, 31))
+
+
+def assert_same_run(a, b):
+    """Two results have bitwise equal t, y, y_out and activity and equal
+    counters apart from ``wall_time``."""
+    np.testing.assert_array_equal(a.t, b.t)
+    np.testing.assert_array_equal(a.y, b.y)
+    assert (a.y_out is None) == (b.y_out is None)
+    if a.y_out is not None:
+        assert a.y_out.tobytes() == b.y_out.tobytes()
+    s1, s2 = asdict(a.stats), asdict(b.stats)
+    s1.pop("wall_time")
+    s2.pop("wall_time")
+    assert s1 == s2
+    assert len(a.activity) == len(b.activity)
+    for x, y in zip(a.activity, b.activity):
+        assert ((x.step_index, x.t_start, x.t_end, x.kind)
+                == (y.step_index, y.t_start, y.t_end, y.kind))
+        np.testing.assert_array_equal(x.active_indices, y.active_indices)
+
+
+def test_replaced_rhs_reaches_the_fast_phase():
+    """An MR run of `replace(p, rhs=g)`, p without ``rhs_restricted``, is
+    bitwise the run of a problem built with g: every fast phase evaluates
+    the RHS the run was given, not the one p was built with."""
+    m = get_method("esdirk3")
+    fresh = integrate(forced_relaxations(2.0), m, RELAX_MR)
+    swapped = integrate(replace(forced_relaxations(1.0),
+                                rhs=forced_relaxations(2.0).rhs),
+                        m, RELAX_MR)
+    assert fresh.stats.accepted_fast > 0
+    assert_same_run(swapped, fresh)
+
+
+def test_full_rhs_fallback_counts_as_local_work():
+    """Without ``rhs_restricted``, each RHS call of a fast sub-run is one
+    call of the problem's ``rhs``, counted once, as local work."""
+    prob, calls = counting_problem(forced_relaxations(1.0))
+    stats = integrate(prob, get_method("esdirk3"), RELAX_MR).stats
+    assert stats.accepted_fast > 0 and stats.local_rhs_calls > 0
+    assert calls["rhs"] == stats.global_rhs_calls + stats.local_rhs_calls
+
+
 @pytest.mark.parametrize("mode", ["single", "multi"])
 def test_linear_output_costs_no_rhs_calls(mode):
     """Linear interpolation reads no derivatives, so a grid is free."""
@@ -841,21 +928,8 @@ def test_single_rate_is_multirate_with_fast_cap_zero(name, with_grid):
     cfg = SolverConfig(rtol=1e-4, atol=1e-4, phi=0.01, h0=0.5, t_eval=grid)
     sr = integrate(prob, get_method(name), cfg)
     mr = integrate(prob, get_method(name), replace(cfg, mode="multi"))
-    np.testing.assert_array_equal(sr.t, mr.t)
-    np.testing.assert_array_equal(sr.y, mr.y)
-    if with_grid:
-        np.testing.assert_array_equal(sr.y_out, mr.y_out)
-    else:
-        assert sr.y_out is None and mr.y_out is None
-    s1, s2 = asdict(sr.stats), asdict(mr.stats)
-    s1.pop("wall_time")
-    s2.pop("wall_time")
-    assert s1 == s2
-    assert len(sr.activity) == len(mr.activity)
-    for a, b in zip(sr.activity, mr.activity):
-        assert ((a.step_index, a.t_start, a.t_end, a.kind)
-                == (b.step_index, b.t_start, b.t_end, b.kind))
-        np.testing.assert_array_equal(a.active_indices, b.active_indices)
+    assert_same_run(sr, mr)
+    assert (sr.y_out is None) != with_grid
     if name != "erk4":
         assert sr.stats.rejected_global_error > 0
 
@@ -909,9 +983,27 @@ def test_benchmark_tracing_patch_points_are_reached(monkeypatch):
                                          phi=0.2))
         assert res.stats.accepted_fast > 0, prob.name
         calls = {name: v[0] for name, v in tracer.layer_totals().items()}
-        for name in ("bench.rhs", "bench.rhs_restricted",
-                     "bench.jacobian_restricted"):
+        for name in ("bench.rhs", "bench.jacobian_restricted"):
             assert calls[name] > 0, (prob.name, name)
+        if prob.name != "heating":
+            assert calls["bench.rhs_restricted"] > 0, prob.name
+            continue
+        # Heating has no restricted RHS, so its fast phase takes entries of
+        # the full one: each of its RHS calls is a `bench.rhs` span inside
+        # `adapt.multirate_step`.
+        spans = tracer.arrays()
+        names, parent = spans["names"].tolist(), spans["parent"]
+        rhs_id, step_id = (names.index("bench.rhs"),
+                           names.index("adapt.multirate_step"))
+
+        def in_fast_phase(i):
+            while i >= 0 and spans["name"][i] != step_id:
+                i = parent[i]
+            return i >= 0
+        assert calls["bench.rhs_restricted"] == 0
+        assert sum(in_fast_phase(i) for i in
+                   np.flatnonzero(spans["name"] == rhs_id)) == (
+            res.stats.local_rhs_calls) > 0
 
 
 @pytest.mark.parametrize("mode,max_steps", [

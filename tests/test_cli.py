@@ -317,6 +317,19 @@ def test_non_finite_alpha_is_named(tmp_path, capsys):
                           "got nan")
 
 
+@pytest.mark.parametrize("problem, minimum", [
+    ("inverter", 2), ("burgers", 3), ("heating", 1)])
+def test_non_integer_n_names_the_count_rule(tmp_path, capsys, problem,
+                                            minimum):
+    """A string N gets the count check's message with the problem's own
+    bound, not a comparison's TypeError."""
+    rc = main(["solve", "--problem", problem, "--param", 'N="a"',
+               "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and err == (
+        f"usage error: N must be an integer >= {minimum}, got 'a'\n")
+
+
 @pytest.mark.parametrize("argv", [
     _STAB2 + ["--M", "2", "--c-max", "5"],
     ["accuracy", "--C", "0.1"],

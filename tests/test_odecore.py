@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,15 +43,14 @@ def test_problem_rejects_nonfinite_y0(bad):
                    y0=np.array([0.0, bad]), dependency=lambda i: (i,))
 
 
-def test_default_restricted_rhs_matches_full():
-    L = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    prob = make_linear_problem(L)
-    y = np.array([1.0, 2.0])
-    full = np.empty(2)
-    prob.rhs(y, 0.0, full)
-    out = np.zeros(1)
-    prob.rhs_restricted(y, 0.0, np.array([1]), out)
-    assert out[0] == full[1]
+def test_missing_restricted_rhs_stays_none():
+    """A problem holds only the callables it is given: built without
+    ``rhs_restricted`` it holds None, and so does a `replace` of it with
+    another RHS, so no evaluation bound to the first RHS is copied."""
+    prob = make_linear_problem(np.array([[-1.0, 0.5], [0.0, -2.0]]))
+    assert prob.rhs_restricted is None
+    other = replace(prob, rhs=lambda y, t, out: out.fill(0.0))
+    assert other.rhs_restricted is None
 
 
 @pytest.mark.parametrize("name", ["esdirk3", "esdirk4"])

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
 import time
 
@@ -175,3 +176,37 @@ def test_inverter_measure_times_output_sampling_apart(monkeypatch):
     fast_s = 1e-6 * m["3.fast_attempt_us"] * pairs._attempts_of(c["3.mr"],
                                                                 "fast")
     assert fast_s + m["3.mr_sampling_s"] <= m["3.mr_wall_s"]
+
+
+def test_failing_side_is_named_without_a_traceback(tmp_path):
+    """A side whose mrrk fails on import ends the run at once with exit
+    code 1: the message names the side and its tree and ends with that
+    side's own error, and pairs.py prints no traceback of its own."""
+    broken = tmp_path / "src"
+    (broken / "mrrk").mkdir(parents=True)
+    (broken / "mrrk" / "__init__.py").write_text(
+        'raise RuntimeError("mrrk of a broken tree")\n')
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pairs.py"), "alternate",
+         str(broken), str(ROOT / "src"), "--pairs", "6"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    err = proc.stderr
+    assert err.startswith(f"parent side failed ({broken}, exit code 1)")
+    assert err.rstrip().endswith("RuntimeError: mrrk of a broken tree")
+    assert "CalledProcessError" not in err
+
+
+def test_failing_change_side_is_named(monkeypatch):
+    def fake_side(src, workload, inputs, rounds):
+        if src == "change":
+            raise subprocess.CalledProcessError(
+                2, ["measure"], stderr="first\nValueError: bad tree\n")
+        return {"metrics": {"mr_wall_s": 1.0}, "counters": {}}
+
+    monkeypatch.setattr(pairs, "_run_side", fake_side)
+    with pytest.raises(SystemExit) as info:
+        pairs.alternate("parent", "change", "inverter", [44], 6, 1)
+    assert info.value.code == ("change side failed (change, exit code 2); "
+                               "the end of its stderr:\n"
+                               "first\nValueError: bad tree")

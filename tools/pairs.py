@@ -13,6 +13,9 @@ not fall on one side only.  One warm-up pair, parent then change, runs
 before them and is not recorded: the first processes of a run can read
 the host slower than the rest (one 10-pair run read the change within
 0.4% in its first pair and 16-37% lower in the other nine).
+A side whose ``measure`` fails ends ``alternate`` with exit code 1, a
+message that names the side and its tree, and the end of that side's
+stderr.
 
 On the ``inverter`` workload (the default), ``measure`` builds each input
 ``k`` as `perfbench/cases.py`'s ``inverter_case(k)`` (input ``k`` is
@@ -92,6 +95,8 @@ MMAP_THRESHOLD = 128 * 1024
 # Longest stretch of stability cells between two speed probes, in
 # seconds, as in perfbench/run.py.
 PROBE_EVERY_S = 1.0
+# Lines of a failed side's stderr that ``alternate`` prints.
+STDERR_LINES = 20
 
 
 def _import_perfbench():
@@ -263,16 +268,28 @@ def _run_side(src, workload, inputs, rounds):
 
 
 def alternate(parent_src, change_src, workload, inputs, pairs, rounds):
+    """Time the two trees in alternating pairs and print the summary.
+
+    A side whose ``measure`` fails ends the run: it exits 1 with the
+    side's name, its tree and the last ``STDERR_LINES`` lines of its
+    stderr."""
     headline = HEADLINE[workload]
-    for src in (parent_src, change_src):
-        _run_side(src, workload, inputs, rounds)
+    srcs = {"parent": parent_src, "change": change_src}
+
+    def run(side):
+        try:
+            return _run_side(srcs[side], workload, inputs, rounds)
+        except subprocess.CalledProcessError as exc:
+            tail = "\n".join(exc.stderr.splitlines()[-STDERR_LINES:])
+            sys.exit(f"{side} side failed ({srcs[side]}, exit code "
+                     f"{exc.returncode}); the end of its stderr:\n{tail}")
+
+    for side in srcs:
+        run(side)
     runs = []
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            got[side] = _run_side(parent_src if side == "parent"
-                                  else change_src, workload, inputs, rounds)
+        got = {side: run(side) for side in order}
         runs.append((got["parent"], got["change"]))
         print(f"pair {i + 1}/{pairs}: {headline} parent "
               f"{got['parent']['metrics'][headline]:.4f} change "
